@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench check serve-smoke query-smoke fuzz-smoke chaos-smoke chaos-serve soak-smoke loadgen-smoke bench-serve bench-query clean
+.PHONY: all build test race vet bench bench-build check serve-smoke query-smoke fuzz-smoke chaos-smoke chaos-serve soak-smoke loadgen-smoke bench-serve bench-query clean
 
 all: build
 
@@ -20,6 +20,15 @@ vet:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# bench-build compiles the benchmark module (bench/, a module of its own
+# that the root `go build ./...` and `go test ./...` do not reach) and
+# vets its probe, the one file there that imports internal/ — so a
+# change that breaks a flag or signature the benchmark depends on fails
+# here, not first when the benchmark pipeline runs.
+bench-build:
+	$(GO) -C bench build ./...
+	$(GO) -C bench vet -tags benchprobe ./...
 
 # serve-smoke boots the real strudel-serve binary against a tiny site,
 # probes / and /healthz, and asserts a clean SIGTERM drain.
@@ -77,10 +86,11 @@ soak-smoke:
 # loadgen-smoke runs the open-loop load generator against an in-process
 # sharded fleet for a short fixed window, asserting non-zero throughput
 # and zero differential-oracle mismatches; the raced serving-invariant
-# drills (reload under load, chaos kills) run alongside it.
+# drills (reload under load, chaos kills, the shared-snapshot pin) run
+# alongside it.
 loadgen-smoke:
 	$(GO) test -count=1 -run '^TestLoadgenSmoke$$' -v ./internal/fleet
-	$(GO) test -count=1 -race -run '^TestReloadUnderLoad$$|^TestChaosKillsUnderLoad$$' ./internal/fleet
+	$(GO) test -count=1 -race -run '^TestReloadUnderLoad$$|^TestChaosKillsUnderLoad$$|^TestGenerationIsOneSharedSnapshot$$' ./internal/fleet
 
 # bench-serve load-tests the real strudel-serve binary at several shard
 # counts and writes BENCH_serve.json (throughput + latency percentiles).
@@ -93,7 +103,7 @@ bench-query:
 	sh scripts/bench_query.sh
 
 # check is what CI runs.
-check: vet race
+check: vet race bench-build
 
 clean:
 	$(GO) clean ./...

@@ -114,7 +114,7 @@ func main() {
 	flag.IntVar(&cfg.maxInflight, "max-inflight", 256, "max concurrent page requests before shedding with 503 (0 = unlimited)")
 	flag.DurationVar(&cfg.reloadInterval, "reload-interval", 2*time.Second, "source-file poll period for hot reload (0 disables)")
 	flag.DurationVar(&cfg.shutdownTimeout, "shutdown-timeout", 10*time.Second, "bound on graceful drain after SIGINT/SIGTERM")
-	flag.IntVar(&cfg.shards, "shards", 1, "number of shared-nothing page-space shards")
+	flag.IntVar(&cfg.shards, "shards", 1, "number of page-space shards")
 	flag.IntVar(&cfg.replicas, "replicas", 1, "replicas per shard (failover capacity)")
 	flag.DurationVar(&cfg.staleFor, "stale-for", 2*time.Second, "stale-while-revalidate window after a hot reload (0 disables stale serving)")
 	flag.BoolVar(&cfg.hedge, "hedge", true, "hedge tail-latency requests onto a sibling replica")
@@ -158,7 +158,7 @@ func run(cfg config) int {
 	}
 
 	// The serving tier proper: the page space is partitioned over
-	// -shards shared-nothing shards of -replicas replicas each (1×1 is a
+	// -shards shards of -replicas replicas each (1×1 is a
 	// perfectly good fleet), and every request enters through the edge —
 	// consistent-hash routing, generation-scoped conditional GETs,
 	// stale-while-revalidate across hot reloads.

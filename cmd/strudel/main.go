@@ -73,7 +73,6 @@ func main() {
 	evalTimeout := flag.Duration("eval-timeout", 0, "wall-clock budget per version's query evaluation (0 = none)")
 	noStats := flag.Bool("no-stats", false, "plan queries with fixed heuristics instead of collected selectivity statistics (output is identical)")
 	noReorder := flag.Bool("no-reorder", false, "evaluate query conditions in first-ready textual order instead of cost order (output is identical)")
-	frozen := flag.Bool("frozen", true, "evaluate against the compact frozen graph snapshot; -frozen=false uses generic access paths (output is identical)")
 	watch := flag.Bool("watch", false, "after the first build, keep running: poll the input files and patch only the affected pages of the published site on each edit")
 	watchInterval := flag.Duration("watch-interval", 2*time.Second, "poll interval for -watch")
 	flag.Var(&dataFiles, "data", "data-definition-language file (repeatable)")
@@ -101,7 +100,6 @@ func main() {
 		EvalTimeout:  *evalTimeout,
 		NoStats:      *noStats,
 		NoReorder:    *noReorder,
-		NoFrozen:     !*frozen,
 	}
 	var reg *obs.Registry
 	if *traceOut != "" {

@@ -44,7 +44,6 @@ type config struct {
 	jobs       int
 	noStats    bool
 	noReorder  bool
-	frozen     bool
 }
 
 func main() {
@@ -61,7 +60,6 @@ func main() {
 	flag.IntVar(&cfg.jobs, "j", 0, "evaluation parallelism: 0 = one worker per CPU, 1 = sequential (results are identical at any setting)")
 	flag.BoolVar(&cfg.noStats, "no-stats", false, "plan with fixed heuristics instead of collected selectivity statistics (results are identical)")
 	flag.BoolVar(&cfg.noReorder, "no-reorder", false, "evaluate conditions in first-ready textual order instead of cost order (results are identical)")
-	flag.BoolVar(&cfg.frozen, "frozen", true, "evaluate against the compact frozen graph snapshot; -frozen=false uses generic access paths (results are identical)")
 	flag.Parse()
 	cfg.dataFiles, cfg.bibFiles = dataFiles, bibFiles
 
@@ -109,7 +107,6 @@ func run(cfg *config) error {
 		Parallelism: cfg.jobs,
 		NoStats:     cfg.noStats,
 		NoReorder:   cfg.noReorder,
-		NoFrozen:    !cfg.frozen,
 	}
 	if cfg.explain {
 		text, err := struql.Explain(q, repo.NewIndexed(data), opts)

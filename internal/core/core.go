@@ -73,11 +73,6 @@ type Options struct {
 	// falling back to fixed uniform-degree heuristics — the before half
 	// of experiment E14. Output is byte-identical either way.
 	NoStats bool
-	// NoFrozen disables the frozen-snapshot fast path: the evaluator
-	// uses the source's generic access paths even when a CSR snapshot
-	// is available. Output is byte-identical either way; only
-	// evaluation time and allocation differ.
-	NoFrozen bool
 	// parent is the enclosing span for this build's stage spans,
 	// threaded internally so concurrent version builds nest correctly.
 	parent *obs.Span
@@ -104,7 +99,6 @@ func (o *Options) evalOptions() *struql.Options {
 		so.MaxNFAStates = o.MaxNFAStates
 		so.NoReorder = o.NoReorder
 		so.NoStats = o.NoStats
-		so.NoFrozen = o.NoFrozen
 		if o.EvalTimeout > 0 {
 			so.Deadline = time.Now().Add(o.EvalTimeout)
 		}

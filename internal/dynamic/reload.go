@@ -169,8 +169,8 @@ func (r *Reloader) Warehouse() (*repo.Indexed, error) {
 
 // Swapper receives atomically published data generations from the
 // reload loop. Evaluator implements it directly; the fleet coordinator
-// implements it by re-replicating the snapshot into every shard replica
-// and bumping the fleet generation.
+// implements it by handing the snapshot to every shard replica and
+// bumping the fleet generation.
 type Swapper interface {
 	SwapData(src struql.Source, d *mediator.Delta) (kept, dropped int)
 }

@@ -12,7 +12,6 @@ import (
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/struql"
 	"strudel/internal/template"
@@ -27,8 +26,8 @@ type Config struct {
 	Templates *template.Set
 	PerFn     map[string]string
 	Default   string
-	// Shards is the number of shared-nothing partitions (≥1); Replicas
-	// the number of independent copies per shard (≥1).
+	// Shards is the number of page-space partitions (≥1); Replicas the
+	// number of independent evaluators per shard (≥1).
 	Shards   int
 	Replicas int
 	// Lookahead turns on link-following precomputation in every
@@ -62,11 +61,11 @@ func (e ErrShardDown) Error() string {
 	return fmt.Sprintf("fleet: shard %d has no live replica", e.Shard)
 }
 
-// Replica is one shared-nothing copy of one shard: its own frozen
-// snapshot of the data graph, its own evaluator (page cache, Skolem
-// environment), its own renderer. Replicas of the same shard answer the
-// same page requests; replicas of different shards are never asked for
-// each other's pages.
+// Replica is one serving unit of one shard: its own evaluator (page
+// cache, Skolem environment) and its own renderer over the generation's
+// shared immutable snapshot. Replicas of the same shard answer the same
+// page requests; replicas of different shards are never asked for each
+// other's pages.
 type Replica struct {
 	shard, index int
 	ev           *dynamic.Evaluator
@@ -174,13 +173,12 @@ type Fleet struct {
 // since invalidated anyway).
 const keptGenTimes = 16
 
-// New builds a fleet over an initial data source. Each replica receives
-// its own copy of the data: when the source exposes a frozen snapshot
-// (repo.Indexed does), it is encoded once to the canonical SGB2 binary
-// form and decoded once per replica — the compact layout is what makes
-// O(shards × replicas) replication affordable; otherwise the source is
-// shared read-only (safe, but not shared-nothing; tests use it for
-// plain graph sources).
+// New builds a fleet over an initial data source. A generation's data
+// is one immutable snapshot: the source's *graph.Frozen is resolved once
+// and every replica's evaluator reads that same pointer; a source with
+// no snapshot (a plain GraphSource) is shared as-is. Replicas stay
+// isolated because the snapshot never changes and all per-request state
+// lives in their own evaluators.
 func New(cfg Config, src struql.Source) (*Fleet, error) {
 	if cfg.Schema == nil {
 		return nil, fmt.Errorf("fleet: config needs a schema")
@@ -202,14 +200,13 @@ func New(cfg Config, src struql.Source) (*Fleet, error) {
 		start:    time.Now(),
 		genTimes: map[int64]time.Time{},
 	}
-	copies, err := replicate(src, cfg.Shards*cfg.Replicas)
-	if err != nil {
-		return nil, err
+	if fz := struql.SnapshotOf(src); fz != nil {
+		src = fz
 	}
 	for s := 0; s < cfg.Shards; s++ {
 		f.grid[s] = make([]*Replica, cfg.Replicas)
 		for i := 0; i < cfg.Replicas; i++ {
-			ev := dynamic.NewEvaluator(cfg.Schema, copies[s*cfg.Replicas+i])
+			ev := dynamic.NewEvaluator(cfg.Schema, src)
 			ev.Obs = cfg.ServeObs
 			ev.Lookahead = cfg.Lookahead
 			srv := dynamic.NewServer(ev, cfg.Templates)
@@ -228,31 +225,6 @@ func New(cfg Config, src struql.Source) (*Fleet, error) {
 		m.Generation.Set(0)
 	}
 	return f, nil
-}
-
-// replicate produces n independent copies of a data source. The frozen
-// path round-trips through SGB2 bytes, so every replica owns its own
-// arenas and adjacency — a true shared-nothing copy, byte-validated on
-// decode.
-func replicate(src struql.Source, n int) ([]struql.Source, error) {
-	out := make([]struql.Source, n)
-	type frozener interface{ Frozen() *graph.Frozen }
-	fz, ok := src.(frozener)
-	if !ok {
-		for i := range out {
-			out[i] = src
-		}
-		return out, nil
-	}
-	enc := repo.EncodeBinaryFrozen(fz.Frozen())
-	for i := range out {
-		dec, err := repo.DecodeBinaryFrozen(enc)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: replicating snapshot: %w", err)
-		}
-		out[i] = repo.NewIndexedFrozen(dec)
-	}
-	return out, nil
 }
 
 // Shards returns the shard count; ReplicasPerShard the replica count.
@@ -344,30 +316,23 @@ func (f *Fleet) StartHealthChecks(ctx context.Context) {
 	})
 }
 
-// SwapData implements dynamic.Swapper: it re-replicates the new
-// snapshot into every replica of every shard and then publishes the new
-// generation number. Replicas swap one by one — a request racing the
-// swap is served entirely from whichever generation its replica held
-// when the render began (the per-request snapshot guarantee), and the
-// response is tagged with that generation, so the edge never caches a
-// mixed or mislabeled page.
+// SwapData implements dynamic.Swapper: it hands the new generation's
+// snapshot (resolved once, as in New) to every replica of every shard
+// and then publishes the new generation number. Replicas swap one by
+// one — a request racing the swap is served entirely from whichever
+// generation its replica held when the render began (the per-request
+// snapshot guarantee), and the response is tagged with that generation,
+// so the edge never caches a mixed or mislabeled page.
 func (f *Fleet) SwapData(src struql.Source, d *mediator.Delta) (kept, dropped int) {
 	f.swapMu.Lock()
 	defer f.swapMu.Unlock()
 	next := f.gen.Load() + 1
-	copies, err := replicate(src, f.cfg.Shards*f.cfg.Replicas)
-	if err != nil {
-		// A snapshot that cannot be re-encoded is a programming error;
-		// degrade to sharing the source rather than serving stale
-		// forever.
-		copies = make([]struql.Source, f.cfg.Shards*f.cfg.Replicas)
-		for i := range copies {
-			copies[i] = src
-		}
+	if fz := struql.SnapshotOf(src); fz != nil {
+		src = fz
 	}
 	for s := range f.grid {
-		for i, rep := range f.grid[s] {
-			k, dr := rep.ev.SwapDataAt(copies[s*f.cfg.Replicas+i], d, next)
+		for _, rep := range f.grid[s] {
+			k, dr := rep.ev.SwapDataAt(src, d, next)
 			kept += k
 			dropped += dr
 		}

@@ -142,8 +142,8 @@ func crawlRefs(t testing.TB, srv *dynamic.Server) []dynamic.PageRef {
 	return out
 }
 
-// newTestFleet builds a fleet (and the frozen-snapshot source it
-// replicates) over a data graph.
+// newTestFleet builds a fleet (and the indexed source whose snapshot
+// its replicas share) over a data graph.
 func newTestFleet(t testing.TB, s *schema.Schema, g *graph.Graph, shards, replicas int) *Fleet {
 	t.Helper()
 	f, err := New(Config{Schema: s, Shards: shards, Replicas: replicas}, repo.NewIndexed(g))

@@ -1,8 +1,8 @@
 // Package fleet is the sharded, replicated serving tier for click-time
 // traffic: the site's page space is partitioned by consistent hashing
-// over Skolem page keys into shared-nothing shards, each replica of a
-// shard holds its own immutable frozen snapshot of the data graph
-// (re-replicated through the SGB2 binary format on every hot reload),
+// over Skolem page keys into shards, every replica of every shard reads
+// the generation's one immutable frozen snapshot of the data graph
+// through its own evaluator (a hot reload swaps the shared snapshot in),
 // and an HTTP edge routes page requests to the owning shard, caches
 // rendered pages with generation-scoped ETags, answers conditional GETs,
 // and serves stale-while-revalidate across reloads.

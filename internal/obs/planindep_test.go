@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"strudel/internal/core"
+	"strudel/internal/mediator"
 	"strudel/internal/struql"
 )
 
@@ -29,6 +30,38 @@ func buildSite(t *testing.T, spec *core.Spec, opts *core.Options) (map[string]ma
 	for name, vr := range res.Versions {
 		pages[name] = vr.Output.Pages
 		dumps[name] = vr.SiteGraph.Dump()
+	}
+	return pages, dumps
+}
+
+// genericOnly hides the warehoused repository's Frozen() and LabelStats
+// (embedding the interface promotes only struql.Source's own methods),
+// so every query of a build — not just the composed ones, which read a
+// UnionSource anyway — takes the evaluator's generic access paths.
+type genericOnly struct{ struql.Source }
+
+// buildSiteGeneric is buildSite with the data graph wrapped in
+// genericOnly: it warehouses the sources itself and builds each version
+// against the wrapped source.
+func buildSiteGeneric(t *testing.T, spec *core.Spec, opts *core.Options) (map[string]map[string]string, map[string]string) {
+	t.Helper()
+	med, err := mediator.New(spec.Sources...)
+	if err != nil {
+		t.Fatalf("build %s: %v", spec.Name, err)
+	}
+	data, err := med.Warehouse()
+	if err != nil {
+		t.Fatalf("build %s: %v", spec.Name, err)
+	}
+	pages := map[string]map[string]string{}
+	dumps := map[string]string{}
+	for i := range spec.Versions {
+		vr, err := core.BuildVersionWith(&spec.Versions[i], genericOnly{data}, opts)
+		if err != nil {
+			t.Fatalf("build %s: version %s: %v", spec.Name, spec.Versions[i].Name, err)
+		}
+		pages[vr.Name] = vr.Output.Pages
+		dumps[vr.Name] = vr.SiteGraph.Dump()
 	}
 	return pages, dumps
 }
@@ -51,15 +84,23 @@ func TestPlannerConfigIndependence(t *testing.T) {
 		{NoStats: true, NoReorder: true, Parallelism: 2},
 		{Parallelism: runtime.NumCPU()},
 		{NoStats: true, Parallelism: runtime.NumCPU()},
-		{NoFrozen: true},
-		{NoFrozen: true, NoStats: true, Parallelism: 2},
+	}
+	genericVariants := []*core.Options{
+		{},
+		{NoStats: true, Parallelism: 2},
 	}
 	for name, spec := range exampleSpecs() {
 		t.Run(name, func(t *testing.T) {
 			basePages, baseDumps := buildSite(t, spec, &core.Options{Parallelism: 1})
 			for _, opts := range variants {
-				label := fmt.Sprintf("noStats=%v/noReorder=%v/noFrozen=%v/par=%d", opts.NoStats, opts.NoReorder, opts.NoFrozen, opts.Parallelism)
+				label := fmt.Sprintf("noStats=%v/noReorder=%v/par=%d", opts.NoStats, opts.NoReorder, opts.Parallelism)
 				pages, dumps := buildSite(t, spec, opts)
+				diffPages(t, label, basePages, pages)
+				diffDumps(t, label, baseDumps, dumps)
+			}
+			for _, opts := range genericVariants {
+				label := fmt.Sprintf("generic/noStats=%v/par=%d", opts.NoStats, opts.Parallelism)
+				pages, dumps := buildSiteGeneric(t, spec, opts)
 				diffPages(t, label, basePages, pages)
 				diffDumps(t, label, baseDumps, dumps)
 			}
@@ -132,12 +173,16 @@ func TestShuffledConditionsIndependence(t *testing.T) {
 			basePages, baseDumps := buildSite(t, spec, &core.Options{Parallelism: 1})
 			for _, seed := range seeds {
 				shuffled := shuffledSpec(t, spec, seed)
-				for _, opts := range []*core.Options{{}, {NoReorder: true}, {NoFrozen: true}} {
-					label := fmt.Sprintf("seed=%d/noReorder=%v/noFrozen=%v", seed, opts.NoReorder, opts.NoFrozen)
+				for _, opts := range []*core.Options{{}, {NoReorder: true}} {
+					label := fmt.Sprintf("seed=%d/noReorder=%v", seed, opts.NoReorder)
 					pages, dumps := buildSite(t, shuffled, opts)
 					diffPages(t, label, basePages, pages)
 					diffDumps(t, label, baseDumps, dumps)
 				}
+				pages, dumps := buildSiteGeneric(t, shuffled, &core.Options{})
+				label := fmt.Sprintf("seed=%d/generic", seed)
+				diffPages(t, label, basePages, pages)
+				diffDumps(t, label, baseDumps, dumps)
 			}
 		})
 	}

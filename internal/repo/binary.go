@@ -1,7 +1,6 @@
 package repo
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -10,14 +9,16 @@ import (
 )
 
 // Binary graph serialization — the "efficient storage representations for
-// semistructured data" direction §7 points at. The format is a string
-// table plus varint-encoded structure; with no schema to describe rows,
-// attribute names repeat constantly, so interning them is where the
-// compression comes from. Compared with the textual data-definition
-// language, the binary form is typically 3–6× smaller and an order of
-// magnitude faster to decode (BenchmarkBinaryVsText in this package).
+// semistructured data" direction §7 points at. With no schema to
+// describe rows, attribute names repeat constantly, so interning them is
+// where the compression comes from. Compared with the textual
+// data-definition language, the binary form is typically 3–6× smaller
+// and an order of magnitude faster to decode (BenchmarkBinaryVsText in
+// this package).
 //
-// Layout:
+// SGB2 (EncodeBinaryFrozen) is the only format written. SGB1, the
+// string-table-plus-varints format that preceded it, is decode-only:
+// files saved by earlier versions still load. Its layout:
 //
 //	magic "SGB1"
 //	stringTable: varint count, then per string varint length + bytes
@@ -64,113 +65,8 @@ func DecodeBinaryFrozen(data []byte) (*graph.Frozen, error) {
 	return f, nil
 }
 
-// EncodeBinary serializes a graph in the compact binary format.
-func EncodeBinary(g *graph.Graph) []byte {
-	enc := &binEncoder{index: map[string]uint64{}}
-	// Pass 1: intern every string.
-	for _, oid := range g.Nodes() {
-		enc.intern(string(oid))
-	}
-	g.Edges(func(e graph.Edge) bool {
-		enc.intern(string(e.From))
-		enc.intern(e.Label)
-		enc.internValue(e.To)
-		return true
-	})
-	for _, c := range g.CollectionNames() {
-		enc.intern(c)
-		for _, m := range g.Collection(c) {
-			enc.intern(string(m))
-		}
-	}
-	var buf bytes.Buffer
-	buf.WriteString(binaryMagic)
-	putUvarint(&buf, uint64(len(enc.strings)))
-	for _, s := range enc.strings {
-		putUvarint(&buf, uint64(len(s)))
-		buf.WriteString(s)
-	}
-	nodes := g.Nodes()
-	putUvarint(&buf, uint64(len(nodes)))
-	for _, oid := range nodes {
-		putUvarint(&buf, enc.index[string(oid)])
-	}
-	edges := g.AllEdges()
-	putUvarint(&buf, uint64(len(edges)))
-	for _, e := range edges {
-		putUvarint(&buf, enc.index[string(e.From)])
-		putUvarint(&buf, enc.index[e.Label])
-		enc.writeValue(&buf, e.To)
-	}
-	colls := g.CollectionNames()
-	putUvarint(&buf, uint64(len(colls)))
-	for _, c := range colls {
-		putUvarint(&buf, enc.index[c])
-		members := g.Collection(c)
-		putUvarint(&buf, uint64(len(members)))
-		for _, m := range members {
-			putUvarint(&buf, enc.index[string(m)])
-		}
-	}
-	return buf.Bytes()
-}
-
-type binEncoder struct {
-	strings []string
-	index   map[string]uint64
-}
-
-func (e *binEncoder) intern(s string) {
-	if _, ok := e.index[s]; !ok {
-		e.index[s] = uint64(len(e.strings))
-		e.strings = append(e.strings, s)
-	}
-}
-
-func (e *binEncoder) internValue(v graph.Value) {
-	switch v.Kind() {
-	case graph.KindNode:
-		e.intern(string(v.OID()))
-	case graph.KindString, graph.KindURL, graph.KindFile:
-		e.intern(v.Str())
-	}
-}
-
-func putUvarint(buf *bytes.Buffer, x uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], x)
-	buf.Write(tmp[:n])
-}
-
-func (e *binEncoder) writeValue(buf *bytes.Buffer, v graph.Value) {
-	buf.WriteByte(byte(v.Kind()))
-	switch v.Kind() {
-	case graph.KindNode:
-		putUvarint(buf, e.index[string(v.OID())])
-	case graph.KindString, graph.KindURL:
-		putUvarint(buf, e.index[v.Str()])
-	case graph.KindFile:
-		buf.WriteByte(byte(v.FileType()))
-		putUvarint(buf, e.index[v.Str()])
-	case graph.KindInt:
-		var tmp [binary.MaxVarintLen64]byte
-		n := binary.PutVarint(tmp[:], v.Int())
-		buf.Write(tmp[:n])
-	case graph.KindFloat:
-		var tmp [8]byte
-		binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v.Float()))
-		buf.Write(tmp[:])
-	case graph.KindBool:
-		if v.Bool() {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
-		}
-	}
-}
-
-// DecodeBinary deserializes a graph encoded by EncodeBinary or
-// EncodeBinaryFrozen, dispatching on the magic.
+// DecodeBinary deserializes a graph from either binary format,
+// dispatching on the magic.
 func DecodeBinary(data []byte) (*graph.Graph, error) {
 	if len(data) >= len(binaryMagicV2) && string(data[:len(binaryMagicV2)]) == binaryMagicV2 {
 		f, err := graph.DecodeFrozen(data[len(binaryMagicV2):])

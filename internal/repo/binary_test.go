@@ -2,6 +2,8 @@ package repo
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -28,10 +30,31 @@ func allKindsGraph() *graph.Graph {
 	return g
 }
 
-func TestBinaryRoundTripAllKinds(t *testing.T) {
+// sgb1 returns checked-in SGB1 bytes: the format is decode-only, so its
+// decoder is fed by files the last encoder wrote (testdata/sgb1_<name>.sgb
+// holds that encoder's output for <name>Graph()).
+func sgb1(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "sgb1_"+name+".sgb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// encodeV2 freezes g and serializes it — what SaveBinary writes.
+func encodeV2(t testing.TB, g *graph.Graph) []byte {
+	t.Helper()
+	f := g.Freeze()
+	if f == nil {
+		t.Fatal("Freeze returned nil")
+	}
+	return EncodeBinaryFrozen(f)
+}
+
+func TestBinaryV1DecodesAllKinds(t *testing.T) {
 	g := allKindsGraph()
-	data := EncodeBinary(g)
-	got, err := DecodeBinary(data)
+	got, err := DecodeBinary(sgb1(t, "allkinds"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +83,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 				g.AddToCollection("Even", oid)
 			}
 		}
-		got, err := DecodeBinary(EncodeBinary(g))
+		got, err := DecodeBinary(encodeV2(t, g))
 		return err == nil && got.Dump() == g.Dump()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -69,7 +92,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 }
 
 func TestBinaryRejectsCorruptInput(t *testing.T) {
-	good := EncodeBinary(allKindsGraph())
+	good := sgb1(t, "allkinds")
 	cases := [][]byte{
 		nil,
 		[]byte("XXXX"),
@@ -95,7 +118,7 @@ func TestBinarySmallerAndFasterThanText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin := EncodeBinary(g)
+	bin := encodeV2(t, g)
 	text := ddl.Print(g)
 	t.Logf("storage: binary %d bytes, ddl text %d bytes (%.1fx)", len(bin), len(text), float64(len(text))/float64(len(bin)))
 	if len(bin) >= len(text) {
@@ -115,11 +138,11 @@ func BenchmarkBinaryVsText(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	bin := EncodeBinary(g)
+	bin := encodeV2(b, g)
 	text := ddl.Print(g)
 	b.Run("encode-binary", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			EncodeBinary(g)
+			encodeV2(b, g)
 		}
 	})
 	b.Run("encode-text", func(b *testing.B) {

@@ -45,8 +45,7 @@ func TestBinaryV2RoundTrip(t *testing.T) {
 // decoder, and an SGB2 payload through the graph decoder, with identical
 // contents either way.
 func TestBinaryMixedFormats(t *testing.T) {
-	g := allKindsGraph()
-	v1 := EncodeBinary(g)
+	v1 := sgb1(t, "allkinds")
 	v2 := EncodeBinaryFrozen(freezeAllKinds(t))
 
 	fromV1, err := DecodeBinaryFrozen(v1)

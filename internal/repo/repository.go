@@ -86,24 +86,25 @@ func (r *Repository) Drop(name string) bool {
 // are written in sorted name order, so partial failures are
 // deterministic.
 func (r *Repository) Save(dir string) error {
-	return r.save(dir, ".ddl", func(ix *Indexed) []byte { return []byte(ddl.Print(ix.Graph())) })
+	return r.save(dir, ".ddl", func(ix *Indexed) ([]byte, error) { return []byte(ddl.Print(ix.Graph())), nil })
 }
 
-// SaveBinary writes every stored graph to dir as <name>.sgb in the
-// compact binary format, with the same atomic-replacement guarantee as
-// Save. Graphs that fit the snapshot layout are written as SGB2 (the
-// frozen form, which loads without re-indexing); oversized graphs fall
-// back to SGB1.
+// SaveBinary writes every stored graph to dir as <name>.sgb in the SGB2
+// binary format (the frozen form, which loads without re-indexing),
+// with the same atomic-replacement guarantee as Save. A graph beyond
+// the snapshot's packed id capacity cannot be written and fails the
+// save.
 func (r *Repository) SaveBinary(dir string) error {
-	return r.save(dir, ".sgb", func(ix *Indexed) []byte {
-		if f := ix.Frozen(); f != nil {
-			return EncodeBinaryFrozen(f)
+	return r.save(dir, ".sgb", func(ix *Indexed) ([]byte, error) {
+		f := ix.Frozen()
+		if f == nil {
+			return nil, fmt.Errorf("graph too large to freeze")
 		}
-		return EncodeBinary(ix.Graph())
+		return EncodeBinaryFrozen(f), nil
 	})
 }
 
-func (r *Repository) save(dir, ext string, encode func(*Indexed) []byte) error {
+func (r *Repository) save(dir, ext string, encode func(*Indexed) ([]byte, error)) error {
 	fsys := r.fsys()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("repo: save: %w", err)
@@ -117,7 +118,11 @@ func (r *Repository) save(dir, ext string, encode func(*Indexed) []byte) error {
 	sort.Strings(names)
 	for _, name := range names {
 		path := filepath.Join(dir, sanitizeName(name)+ext)
-		if err := fsx.WriteFileAtomic(fsys, path, encode(r.graphs[name]), 0o644); err != nil {
+		data, err := encode(r.graphs[name])
+		if err == nil {
+			err = fsx.WriteFileAtomic(fsys, path, data, 0o644)
+		}
+		if err != nil {
 			return fmt.Errorf("repo: save %s: %w", name, err)
 		}
 	}

@@ -9,7 +9,10 @@ import (
 	"testing"
 
 	"strudel/internal/core"
+	"strudel/internal/graph"
 	"strudel/internal/mediator"
+	"strudel/internal/obs"
+	"strudel/internal/repo"
 	"strudel/internal/struql"
 )
 
@@ -35,11 +38,9 @@ func explainSites() []struct {
 	}
 }
 
-// explainSite renders the planner's EXPLAIN text for every query of
-// every version of a spec against the warehoused data graph. Versions
-// sharing a query composition (the "no new queries" external views) are
-// folded into one section.
-func explainSite(t *testing.T, spec *core.Spec) string {
+// warehouse loads a spec's sources into the data graph its queries run
+// against.
+func warehouse(t *testing.T, spec *core.Spec) *repo.Indexed {
 	t.Helper()
 	med, err := mediator.New(spec.Sources...)
 	if err != nil {
@@ -49,6 +50,16 @@ func explainSite(t *testing.T, spec *core.Spec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return data
+}
+
+// explainSite renders the planner's EXPLAIN text for every query of
+// every version of a spec against the warehoused data graph. Versions
+// sharing a query composition (the "no new queries" external views) are
+// folded into one section.
+func explainSite(t *testing.T, spec *core.Spec) string {
+	t.Helper()
+	data := warehouse(t, spec)
 	var b strings.Builder
 	seen := map[string]string{}
 	for _, v := range spec.Versions {
@@ -117,5 +128,59 @@ func TestExplainDeterministic(t *testing.T) {
 	first := explainSite(t, spec)
 	if again := explainSite(t, spec); again != first {
 		t.Error("EXPLAIN output differs between runs")
+	}
+}
+
+// snapshotProbe counts how often an evaluation asks its source for the
+// snapshot.
+type snapshotProbe struct {
+	*repo.Indexed
+	asked *int
+}
+
+func (p snapshotProbe) Frozen() *graph.Frozen {
+	*p.asked++
+	return p.Indexed.Frozen()
+}
+
+// TestEvalSeqFirstQueryReadsBase pins the batch-build read path: the
+// first query of a composition is evaluated against the data graph
+// itself — snapshot and statistics included — not against a union with
+// the still-empty accumulator. For every example site, EvalSeq of the
+// first query alone must consult the snapshot, take the same planner
+// decisions as Eval, and construct the same graph.
+func TestEvalSeqFirstQueryReadsBase(t *testing.T) {
+	decisions := func(m *obs.EvalMetrics) [5]int64 {
+		return [5]int64{m.IndexSeeks.Load(), m.FullScans.Load(), m.RPESeeds.Load(), m.ReorderedConds.Load(), m.StatsLabels.Load()}
+	}
+	for _, s := range explainSites() {
+		t.Run(s.name, func(t *testing.T) {
+			data := warehouse(t, s.spec)
+			for _, v := range s.spec.Versions {
+				q, err := struql.Parse(v.Queries[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				evalM, seqM := &obs.EvalMetrics{}, &obs.EvalMetrics{}
+				want, err := struql.Eval(q, data, &struql.Options{Parallelism: 1, Metrics: evalM})
+				if err != nil {
+					t.Fatal(err)
+				}
+				asked := 0
+				got, err := struql.EvalSeq([]*struql.Query{q}, snapshotProbe{data, &asked}, &struql.Options{Parallelism: 1, Metrics: seqM})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if asked == 0 {
+					t.Errorf("version %s: EvalSeq never asked the data graph for its snapshot", v.Name)
+				}
+				if got.Dump() != want.Graph.Dump() {
+					t.Errorf("version %s: EvalSeq([q]) and Eval(q) construct different graphs", v.Name)
+				}
+				if d, w := decisions(seqM), decisions(evalM); d != w {
+					t.Errorf("version %s: planner decisions (seeks, scans, rpe seeds, reordered, stats labels) = %v under EvalSeq, %v under Eval", v.Name, d, w)
+				}
+			}
+		})
 	}
 }

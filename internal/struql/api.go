@@ -12,11 +12,7 @@ import (
 // diagnostics) use to ask reachability questions without re-implementing
 // the product-automaton search.
 func ReachableVia(src Source, start graph.OID, path *PathExpr) []graph.Value {
-	var frozen *graph.Frozen
-	if fs, ok := src.(frozenSource); ok {
-		frozen = fs.Frozen()
-	}
-	return newPathMatcher(path, src, frozen, 0).reachableFrom(start)
+	return newPathMatcher(path, src, SnapshotOf(src), 0).reachableFrom(start)
 }
 
 // ParsePathExpr parses a standalone regular path expression such as

@@ -28,12 +28,6 @@ type Options struct {
 	// are never seeded from label indexes. This is the pre-cost-model
 	// planner, kept as the before half of experiment E14.
 	NoStats bool
-	// NoFrozen disables the compact-snapshot fast path: even when the
-	// source can supply a frozen graph (repo.Indexed), the evaluator
-	// sticks to the Source interface's slice-returning accessors. Results
-	// are identical either way — the flag exists as the escape hatch and
-	// as the before half of the snapshot benchmarks.
-	NoFrozen bool
 	// Stats, when non-nil, supplies pre-collected selectivity statistics
 	// (see CollectStats) instead of collecting them per evaluation — the
 	// warm-statistics path. The Stats must describe the evaluated
@@ -136,7 +130,12 @@ func EvalSeq(queries []*Query, base Source, opts *Options) (*graph.Graph, error)
 	env := NewSkolemEnv()
 	acc := graph.New()
 	for i, q := range queries {
-		src := NewUnionSource(base, NewGraphSource(acc))
+		// The first query sees base alone: a union with the still-empty
+		// accumulator would only hide base's snapshot and statistics.
+		src := base
+		if i > 0 {
+			src = NewUnionSource(base, NewGraphSource(acc))
+		}
 		r, err := EvalWithEnv(q, src, env, opts)
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", i+1, err)
@@ -171,11 +170,22 @@ func EvalWhereCtx(reqCtx context.Context, conds []Cond, src Source, seed *Bindin
 	return ctx.evalWhere(conds, seed)
 }
 
-// frozenSource is implemented by sources that can supply a compact
-// read-optimized snapshot of their current state (repo.Indexed). The
-// snapshot, when present, replaces the slice-returning Source accessors
-// with zero-copy CSR iteration on the evaluator's hot paths.
-type frozenSource interface{ Frozen() *graph.Frozen }
+// SnapshotOf returns the compact immutable snapshot behind src: src
+// itself when it is a bare *graph.Frozen, whatever a Frozen() method
+// supplies (repo.Indexed), nil for sources that have none (GraphSource,
+// UnionSource, fault-injecting wrappers). It is the one place that
+// decides which access-path family an evaluation uses: with a snapshot,
+// zero-copy CSR iteration; without, the slice-returning Source
+// accessors. Both answer every access identically.
+func SnapshotOf(src Source) *graph.Frozen {
+	switch s := src.(type) {
+	case *graph.Frozen:
+		return s
+	case interface{ Frozen() *graph.Frozen }:
+		return s.Frozen()
+	}
+	return nil
+}
 
 type evalCtx struct {
 	src   Source
@@ -184,9 +194,7 @@ type evalCtx struct {
 	out   *graph.Graph
 	rows  int
 	plans []string
-	// frozen is the source's compact snapshot, nil when the source has
-	// none or Options.NoFrozen is set. Both representations answer every
-	// access identically; only the allocation profile differs.
+	// frozen is SnapshotOf(src), nil when the source has none.
 	frozen *graph.Frozen
 	// par is the resolved worker count for per-row operators.
 	par int
@@ -222,12 +230,7 @@ func newEvalCtx(src Source, opts *Options, env *SkolemEnv) *evalCtx {
 	}
 	// Resolve the snapshot before statistics: collection then reads the
 	// snapshot's precomputed per-label summaries.
-	var frozen *graph.Frozen
-	if !opts.NoFrozen {
-		if fs, ok := src.(frozenSource); ok {
-			frozen = fs.Frozen()
-		}
-	}
+	frozen := SnapshotOf(src)
 	var stats *Stats
 	if !opts.NoStats {
 		if opts.Stats != nil {

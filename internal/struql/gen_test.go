@@ -40,6 +40,13 @@ func buildOracleGraph(seed uint64) *oracleGraph {
 	return &oracleGraph{seed: seed, plain: NewGraphSource(g), indexed: ix, warm: CollectStats(ix)}
 }
 
+// genericOnly hides whatever a source offers beyond the Source
+// interface — Frozen(), LabelStats — because embedding the interface
+// promotes only its own methods. Wrapping a source in it is how tests
+// put the evaluator's generic access-path family under the oracles: the
+// evaluator picks its family from the source alone (SnapshotOf).
+type genericOnly struct{ Source }
+
 // oracleConfigs is the number of distinct (options, source) pairs
 // oracleOptions cycles through.
 const oracleConfigs = 16
@@ -48,8 +55,9 @@ const oracleConfigs = 16
 // source: even indexes evaluate against the label-indexed repository
 // (LabelStatser fast path, index-backed seeks), odd against the plain
 // graph source (scan fallbacks); the option half cycles parallelism,
-// planner toggles, warm statistics, and generous resource guards that
-// must never trip.
+// planner toggles, both access-path families (a bare snapshot and a
+// genericOnly wrapper beside the repository), warm statistics, and
+// generous resource guards that must never trip.
 func oracleOptions(i int, og *oracleGraph) (*Options, Source) {
 	src := og.indexed
 	if i%2 == 1 {
@@ -59,6 +67,11 @@ func oracleOptions(i int, og *oracleGraph) (*Options, Source) {
 	case 0:
 		return nil, src
 	case 1:
+		// A bare snapshot is a source too: what a serving fleet hands
+		// its replicas.
+		if fz := SnapshotOf(src); fz != nil {
+			src = fz
+		}
 		return &Options{Parallelism: 1}, src
 	case 2:
 		return &Options{Parallelism: 2, NoStats: true}, src
@@ -67,9 +80,9 @@ func oracleOptions(i int, og *oracleGraph) (*Options, Source) {
 	case 4:
 		return &Options{NoStats: true, NoReorder: true}, src
 	case 5:
-		return &Options{NoFrozen: true}, src
+		return nil, genericOnly{src}
 	case 6:
-		return &Options{Parallelism: 2, NoFrozen: true, NoStats: true}, src
+		return &Options{Parallelism: 2, NoStats: true}, genericOnly{src}
 	default:
 		return &Options{
 			Parallelism:  2,
