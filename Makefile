@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-build check serve-smoke query-smoke fuzz-smoke chaos-smoke chaos-serve soak-smoke loadgen-smoke bench-serve bench-query clean
+.PHONY: all build test race vet fmt-check bench bench-build check serve-smoke query-smoke fuzz-smoke chaos-smoke chaos-serve soak-smoke loadgen-smoke bench-serve bench-query clean
 
 all: build
 
@@ -17,6 +17,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file outside bench/ is not gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l cmd internal *.go)"
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -103,7 +107,7 @@ bench-query:
 	sh scripts/bench_query.sh
 
 # check is what CI runs.
-check: vet race bench-build
+check: fmt-check vet race bench-build
 
 clean:
 	$(GO) clean ./...

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -76,6 +77,9 @@ type Evaluator struct {
 	Obs *obs.ServeMetrics
 
 	env *struql.SkolemEnv
+	// edges maps each Skolem function to its out-edges in the schema,
+	// resolved once here rather than per computed page.
+	edges map[string][]pageEdge
 	// deps maps each Skolem function to the attribute labels and
 	// collection names its edge queries depend on; "*" means everything
 	// (an arc variable ranges over the whole schema).
@@ -103,9 +107,31 @@ type evalState struct {
 	// what makes generation-scoped ETags sound.
 	gen int64
 
+	// opts carries the generation's planner statistics and, through
+	// them, its plans: built on the first compute, then shared by every
+	// page computed against src.
+	optsOnce sync.Once
+	opts     *struql.Options
+
 	mu     sync.Mutex
 	cache  map[graph.OID]*PageData
 	flight map[graph.OID]*flightCall
+}
+
+// evalOpts returns the evaluation options of the generation.
+func (st *evalState) evalOpts() *struql.Options {
+	st.optsOnce.Do(func() { st.opts = &struql.Options{Stats: struql.CollectStats(st.src)} })
+	return st.opts
+}
+
+// pageEdge is one schema out-edge of a Skolem function plus its NS
+// target resolved once: when the target text is a constant, nsConst is
+// its value; otherwise nsErr is what a row with no value for the text
+// as a variable reports.
+type pageEdge struct {
+	schema.Edge
+	nsConst graph.Value
+	nsErr   error
 }
 
 // flightCall is one in-progress page computation shared by concurrent
@@ -131,14 +157,22 @@ func NewEvaluator(s *schema.Schema, data struql.Source) *Evaluator {
 		env:    struql.NewSkolemEnv(),
 		state:  newEvalState(data),
 		refs:   map[graph.OID]PageRef{},
+		edges:  map[string][]pageEdge{},
 		deps:   map[string]map[string]bool{},
+	}
+	for _, e := range s.Edges {
+		pe := pageEdge{Edge: e}
+		if e.To == schema.NS {
+			pe.nsConst, pe.nsErr = parseTermText(e.ToArgs[0])
+		}
+		ev.edges[e.From] = append(ev.edges[e.From], pe)
 	}
 	for _, fn := range s.Nodes {
 		if fn == schema.NS {
 			continue
 		}
 		set := map[string]bool{}
-		for _, e := range s.OutEdges(fn) {
+		for _, e := range ev.edges[fn] {
 			condDeps(e.Where, set, map[string][]string{})
 		}
 		ev.deps[fn] = set
@@ -356,12 +390,15 @@ func (ev *Evaluator) pageIn(ctx context.Context, st *evalState, ref PageRef, loo
 // page's Skolem function, with the page's arguments pre-bound.
 func (ev *Evaluator) compute(ctx context.Context, st *evalState, ref PageRef, oid graph.OID) (*PageData, error) {
 	pd := &PageData{OID: oid, Ref: ref}
-	for _, e := range ev.Schema.OutEdges(ref.Fn) {
+	// Links are deduplicated by target page in first-seen order; a page
+	// oid stands for its (Fn, Args) because Skolem oids are injective.
+	linked := map[graph.OID]bool{}
+	for _, e := range ev.edges[ref.Fn] {
 		if len(e.FromArgs) != len(ref.Args) {
 			continue // a different creation shape of the same function
 		}
 		seed := &struql.Bindings{Vars: e.FromArgs, Rows: [][]graph.Value{ref.Args}}
-		b, err := struql.EvalWhereCtx(ctx, e.Where, st.src, seed, nil)
+		b, err := struql.EvalWhereCtx(ctx, e.Where, st.src, seed, st.evalOpts())
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: page %s: %w", oid, err)
 		}
@@ -375,9 +412,14 @@ func (ev *Evaluator) compute(ctx context.Context, st *evalState, ref PageRef, oi
 				label = b.Lookup(ri, e.Label.Var).Text()
 			}
 			if e.To == schema.NS {
-				v, err := nsTarget(e, b, ri)
-				if err != nil {
-					return nil, fmt.Errorf("dynamic: page %s: %w", oid, err)
+				// The recorded text is a variable name or a constant in
+				// term syntax.
+				v := b.Lookup(ri, e.ToArgs[0])
+				if v.IsNull() {
+					if e.nsErr != nil {
+						return nil, fmt.Errorf("dynamic: page %s: %w", oid, e.nsErr)
+					}
+					v = e.nsConst
 				}
 				pd.Out = append(pd.Out, graph.Edge{From: oid, Label: label, To: v})
 				continue
@@ -392,28 +434,17 @@ func (ev *Evaluator) compute(ctx context.Context, st *evalState, ref PageRef, oi
 			tref := PageRef{Fn: e.To, Args: args}
 			toid := ev.OIDFor(tref)
 			pd.Out = append(pd.Out, graph.Edge{From: oid, Label: label, To: graph.NewNode(toid)})
-			pd.Links = append(pd.Links, tref)
+			if !linked[toid] {
+				linked[toid] = true
+				pd.Links = append(pd.Links, tref)
+			}
 		}
 	}
-	sortEdges(pd.Out)
-	dedupLinks(pd)
+	pd.Out = sortDedupEdges(pd.Out)
 	return pd, nil
 }
 
-// nsTarget resolves an NS-edge target: the recorded text is a variable
-// name or a constant in term syntax.
-func nsTarget(e schema.Edge, b *struql.Bindings, ri int) (graph.Value, error) {
-	txt := e.ToArgs[0]
-	if v := b.Lookup(ri, txt); !v.IsNull() {
-		return v, nil
-	}
-	t, err := parseTermText(txt)
-	if err != nil {
-		return graph.Null, err
-	}
-	return t, nil
-}
-
+// parseTermText resolves NS-target text as a constant term.
 func parseTermText(s string) (graph.Value, error) {
 	q, err := struql.Parse(`where C(x), x -> "l" -> ` + s + ` create N(x)`)
 	if err != nil {
@@ -427,46 +458,24 @@ func parseTermText(s string) (graph.Value, error) {
 	return pc.To.Const, nil
 }
 
-func sortEdges(edges []graph.Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.Label != b.Label {
-			return a.Label < b.Label
+// sortDedupEdges orders one page's edges by (label, target key) and
+// drops repeats. KeyCompare orders targets as their Key() strings would
+// without building them, and the sort brings equal edges together, so
+// one pass over neighbours dedups.
+func sortDedupEdges(edges []graph.Edge) []graph.Edge {
+	slices.SortFunc(edges, func(a, b graph.Edge) int {
+		if c := strings.Compare(a.Label, b.Label); c != 0 {
+			return c
 		}
-		return a.To.Key() < b.To.Key()
+		return graph.KeyCompare(a.To, b.To)
 	})
-}
-
-func dedupLinks(pd *PageData) {
-	// Dedup edges.
-	outSeen := map[graph.Edge]bool{}
-	edges := pd.Out[:0]
-	for _, e := range pd.Out {
-		if !outSeen[e] {
-			outSeen[e] = true
-			edges = append(edges, e)
+	out := edges[:0]
+	for i, e := range edges {
+		if i == 0 || e != out[len(out)-1] {
+			out = append(out, e)
 		}
 	}
-	pd.Out = edges
-	// Dedup links by oid-ish key.
-	seen := map[string]bool{}
-	links := pd.Links[:0]
-	for _, l := range pd.Links {
-		key := l.Fn + "\x00" + keyOfArgs(l.Args)
-		if !seen[key] {
-			seen[key] = true
-			links = append(links, l)
-		}
-	}
-	pd.Links = links
-}
-
-func keyOfArgs(args []graph.Value) string {
-	parts := make([]string, len(args))
-	for i, a := range args {
-		parts[i] = a.Key()
-	}
-	return strings.Join(parts, "\x00")
+	return out
 }
 
 // Invalidate drops cached pages affected by a data delta: pages of

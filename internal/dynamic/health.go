@@ -11,11 +11,11 @@ import (
 // A degraded server keeps serving the last-good data graph; /healthz is
 // how the outside learns it is stale.
 type Health struct {
-	mu         sync.Mutex
-	degraded   bool
-	reason     string
-	reloads    int
-	failures   int
+	mu       sync.Mutex
+	degraded bool
+	reason   string
+	reloads  int
+	failures int
 	// failedRounds counts degraded windows: it increments only on the
 	// healthy→degraded transition, so a round of backoff retries that
 	// ends in a successful swap counts as one failed round no matter how

@@ -46,12 +46,12 @@ func TestRefRoundTrip(t *testing.T) {
 
 func TestDecodeRefRejectsGarbage(t *testing.T) {
 	for _, bad := range []string{
-		"",            // no function
-		";",           // empty function with arg
-		"Pub;zzz",     // arg is not a value key
-		"Pub;%zz",     // truncated escape
-		"Pub;s%2",     // truncated escape at end
-		"Pub;i12x",    // malformed int key
+		"",         // no function
+		";",        // empty function with arg
+		"Pub;zzz",  // arg is not a value key
+		"Pub;%zz",  // truncated escape
+		"Pub;s%2",  // truncated escape at end
+		"Pub;i12x", // malformed int key
 	} {
 		if _, err := DecodeRef(bad); err == nil {
 			t.Errorf("DecodeRef(%q): expected error, got none", bad)

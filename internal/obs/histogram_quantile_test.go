@@ -33,12 +33,12 @@ func TestHistogramQuantileKnownDistribution(t *testing.T) {
 		q    float64
 		want int64
 	}{
-		{0.0, 4},      // first observation
-		{0.25, 4},     // inside the first group
-		{0.50, 128},   // rank 500: the first observation past the 3s
-		{0.99, 1024},  // rank 990: inside the 1000s
+		{0.0, 4},        // first observation
+		{0.25, 4},       // inside the first group
+		{0.50, 128},     // rank 500: the first observation past the 3s
+		{0.99, 1024},    // rank 990: inside the 1000s
 		{0.999, 131072}, // rank 999: the single outlier
-		{1.0, 131072}, // clamped to the last observation
+		{1.0, 131072},   // clamped to the last observation
 	} {
 		if got := h.Quantile(tc.q); got != tc.want {
 			t.Errorf("Quantile(%v) = %d, want %d", tc.q, got, tc.want)

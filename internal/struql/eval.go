@@ -114,7 +114,8 @@ func Eval(q *Query, src Source, opts *Options) (*Result, error) {
 // EvalWithEnv evaluates a query with a caller-provided Skolem environment,
 // the mechanism by which composed queries extend one site graph (§6.2).
 func EvalWithEnv(q *Query, src Source, env *SkolemEnv, opts *Options) (*Result, error) {
-	ctx := newEvalCtx(src, opts, env)
+	ctx := newEvalCtx(src, opts)
+	ctx.env, ctx.out = env, graph.New()
 	for _, blk := range q.Blocks {
 		if err := ctx.evalBlock(blk, emptyBindings()); err != nil {
 			return nil, err
@@ -163,7 +164,10 @@ func EvalWhereCtx(reqCtx context.Context, conds []Cond, src Source, seed *Bindin
 	if seed == nil {
 		seed = emptyBindings()
 	}
-	ctx := newEvalCtx(src, opts, NewSkolemEnv())
+	// Where-only: no construction state (output graph, Skolem
+	// environment), and no plan strings, since no Result carries them.
+	ctx := newEvalCtx(src, opts)
+	ctx.suppressPlans = true
 	if reqCtx != nil && reqCtx != context.Background() {
 		ctx.reqCtx = reqCtx
 	}
@@ -188,8 +192,10 @@ func SnapshotOf(src Source) *graph.Frozen {
 }
 
 type evalCtx struct {
-	src   Source
-	opts  *Options
+	src  Source
+	opts *Options
+	// env and out are construction state, set by EvalWithEnv only;
+	// where-only evaluations leave them nil.
 	env   *SkolemEnv
 	out   *graph.Graph
 	rows  int
@@ -205,7 +211,8 @@ type evalCtx struct {
 	// under Options.NoStats (the heuristic baseline).
 	stats *Stats
 	// suppressPlans stops plan recording during not(...) sub-evaluations,
-	// which run once per candidate row.
+	// which run once per candidate row, and in where-only evaluations,
+	// which return no Plan.
 	suppressPlans bool
 	// reqCtx, when non-nil, is polled at operator boundaries and between
 	// row batches so long evaluations can be cancelled mid-query.
@@ -218,45 +225,45 @@ type evalCtx struct {
 	cache *matcherCache
 	// planCache shares condition-ordering plans across the not(...)
 	// sub-evaluations of one evaluation, which otherwise recompute the
-	// same greedy plan once per candidate row.
+	// same greedy plan once per candidate row — and, when the caller
+	// supplies Options.Stats, across every evaluation sharing that Stats.
 	planCache *planCache
 	// metrics is the optional instrumentation sink (nil = disabled).
 	metrics *obs.EvalMetrics
 }
 
-func newEvalCtx(src Source, opts *Options, env *SkolemEnv) *evalCtx {
+// newEvalCtx prepares a where-evaluation context; EvalWithEnv adds the
+// construction state.
+func newEvalCtx(src Source, opts *Options) *evalCtx {
 	if opts == nil {
 		opts = &Options{}
 	}
-	// Resolve the snapshot before statistics: collection then reads the
-	// snapshot's precomputed per-label summaries.
-	frozen := SnapshotOf(src)
-	var stats *Stats
-	if !opts.NoStats {
-		if opts.Stats != nil {
-			stats = opts.Stats
-		} else {
-			stats = CollectStats(src)
-			stats.metrics = opts.Metrics
-			opts.Metrics.RecordStatsBuild()
-		}
+	ctx := &evalCtx{
+		src:      src,
+		opts:     opts,
+		frozen:   SnapshotOf(src),
+		par:      opts.parallelism(),
+		avgDeg:   avgDegree(src),
+		maxRows:  opts.MaxRows,
+		maxNFA:   opts.MaxNFAStates,
+		deadline: opts.Deadline,
+		cache:    newMatcherCache(),
+		metrics:  opts.Metrics,
 	}
-	return &evalCtx{
-		src:       src,
-		opts:      opts,
-		env:       env,
-		out:       graph.New(),
-		frozen:    frozen,
-		par:       opts.parallelism(),
-		avgDeg:    avgDegree(src),
-		stats:     stats,
-		maxRows:   opts.MaxRows,
-		maxNFA:    opts.MaxNFAStates,
-		deadline:  opts.Deadline,
-		cache:     newMatcherCache(),
-		planCache: newPlanCache(),
-		metrics:   opts.Metrics,
+	if opts.NoStats {
+		ctx.planCache = newPlanCache()
+		return ctx
 	}
+	ctx.stats = opts.Stats
+	if ctx.stats == nil {
+		ctx.stats = CollectStats(src)
+		ctx.stats.metrics = opts.Metrics
+		opts.Metrics.RecordStatsBuild()
+	}
+	// Statistics carry their plans: everything a plan depends on is
+	// fixed for the source the Stats describes.
+	ctx.planCache = ctx.stats.plans
+	return ctx
 }
 
 // forkSequential derives a context for a not(...) sub-evaluation running
@@ -417,21 +424,27 @@ func opKind(c Cond) int {
 }
 
 // planKey identifies one condition-ordering problem: the conds slice
-// (by first-condition identity plus length — every Cond instance
-// belongs to exactly one condition list, so this pins the slice) and
-// the set of already-bound input variables. Everything else the greedy
-// planner consults (source sizes, statistics, avg degree) is fixed for
-// the life of one evaluation, so equal keys always produce equal plans.
+// (by the address of its first element plus its length — the key keeps
+// that backing array alive, so the address is never reused; a Cond's
+// own identity is not enough, since a site schema prefixes every nested
+// block's list with its ancestors' conditions), the set of
+// already-bound input variables, and whether the order is textual
+// (NoReorder). Everything else the greedy planner consults (source
+// sizes, statistics, avg degree) is fixed for the source the cache's
+// evaluations read, so equal keys always produce equal plans.
 type planKey struct {
-	cond0 Cond
-	n     int
-	bound string
+	first   *Cond
+	n       int
+	bound   string
+	textual bool
 }
 
-// planCache memoizes condition-ordering plans. Its payoff is not(...)
-// sub-evaluations, which re-plan the same condition list once per
-// candidate row; with the cache the greedy planner (and its per-step
-// description strings) runs once per distinct bound-variable shape.
+// planCache memoizes condition-ordering plans. Within one evaluation
+// its payoff is not(...) sub-evaluations, which re-plan the same
+// condition list once per candidate row. A cache owned by a caller's
+// Options.Stats lives as long as that Stats, so every evaluation
+// sharing it plans each (condition list, bound-variable set) once; it
+// grows with the distinct condition lists evaluated under it.
 type planCache struct {
 	mu sync.Mutex
 	m  map[planKey]*Plan
@@ -450,7 +463,8 @@ func (ctx *evalCtx) orderConds(conds []Cond, inputVars []string) (*Plan, error) 
 	if len(conds) == 0 {
 		return &Plan{}, nil
 	}
-	key := planKey{cond0: conds[0], n: len(conds), bound: strings.Join(inputVars, "\x00")}
+	key := planKey{first: &conds[0], n: len(conds), bound: strings.Join(inputVars, "\x00"),
+		textual: ctx.opts.NoReorder}
 	ctx.planCache.mu.Lock()
 	if p, ok := ctx.planCache.m[key]; ok {
 		ctx.planCache.mu.Unlock()
@@ -1000,28 +1014,22 @@ func cloneRow(row []graph.Value) []graph.Value {
 // escape into the binding relation as capped subslices of the slabs.
 type rowFrame struct{ slab []graph.Value }
 
-// Slab sizes in values: frames start small — most operator chunks emit
-// a handful of rows, and an oversized first slab would dominate the
-// operator's footprint — and double per refill up to the cap, where
-// heavy chunks amortize one allocation over thousands of rows.
+// Slab sizes: the first slab holds rowFrameFirstRows rows of the width
+// being cloned — most operator chunks emit a handful of rows, and a
+// click-time query is a few such operators, so any fixed-size first
+// slab large enough for heavy chunks would be most of what it
+// allocates — and each refill doubles, up to rowFrameSlabMax values,
+// where heavy chunks amortize one allocation over thousands of rows.
 const (
-	rowFrameSlabMin = 256
-	rowFrameSlabMax = 16 * 1024
+	rowFrameFirstRows = 8
+	rowFrameSlabMax   = 16 * 1024
 )
 
 func (fr *rowFrame) clone(row []graph.Value) []graph.Value {
 	n := len(row)
 	if cap(fr.slab)-len(fr.slab) < n {
-		sz := 2 * cap(fr.slab)
-		if sz < rowFrameSlabMin {
-			sz = rowFrameSlabMin
-		}
-		if sz > rowFrameSlabMax {
-			sz = rowFrameSlabMax
-		}
-		if n > sz {
-			sz = n
-		}
+		sz := max(2*cap(fr.slab), rowFrameFirstRows*n)
+		sz = max(min(sz, rowFrameSlabMax), n)
 		fr.slab = make([]graph.Value, 0, sz)
 	}
 	lo := len(fr.slab)

@@ -429,7 +429,7 @@ func startLabels(p *PathExpr) ([]string, bool) {
 // their ancestors' bound variables, exactly as evaluation would.
 // The rendered form is stable and is pinned by golden tests.
 func Explain(q *Query, src Source, opts *Options) (string, error) {
-	ctx := newEvalCtx(src, opts, NewSkolemEnv())
+	ctx := newEvalCtx(src, opts)
 	var b strings.Builder
 	var walk func(blk *Block, path string, inherited []string) error
 	walk = func(blk *Block, path string, inherited []string) error {

@@ -35,7 +35,11 @@ type LabelStatser interface {
 // labels a query actually mentions are ever computed). A Stats is safe
 // for concurrent use and can be shared across evaluations of the same
 // source through Options.Stats — the "warm statistics" path of
-// experiment E14.
+// experiment E14. It also memoises the plans made from it for its whole
+// lifetime, so sharing a Stats shares planning too; the memo grows with
+// the distinct condition lists evaluated under it, which suits a fixed
+// query set (a site schema's edge queries) and not per-request parsed
+// queries.
 type Stats struct {
 	src Source
 
@@ -50,6 +54,8 @@ type Stats struct {
 	labels map[string]LabelStat
 	// metrics counts cold per-label computations (nil disables).
 	metrics *obs.EvalMetrics
+	// plans memoises the condition orders planned with these statistics.
+	plans *planCache
 }
 
 // CollectStats prepares statistics over src. Graph totals are read
@@ -62,6 +68,7 @@ func CollectStats(src Source) *Stats {
 		NumEdges: src.NumEdges(),
 		AvgDeg:   avgDegree(src),
 		labels:   make(map[string]LabelStat),
+		plans:    newPlanCache(),
 	}
 }
 
