@@ -309,104 +309,10 @@ func BenchmarkE7_DynamicLookahead(b *testing.B) {
 
 // --- E8: incremental update vs full rebuild (§7) ---
 
-func e8Fixture(b *testing.B) (*struql.Query, *graph.Graph, *graph.Graph, *mediator.Delta) {
+// e8Fixture returns the 200-publication homepage version, its data, and
+// a copy with one publication added plus the delta between the two.
+func e8Fixture(b *testing.B) (*core.Version, *graph.Graph, *graph.Graph, *mediator.Delta) {
 	b.Helper()
-	q := struql.MustParse(sites.HomepageQuery)
-	data, err := sites.HomepageData(200)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := struql.Eval(q, struql.NewGraphSource(data), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	updated := data.Copy()
-	updated.AddToCollection("Publications", "brandnew")
-	updated.AddEdge("brandnew", "title", graph.NewString("A Brand New Result"))
-	updated.AddEdge("brandnew", "year", graph.NewInt(1999))
-	updated.AddEdge("brandnew", "category", graph.NewString("databases"))
-	delta := &mediator.Delta{
-		AddedEdges: []graph.Edge{
-			{From: "brandnew", Label: "title", To: graph.NewString("A Brand New Result")},
-			{From: "brandnew", Label: "year", To: graph.NewInt(1999)},
-			{From: "brandnew", Label: "category", To: graph.NewString("databases")},
-		},
-		AddedMembers: []mediator.Membership{{Coll: "Publications", OID: "brandnew"}},
-	}
-	return q, r.Graph, updated, delta
-}
-
-func BenchmarkE8_FullRebuild(b *testing.B) {
-	q, _, updated, _ := e8Fixture(b)
-	src := struql.NewGraphSource(updated)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		mustEval(b, q, src)
-	}
-}
-
-func BenchmarkE8_IncrementalCopyMerge(b *testing.B) {
-	// The simple additive path: copies the old site and merges the
-	// re-evaluated blocks. The copy makes it comparable to a full
-	// rebuild when the delta touches the dominant collection.
-	q, oldSite, updated, delta := e8Fixture(b)
-	src := struql.NewGraphSource(updated)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := dynamic.Incremental(q, oldSite, src, delta); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE8_IncrementalStatePubDelta(b *testing.B) {
-	// Partition-based maintenance, worst case: a publication delta
-	// touches the block that dominates evaluation cost.
-	q, _, updated, delta := e8Fixture(b)
-	src := struql.NewGraphSource(updated)
-	st, err := dynamic.NewIncrementalState(q, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Apply(src, delta); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE8_IncrementalStatePatentDelta(b *testing.B) {
-	// Best case: a patent delta affects only the small patents block;
-	// the 200-publication blocks are skipped entirely.
-	q, _, updated, _ := e8Fixture(b)
-	updated.AddToCollection("Patents", "newpat")
-	updated.AddEdge("newpat", "title", graph.NewString("A new patent"))
-	delta := &mediator.Delta{
-		AddedEdges:   []graph.Edge{{From: "newpat", Label: "title", To: graph.NewString("A new patent")}},
-		AddedMembers: []mediator.Membership{{Coll: "Patents", OID: "newpat"}},
-	}
-	src := struql.NewGraphSource(updated)
-	st, err := dynamic.NewIncrementalState(q, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Apply(src, delta); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkE8_MaintainerLocalizedDelta(b *testing.B) {
-	// End-to-end incremental maintenance: data delta → affected query
-	// blocks → site-graph diff → dirty-page regeneration. A patent delta
-	// leaves the publication pages untouched.
 	spec := sites.Homepage(200)
 	med, err := mediator.New(spec.Sources...)
 	if err != nil {
@@ -417,23 +323,59 @@ func BenchmarkE8_MaintainerLocalizedDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := warehouse.Graph()
-	m, err := core.NewMaintainer(&spec.Versions[0], struql.NewGraphSource(data))
-	if err != nil {
-		b.Fatal(err)
-	}
 	updated := data.Copy()
-	updated.AddToCollection("Patents", "benchpat")
-	updated.AddEdge("benchpat", "title", graph.NewString("Bench patent"))
-	updated.AddEdge("benchpat", "number", graph.NewString("US7777777"))
-	delta := mediator.Diff(data, updated)
+	updated.AddToCollection("Publications", "brandnew")
+	updated.AddEdge("brandnew", "title", graph.NewString("A Brand New Result"))
+	updated.AddEdge("brandnew", "year", graph.NewInt(1999))
+	updated.AddEdge("brandnew", "category", graph.NewString("databases"))
+	return &spec.Versions[0], data, updated, mediator.Diff(data, updated)
+}
+
+func BenchmarkE8_FullRebuild(b *testing.B) {
+	v, _, updated, _ := e8Fixture(b)
+	q := struql.MustParse(v.Queries[0])
 	src := struql.NewGraphSource(updated)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := m.Apply(src, delta); err != nil {
+		mustEval(b, q, src)
+	}
+}
+
+// benchEngineApply measures ivm.Engine.Apply of one delta against a
+// maintained version. Re-applying the identical delta is idempotent
+// (rows dedupe, refcounts stay balanced), so every iteration seeds the
+// same evaluations and re-constructs the same partitions.
+func benchEngineApply(b *testing.B, v *core.Version, data, updated *graph.Graph, delta *mediator.Delta) {
+	e, err := ivm.NewEngine(v, struql.NewGraphSource(data), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := struql.NewGraphSource(updated)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Apply(src, delta); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+func BenchmarkE8_EngineApplyPubDelta(b *testing.B) {
+	// Worst case: a publication delta touches the block that dominates
+	// evaluation cost.
+	v, data, updated, delta := e8Fixture(b)
+	benchEngineApply(b, v, data, updated, delta)
+}
+
+func BenchmarkE8_EngineApplyPatentDelta(b *testing.B) {
+	// Best case: a patent delta affects only the small patents block;
+	// the 200-publication block is skipped entirely.
+	v, data, _, _ := e8Fixture(b)
+	updated := data.Copy()
+	updated.AddToCollection("Patents", "newpat")
+	updated.AddEdge("newpat", "title", graph.NewString("A new patent"))
+	benchEngineApply(b, v, data, updated, mediator.Diff(data, updated))
 }
 
 // --- E9: the cost of a second version (§6.1: "building the external

@@ -13,7 +13,9 @@ import (
 	"strudel/internal/core"
 	"strudel/internal/dynamic"
 	"strudel/internal/graph"
+	"strudel/internal/ivm"
 	"strudel/internal/mediator"
+	"strudel/internal/obs"
 	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/sites"
@@ -145,12 +147,20 @@ func TestE7_WorkCounts(t *testing.T) {
 }
 
 func TestE8_IncrementalMatchesFullAndSkips(t *testing.T) {
-	q := struql.MustParse(sites.HomepageQuery)
-	data, err := sites.HomepageData(100)
+	spec := sites.Homepage(100)
+	med, err := mediator.New(spec.Sources...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := struql.Eval(q, struql.NewGraphSource(data), nil)
+	warehouse, err := med.Warehouse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := warehouse.Graph()
+	version := &spec.Versions[0]
+	m := &obs.IVMMetrics{}
+	em := &obs.EvalMetrics{}
+	site, err := ivm.NewSite(version, struql.NewGraphSource(data), &core.Options{Eval: em}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,27 +168,41 @@ func TestE8_IncrementalMatchesFullAndSkips(t *testing.T) {
 	updated.AddToCollection("Publications", "new1")
 	updated.AddEdge("new1", "title", graph.NewString("New"))
 	updated.AddEdge("new1", "year", graph.NewInt(2000))
-	delta := &mediator.Delta{
-		AddedEdges: []graph.Edge{
-			{From: "new1", Label: "title", To: graph.NewString("New")},
-			{From: "new1", Label: "year", To: graph.NewInt(2000)},
-		},
-		AddedMembers: []mediator.Membership{{Coll: "Publications", OID: "new1"}},
+	before := em.WhereEvals.Load()
+	if err := site.Apply(struql.NewGraphSource(updated), mediator.Diff(data, updated)); err != nil {
+		t.Fatal(err)
 	}
-	inc, err := dynamic.Incremental(q, r.Graph, struql.NewGraphSource(updated), delta)
+	full, err := core.BuildVersion(version, struql.NewGraphSource(updated))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := struql.Eval(q, struql.NewGraphSource(updated), nil)
-	if err != nil {
-		t.Fatal(err)
+	if d := mediator.Diff(full.SiteGraph, site.SiteGraph()); !d.Empty() {
+		t.Errorf("incremental site graph differs from full rebuild: %+v", d)
 	}
-	if inc.Site.Dump() != full.Graph.Dump() {
-		t.Error("incremental result differs from full rebuild")
+	for name, want := range full.Output.Pages {
+		if site.Output().Pages[name] != want {
+			t.Errorf("page %s differs from full rebuild", name)
+		}
 	}
-	t.Logf("E8: blocks re-evaluated = %d, skipped = %d", inc.BlocksReevaluated, inc.BlocksSkipped)
-	if inc.BlocksSkipped == 0 {
-		t.Error("a publication-only delta should skip the patent/project blocks")
+	evals := em.WhereEvals.Load() - before
+	t.Logf("E8: rows inserted = %d, seeded evaluations = %d, blocks re-evaluated = %d, full rebuilds = %d",
+		m.RowsInserted.Load(), evals, m.BlocksReevaluated.Load(), m.FullRebuilds.Load())
+	if m.DeltasApplied.Load() != 1 || m.FullRebuilds.Load() != 0 {
+		t.Errorf("deltas applied = %d, full rebuilds = %d; want one incremental apply",
+			m.DeltasApplied.Load(), m.FullRebuilds.Load())
+	}
+	if m.BlocksReevaluated.Load() != 0 || m.SitesReevaluated.Load() != 0 || m.RowsRemoved.Load() != 0 {
+		t.Errorf("additive delta re-evaluated %d blocks, %d sites and removed %d rows",
+			m.BlocksReevaluated.Load(), m.SitesReevaluated.Load(), m.RowsRemoved.Load())
+	}
+	// Only the publications block may work. Its four construction sites
+	// (membership, x -> l -> v, year, category) take 1+3+2+1 seeds and
+	// derive 1+2+1+0 rows: the new paper has no category. The Me, patent
+	// and project blocks each have a "-> l ->" site that would seed on
+	// both added edges if the delta were not routed past them.
+	if m.RowsInserted.Load() != 4 || evals != 7 {
+		t.Errorf("rows inserted = %d, seeded evaluations = %d; want 4 and 7 (publications block only)",
+			m.RowsInserted.Load(), evals)
 	}
 }
 

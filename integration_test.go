@@ -12,6 +12,7 @@ import (
 	"strudel/internal/constraints"
 	"strudel/internal/core"
 	"strudel/internal/dynamic"
+	"strudel/internal/ivm"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
 	"strudel/internal/repo"
@@ -117,10 +118,14 @@ func TestStaticDynamicAndMaintainedAgree(t *testing.T) {
 			t.Errorf("%s: static %d edges, dynamic %d", oid, len(so), len(do))
 		}
 	}
-	// The maintainer reproduces a from-scratch rebuild page for page.
-	m, err := core.NewMaintainer(&spec.Versions[0], data)
+	// The incrementally maintained site reproduces a from-scratch
+	// rebuild page for page.
+	m, err := ivm.NewSite(&spec.Versions[0], data, nil, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m.Engine() == nil {
+		t.Fatal("the CNN version should maintain incrementally")
 	}
 	fresh, err := core.BuildVersion(&spec.Versions[0], data)
 	if err != nil {
@@ -128,7 +133,7 @@ func TestStaticDynamicAndMaintainedAgree(t *testing.T) {
 	}
 	for name, want := range fresh.Output.Pages {
 		if m.Output().Pages[name] != want {
-			t.Errorf("maintainer page %s differs from fresh build", name)
+			t.Errorf("maintained page %s differs from fresh build", name)
 		}
 	}
 }

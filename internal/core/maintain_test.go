@@ -1,13 +1,19 @@
-package core
+package core_test
 
 import (
-	"strings"
+	"errors"
 	"testing"
 
+	"strudel/internal/core"
 	"strudel/internal/graph"
+	"strudel/internal/ivm"
 	"strudel/internal/mediator"
+	"strudel/internal/obs"
 	"strudel/internal/struql"
 )
+
+// A built version is kept up to date by ivm. These tests pin what
+// maintenance promises about a version as core defines it.
 
 const maintainQuery = `
 create Root()
@@ -30,8 +36,8 @@ link Root() -> "Author" -> AuthorPage(a)
 }
 `
 
-func maintainVersion() *Version {
-	return &Version{
+func maintainVersion() *core.Version {
+	return &core.Version{
 		Name:    "main",
 		Queries: []string{maintainQuery},
 		Templates: map[string]string{
@@ -57,100 +63,34 @@ func maintainData() *graph.Graph {
 	return g
 }
 
-func TestMaintainerEndToEnd(t *testing.T) {
-	data := maintainData()
-	m, err := NewMaintainer(maintainVersion(), struql.NewGraphSource(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Output().PageCount() != 3 { // root + book + author
-		t.Fatalf("pages = %d", m.Output().PageCount())
-	}
-
-	// Add a book: only the books block re-evaluates; the author page is
-	// untouched.
-	authorFile := m.Output().PageFiles["AuthorPage(a1)"]
-	authorBefore := m.Output().Pages[authorFile]
-	prev := data.Copy()
-	data.AddToCollection("Books", "b2")
-	data.AddEdge("b2", "title", graph.NewString("SICP"))
-	st, err := m.Apply(struql.NewGraphSource(data), mediator.Diff(prev, data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.BlocksReevaluated != 1 {
-		t.Errorf("blocks = %d, want 1 (books only)", st.BlocksReevaluated)
-	}
-	if st.PagesRegenerated == 0 {
-		t.Error("root page should regenerate")
-	}
-	if !strings.Contains(m.Output().Pages["index.html"], "SICP") {
-		t.Error("root should list the new book")
-	}
-	if _, ok := m.Output().PageFiles["BookPage(b2)"]; !ok {
-		t.Error("new book page missing")
-	}
-	if m.Output().Pages[authorFile] != authorBefore {
-		t.Error("author page should be untouched by a book delta")
-	}
-
-	// Full consistency check against a from-scratch build.
-	vr, err := BuildVersion(maintainVersion(), struql.NewGraphSource(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range vr.Output.Pages {
-		if m.Output().Pages[name] != want {
-			t.Errorf("page %s diverged from full build", name)
-		}
-	}
-}
-
-func TestMaintainerRemoval(t *testing.T) {
-	data := maintainData()
-	data.AddToCollection("Books", "b2")
-	data.AddEdge("b2", "title", graph.NewString("SICP"))
-	m, err := NewMaintainer(maintainVersion(), struql.NewGraphSource(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Remove b2 by rebuilding the data graph.
-	smaller := maintainData()
-	delta := mediator.Diff(data, smaller)
-	st, err := m.Apply(struql.NewGraphSource(smaller), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.BlocksReevaluated == 0 {
-		t.Fatal("removal should re-evaluate the books block")
-	}
-	if strings.Contains(m.Output().Pages["index.html"], "SICP") {
-		t.Error("removed book still listed on root")
-	}
-	if m.Site().HasNode("BookPage(b2)") {
-		t.Error("site graph still holds the removed book page")
-	}
-}
-
 func TestMaintainerNoopDelta(t *testing.T) {
 	data := maintainData()
-	m, err := NewMaintainer(maintainVersion(), struql.NewGraphSource(data))
+	m := &obs.IVMMetrics{}
+	s, err := ivm.NewSite(maintainVersion(), struql.NewGraphSource(data), nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Apply(struql.NewGraphSource(data), &mediator.Delta{})
-	if err != nil {
+	if s.Engine() == nil {
+		t.Fatal("single-query version should be maintained incrementally")
+	}
+	out := s.Output()
+	if err := s.Apply(struql.NewGraphSource(data), &mediator.Delta{}); err != nil {
 		t.Fatal(err)
 	}
-	if st.BlocksReevaluated != 0 || st.PagesRegenerated != 0 {
-		t.Errorf("noop delta did work: %+v", st)
+	work := m.RowsInserted.Load() + m.RowsRemoved.Load() +
+		m.SitesReevaluated.Load() + m.BlocksReevaluated.Load()
+	if s.Output() != out || work != 0 || m.DirtyPages.Load() != 0 || m.FullRebuilds.Load() != 0 {
+		t.Errorf("noop delta did work: %d units, %d dirty pages, %d rebuilds",
+			work, m.DirtyPages.Load(), m.FullRebuilds.Load())
 	}
 }
 
 func TestMaintainerRejectsMultiQueryVersions(t *testing.T) {
 	v := maintainVersion()
 	v.Queries = append(v.Queries, `create X()`)
-	if _, err := NewMaintainer(v, struql.NewGraphSource(maintainData())); err == nil {
-		t.Error("multi-query version should be rejected")
+	_, err := ivm.NewEngine(v, struql.NewGraphSource(maintainData()), nil)
+	var b *ivm.Bailout
+	if !errors.As(err, &b) || b.Reason != ivm.ReasonComposedQueries {
+		t.Errorf("multi-query version should be refused as composed queries, got %v", err)
 	}
 }

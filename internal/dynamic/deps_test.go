@@ -75,45 +75,6 @@ func TestAffectedByMembershipRefinement(t *testing.T) {
 	}
 }
 
-func TestIncrementalStateLocalizedDelta(t *testing.T) {
-	// A two-collection query: a delta on one collection re-evaluates only
-	// that collection's block.
-	q := struql.MustParse(`
-where As(a)
-create PA(a)
-{ where a -> l -> v link PA(a) -> l -> v }
-
-where Bs(b)
-create PB(b)
-{ where b -> l -> v link PB(b) -> l -> v }
-`)
-	data := graph.New()
-	data.AddToCollection("As", "a1")
-	data.AddEdge("a1", "x", graph.NewInt(1))
-	data.AddToCollection("Bs", "b1")
-	data.AddEdge("b1", "y", graph.NewInt(2))
-	st, err := NewIncrementalState(q, struql.NewGraphSource(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	data.AddEdge("b1", "z", graph.NewInt(3))
-	delta := &mediator.Delta{AddedEdges: []graph.Edge{{From: "b1", Label: "z", To: graph.NewInt(3)}}}
-	n, err := st.Apply(struql.NewGraphSource(data), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Errorf("re-evaluated %d blocks, want 1 (only the Bs block)", n)
-	}
-	full, err := struql.Eval(q, struql.NewGraphSource(data), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Site().Dump() != full.Graph.Dump() {
-		t.Error("localized incremental update diverged from full rebuild")
-	}
-}
-
 func TestInvalidateUsesMembershipRefinement(t *testing.T) {
 	// The evaluator's page cache survives changes to objects outside the
 	// collections its queries read.

@@ -190,88 +190,6 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-func TestIncrementalAdditive(t *testing.T) {
-	data := testData()
-	q := struql.MustParse(siteQuery)
-	r, err := struql.Eval(q, struql.NewGraphSource(data), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldSite := r.Graph
-	// Add a publication in a new year.
-	data.AddToCollection("Publications", "pub4")
-	data.AddEdge("pub4", "title", graph.NewString("New Paper"))
-	data.AddEdge("pub4", "year", graph.NewInt(1999))
-	delta := &mediator.Delta{
-		AddedEdges: []graph.Edge{
-			{From: "pub4", Label: "title", To: graph.NewString("New Paper")},
-			{From: "pub4", Label: "year", To: graph.NewInt(1999)},
-		},
-		AddedMembers: []mediator.Membership{{Coll: "Publications", OID: "pub4"}},
-	}
-	inc, err := Incremental(q, oldSite, struql.NewGraphSource(data), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.FullRebuild {
-		t.Error("additive delta should not trigger full rebuild")
-	}
-	full, err := struql.Eval(q, struql.NewGraphSource(data), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.Site.Dump() != full.Graph.Dump() {
-		t.Errorf("incremental differs from full rebuild:\n--- incremental\n%s--- full\n%s",
-			inc.Site.Dump(), full.Graph.Dump())
-	}
-	if !inc.Site.HasNode("YearPage(1999)") {
-		t.Error("new year page missing")
-	}
-}
-
-func TestIncrementalSkipsUnaffectedBlocks(t *testing.T) {
-	data := testData()
-	q := struql.MustParse(siteQuery)
-	r, _ := struql.Eval(q, struql.NewGraphSource(data), nil)
-	// A change that touches nothing the query reads.
-	data.AddEdge("misc", "noise", graph.NewInt(1))
-	delta := &mediator.Delta{AddedEdges: []graph.Edge{{From: "misc", Label: "noise", To: graph.NewInt(1)}}}
-	inc, err := Incremental(q, r.Graph, struql.NewGraphSource(data), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.BlocksReevaluated != 0 {
-		t.Errorf("reevaluated %d blocks for an irrelevant change", inc.BlocksReevaluated)
-	}
-}
-
-func TestIncrementalRemovalFallsBack(t *testing.T) {
-	data := testData()
-	q := struql.MustParse(siteQuery)
-	r, _ := struql.Eval(q, struql.NewGraphSource(data), nil)
-	delta := &mediator.Delta{RemovedEdges: []graph.Edge{{From: "pub1", Label: "year", To: graph.NewInt(1997)}}}
-	inc, err := Incremental(q, r.Graph, struql.NewGraphSource(data), delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !inc.FullRebuild {
-		t.Error("removal should fall back to full rebuild")
-	}
-}
-
-func TestIncrementalEmptyDelta(t *testing.T) {
-	data := testData()
-	q := struql.MustParse(siteQuery)
-	r, _ := struql.Eval(q, struql.NewGraphSource(data), nil)
-	inc, err := Incremental(q, r.Graph, struql.NewGraphSource(data), &mediator.Delta{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inc.BlocksReevaluated != 0 || inc.Site != r.Graph {
-		t.Error("empty delta should be a no-op")
-	}
-}
-
 func TestServerServesPages(t *testing.T) {
 	ev, _ := newEvaluator(t, testData())
 	ts := template.NewSet()

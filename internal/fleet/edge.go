@@ -391,7 +391,7 @@ func (e *Edge) writeEntry(w http.ResponseWriter, r *http.Request, ent *edgeEntry
 	h.Set("Last-Modified", ent.lastMod.UTC().Format(http.TimeFormat))
 	h.Set("Cache-Control", "no-cache") // validators, not TTLs, drive freshness
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
-		if etagMatch(inm, ent.etag) {
+		if ETagMatch(inm, ent.etag) {
 			if e.Obs != nil {
 				e.Obs.NotModified.Inc()
 			}
@@ -411,9 +411,10 @@ func (e *Edge) writeEntry(w http.ResponseWriter, r *http.Request, ent *edgeEntry
 	fmt.Fprint(w, ent.body)
 }
 
-// etagMatch implements the If-None-Match list ("*" or comma-separated
-// entity tags; weak compare, so W/ prefixes are ignored).
-func etagMatch(header, etag string) bool {
+// ETagMatch reports whether etag satisfies an If-None-Match header: "*"
+// or a comma-separated list of entity tags, compared weakly (RFC 9110
+// §13.1.2), so W/ prefixes are ignored.
+func ETagMatch(header, etag string) bool {
 	if strings.TrimSpace(header) == "*" {
 		return true
 	}

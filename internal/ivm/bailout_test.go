@@ -7,6 +7,7 @@ import (
 
 	"strudel/internal/core"
 	"strudel/internal/graph"
+	"strudel/internal/htmlgen"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
 	"strudel/internal/struql"
@@ -17,18 +18,18 @@ import (
 // degrades to a full rebuild (FullRebuilds moves), and the degraded
 // output is byte-identical to a from-scratch build of the new data.
 
-func requireOraclePages(t *testing.T, s *Site, v *core.Version, data *graph.Graph, context string) {
+func requireOraclePages(t *testing.T, out *htmlgen.Output, v *core.Version, data *graph.Graph, context string) {
 	t.Helper()
 	vr, err := core.BuildVersionWith(v, struql.NewGraphSource(data), nil)
 	if err != nil {
 		t.Fatalf("%s: oracle build: %v", context, err)
 	}
-	if len(vr.Output.Pages) != len(s.Output().Pages) {
-		t.Fatalf("%s: page count %d, oracle %d", context, len(s.Output().Pages), len(vr.Output.Pages))
+	if len(vr.Output.Pages) != len(out.Pages) {
+		t.Fatalf("%s: page count %d, oracle %d", context, len(out.Pages), len(vr.Output.Pages))
 	}
 	for name, want := range vr.Output.Pages {
-		if got := s.Output().Pages[name]; got != want {
-			t.Fatalf("%s: page %s diverged:\n--- degraded\n%s\n--- oracle\n%s", context, name, got, want)
+		if got := out.Pages[name]; got != want {
+			t.Fatalf("%s: page %s diverged:\n--- maintained\n%s\n--- oracle\n%s", context, name, got, want)
 		}
 	}
 }
@@ -78,7 +79,7 @@ func TestBailoutComposedQueries(t *testing.T) {
 	if got := m.FullRebuilds.Load(); got != 1 {
 		t.Errorf("full rebuilds = %d, want 1", got)
 	}
-	requireOraclePages(t, s, v, cur, "composed queries")
+	requireOraclePages(t, s.Output(), v, cur, "composed queries")
 }
 
 func TestBailoutDeltaTooLarge(t *testing.T) {
@@ -96,7 +97,7 @@ func TestBailoutDeltaTooLarge(t *testing.T) {
 	if got := m.FullRebuilds.Load(); got != 1 {
 		t.Errorf("full rebuilds = %d, want 1", got)
 	}
-	requireOraclePages(t, s, v, cur, "delta too large")
+	requireOraclePages(t, s.Output(), v, cur, "delta too large")
 	// The rebuilt engine (default bound) takes the next delta row-level.
 	prev = cur.Copy()
 	cur.AddEdge("p0", "title", graph.NewString("one more"))
@@ -106,7 +107,7 @@ func TestBailoutDeltaTooLarge(t *testing.T) {
 	if got := m.DeltasApplied.Load(); got != 1 {
 		t.Errorf("deltas applied after rebuild = %d, want 1", got)
 	}
-	requireOraclePages(t, s, v, cur, "after recovery")
+	requireOraclePages(t, s.Output(), v, cur, "after recovery")
 }
 
 func TestBailoutNilDelta(t *testing.T) {
@@ -121,7 +122,7 @@ func TestBailoutNilDelta(t *testing.T) {
 	if got := m.Bailouts[obs.BailoutDeltaTooLarge].Load(); got != 1 {
 		t.Errorf("delta_too_large bailouts = %d, want 1", got)
 	}
-	requireOraclePages(t, s, v, cur, "nil delta")
+	requireOraclePages(t, s.Output(), v, cur, "nil delta")
 }
 
 func TestBailoutEvalError(t *testing.T) {
@@ -139,7 +140,7 @@ func TestBailoutEvalError(t *testing.T) {
 	if got := m.FullRebuilds.Load(); got != 1 {
 		t.Errorf("full rebuilds = %d, want 1", got)
 	}
-	requireOraclePages(t, s, v, cur, "eval error")
+	requireOraclePages(t, s.Output(), v, cur, "eval error")
 }
 
 func TestBailoutSupportUnderflow(t *testing.T) {
@@ -161,7 +162,7 @@ func TestBailoutSupportUnderflow(t *testing.T) {
 	if got := m.FullRebuilds.Load(); got != 1 {
 		t.Errorf("full rebuilds = %d, want 1", got)
 	}
-	requireOraclePages(t, s, v, cur, "support underflow")
+	requireOraclePages(t, s.Output(), v, cur, "support underflow")
 }
 
 func TestBailoutReasonNames(t *testing.T) {

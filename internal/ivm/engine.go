@@ -21,10 +21,10 @@ const DefaultMaxDelta = 256
 
 // Engine maintains one built version incrementally at row granularity.
 // Each top-level query block is kept as a partition of the site graph
-// (spliced in by refcounted merge, as in core.Maintainer), and — where
-// the block's operators admit sound deltas — the block's construction
-// sites each keep their materialized where-relation, so a data delta
-// becomes a handful of seeded evaluations instead of a block re-run:
+// (spliced in by refcounted merge), and — where the block's operators
+// admit sound deltas — the block's construction sites each keep their
+// materialized where-relation, so a data delta becomes a handful of
+// seeded evaluations instead of a block re-run:
 //
 //   - tier A (row level): insertions seed the evaluator with each added
 //     tuple per matching condition; deletions ground-re-check only the
@@ -46,8 +46,8 @@ type Engine struct {
 	blocks  []*blockState
 	site    *graph.Graph
 
-	// Refcounts over partition contributions, exactly as in
-	// core.Maintainer: how many partitions assert each item.
+	// Refcounts over partition contributions: how many partitions
+	// assert each item.
 	nodeRefs   map[graph.OID]int
 	edgeRefs   map[graph.Edge]int
 	memberRefs map[mediator.Membership]int
@@ -505,9 +505,9 @@ func (e *Engine) constructBlock(bs *blockState) (*graph.Graph, error) {
 }
 
 // addPartition and removePartition splice a partition in or out of the
-// live site graph by refcount, mirroring core.Maintainer. removePartition
-// additionally detects underflow: a count going negative means the
-// maintained state diverged and can only be repaired by a full rebuild.
+// live site graph by refcount. removePartition detects underflow: a
+// count going negative means the maintained state diverged and can only
+// be repaired by a full rebuild.
 func (e *Engine) addPartition(part *graph.Graph) (changed []graph.OID) {
 	for _, oid := range part.Nodes() {
 		if e.nodeRefs[oid]++; e.nodeRefs[oid] == 1 {

@@ -7,6 +7,7 @@ import (
 	"strudel/internal/core"
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
+	"strudel/internal/obs"
 	"strudel/internal/struql"
 )
 
@@ -398,5 +399,299 @@ link PaperPage(x) -> "title" -> ti,
 	}
 	if !found {
 		t.Error("no dirty page actually changed")
+	}
+}
+
+// --- block-granularity maintenance ----------------------------------
+
+// pubsVersion is a publications site: one page per paper, grouped into
+// one page per year, linked from a constant root block (block 0).
+func pubsVersion() *core.Version {
+	return &core.Version{
+		Name: "pubs",
+		Queries: []string{`create RootPage()
+link RootPage() -> "title" -> "Home"
+
+where Publications(x)
+create PaperPage(x)
+link PaperPage(x) -> "self" -> x
+{ where x -> "title" -> t
+  link PaperPage(x) -> "title" -> t }
+{ where x -> "year" -> y
+  create YearPage(y)
+  link YearPage(y) -> "Year" -> y,
+       YearPage(y) -> "Paper" -> PaperPage(x),
+       RootPage() -> "YearPage" -> YearPage(y) }`},
+		Templates: map[string]string{
+			"root":  `<h1><SFMT title></h1><SFMT YearPage UL ORDER=ascend KEY=Year>`,
+			"year":  `<h1><SFMT Year></h1><SFMT Paper UL TEXT=title>`,
+			"paper": `<b><SFMT title></b>`,
+		},
+		PerObject:              map[string]string{"RootPage()": "root"},
+		ObjectTemplatePrefixes: map[string]string{"YearPage(": "year", "PaperPage(": "paper"},
+		Roots:                  []string{"RootPage()"},
+	}
+}
+
+func pubsData() *graph.Graph {
+	g := graph.New()
+	add := func(oid graph.OID, title string, year int64) {
+		g.AddToCollection("Publications", oid)
+		g.AddEdge(oid, "title", graph.NewString(title))
+		g.AddEdge(oid, "year", graph.NewInt(year))
+	}
+	add("pub1", "Query Language", 1997)
+	add("pub2", "Catching the Boat", 1998)
+	add("pub3", "Another 97 Paper", 1997)
+	return g
+}
+
+func addPub(oid graph.OID, year int64) func(g *graph.Graph) {
+	return func(g *graph.Graph) {
+		g.AddToCollection("Publications", oid)
+		g.AddEdge(oid, "title", graph.NewString("Paper "+string(oid)))
+		g.AddEdge(oid, "year", graph.NewInt(year))
+	}
+}
+
+// libraryVersion has a constant root block (0), a books block (1) and
+// an authors block (2), each book and author on a page of its own.
+func libraryVersion() *core.Version {
+	return &core.Version{
+		Name: "library",
+		Queries: []string{`create Root()
+link Root() -> "title" -> "Library"
+
+where Books(b)
+create BookPage(b)
+link Root() -> "Book" -> BookPage(b)
+{ where b -> "title" -> t
+  link BookPage(b) -> "title" -> t }
+
+where Authors(a)
+create AuthorPage(a)
+link Root() -> "Author" -> AuthorPage(a)
+{ where a -> "name" -> n
+  link AuthorPage(a) -> "name" -> n }`},
+		Templates: map[string]string{
+			"Root":   `<h1><SFMT title></h1><SFMT Book UL TEXT=title><SFMT Author UL TEXT=name>`,
+			"Book":   `<b><SFMT title></b>`,
+			"Author": `<i><SFMT name></i>`,
+		},
+		PerObject:              map[string]string{"Root()": "Root"},
+		ObjectTemplatePrefixes: map[string]string{"BookPage(": "Book", "AuthorPage(": "Author"},
+		Roots:                  []string{"Root()"},
+	}
+}
+
+func libraryData() *graph.Graph {
+	g := graph.New()
+	g.AddToCollection("Authors", "a1")
+	g.AddEdge("a1", "name", graph.NewString("Knuth"))
+	addBook("b1", "TAOCP")(g)
+	return g
+}
+
+func addBook(oid graph.OID, title string) func(g *graph.Graph) {
+	return func(g *graph.Graph) {
+		g.AddToCollection("Books", oid)
+		g.AddEdge(oid, "title", graph.NewString(title))
+	}
+}
+
+// twoCollVersion reads two disjoint collections in blocks 0 and 1.
+func twoCollVersion() *core.Version {
+	return &core.Version{
+		Name: "twocoll",
+		Queries: []string{`where As(a)
+create PA(a)
+link Index() -> "A" -> PA(a)
+{ where a -> l -> v link PA(a) -> l -> v }
+
+where Bs(b)
+create PB(b)
+link Index() -> "B" -> PB(b)
+{ where b -> l -> v link PB(b) -> l -> v }`},
+		Templates: map[string]string{
+			"index": `<SFMT A UL><SFMT B UL>`,
+			"item":  `<SFMT x><SFMT y><SFMT z>`,
+		},
+		PerObject:              map[string]string{"Index()": "index"},
+		ObjectTemplatePrefixes: map[string]string{"PA(": "item", "PB(": "item"},
+		Roots:                  []string{"Index()"},
+	}
+}
+
+func twoCollData() *graph.Graph {
+	g := graph.New()
+	g.AddToCollection("As", "a1")
+	g.AddEdge("a1", "x", graph.NewInt(1))
+	g.AddToCollection("Bs", "b1")
+	g.AddEdge("b1", "y", graph.NewInt(2))
+	return g
+}
+
+// TestDeltaBlockMaintenance pins what block-granularity maintenance
+// promises, edit by edit: the maintained site graph equals a monolithic
+// evaluation and its pages equal a from-scratch build; a block the
+// delta cannot affect keeps its partition and dirties none of its
+// pages; and a delta that affects nothing does no work at all.
+func TestDeltaBlockMaintenance(t *testing.T) {
+	cases := []struct {
+		name    string
+		version func() *core.Version
+		data    func() *graph.Graph
+		edits   []func(g *graph.Graph)
+		// untouched lists blocks whose partition no edit may replace;
+		// clean lists page objects no edit may dirty.
+		untouched []int
+		clean     []graph.OID
+		// idle: no edit may dirty a page or move a row, site or block
+		// counter.
+		idle          bool
+		present, gone []graph.OID
+	}{{
+		name:      "additive",
+		version:   pubsVersion,
+		data:      pubsData,
+		edits:     []func(*graph.Graph){addPub("pub4", 1999)},
+		untouched: []int{0},
+		present:   []graph.OID{"YearPage(1999)", "PaperPage(pub4)"},
+	}, {
+		name:    "removal",
+		version: pubsVersion,
+		data:    pubsData,
+		edits: []func(*graph.Graph){func(g *graph.Graph) {
+			// pub2 is the only 1998 paper: its year page must vanish.
+			g.RemoveEdge("pub2", "year", graph.NewInt(1998))
+		}},
+		untouched: []int{0},
+		present:   []graph.OID{"PaperPage(pub2)"},
+		gone:      []graph.OID{"YearPage(1998)"},
+	}, {
+		name:    "removed_page",
+		version: libraryVersion,
+		data: func() *graph.Graph {
+			g := libraryData()
+			addBook("b2", "SICP")(g)
+			return g
+		},
+		edits: []func(*graph.Graph){func(g *graph.Graph) {
+			g.RemoveEdge("b2", "title", graph.NewString("SICP"))
+			g.RemoveFromCollection("Books", "b2")
+			g.RemoveNode("b2")
+		}},
+		untouched: []int{0, 2},
+		clean:     []graph.OID{"AuthorPage(a1)"},
+		gone:      []graph.OID{"BookPage(b2)"},
+	}, {
+		name:    "unrelated",
+		version: pubsVersion,
+		data:    pubsData,
+		edits: []func(*graph.Graph){func(g *graph.Graph) {
+			g.AddEdge("misc", "noise", graph.NewInt(1))
+		}},
+		untouched: []int{0, 1},
+		clean:     []graph.OID{"RootPage()", "YearPage(1997)", "PaperPage(pub1)"},
+		idle:      true,
+	}, {
+		name:    "localized",
+		version: twoCollVersion,
+		data:    twoCollData,
+		edits: []func(*graph.Graph){func(g *graph.Graph) {
+			g.AddEdge("b1", "z", graph.NewInt(3))
+		}},
+		untouched: []int{0},
+		clean:     []graph.OID{"PA(a1)"},
+	}, {
+		name:      "end_to_end",
+		version:   libraryVersion,
+		data:      libraryData,
+		edits:     []func(*graph.Graph){addBook("b2", "SICP")},
+		untouched: []int{0, 2},
+		clean:     []graph.OID{"AuthorPage(a1)"},
+		present:   []graph.OID{"BookPage(b2)"},
+	}, {
+		name:      "repeated",
+		version:   pubsVersion,
+		data:      pubsData,
+		edits:     []func(*graph.Graph){addPub("extra0", 2000), addPub("extra1", 2001), addPub("extra2", 1997)},
+		untouched: []int{0},
+		present:   []graph.OID{"YearPage(2000)", "YearPage(2001)", "PaperPage(extra2)"},
+	}, {
+		name:      "empty",
+		version:   libraryVersion,
+		data:      libraryData,
+		edits:     []func(*graph.Graph){func(*graph.Graph) {}},
+		untouched: []int{0, 1, 2},
+		clean:     []graph.OID{"Root()", "BookPage(b1)", "AuthorPage(a1)"},
+		idle:      true,
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			v, cur := tc.version(), tc.data()
+			e, err := NewEngine(v, struql.NewGraphSource(cur), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &obs.IVMMetrics{}
+			e.Obs = m
+			requireSameGraph(t, oracleGraph(t, e, cur), e.Site(), "initial build")
+			for i, edit := range tc.edits {
+				context := fmt.Sprintf("edit %d", i)
+				parts := make([]*graph.Graph, len(e.blocks))
+				for b, bs := range e.blocks {
+					parts[b] = bs.part
+				}
+				before := map[graph.OID]string{}
+				for _, oid := range tc.clean {
+					file, ok := e.Output().PageFiles[oid]
+					if !ok {
+						t.Fatalf("%s: %s has no page", context, oid)
+					}
+					before[oid] = e.Output().Pages[file]
+				}
+				prev := cur.Copy()
+				edit(cur)
+				pages, err := e.Apply(struql.NewGraphSource(cur), mediator.Diff(prev, cur))
+				if err != nil {
+					t.Fatalf("%s: apply: %v", context, err)
+				}
+				requireSameGraph(t, oracleGraph(t, e, cur), e.Site(), context)
+				requireOraclePages(t, e.Output(), v, cur, context)
+				for _, b := range tc.untouched {
+					if e.blocks[b].part != parts[b] {
+						t.Errorf("%s: block %d re-derived for a delta it cannot see", context, b)
+					}
+				}
+				dirty := map[string]bool{}
+				for _, p := range pages {
+					dirty[p] = true
+				}
+				for _, oid := range tc.clean {
+					file := e.Output().PageFiles[oid]
+					if dirty[file] || e.Output().Pages[file] != before[oid] {
+						t.Errorf("%s: page of %s dirtied", context, oid)
+					}
+				}
+				if tc.idle {
+					work := m.RowsInserted.Load() + m.RowsRemoved.Load() +
+						m.SitesReevaluated.Load() + m.BlocksReevaluated.Load()
+					if len(pages) != 0 || work != 0 {
+						t.Errorf("%s: idle delta dirtied %v and did %d units of work", context, pages, work)
+					}
+				}
+			}
+			for _, oid := range tc.present {
+				if !e.Site().HasNode(oid) {
+					t.Errorf("%s missing from the maintained site", oid)
+				}
+			}
+			for _, oid := range tc.gone {
+				if e.Site().HasNode(oid) {
+					t.Errorf("%s survived in the maintained site", oid)
+				}
+			}
+		})
 	}
 }

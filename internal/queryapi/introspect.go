@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"strudel/internal/fleet"
 	"strudel/internal/repo"
 	"strudel/internal/struql"
 )
@@ -45,7 +46,7 @@ func (s *Service) introspect(w http.ResponseWriter, r *http.Request, kind, memoK
 	s.Obs.SchemaRequests.Inc()
 	gen := s.Backend.Generation()
 	etag := fmt.Sprintf("\"sg%d-%s\"", gen, memoKey)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagIn(inm, etag) {
+	if inm := r.Header.Get("If-None-Match"); inm != "" && fleet.ETagMatch(inm, etag) {
 		s.Obs.NotModified.Inc()
 		w.Header().Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)

@@ -176,3 +176,33 @@ func TestQueryExplain(t *testing.T) {
 		t.Fatalf("explains counter = %d, want 2", n)
 	}
 }
+
+// TestWeakValidatorsNotModified: If-None-Match compares weakly, so a
+// validator a client or proxy weakened to W/"…" still earns a 304 from
+// /query and /schema/labels, alone or inside a list.
+func TestWeakValidatorsNotModified(t *testing.T) {
+	_, ts := newQueryServer(t, NewSingle(repo.NewIndexed(qgen.Graph(5))), generous())
+	req := QueryRequest{Query: qgen.WhereClause(3), PageSize: 5}
+	code, hdr, body := postJSON(t, ts.URL+"/query", req, nil)
+	if code != http.StatusOK {
+		t.Fatalf("/query = %d: %s", code, body)
+	}
+	queryTag := hdr.Get("ETag")
+	code, hdr, _ = getJSON(t, ts.URL+"/schema/labels", nil)
+	if code != http.StatusOK {
+		t.Fatalf("/schema/labels = %d", code)
+	}
+	labelsTag := hdr.Get("ETag")
+
+	for _, inm := range []func(tag string) string{
+		func(tag string) string { return "W/" + tag },
+		func(tag string) string { return `"other", W/` + tag },
+	} {
+		if code, _, body := postJSON(t, ts.URL+"/query", req, map[string]string{"If-None-Match": inm(queryTag)}); code != http.StatusNotModified {
+			t.Errorf("/query with If-None-Match %s = %d, want 304: %s", inm(queryTag), code, body)
+		}
+		if code, _, _ := getJSON(t, ts.URL+"/schema/labels", map[string]string{"If-None-Match": inm(labelsTag)}); code != http.StatusNotModified {
+			t.Errorf("/schema/labels with If-None-Match %s = %d, want 304", inm(labelsTag), code)
+		}
+	}
+}

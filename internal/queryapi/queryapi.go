@@ -19,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"strudel/internal/fleet"
 	"strudel/internal/obs"
 	"strudel/internal/struql"
 )
@@ -318,7 +319,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		checkGen = s.Backend.Generation()
 	}
 	etag := pageETag(checkGen, qh, offset, pageSize)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagIn(inm, etag) {
+	if inm := r.Header.Get("If-None-Match"); inm != "" && fleet.ETagMatch(inm, etag) {
 		s.Obs.NotModified.Inc()
 		w.Header().Set("ETag", etag)
 		w.WriteHeader(http.StatusNotModified)
@@ -462,20 +463,6 @@ func (s *Service) store(key string, res *result) {
 // like the page edge's ETags, plus the query/page coordinates.
 func pageETag(gen int64, qh uint64, offset, pageSize int) string {
 	return fmt.Sprintf("\"qg%d-%016x-%d-%d\"", gen, qh, offset, pageSize)
-}
-
-// etagIn reports whether the validator appears in an If-None-Match
-// header (comma-separated list or *).
-func etagIn(header, etag string) bool {
-	if strings.TrimSpace(header) == "*" {
-		return true
-	}
-	for _, part := range strings.Split(header, ",") {
-		if strings.TrimSpace(part) == etag {
-			return true
-		}
-	}
-	return false
 }
 
 func min(a, b int) int {
