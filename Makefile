@@ -63,6 +63,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzQueryEndpoint$$' -fuzztime=$(FUZZTIME) ./internal/queryapi
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRef$$' -fuzztime=$(FUZZTIME) ./internal/fleet
 	$(GO) test -run='^$$' -fuzz='^FuzzETagMatch$$' -fuzztime=$(FUZZTIME) ./internal/fleet
+	$(GO) test -run='^$$' -fuzz='^FuzzPageRequest$$' -fuzztime=$(FUZZTIME) ./internal/fleet
 
 # chaos-smoke drives the fault-injection suite: filesystem faults at
 # every publish step across all example sites and parallelism settings,

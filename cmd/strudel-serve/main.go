@@ -140,66 +140,12 @@ func main() {
 }
 
 func run(cfg config) int {
-	srv, rl, err := buildServer(cfg.dataFiles, cfg.bibFiles, cfg.templates, cfg.queryFile, cfg.lookahead)
+	srv, err := buildServer(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "strudel-serve:", err)
 		return exitError
 	}
-
-	// Metrics are always collected (they are cheap atomics); the debug
-	// listener just decides whether anything can read them.
-	metrics := &obs.ServeMetrics{}
-	ivmMetrics := &obs.IVMMetrics{}
-	fleetMetrics := &obs.FleetMetrics{}
-	queryMetrics := &obs.QueryMetrics{}
-	if rl != nil {
-		rl.Obs = metrics
-		rl.IVM = ivmMetrics
-	}
-
-	// The serving tier proper: the page space is partitioned over
-	// -shards shards of -replicas replicas each (1×1 is a
-	// perfectly good fleet), and every request enters through the edge —
-	// consistent-hash routing, generation-scoped conditional GETs,
-	// stale-while-revalidate across hot reloads.
-	fl, err := fleet.New(fleet.Config{
-		Schema:    srv.Ev.Schema,
-		Templates: srv.Templates,
-		PerFn:     srv.PerFn,
-		Default:   srv.Default,
-		Shards:    cfg.shards,
-		Replicas:  cfg.replicas,
-		Lookahead: cfg.lookahead,
-		Obs:       fleetMetrics,
-		ServeObs:  metrics,
-		Gray: fleet.GrayConfig{
-			Breaker: fleet.BreakerConfig{
-				Failures: cfg.breakerFailures,
-				OpenFor:  cfg.breakerOpenFor,
-			},
-			HedgeMinDelay:  cfg.hedgeMinDelay,
-			HedgeMaxDelay:  cfg.hedgeMaxDelay,
-			HedgeRatio:     cfg.hedgeRatio,
-			DisableHedge:   !cfg.hedge,
-			RetryRatio:     cfg.retryRatio,
-			AttemptTimeout: cfg.attemptTimeout,
-			ProbeInterval:  cfg.probeInterval,
-		},
-	}, srv.Ev.Source())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "strudel-serve:", err)
-		return exitError
-	}
-	edge := fleet.NewEdge(fl)
-	edge.StaleFor = cfg.staleFor
-	edge.RequestTimeout = cfg.requestTimeout
-	edge.MaxInflight = cfg.maxInflight
-	edge.Obs = fleetMetrics
-	edge.Health = srv.Health
-	if rl != nil {
-		// Hot reloads now swap every replica of every shard in lockstep.
-		rl.AttachSwapper(fl, srv.Health)
-	}
+	fl, rl := srv.fleet, srv.reloader
 
 	// Bind before installing signal handling so "address in use" and its
 	// kin are reported as what they are, with their own exit code,
@@ -231,7 +177,7 @@ func run(cfg config) int {
 			return exitListen
 		}
 		dhs := &http.Server{
-			Handler:           debugMux(metrics, ivmMetrics, fleetMetrics, queryMetrics, fl.HealthSnapshot),
+			Handler:           srv.debugMux(),
 			ReadHeaderTimeout: 5 * time.Second,
 		}
 		go func() {
@@ -247,35 +193,8 @@ func run(cfg config) int {
 		go rl.Run(ctx)
 	}
 
-	// The production mux: the query API owns /query, /query/explain, and
-	// /schema/*; the page edge serves everything else. Both route through
-	// the same fleet, so queries and pages share generation snapshots,
-	// replica health, and hot reloads.
-	handler := edge.Handler()
-	if cfg.queryAPI {
-		qsvc := &queryapi.Service{
-			Backend: fl,
-			Limits: queryapi.Limits{
-				MaxRows:         cfg.queryMaxRows,
-				MaxNFAStates:    cfg.queryMaxNFAStates,
-				Timeout:         cfg.queryTimeout,
-				DefaultPageSize: cfg.queryPageSize,
-				MaxPageSize:     cfg.queryMaxPageSize,
-			},
-			Obs:         queryMetrics,
-			MaxInflight: cfg.queryMaxInflight,
-		}
-		qh := qsvc.Handler()
-		root := http.NewServeMux()
-		root.Handle("/query", qh)
-		root.Handle("/query/", qh)
-		root.Handle("/schema/", qh)
-		root.Handle("/", handler)
-		handler = root
-	}
-
 	hs := &http.Server{
-		Handler:           handler,
+		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      cfg.requestTimeout + 15*time.Second,
@@ -295,7 +214,7 @@ func run(cfg config) int {
 		shutdownDone <- hs.Shutdown(shCtx)
 	}()
 
-	roots := srv.Ev.EntryPoints()
+	roots := fl.EntryPoints()
 	fmt.Printf("serving %d entry point(s) on %s via %d shard(s) x %d replica(s) (start at /, health at /healthz)\n",
 		len(roots), cfg.addr, fl.Shards(), fl.ReplicasPerShard())
 	err = hs.Serve(ln)
@@ -311,17 +230,51 @@ func run(cfg config) int {
 	return exitOK
 }
 
+// server is the serving stack: the site's fleet of -shards × -replicas
+// replicas (1×1 by default, the single-server mode), the page edge in
+// front of it, the query API beside it, and the hot reloader that swaps
+// new data into every replica.
+type server struct {
+	fleet    *fleet.Fleet
+	edge     *fleet.Edge
+	query    *queryapi.Service // nil with -query-api=false
+	reloader *dynamic.Reloader // nil for a site with no data files
+
+	serveObs *obs.ServeMetrics
+	ivmObs   *obs.IVMMetrics
+	fleetObs *obs.FleetMetrics
+	queryObs *obs.QueryMetrics
+}
+
+// Handler is the production mux: the query API owns /query,
+// /query/explain, and /schema/*; the page edge serves everything else.
+// Both route through the same fleet, so queries and pages share
+// generation snapshots, replica health, and hot reloads.
+func (s *server) Handler() http.Handler {
+	pages := s.edge.Handler()
+	if s.query == nil {
+		return pages
+	}
+	qh := s.query.Handler()
+	mux := http.NewServeMux()
+	mux.Handle("/query", qh)
+	mux.Handle("/query/", qh)
+	mux.Handle("/schema/", qh)
+	mux.Handle("/", pages)
+	return mux
+}
+
 // debugMux builds the debug listener's handler: the server's metric
 // registry under /debug/vars (published into expvar as "strudel") and
 // the pprof handlers wired explicitly, so nothing depends on
 // http.DefaultServeMux — the production listener never serves these.
-func debugMux(metrics *obs.ServeMetrics, ivmMetrics *obs.IVMMetrics, fleetMetrics *obs.FleetMetrics, queryMetrics *obs.QueryMetrics, health func() map[string]any) http.Handler {
+func (s *server) debugMux() http.Handler {
 	reg := obs.NewRegistry()
-	reg.Register("serve", metrics)
-	reg.Register("ivm", ivmMetrics)
-	reg.Register("fleet", fleetMetrics)
-	reg.Register("queryapi", queryMetrics)
-	reg.Register("fleet_health", obs.SnapshotterFunc(health))
+	reg.Register("serve", s.serveObs)
+	reg.Register("ivm", s.ivmObs)
+	reg.Register("fleet", s.fleetObs)
+	reg.Register("queryapi", s.queryObs)
+	reg.Register("fleet_health", obs.SnapshotterFunc(s.fleet.HealthSnapshot))
 	expvar.Publish("strudel", reg)
 	mux := http.NewServeMux()
 	mux.Handle("/debug/vars", expvar.Handler())
@@ -333,24 +286,26 @@ func debugMux(metrics *obs.ServeMetrics, ivmMetrics *obs.IVMMetrics, fleetMetric
 	return mux
 }
 
-// buildServer assembles the dynamic server and its hot reloader from the
-// CLI inputs. Every -data and -bibtex file becomes a watched source: the
-// reloader polls its mtime and re-wraps it on change.
-func buildServer(dataFiles, bibFiles, templates []string, queryFile string, lookahead bool) (*dynamic.Server, *dynamic.Reloader, error) {
-	if queryFile == "" {
-		return nil, nil, fmt.Errorf("provide -query FILE")
+// buildServer assembles the serving stack from the CLI inputs. Every
+// -data and -bibtex file becomes a watched source: the reloader polls
+// its mtime and re-wraps it on change. Metrics are always collected
+// (they are cheap atomics); the debug listener just decides whether
+// anything can read them.
+func buildServer(cfg config) (*server, error) {
+	if cfg.queryFile == "" {
+		return nil, fmt.Errorf("provide -query FILE")
 	}
-	qb, err := os.ReadFile(queryFile)
+	qb, err := os.ReadFile(cfg.queryFile)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	q, err := struql.Parse(string(qb))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	var sources []dynamic.WatchedSource
-	for _, f := range dataFiles {
+	for _, f := range cfg.dataFiles {
 		f := f
 		sources = append(sources, dynamic.WatchedSource{
 			Name:  "ddl:" + f,
@@ -368,7 +323,7 @@ func buildServer(dataFiles, bibFiles, templates []string, queryFile string, look
 			},
 		})
 	}
-	for _, f := range bibFiles {
+	for _, f := range cfg.bibFiles {
 		f := f
 		sources = append(sources, dynamic.WatchedSource{
 			Name:  "bibtex:" + f,
@@ -386,46 +341,101 @@ func buildServer(dataFiles, bibFiles, templates []string, queryFile string, look
 			},
 		})
 	}
+	s := &server{
+		serveObs: &obs.ServeMetrics{},
+		ivmObs:   &obs.IVMMetrics{},
+		fleetObs: &obs.FleetMetrics{},
+		queryObs: &obs.QueryMetrics{},
+	}
 	// A site can be pure construction (no data files); it serves fine but
 	// has nothing to watch, so the reloader is nil and hot reload is off.
-	var rl *dynamic.Reloader
 	var data struql.Source
 	if len(sources) > 0 {
-		rl, err = dynamic.NewReloader(sources...)
-		if err != nil {
-			return nil, nil, err
+		if s.reloader, err = dynamic.NewReloader(sources...); err != nil {
+			return nil, err
 		}
-		data, err = rl.Warehouse()
-		if err != nil {
-			return nil, nil, err
+		if data, err = s.reloader.Warehouse(); err != nil {
+			return nil, err
 		}
+		s.reloader.Obs = s.serveObs
+		s.reloader.IVM = s.ivmObs
 	} else {
 		data = struql.NewGraphSource(graph.New())
 	}
 
-	ev := dynamic.NewEvaluator(schema.Build(q), data)
-	ev.Lookahead = lookahead
 	ts := template.NewSet()
-	srv := dynamic.NewServer(ev, ts)
-	if rl != nil {
-		rl.Attach(ev, srv.Health)
-	}
-	for _, spec := range templates {
+	perFn := map[string]string{}
+	for _, spec := range cfg.templates {
 		fn, file, ok := strings.Cut(spec, "=")
 		if !ok {
-			return nil, nil, fmt.Errorf("-template wants SkolemFn=file, got %q", spec)
+			return nil, fmt.Errorf("-template wants SkolemFn=file, got %q", spec)
 		}
 		b, err := os.ReadFile(file)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if err := ts.Add(fn, string(b)); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		srv.PerFn[fn] = fn
+		perFn[fn] = fn
 	}
-	if len(ev.EntryPoints()) == 0 {
-		return nil, nil, fmt.Errorf("the query has no unconditional zero-argument Skolem creation to serve as an entry point")
+
+	// The page space is partitioned over -shards shards of -replicas
+	// replicas each, and every request enters through the edge —
+	// consistent-hash routing, generation-scoped conditional GETs,
+	// stale-while-revalidate across hot reloads.
+	s.fleet, err = fleet.New(fleet.Config{
+		Schema:    schema.Build(q),
+		Templates: ts,
+		PerFn:     perFn,
+		Shards:    cfg.shards,
+		Replicas:  cfg.replicas,
+		Lookahead: cfg.lookahead,
+		Obs:       s.fleetObs,
+		ServeObs:  s.serveObs,
+		Gray: fleet.GrayConfig{
+			Breaker: fleet.BreakerConfig{
+				Failures: cfg.breakerFailures,
+				OpenFor:  cfg.breakerOpenFor,
+			},
+			HedgeMinDelay:  cfg.hedgeMinDelay,
+			HedgeMaxDelay:  cfg.hedgeMaxDelay,
+			HedgeRatio:     cfg.hedgeRatio,
+			DisableHedge:   !cfg.hedge,
+			RetryRatio:     cfg.retryRatio,
+			AttemptTimeout: cfg.attemptTimeout,
+			ProbeInterval:  cfg.probeInterval,
+		},
+	}, data)
+	if err != nil {
+		return nil, err
 	}
-	return srv, rl, nil
+	if len(s.fleet.EntryPoints()) == 0 {
+		return nil, fmt.Errorf("the query has no unconditional zero-argument Skolem creation to serve as an entry point")
+	}
+	s.edge = fleet.NewEdge(s.fleet)
+	s.edge.StaleFor = cfg.staleFor
+	s.edge.RequestTimeout = cfg.requestTimeout
+	s.edge.MaxInflight = cfg.maxInflight
+	s.edge.Obs = s.fleetObs
+	s.edge.ServeObs = s.serveObs
+	if s.reloader != nil {
+		// Hot reloads swap every replica of every shard in lockstep.
+		s.reloader.AttachSwapper(s.fleet, s.edge.Health)
+	}
+	if cfg.queryAPI {
+		s.query = &queryapi.Service{
+			Backend: s.fleet,
+			Limits: queryapi.Limits{
+				MaxRows:         cfg.queryMaxRows,
+				MaxNFAStates:    cfg.queryMaxNFAStates,
+				Timeout:         cfg.queryTimeout,
+				DefaultPageSize: cfg.queryPageSize,
+				MaxPageSize:     cfg.queryMaxPageSize,
+			},
+			Obs:         s.queryObs,
+			MaxInflight: cfg.queryMaxInflight,
+		}
+	}
+	return s, nil
 }

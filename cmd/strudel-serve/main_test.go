@@ -46,11 +46,16 @@ func TestBuildServerAndServe(t *testing.T) {
 	rootTmpl := write(t, dir, "Root.tmpl", `<h1><SFMT title></h1><SFMT pub UL TEXT=title>`)
 	pageTmpl := write(t, dir, "Page.tmpl", `<b><SFMT title></b>`)
 
-	srv, rl, err := buildServer([]string{ddl}, nil, []string{"Root=" + rootTmpl, "Page=" + pageTmpl}, query, true)
+	srv, err := buildServer(config{
+		dataFiles: []string{ddl},
+		templates: []string{"Root=" + rootTmpl, "Page=" + pageTmpl},
+		queryFile: query,
+		lookahead: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rl == nil {
+	if srv.reloader == nil {
 		t.Fatal("a server with data files should have a reloader")
 	}
 	hs := httptest.NewServer(srv.Handler())
@@ -89,7 +94,7 @@ func TestBuildServerHotReload(t *testing.T) {
 	dir := t.TempDir()
 	ddl := write(t, dir, "d.ddl", testDDL)
 	query := write(t, dir, "q.struql", testQuery)
-	srv, rl, err := buildServer([]string{ddl}, nil, nil, query, false)
+	srv, err := buildServer(config{dataFiles: []string{ddl}, queryFile: query})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +107,7 @@ func TestBuildServerHotReload(t *testing.T) {
 	write(t, dir, "d.ddl", testDDL+`
 node p3 in Pubs { title "Reloaded"; }
 `)
-	rl.Tick(time.Now())
+	srv.reloader.Tick(time.Now())
 	found := false
 	for i := 0; i < 50 && !found; i++ {
 		found = strings.Contains(get(t, hs.URL+"/"), "Page(p3)")
@@ -137,20 +142,20 @@ func TestBuildServerErrors(t *testing.T) {
 		fn   func() error
 	}{
 		{"no query", func() error {
-			_, _, err := buildServer(nil, nil, nil, "", false)
+			_, err := buildServer(config{})
 			return err
 		}},
 		{"bad template spec", func() error {
-			_, _, err := buildServer(nil, nil, []string{"noequals"}, query, false)
+			_, err := buildServer(config{templates: []string{"noequals"}, queryFile: query})
 			return err
 		}},
 		{"missing data file", func() error {
-			_, _, err := buildServer([]string{"/nonexistent.ddl"}, nil, nil, query, false)
+			_, err := buildServer(config{dataFiles: []string{"/nonexistent.ddl"}, queryFile: query})
 			return err
 		}},
 		{"no entry point", func() error {
 			q2 := write(t, dir, "q2.struql", `where Pubs(x) create P(x)`)
-			_, _, err := buildServer(nil, nil, nil, q2, false)
+			_, err := buildServer(config{queryFile: q2})
 			return err
 		}},
 	}

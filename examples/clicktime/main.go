@@ -18,8 +18,11 @@ import (
 	"strings"
 
 	"strudel/internal/dynamic"
+	"strudel/internal/fleet"
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
+	"strudel/internal/obs"
+	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/sites"
 	"strudel/internal/struql"
@@ -42,26 +45,37 @@ func main() {
 		log.Fatal(err)
 	}
 	q := struql.MustParse(sites.CNNQuery)
-	ev := dynamic.NewEvaluator(schema.Build(q), data)
-	ev.Lookahead = true
 
 	ts := template.NewSet()
 	ts.MustAdd("FrontPage", `<h1><SFMT name></h1><SFMT Category UL TEXT=name>`)
 	ts.MustAdd("CategoryPage", `<h1><SFMT name></h1><SFMT Story EMBED UL>`)
 	ts.MustAdd("Summary", `<SFMT FullStory TEXT=title>`)
 	ts.MustAdd("ArticlePage", `<h1><SFMT title></h1><p><SFMT body></p>`)
-	srv := dynamic.NewServer(ev, ts)
-	srv.Root = dynamic.PageRef{Fn: "FrontPage"}
+	perFn := map[string]string{}
 	for _, fn := range []string{"FrontPage", "CategoryPage", "Summary", "ArticlePage"} {
-		srv.PerFn[fn] = fn
+		perFn[fn] = fn
 	}
+	// A single server is a fleet of one shard with one replica behind the
+	// page edge; the evaluator's work shows in its metrics.
+	var work obs.ServeMetrics
+	fl, err := fleet.New(fleet.Config{
+		Schema: schema.Build(q), Templates: ts, PerFn: perFn,
+		Lookahead: true, ServeObs: &work,
+	}, data)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var edgeObs obs.FleetMetrics
+	edge := fleet.NewEdge(fl)
+	edge.Root = dynamic.PageRef{Fn: "FrontPage"}
+	edge.Obs = &edgeObs
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ln.Close()
-	go func() { _ = http.Serve(ln, srv.Handler()) }()
+	go func() { _ = http.Serve(ln, edge.Handler()) }()
 	base := "http://" + ln.Addr().String()
 	fmt.Printf("click-time server on %s\n\n", base)
 
@@ -71,27 +85,33 @@ func main() {
 	link := firstPageLink(front)
 	cat := get(base + link)
 	fmt.Printf("GET %s → %d bytes\n", link, len(cat))
-	st := ev.StatsSnapshot()
+	computed, queries, hits := work.PagesComputed.Load(), work.QueriesRun.Load(), work.PageCacheHits.Load()
 	fmt.Printf("work so far: %d pages computed, %d incremental queries, %d cache hits\n\n",
-		st.PagesComputed, st.QueriesRun, st.CacheHits)
+		computed, queries, hits)
 
-	// Re-fetch: everything is cached.
+	// Re-fetch: the edge answers from its page cache, the evaluator does
+	// nothing.
 	get(base + "/")
 	get(base + link)
-	st2 := ev.StatsSnapshot()
-	fmt.Printf("after re-browsing: +%d pages computed, +%d cache hits\n\n",
-		st2.PagesComputed-st.PagesComputed, st2.CacheHits-st.CacheHits)
+	fmt.Printf("after re-browsing: +%d pages computed, %d edge cache hits\n\n",
+		work.PagesComputed.Load()-computed, edgeObs.CacheHits.Load())
 
 	// A data change invalidates exactly the affected cached pages.
-	dropped := ev.Invalidate(&mediator.Delta{
+	delta := &mediator.Delta{
 		AddedMembers: []mediator.Membership{{Coll: "Articles", OID: "breaking"}},
 		AddedEdges: []graph.Edge{
 			{From: "breaking", Label: "category", To: graph.NewString("world")},
 			{From: "breaking", Label: "title", To: graph.NewString("Breaking news")},
 		},
-	})
-	fmt.Printf("data change (new article) invalidated %d cached pages; cache now holds %d\n",
-		dropped, ev.CacheSize())
+	}
+	g := med.DataGraph()
+	g.AddToCollection("Articles", "breaking")
+	for _, e := range delta.AddedEdges {
+		g.AddEdge(e.From, e.Label, e.To)
+	}
+	kept, dropped := fl.SwapData(repo.NewIndexed(g), delta)
+	fmt.Printf("data change (new article) invalidated %d cached pages; %d carried over\n",
+		dropped, kept)
 }
 
 func get(url string) string {

@@ -1,17 +1,12 @@
 package dynamic
 
 import (
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
 	"strudel/internal/schema"
 	"strudel/internal/struql"
-	"strudel/internal/template"
 )
 
 const siteQuery = `
@@ -188,70 +183,6 @@ func TestInvalidate(t *testing.T) {
 	if ev.CacheSize() != 0 {
 		t.Error("cache should be empty")
 	}
-}
-
-func TestServerServesPages(t *testing.T) {
-	ev, _ := newEvaluator(t, testData())
-	ts := template.NewSet()
-	ts.MustAdd("RootPage", `<h1><SFMT title></h1><SFMT YearPage UL ORDER=ascend KEY=Year>`)
-	ts.MustAdd("YearPage", `<h1>Year <SFMT Year></h1><SFMT Paper UL>`)
-	ts.MustAdd("PaperPage", `<b><SFMT title></b>`)
-	srv := NewServer(ev, ts)
-	srv.PerFn["RootPage"] = "RootPage"
-	srv.PerFn["YearPage"] = "YearPage"
-	srv.PerFn["PaperPage"] = "PaperPage"
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	body := get(t, hs.URL+"/")
-	if !strings.Contains(body, "<h1>Home</h1>") {
-		t.Errorf("root body:\n%s", body)
-	}
-	// Follow the first year-page link.
-	idx := strings.Index(body, `/page/`)
-	if idx < 0 {
-		t.Fatalf("no page link in root:\n%s", body)
-	}
-	end := strings.IndexByte(body[idx:], '"')
-	link := body[idx : idx+end]
-	yearBody := get(t, hs.URL+link)
-	if !strings.Contains(yearBody, "Year 1997") {
-		t.Errorf("year body:\n%s", yearBody)
-	}
-	// Unknown page → 404.
-	resp, err := http.Get(hs.URL + "/page/Nope()")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("status = %d", resp.StatusCode)
-	}
-}
-
-func TestServerDefaultTemplate(t *testing.T) {
-	ev, _ := newEvaluator(t, testData())
-	srv := NewServer(ev, template.NewSet())
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	body := get(t, hs.URL+"/")
-	if !strings.Contains(body, "<dt>title</dt><dd>Home</dd>") {
-		t.Errorf("default rendering:\n%s", body)
-	}
-}
-
-func get(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }
 
 func TestPageRefArgsMismatchIgnored(t *testing.T) {

@@ -1,7 +1,15 @@
 package dynamic
 
-// The publications fixture, shared with the external dynamic_test
-// package (which may import ivm, a package that imports this one).
-const SiteQuery = siteQuery
+// Fixtures shared with the external dynamic_test package, which may
+// import packages that import this one (ivm, fleet): the publications
+// site, and the slow query whose evaluation over a delayed FaultSource
+// takes long enough to observe deadlines and shedding.
+const (
+	SiteQuery = siteQuery
+	SlowQuery = slowQuery
+)
 
-var FixtureData = testData
+var (
+	FixtureData = testData
+	SlowData    = slowData
+)

@@ -1,14 +1,9 @@
 package dynamic
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"log"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -115,146 +110,6 @@ func TestCancelledRequestStopsEvaluation(t *testing.T) {
 	}
 }
 
-func TestRequestDeadlineMapsTo504(t *testing.T) {
-	fs := NewFaultSource(struql.NewGraphSource(slowData(256)), time.Millisecond)
-	ev := NewEvaluator(schema.Build(struql.MustParse(slowQuery)), fs)
-	srv := NewServer(ev, template.NewSet())
-	srv.RequestTimeout = 20 * time.Millisecond
-	srv.Logger = log.New(&bytes.Buffer{}, "", 0)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	resp, err := http.Get(hs.URL + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readBody(t, resp)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Errorf("status = %d, want 504 (body %q)", resp.StatusCode, body)
-	}
-	if !strings.Contains(body, "request timed out") {
-		t.Errorf("body = %q", body)
-	}
-}
-
-func TestSheddingAndHealthzBypass(t *testing.T) {
-	fs := NewFaultSource(struql.NewGraphSource(slowData(64)), 2*time.Millisecond)
-	ev := NewEvaluator(schema.Build(struql.MustParse(slowQuery)), fs)
-	srv := NewServer(ev, template.NewSet())
-	srv.MaxInflight = 1
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	// Occupy the one slot with a slow request...
-	firstDone := make(chan int, 1)
-	go func() {
-		resp, err := http.Get(hs.URL + "/")
-		if err != nil {
-			firstDone <- -1
-			return
-		}
-		resp.Body.Close()
-		firstDone <- resp.StatusCode
-	}()
-	for fs.Ops() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-
-	// ...then excess page load is shed with 503 + Retry-After...
-	resp, err := http.Get(hs.URL + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	readBody(t, resp)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("503 without Retry-After")
-	}
-
-	// ...but /healthz bypasses shedding so the saturated server can still
-	// be probed.
-	resp, err = http.Get(hs.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body := readBody(t, resp); resp.StatusCode != http.StatusOK || !strings.Contains(body, `"status"`) {
-		t.Errorf("healthz status = %d, body %q", resp.StatusCode, body)
-	}
-
-	if code := <-firstDone; code != http.StatusOK {
-		t.Errorf("occupying request finished with %d", code)
-	}
-}
-
-// panicSource panics on first use — a stand-in for any unexpected
-// handler-path failure.
-type panicSource struct {
-	struql.Source
-}
-
-func (panicSource) Collection(string) []graph.OID { panic("secret internal detail") }
-
-func TestPanicRecoverySanitizes500(t *testing.T) {
-	ev := NewEvaluator(schema.Build(struql.MustParse(siteQuery)),
-		panicSource{struql.NewGraphSource(testData())})
-	var logged bytes.Buffer
-	srv := NewServer(ev, template.NewSet())
-	srv.Logger = log.New(&logged, "", 0)
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-	resp, err := http.Get(hs.URL + "/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readBody(t, resp)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Errorf("status = %d, want 500", resp.StatusCode)
-	}
-	if strings.Contains(body, "secret") {
-		t.Errorf("panic detail leaked to client: %q", body)
-	}
-	if !strings.Contains(body, "internal server error") {
-		t.Errorf("body = %q", body)
-	}
-	if !strings.Contains(logged.String(), "secret internal detail") {
-		t.Error("panic detail missing from server-side log")
-	}
-}
-
-func TestFailRequestSanitizesErrors(t *testing.T) {
-	var logged bytes.Buffer
-	s := &Server{Logger: log.New(&logged, "", 0)}
-	req := httptest.NewRequest("GET", "/page/x", nil)
-
-	w := httptest.NewRecorder()
-	s.failRequest(w, req, fmt.Errorf("page: %w", context.DeadlineExceeded))
-	if w.Code != http.StatusGatewayTimeout {
-		t.Errorf("deadline: status = %d", w.Code)
-	}
-
-	// A client disconnect gets no response body: nobody is listening.
-	w = httptest.NewRecorder()
-	s.failRequest(w, req, fmt.Errorf("page: %w", context.Canceled))
-	if w.Body.Len() != 0 {
-		t.Errorf("cancel: wrote body %q", w.Body.String())
-	}
-
-	// Internal errors are logged in full but the client sees only a
-	// generic message — error strings can embed data values and internals.
-	w = httptest.NewRecorder()
-	s.failRequest(w, req, errors.New("confidential: /etc/site/pubs.ddl:17"))
-	if w.Code != http.StatusInternalServerError {
-		t.Errorf("internal: status = %d", w.Code)
-	}
-	if got := w.Body.String(); strings.Contains(got, "confidential") || !strings.Contains(got, "internal server error") {
-		t.Errorf("internal: body = %q", got)
-	}
-	if !strings.Contains(logged.String(), "confidential: /etc/site/pubs.ddl:17") {
-		t.Error("error detail missing from server-side log")
-	}
-}
-
 func TestEmbedCycleDegradesToReference(t *testing.T) {
 	q := struql.MustParse(`
 create A()
@@ -267,7 +122,7 @@ link A() -> "title" -> "a-title",
 	ts := template.NewSet()
 	ts.MustAdd("A", `A[<SFMT next EMBED>]`)
 	ts.MustAdd("B", `B{<SFMT back EMBED>}`)
-	srv := NewServer(ev, ts)
+	srv := NewRenderer(ev, ts)
 	srv.PerFn["A"] = "A"
 	srv.PerFn["B"] = "B"
 	out, err := srv.RenderPage(PageRef{Fn: "A"})
@@ -289,7 +144,7 @@ link C() -> "self" -> C()
 	ev := NewEvaluator(schema.Build(q), struql.NewGraphSource(graph.New()))
 	ts := template.NewSet()
 	ts.MustAdd("C", `C(<SFMT self EMBED>)`)
-	srv := NewServer(ev, ts)
+	srv := NewRenderer(ev, ts)
 	srv.PerFn["C"] = "C"
 	out, err := srv.RenderPage(PageRef{Fn: "C"})
 	if err != nil {
@@ -298,14 +153,4 @@ link C() -> "self" -> C()
 	if out != `C(<a href="/page/C%28%29">C()</a>)` {
 		t.Errorf("self-cycle render = %q", out)
 	}
-}
-
-func readBody(t *testing.T, resp *http.Response) string {
-	t.Helper()
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
 }

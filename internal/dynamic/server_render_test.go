@@ -47,8 +47,7 @@ func TestServerEmbedsDynamicPages(t *testing.T) {
 	ts.MustAdd("header", `<i>dyn</i>`)
 	ts.MustAdd("Root", `<SINCLUDE header><h1><SFMT title></h1><SFMT Card EMBED UL>`)
 	ts.MustAdd("Card", `[<SFMT name>|<SFMT pic>|<SFMT self EMBED>]`)
-	srv := NewServer(ev, ts)
-	srv.Root = PageRef{Fn: "Root"}
+	srv := NewRenderer(ev, ts)
 	srv.PerFn["Root"] = "Root"
 	srv.PerFn["Card"] = "Card"
 	out, err := srv.RenderPage(PageRef{Fn: "Root"})
@@ -79,7 +78,7 @@ func TestServerEmbedWithoutTemplateUsesListing(t *testing.T) {
 	ev := NewEvaluator(schema.Build(q), struql.NewGraphSource(embedData()))
 	ts := template.NewSet()
 	ts.MustAdd("Root", `<SFMT Card EMBED>`)
-	srv := NewServer(ev, ts)
+	srv := NewRenderer(ev, ts)
 	srv.PerFn["Root"] = "Root"
 	out, err := srv.RenderPage(PageRef{Fn: "Root"})
 	if err != nil {

@@ -2,12 +2,9 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log"
 	"net/http"
-	"net/url"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -15,6 +12,7 @@ import (
 	"strudel/internal/dynamic"
 	"strudel/internal/htmlgen"
 	"strudel/internal/obs"
+	"strudel/internal/spine"
 )
 
 // Cluster is what the edge fronts: something that can route a page key
@@ -37,8 +35,8 @@ type Cluster interface {
 // generation), serves conditional GETs with generation-scoped ETags and
 // Last-Modified, serves stale pages inside a bounded
 // stale-while-revalidate window after a hot reload (refreshing in the
-// background), and degrades to 503 + Retry-After when a shard has no
-// live replica.
+// background), and degrades to a typed 503 + Retry-After when a shard
+// has no live replica.
 //
 // Cache coherence is by generation, not TTL: a swap bumps the fleet
 // generation, which instantly reclassifies every cached page as stale —
@@ -66,6 +64,9 @@ type Edge struct {
 	Health *dynamic.Health
 	// Obs receives edge counters and latency; nil disables.
 	Obs *obs.FleetMetrics
+	// ServeObs receives the page front's in-flight gauge and its shed,
+	// timeout and panic counters; nil disables.
+	ServeObs *obs.ServeMetrics
 	// Logger receives server-side error detail; nil uses the default.
 	Logger *log.Logger
 	// Now is the clock used for staleness decisions; nil means time.Now.
@@ -137,105 +138,61 @@ func ETag(gen int64, body string) string {
 	return fmt.Sprintf(`"g%d-%s"`, gen, htmlgen.PageHash(body))
 }
 
-// Handler returns the edge's HTTP handler:
-// recovery(healthz | shed(deadline(metrics(pages)))), the same
-// middleware contract as the single-evaluator server.
+// Handler returns the edge's HTTP handler: every route behind the
+// serving spine's chain, /healthz outside its shedding and deadline so
+// a saturated edge can still be probed.
 func (e *Edge) Handler() http.Handler {
 	e.init()
+	c := &spine.Chain{
+		Name:        "edge",
+		Logger:      e.Logger,
+		Timeout:     e.RequestTimeout,
+		MaxInflight: e.MaxInflight,
+		Bypass:      map[string]http.HandlerFunc{"/healthz": e.serveHealth},
+	}
+	if m := e.Obs; m != nil {
+		c.Metrics.Requests, c.Metrics.Latency = &m.EdgeRequests, &m.EdgeNanos
+	}
+	if m := e.ServeObs; m != nil {
+		c.Metrics.InFlight, c.Metrics.Shed = &m.InFlight, &m.Shed
+		c.Metrics.Timeouts, c.Metrics.Panics = &m.Timeouts, &m.Panics
+	}
 	pages := http.NewServeMux()
 	pages.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
-			http.NotFound(w, r)
+			spine.NotFound(w, r)
 			return
 		}
 		root := e.Root
 		if root.Fn == "" {
 			roots := e.Cluster.EntryPoints()
 			if len(roots) == 0 {
-				http.Error(w, "site has no entry points", http.StatusNotFound)
+				spine.Write(w, &spine.Error{Code: spine.CodeNotFound, Message: "site has no entry points"})
 				return
 			}
 			root = roots[0]
 		}
-		e.servePage(w, r, EncodeRef(root), root)
+		if err := e.servePage(w, r, EncodeRef(root), root); err != nil {
+			c.Fail(w, r, err)
+		}
 	})
 	pages.HandleFunc("/page/", func(w http.ResponseWriter, r *http.Request) {
-		raw := strings.TrimPrefix(r.URL.Path, "/page/")
-		key, err := url.PathUnescape(raw)
+		ref, err := refFromPath(r.URL.Path)
 		if err != nil {
-			http.Error(w, "bad page key", http.StatusBadRequest)
-			return
-		}
-		ref, err := DecodeRef(key)
-		if err != nil {
-			http.Error(w, "bad page key", http.StatusBadRequest)
+			spine.Write(w, &spine.Error{Code: spine.CodeBadRequest, Message: "bad page key"})
 			return
 		}
 		if !e.Cluster.KnownFn(ref.Fn) {
-			http.Error(w, "unknown page "+ref.Fn, http.StatusNotFound)
+			spine.Write(w, &spine.Error{Code: spine.CodeNotFound, Message: "unknown page " + ref.Fn})
 			return
 		}
 		// Canonicalize so cache keys and routing are independent of how
 		// the client spelled the key.
-		e.servePage(w, r, EncodeRef(ref), ref)
-	})
-
-	root := http.NewServeMux()
-	root.HandleFunc("/healthz", e.serveHealth)
-	root.Handle("/", e.withShedding(e.withDeadline(e.withMetrics(pages))))
-	return e.withRecovery(root)
-}
-
-func (e *Edge) withMetrics(next http.Handler) http.Handler {
-	if e.Obs == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		e.Obs.EdgeRequests.Inc()
-		start := time.Now()
-		defer func() { e.Obs.EdgeNanos.Observe(int64(time.Since(start))) }()
-		next.ServeHTTP(w, r)
-	})
-}
-
-func (e *Edge) withRecovery(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				e.logf("fleet: panic serving %s: %v\n%s", r.URL.Path, rec, debug.Stack())
-				http.Error(w, "internal server error", http.StatusInternalServerError)
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-func (e *Edge) withShedding(next http.Handler) http.Handler {
-	if e.MaxInflight <= 0 {
-		return next
-	}
-	sem := make(chan struct{}, e.MaxInflight)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
-			next.ServeHTTP(w, r)
-		default:
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, "server overloaded, retry shortly", http.StatusServiceUnavailable)
+		if err := e.servePage(w, r, EncodeRef(ref), ref); err != nil {
+			c.Fail(w, r, err)
 		}
 	})
-}
-
-func (e *Edge) withDeadline(next http.Handler) http.Handler {
-	if e.RequestTimeout <= 0 {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), e.RequestTimeout)
-		defer cancel()
-		next.ServeHTTP(w, r.WithContext(ctx))
-	})
+	return c.Handler(pages)
 }
 
 func (e *Edge) serveHealth(w http.ResponseWriter, r *http.Request) {
@@ -349,8 +306,9 @@ func (e *Edge) revalidate(key string, ref dynamic.PageRef) {
 //     exception: a validator cannot be confirmed against a stale entry,
 //     so they revalidate synchronously — which is what makes "304 until
 //     reload, 200 with a new ETag right after" observable.
-//   - otherwise → fetch synchronously from the owning shard.
-func (e *Edge) servePage(w http.ResponseWriter, r *http.Request, key string, ref dynamic.PageRef) {
+//   - otherwise → fetch synchronously from the owning shard; a failed
+//     fetch is returned for the chain to answer, with nothing written.
+func (e *Edge) servePage(w http.ResponseWriter, r *http.Request, key string, ref dynamic.PageRef) error {
 	cur := e.Cluster.Generation()
 	ent := e.lookup(key)
 	conditional := r.Header.Get("If-None-Match") != "" || r.Header.Get("If-Modified-Since") != ""
@@ -375,13 +333,13 @@ func (e *Edge) servePage(w http.ResponseWriter, r *http.Request, key string, ref
 		}
 		fresh, err := e.fetch(r.Context(), key, ref)
 		if err != nil {
-			e.failRequest(w, r, err)
-			return
+			return err
 		}
 		e.store(key, fresh)
 		ent = fresh
 	}
 	e.writeEntry(w, r, ent)
+	return nil
 }
 
 // writeEntry emits a cache entry, honoring conditional validators.
@@ -426,38 +384,6 @@ func ETagMatch(header, etag string) bool {
 		}
 	}
 	return false
-}
-
-// failRequest maps fetch errors to responses: a dead shard is 503 +
-// Retry-After (the fleet may heal), a deadline 504, everything else a
-// sanitized 500 with detail logged server-side only.
-func (e *Edge) failRequest(w http.ResponseWriter, r *http.Request, err error) {
-	var down ErrShardDown
-	switch {
-	case errors.As(err, &down):
-		e.logf("fleet: %s: %v", r.URL.Path, err)
-		w.Header().Set("Retry-After", retryAfterSeconds(down.RetryAfter))
-		http.Error(w, "shard unavailable, retry shortly", http.StatusServiceUnavailable)
-	case errors.Is(err, context.DeadlineExceeded):
-		e.logf("fleet: %s: request deadline exceeded: %v", r.URL.Path, err)
-		http.Error(w, "request timed out", http.StatusGatewayTimeout)
-	case errors.Is(err, context.Canceled):
-		e.logf("fleet: %s: request cancelled by client: %v", r.URL.Path, err)
-	default:
-		e.logf("fleet: %s: internal error: %v", r.URL.Path, err)
-		http.Error(w, "internal server error", http.StatusInternalServerError)
-	}
-}
-
-// retryAfterSeconds formats a recovery hint as a Retry-After header
-// value: whole seconds, rounded up, at least 1 (clients treat 0 as
-// "retry immediately", which defeats the point of the hint).
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return fmt.Sprintf("%d", secs)
 }
 
 // CacheSize returns the number of cached pages (for /healthz and

@@ -13,6 +13,7 @@ import (
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
 	"strudel/internal/schema"
+	"strudel/internal/spine"
 	"strudel/internal/struql"
 	"strudel/internal/template"
 )
@@ -22,7 +23,7 @@ import (
 type Config struct {
 	// Schema is the site schema (required).
 	Schema *schema.Schema
-	// Templates and the PerFn/Default selection mirror dynamic.Server.
+	// Templates and the PerFn/Default selection mirror dynamic.Renderer.
 	Templates *template.Set
 	PerFn     map[string]string
 	Default   string
@@ -61,6 +62,13 @@ func (e ErrShardDown) Error() string {
 	return fmt.Sprintf("fleet: shard %d has no live replica", e.Shard)
 }
 
+// TypedError places a dead shard in the serving taxonomy: a 503 whose
+// Retry-After is the recovery estimate.
+func (e ErrShardDown) TypedError() *spine.Error {
+	return &spine.Error{Code: spine.CodeUnavailable, RetryAfter: spine.RetryAfterSeconds(e.RetryAfter),
+		Message: fmt.Sprintf("shard %d has no live replica", e.Shard)}
+}
+
 // Replica is one serving unit of one shard: its own evaluator (page
 // cache, Skolem environment) and its own renderer over the generation's
 // shared immutable snapshot. Replicas of the same shard answer the same
@@ -69,7 +77,7 @@ func (e ErrShardDown) Error() string {
 type Replica struct {
 	shard, index int
 	ev           *dynamic.Evaluator
-	srv          *dynamic.Server
+	srv          *dynamic.Renderer
 
 	// life is cancelled by Kill, so in-flight renders on a killed
 	// replica stop promptly instead of hanging toward their deadline.
@@ -115,12 +123,25 @@ func (r *Replica) lifeCtx() (context.Context, bool) {
 	return r.life, r.down
 }
 
+// guard turns a panic in site code (evaluation, templates) into an
+// error (spine.Recovered). Replica attempts run on goroutines of their own,
+// out of reach of any handler's recovery, so an unrecovered panic there
+// would take the whole process down; as an error it answers one request
+// with a 500 and is not failed over, since a sibling holding the same
+// generation would panic the same way.
+func guard(err *error) {
+	if p := recover(); p != nil {
+		*err = spine.Recovered(p)
+	}
+}
+
 // Render renders one page on this replica, reporting the data
 // generation every byte was computed from. A killed replica refuses
 // immediately; a kill mid-render cancels the evaluation and reports
 // ErrReplicaDown so the caller fails over instead of surfacing a
 // spurious cancellation.
-func (r *Replica) Render(ctx context.Context, ref dynamic.PageRef) (string, int64, error) {
+func (r *Replica) Render(ctx context.Context, ref dynamic.PageRef) (_ string, _ int64, err error) {
+	defer guard(&err)
 	life, down := r.lifeCtx()
 	if down {
 		return "", 0, ErrReplicaDown
@@ -209,7 +230,7 @@ func New(cfg Config, src struql.Source) (*Fleet, error) {
 			ev := dynamic.NewEvaluator(cfg.Schema, src)
 			ev.Obs = cfg.ServeObs
 			ev.Lookahead = cfg.Lookahead
-			srv := dynamic.NewServer(ev, cfg.Templates)
+			srv := dynamic.NewRenderer(ev, cfg.Templates)
 			srv.PerFn = cfg.PerFn
 			if srv.PerFn == nil {
 				srv.PerFn = map[string]string{}

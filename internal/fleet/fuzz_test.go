@@ -1,8 +1,13 @@
 package fleet
 
 import (
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"strudel/internal/spine"
 )
 
 // FuzzDecodeRef feeds arbitrary page keys — the edge parses them
@@ -70,6 +75,53 @@ func FuzzETagMatch(f *testing.F) {
 		}
 		if weak := strings.Join(parts, ","); ETagMatch(weak, etag) != got {
 			t.Fatalf("ETagMatch(%q, %q) = %v but weakened %q gives %v", header, etag, got, weak, !got)
+		}
+	})
+}
+
+// FuzzPageRequest throws arbitrary request paths, and deadline headers
+// for the replica, at both page fronts — the edge and the replica
+// server — which parse /page/<key> and X-Strudel-Deadline-Ms straight off
+// the wire. Neither may panic or answer 500: a page renders, a redirect
+// cleans the path, and everything else is a typed envelope with a known
+// code (a deadline too short to render in is the one 5xx, typed 504).
+func FuzzPageRequest(f *testing.F) {
+	for _, s := range [][2]string{
+		{"/", ""}, {"/page/Root", "5000"}, {"/page/Pub;npub01", "1"}, {"/page/Year;i1994", "-3"},
+		{"/page/Nope", ""}, {"/page/Pub;%zz", "x"}, {"/page/", "9999999999999999999999"},
+		{"/page/Tag;sdb%3B", "0"}, {"/healthz", ""}, {"//page/../Root", ""}, {"/query", "12"},
+	} {
+		f.Add(s[0], s[1])
+	}
+	fl := newTestFleet(f, buildSchema(f), genSiteData(9), 1, 1)
+	fronts := map[string]http.Handler{
+		"edge":    quiet(NewEdge(fl)).Handler(),
+		"replica": ReplicaHandler(fl.Replica(0, 0)),
+	}
+	f.Fuzz(func(t *testing.T, path, deadline string) {
+		for name, h := range fronts {
+			req := httptest.NewRequest(http.MethodGet, "/", nil)
+			req.URL.Path = path
+			req.Header.Set(deadlineHeader, deadline)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			switch {
+			case w.Code == http.StatusOK || w.Code == http.StatusMovedPermanently:
+				continue
+			case w.Code >= 500 && w.Code != http.StatusGatewayTimeout:
+				t.Fatalf("%s: %q (deadline %q) = %d: %s", name, path, deadline, w.Code, w.Body.String())
+			}
+			var env struct {
+				Error *spine.Error `json:"error"`
+			}
+			if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error == nil {
+				t.Fatalf("%s: %q = %d without a typed envelope: %q", name, path, w.Code, w.Body.String())
+			}
+			switch env.Error.Code {
+			case spine.CodeBadRequest, spine.CodeNotFound, spine.CodeDeadline:
+			default:
+				t.Fatalf("%s: %q = %d with unexpected code %q", name, path, w.Code, env.Error.Code)
+			}
 		}
 	})
 }

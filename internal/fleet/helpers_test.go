@@ -106,20 +106,20 @@ func buildSchema(t testing.TB) *schema.Schema {
 	return schema.Build(struql.MustParse(oracleSiteQuery))
 }
 
-// newReference builds the single-evaluator reference server over a data
-// graph: a plain dynamic.Server whose only fleet-ism is the page-key
+// newReference builds the single-evaluator reference renderer over a data
+// graph: a plain dynamic.Renderer whose only fleet-ism is the page-key
 // URL scheme, so its bytes are directly comparable with edge responses.
-func newReference(t testing.TB, s *schema.Schema, g *graph.Graph) *dynamic.Server {
+func newReference(t testing.TB, s *schema.Schema, g *graph.Graph) *dynamic.Renderer {
 	t.Helper()
 	ev := dynamic.NewEvaluator(s, repo.NewIndexed(g))
-	srv := dynamic.NewServer(ev, template.NewSet())
+	srv := dynamic.NewRenderer(ev, template.NewSet())
 	srv.PageURLFunc = func(ref dynamic.PageRef, _ graph.OID) string { return PageURL(ref) }
 	return srv
 }
 
 // crawlRefs walks the reference evaluator's page space breadth-first
 // from the entry points and returns every reachable page ref.
-func crawlRefs(t testing.TB, srv *dynamic.Server) []dynamic.PageRef {
+func crawlRefs(t testing.TB, srv *dynamic.Renderer) []dynamic.PageRef {
 	t.Helper()
 	var out []dynamic.PageRef
 	seen := map[string]bool{}

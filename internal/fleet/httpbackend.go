@@ -2,16 +2,16 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"time"
 
 	"strudel/internal/dynamic"
 	"strudel/internal/htmlgen"
+	"strudel/internal/spine"
 )
 
 // This file is the over-the-wire shard transport: a replica can be
@@ -43,29 +43,25 @@ const bodyHashHeader = "X-Strudel-Body-Hash"
 
 // ReplicaServer exposes one replica as an HTTP shard server:
 // GET /page/<key> renders the page and tags the response with the
-// replica's data generation and body checksum. Errors map like the
-// edge: dead replica 503 + Retry-After, deadline 504, other failures
-// sanitized 500.
+// replica's data generation and body checksum. It runs behind the same
+// spine chain as the edge, so errors take the one taxonomy: dead
+// replica 503 + Retry-After, deadline 504, other failures a sanitized
+// 500.
 type ReplicaServer struct {
 	Replica *Replica
 	// RetryAfter is the recovery hint advertised on a down replica's
-	// 503; 0 means 1s.
+	// 503, in whole seconds rounded up; 0 means 1s.
 	RetryAfter time.Duration
 }
 
 // Handler returns the replica server's HTTP handler.
 func (s *ReplicaServer) Handler() http.Handler {
+	c := &spine.Chain{Name: "replica"}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/page/", func(w http.ResponseWriter, r *http.Request) {
-		raw := strings.TrimPrefix(r.URL.Path, "/page/")
-		key, err := url.PathUnescape(raw)
+		ref, err := refFromPath(r.URL.Path)
 		if err != nil {
-			http.Error(w, "bad page key", http.StatusBadRequest)
-			return
-		}
-		ref, err := DecodeRef(key)
-		if err != nil {
-			http.Error(w, "bad page key", http.StatusBadRequest)
+			spine.Write(w, &spine.Error{Code: spine.CodeBadRequest, Message: "bad page key"})
 			return
 		}
 		ctx := r.Context()
@@ -75,20 +71,13 @@ func (s *ReplicaServer) Handler() http.Handler {
 			defer cancel()
 		}
 		body, gen, err := s.Replica.Render(ctx, ref)
-		if err != nil {
-			switch {
-			case err == ErrReplicaDown:
-				ra := s.RetryAfter
-				if ra <= 0 {
-					ra = time.Second
-				}
-				w.Header().Set("Retry-After", retryAfterSeconds(ra))
-				http.Error(w, "replica down", http.StatusServiceUnavailable)
-			case ctx.Err() != nil:
-				http.Error(w, "request timed out", http.StatusGatewayTimeout)
-			default:
-				http.Error(w, "internal server error", http.StatusInternalServerError)
-			}
+		switch {
+		case errors.Is(err, ErrReplicaDown):
+			spine.Write(w, &spine.Error{Code: spine.CodeUnavailable, Message: "replica down",
+				RetryAfter: spine.RetryAfterSeconds(s.RetryAfter)})
+			return
+		case err != nil:
+			c.Fail(w, r, err)
 			return
 		}
 		w.Header().Set(genHeader, strconv.FormatInt(gen, 10))
@@ -96,7 +85,8 @@ func (s *ReplicaServer) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/html; charset=utf-8")
 		io.WriteString(w, body)
 	})
-	return mux
+	mux.HandleFunc("/", spine.NotFound)
+	return c.Handler(mux)
 }
 
 // ReplicaHandler exposes one replica as an HTTP shard server with

@@ -17,7 +17,7 @@ import (
 // stale, before and after a mid-run hot reload, in-process or over real
 // HTTP — must be byte-identical to what a single evaluator answers
 // directly for the same data generation. The reference is computed per
-// generation with dynamic.Server over a plain indexed graph (the direct
+// generation with dynamic.Renderer over a plain indexed graph (the direct
 // EvalWhere path); the fleet path adds SGB2 snapshot replication,
 // consistent-hash routing, replica rotation, the edge cache, and
 // optionally an HTTP hop, none of which may change a byte.
@@ -26,19 +26,19 @@ import (
 // renders.
 type refOracle struct {
 	t      *testing.T
-	refs   map[int64]*dynamic.Server
+	refs   map[int64]*dynamic.Renderer
 	bodies map[int64]map[string]string
 }
 
 func newRefOracle(t *testing.T) *refOracle {
 	return &refOracle{
 		t:      t,
-		refs:   map[int64]*dynamic.Server{},
+		refs:   map[int64]*dynamic.Renderer{},
 		bodies: map[int64]map[string]string{},
 	}
 }
 
-func (o *refOracle) addGen(gen int64, srv *dynamic.Server) {
+func (o *refOracle) addGen(gen int64, srv *dynamic.Renderer) {
 	o.refs[gen] = srv
 	o.bodies[gen] = map[string]string{}
 }

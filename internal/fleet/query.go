@@ -18,8 +18,9 @@ import (
 // snapshot, handing it the source and generation from one atomic read.
 // A killed replica refuses immediately; a kill mid-evaluation cancels
 // the closure's context and reports ErrReplicaDown so the caller fails
-// over — the same life-context discipline Render uses.
-func (r *Replica) EvalSource(ctx context.Context, fn func(context.Context, struql.Source, int64) (string, error)) (string, int64, error) {
+// over — the same life-context and panic discipline Render uses.
+func (r *Replica) EvalSource(ctx context.Context, fn func(context.Context, struql.Source, int64) (string, error)) (_ string, _ int64, err error) {
+	defer guard(&err)
 	life, down := r.lifeCtx()
 	if down {
 		return "", 0, ErrReplicaDown

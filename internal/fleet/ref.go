@@ -15,6 +15,7 @@ package fleet
 
 import (
 	"fmt"
+	"net/url"
 	"strings"
 
 	"strudel/internal/dynamic"
@@ -115,10 +116,20 @@ func DecodeRef(key string) (dynamic.PageRef, error) {
 
 // PageURL is the edge's URL for a page ref: /page/<escaped page key>.
 // It is the scheme replicas embed in rendered links (via
-// dynamic.Server.PageURLFunc), so a page rendered by any replica links
+// dynamic.Renderer.PageURLFunc), so a page rendered by any replica links
 // to URLs any other replica can resolve.
 func PageURL(ref dynamic.PageRef) string {
 	return "/page/" + urlEscapeKey(EncodeRef(ref))
+}
+
+// refFromPath decodes the page ref a PageURL path names; the edge and
+// the replica server both route by it.
+func refFromPath(path string) (dynamic.PageRef, error) {
+	key, err := url.PathUnescape(strings.TrimPrefix(path, "/page/"))
+	if err != nil {
+		return dynamic.PageRef{}, err
+	}
+	return DecodeRef(key)
 }
 
 // urlEscapeKey percent-encodes a page key for use as one URL path

@@ -270,9 +270,8 @@ func TestRacedRegistryJSON(t *testing.T) {
 				sm.RecordLoad(int64(i), nil)
 				sm.RecordDelta(i)
 				gm.RecordWave(i%10, int64(i))
-				sv.Requests.Inc()
+				sv.Shed.Inc()
 				sv.InFlight.Inc()
-				sv.RequestNanos.Observe(int64(i))
 				sv.InFlight.Dec()
 			}
 		}(w)

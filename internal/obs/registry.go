@@ -394,10 +394,11 @@ func (m *GenMetrics) Snapshot() map[string]any {
 	}
 }
 
-// ServeMetrics instruments the dynamic click-time server: page-cache
-// behaviour, single-flight coalescing, request latency, load shedding,
-// and hot-reload outcomes. One instance is shared by the evaluator, the
-// HTTP server, and the reloader. Nil-safe throughout.
+// ServeMetrics instruments the click-time server: page-cache behaviour,
+// single-flight coalescing, load shedding, and hot-reload outcomes. One
+// instance is shared by every replica's evaluator, the page edge's
+// middleware chain, and the reloader; request counts and latency are
+// the edge's own (FleetMetrics). Nil-safe throughout.
 type ServeMetrics struct {
 	// PageCacheHits/Misses count page lookups served from (or missing)
 	// the per-generation page cache; Coalesced counts requests that
@@ -409,11 +410,9 @@ type ServeMetrics struct {
 	QueriesRun      Counter
 	// InFlight is the number of page requests currently being served.
 	InFlight Gauge
-	// RequestNanos is the page-request latency distribution.
-	RequestNanos Histogram
-	Requests     Counter
 	// Shed counts requests refused with 503; Timeouts requests that hit
-	// the per-request deadline; Panics recovered handler panics.
+	// the per-request deadline; Panics recovered panics, in a handler or
+	// in a replica's render.
 	Shed     Counter
 	Timeouts Counter
 	Panics   Counter
@@ -440,8 +439,6 @@ func (m *ServeMetrics) Snapshot() map[string]any {
 		"pages_computed":       m.PagesComputed.Load(),
 		"queries_run":          m.QueriesRun.Load(),
 		"in_flight":            m.InFlight.Load(),
-		"requests":             m.Requests.Load(),
-		"request_nanos":        histSnap(&m.RequestNanos),
 		"shed":                 m.Shed.Load(),
 		"timeouts":             m.Timeouts.Load(),
 		"panics":               m.Panics.Load(),

@@ -4,6 +4,8 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"hash/fnv"
+
+	"strudel/internal/spine"
 )
 
 // A cursor is the resumable position of a paginated query walk. It is
@@ -37,9 +39,9 @@ func (c cursor) encode() string {
 	return base64.RawURLEncoding.EncodeToString(buf)
 }
 
-func decodeCursor(s string) (cursor, *Error) {
-	bad := func(msg string) (cursor, *Error) {
-		return cursor{}, &Error{Code: CodeBadCursor, Message: msg}
+func decodeCursor(s string) (cursor, *spine.Error) {
+	bad := func(msg string) (cursor, *spine.Error) {
+		return cursor{}, &spine.Error{Code: spine.CodeBadCursor, Message: msg}
 	}
 	raw, err := base64.RawURLEncoding.DecodeString(s)
 	if err != nil {

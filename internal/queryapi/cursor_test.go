@@ -8,6 +8,7 @@ import (
 
 	"strudel/internal/qgen"
 	"strudel/internal/repo"
+	"strudel/internal/spine"
 )
 
 // The cursor contract under test: (1) for ANY page size, walking the
@@ -21,7 +22,7 @@ import (
 // pin: for page sizes {1, 2, 7, N} (N = the full result size), the
 // paged walk equals the unpaginated result byte for byte.
 func TestCursorPageSizeReassembly(t *testing.T) {
-	single := NewSingle(repo.NewIndexed(qgen.Graph(5)))
+	single := newSingle(t, repo.NewIndexed(qgen.Graph(5)))
 	_, ts := newQueryServer(t, single, generous())
 
 	queries := 30
@@ -64,7 +65,7 @@ func TestCursorPageSizeReassembly(t *testing.T) {
 // the old generation and the reassembled rows equal the pre-reload
 // result.
 func TestCursorResumeCompletesOnOldGeneration(t *testing.T) {
-	single := NewSingle(repo.NewIndexed(qgen.Graph(5)))
+	single := newSingle(t, repo.NewIndexed(qgen.Graph(5)))
 	_, ts := newQueryServer(t, single, generous())
 
 	q := "where Items(x), x -> \"year\" -> y"
@@ -77,7 +78,8 @@ func TestCursorResumeCompletesOnOldGeneration(t *testing.T) {
 	if first.end.Done {
 		t.Fatalf("page_size=2 finished in one page")
 	}
-	if gen := single.Swap(repo.NewIndexed(qgen.Graph(77))); gen != 1 {
+	single.SwapData(repo.NewIndexed(qgen.Graph(77)), nil)
+	if gen := single.Generation(); gen != 1 {
 		t.Fatalf("swap produced generation %d, want 1", gen)
 	}
 
@@ -110,7 +112,7 @@ func TestCursorResumeCompletesOnOldGeneration(t *testing.T) {
 // must fail with a typed generation_mismatch (410) naming both
 // generations — not silently continue on new data.
 func TestCursorResumeEvictedGeneration(t *testing.T) {
-	single := NewSingle(repo.NewIndexed(qgen.Graph(5)))
+	single := newSingle(t, repo.NewIndexed(qgen.Graph(5)))
 	svc, ts := newQueryServer(t, single, generous())
 
 	q := "where Items(x), x -> \"year\" -> y"
@@ -118,14 +120,14 @@ func TestCursorResumeEvictedGeneration(t *testing.T) {
 	if first.end.Done {
 		t.Fatalf("page_size=2 finished in one page")
 	}
-	single.Swap(repo.NewIndexed(qgen.Graph(77)))
+	single.SwapData(repo.NewIndexed(qgen.Graph(77)), nil)
 	svc.mu.Lock()
 	svc.cache = map[string]*result{} // the reload's memory pressure, simulated
 	svc.mu.Unlock()
 
 	code, _, e := queryError(t, ts, "/query", QueryRequest{Query: q, PageSize: 2, Cursor: first.end.NextCursor})
-	if code != http.StatusGone || e.Code != CodeGenerationMismatch {
-		t.Fatalf("evicted resume = %d/%s, want 410/%s", code, e.Code, CodeGenerationMismatch)
+	if code != http.StatusGone || e.Code != spine.CodeGenerationMismatch {
+		t.Fatalf("evicted resume = %d/%s, want 410/%s", code, e.Code, spine.CodeGenerationMismatch)
 	}
 	if e.WantGeneration != 0 || e.Generation != 1 {
 		t.Fatalf("mismatch payload generations = (want %d, live %d), expected (0, 1)",
@@ -139,7 +141,7 @@ func TestCursorResumeEvictedGeneration(t *testing.T) {
 // TestCursorBoundToQuery: a cursor minted for one query+selector is
 // rejected with bad_cursor when replayed against any other.
 func TestCursorBoundToQuery(t *testing.T) {
-	single := NewSingle(repo.NewIndexed(qgen.Graph(5)))
+	single := newSingle(t, repo.NewIndexed(qgen.Graph(5)))
 	_, ts := newQueryServer(t, single, generous())
 
 	first := queryPage(t, ts, QueryRequest{Query: "where Items(x), x -> \"year\" -> y", PageSize: 2})
@@ -152,8 +154,8 @@ func TestCursorBoundToQuery(t *testing.T) {
 		{Query: "where Items(x), x -> \"year\" -> y", Select: []string{"x"}, Cursor: cur}, // different selector
 	} {
 		code, _, e := queryError(t, ts, "/query", bad)
-		if code != http.StatusBadRequest || e.Code != CodeBadCursor {
-			t.Fatalf("replayed cursor = %d/%s, want 400/%s", code, e.Code, CodeBadCursor)
+		if code != http.StatusBadRequest || e.Code != spine.CodeBadCursor {
+			t.Fatalf("replayed cursor = %d/%s, want 400/%s", code, e.Code, spine.CodeBadCursor)
 		}
 	}
 }
@@ -175,7 +177,7 @@ func TestCursorTamperRejected(t *testing.T) {
 		"extra-bytes": base64.RawURLEncoding.EncodeToString(append(append([]byte(nil), raw...), 7)),
 	}
 	for name, s := range cases {
-		if _, e := decodeCursor(s); e == nil || e.Code != CodeBadCursor {
+		if _, e := decodeCursor(s); e == nil || e.Code != spine.CodeBadCursor {
 			t.Errorf("%s: decodeCursor accepted corrupt input %q", name, s)
 		}
 	}
@@ -191,7 +193,7 @@ func TestCursorTamperRejected(t *testing.T) {
 // unknown selectors fail typed with the available variables named.
 func TestSelectorProjection(t *testing.T) {
 	ix := repo.NewIndexed(qgen.Graph(5))
-	single := NewSingle(ix)
+	single := newSingle(t, ix)
 	_, ts := newQueryServer(t, single, generous())
 
 	q := "where Items(x), x -> \"year\" -> y, x -> \"id\" -> i"
@@ -203,8 +205,8 @@ func TestSelectorProjection(t *testing.T) {
 		}
 	}
 	code, _, e := queryError(t, ts, "/query", QueryRequest{Query: q, Select: []string{"zz"}})
-	if code != http.StatusBadRequest || e.Code != CodeUnknownSelect {
-		t.Fatalf("unknown selector = %d/%s, want 400/%s", code, e.Code, CodeUnknownSelect)
+	if code != http.StatusBadRequest || e.Code != spine.CodeUnknownSelect {
+		t.Fatalf("unknown selector = %d/%s, want 400/%s", code, e.Code, spine.CodeUnknownSelect)
 	}
 	if !strings.Contains(e.Message, "i, x, y") {
 		t.Fatalf("unknown_select message %q does not list the bound variables", e.Message)

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"strudel/internal/graph"
+	"strudel/internal/spine"
 	"strudel/internal/struql"
 )
 
@@ -91,7 +92,7 @@ func encodeResult(b *struql.Bindings, sel []string) (string, error) {
 			if i < 0 {
 				avail := append([]string(nil), b.Vars...)
 				sort.Strings(avail)
-				return "", &Error{Code: CodeUnknownSelect,
+				return "", &spine.Error{Code: spine.CodeUnknownSelect,
 					Message: fmt.Sprintf("select variable %q is not bound by the query (bound: %s)",
 						v, strings.Join(avail, ", "))}
 			}

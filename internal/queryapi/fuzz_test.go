@@ -11,6 +11,7 @@ import (
 
 	"strudel/internal/qgen"
 	"strudel/internal/repo"
+	"strudel/internal/spine"
 )
 
 // FuzzQueryEndpoint throws arbitrary (query text, selector, cursor)
@@ -37,7 +38,7 @@ func FuzzQueryEndpoint(f *testing.F) {
 		cursor{gen: 0, qhash: queryHash("where Items(x)", []string{"x"}), offset: 1}.encode())
 
 	svc := &Service{
-		Backend: NewSingle(repo.NewIndexed(qgen.Graph(42))),
+		Backend: newSingle(f, repo.NewIndexed(qgen.Graph(42))),
 		Limits: Limits{
 			MaxRows:      5000,
 			MaxNFAStates: 2048,
@@ -85,15 +86,15 @@ func FuzzQueryEndpoint(f *testing.F) {
 		}
 		// Every error must be the typed envelope with a known code.
 		var env struct {
-			Error *Error `json:"error"`
+			Error *spine.Error `json:"error"`
 		}
 		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil {
 			t.Fatalf("status %d without a typed error envelope: %s", rec.Code, rec.Body.String())
 		}
 		switch env.Error.Code {
-		case CodeBadRequest, CodeParse, CodeBadCursor, CodeUnknownSelect,
-			CodeGenerationMismatch, CodeMaxRows, CodeNFAStates:
-		case CodeDeadline:
+		case spine.CodeBadRequest, spine.CodeParse, spine.CodeBadCursor, spine.CodeUnknownSelect,
+			spine.CodeGenerationMismatch, spine.CodeMaxRows, spine.CodeNFAStates:
+		case spine.CodeDeadline:
 			if rec.Code != http.StatusGatewayTimeout {
 				t.Fatalf("deadline with status %d, want 504", rec.Code)
 			}

@@ -2,13 +2,19 @@ package queryapi
 
 import (
 	"encoding/json"
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"strudel/internal/graph"
 	"strudel/internal/obs"
 	"strudel/internal/qgen"
 	"strudel/internal/repo"
+	"strudel/internal/spine"
+	"strudel/internal/struql"
 )
 
 // Guard trips over HTTP: each evaluator resource guard (rows, NFA
@@ -60,8 +66,8 @@ func TestGuardMaxRows(t *testing.T) {
 
 	code, hdr, e := queryError(t, ts, "/query",
 		QueryRequest{Query: "where Items(x), Items(y)", MaxRows: 5})
-	if code != http.StatusUnprocessableEntity || e.Code != CodeMaxRows {
-		t.Fatalf("row guard = %d/%s, want 422/%s", code, e.Code, CodeMaxRows)
+	if code != http.StatusUnprocessableEntity || e.Code != spine.CodeMaxRows {
+		t.Fatalf("row guard = %d/%s, want 422/%s", code, e.Code, spine.CodeMaxRows)
 	}
 	if e.Limit != "rows" || e.Max != 5 || e.Used <= e.Max {
 		t.Fatalf("row guard payload = limit %q used %d max %d; want rows/>5/5", e.Limit, e.Used, e.Max)
@@ -80,14 +86,14 @@ func TestGuardMaxRows(t *testing.T) {
 func TestGuardNFAStates(t *testing.T) {
 	lim := generous()
 	lim.MaxNFAStates = 4
-	svc, ts := newQueryServer(t, NewSingle(repo.NewIndexed(qgen.Graph(2))), lim)
+	svc, ts := newQueryServer(t, newSingle(t, repo.NewIndexed(qgen.Graph(2))), lim)
 	reg := obs.NewRegistry()
 	reg.Register("queryapi", svc.Obs)
 
 	code, hdr, e := queryError(t, ts, "/query",
 		QueryRequest{Query: `where Items(x), x -> ("next"|"ref")* -> v`})
-	if code != http.StatusUnprocessableEntity || e.Code != CodeNFAStates {
-		t.Fatalf("NFA guard = %d/%s, want 422/%s", code, e.Code, CodeNFAStates)
+	if code != http.StatusUnprocessableEntity || e.Code != spine.CodeNFAStates {
+		t.Fatalf("NFA guard = %d/%s, want 422/%s", code, e.Code, spine.CodeNFAStates)
 	}
 	if e.Limit != "nfa-states" || e.Max != 4 {
 		t.Fatalf("NFA guard payload = limit %q max %d; want nfa-states/4", e.Limit, e.Max)
@@ -115,7 +121,7 @@ func TestGuardDeadline(t *testing.T) {
 	}
 	lim := generous()
 	lim.MaxRows = 1 << 30 // the deadline must trip first, not the row guard
-	svc, ts := newQueryServer(t, NewSingle(ix), lim)
+	svc, ts := newQueryServer(t, newSingle(t, ix), lim)
 	reg := obs.NewRegistry()
 	reg.Register("queryapi", svc.Obs)
 
@@ -123,8 +129,8 @@ func TestGuardDeadline(t *testing.T) {
 		Query:     "where Items(a), Items(b), Items(c), Items(d)",
 		TimeoutMS: 1,
 	})
-	if code != http.StatusGatewayTimeout || e.Code != CodeDeadline {
-		t.Fatalf("deadline guard = %d/%s, want 504/%s", code, e.Code, CodeDeadline)
+	if code != http.StatusGatewayTimeout || e.Code != spine.CodeDeadline {
+		t.Fatalf("deadline guard = %d/%s, want 504/%s", code, e.Code, spine.CodeDeadline)
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Fatalf("504 deadline carries no Retry-After; a timed-out query is retryable")
@@ -132,56 +138,91 @@ func TestGuardDeadline(t *testing.T) {
 	counterIs(t, debugVars(t, reg), "guard_deadline_trips", 1)
 }
 
+// heldBody is a request body whose first Read blocks until released:
+// a request reading it holds its inflight slot for as long as the test
+// wants, and entered says when it got there.
+type heldBody struct {
+	entered, release chan struct{}
+	r                io.Reader
+}
+
+func newHeldBody(payload string) *heldBody {
+	return &heldBody{entered: make(chan struct{}), release: make(chan struct{}), r: strings.NewReader(payload)}
+}
+
+func (b *heldBody) Read(p []byte) (int, error) {
+	select {
+	case <-b.entered:
+	default:
+		close(b.entered)
+		<-b.release
+	}
+	return b.r.Read(p)
+}
+
 // TestShedAtMaxInflight: with the gate full, requests are refused with
 // a typed 503 + Retry-After before any body is read, and both the
 // request and shed counters advance.
 func TestShedAtMaxInflight(t *testing.T) {
 	svc := &Service{
-		Backend:     NewSingle(repo.NewIndexed(qgen.Graph(5))),
+		Backend:     newSingle(t, repo.NewIndexed(qgen.Graph(5))),
 		Limits:      generous(),
 		MaxInflight: 1,
 	}
-	ts := httptest.NewServer(svc.Handler())
+	h := svc.Handler()
+	ts := httptest.NewServer(h)
 	defer ts.Close()
 	reg := obs.NewRegistry()
 	reg.Register("queryapi", svc.Obs)
 
-	svc.gate <- struct{}{} // occupy the only slot
+	// Occupy the only slot: a request stalled inside its body read.
+	body := newHeldBody(`{"query":"where Items(x)"}`)
+	held := make(chan int, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", body))
+		held <- rec.Code
+	}()
+	<-body.entered
+
 	code, hdr, e := queryError(t, ts, "/query", QueryRequest{Query: "where Items(x)"})
-	if code != http.StatusServiceUnavailable || e.Code != CodeOverloaded {
-		t.Fatalf("shed = %d/%s, want 503/%s", code, e.Code, CodeOverloaded)
+	if code != http.StatusServiceUnavailable || e.Code != spine.CodeOverloaded {
+		t.Fatalf("shed = %d/%s, want 503/%s", code, e.Code, spine.CodeOverloaded)
 	}
 	if hdr.Get("Retry-After") != "1" {
 		t.Fatalf("shed Retry-After = %q, want 1", hdr.Get("Retry-After"))
 	}
-	<-svc.gate // release; service must recover
+	close(body.release) // the held request completes; the service must recover
+	if code := <-held; code != http.StatusOK {
+		t.Fatalf("held request = %d, want 200", code)
+	}
 	p := queryPage(t, ts, QueryRequest{Query: "where Items(x)"})
 	if p.header.Kind != "header" {
 		t.Fatalf("service did not recover after shed")
 	}
 	vars := debugVars(t, reg)
 	counterIs(t, vars, "shed", 1)
-	counterIs(t, vars, "requests", 2)
+	counterIs(t, vars, "requests", 3)
 }
 
 // TestTypedBadInput: the 400 taxonomy — parse errors carry the line,
 // malformed envelopes and negative knobs are bad_request, wrong method
 // is 405 — and every one increments its counter.
 func TestTypedBadInput(t *testing.T) {
-	svc, ts := newQueryServer(t, NewSingle(repo.NewIndexed(qgen.Graph(5))), generous())
+	svc, ts := newQueryServer(t, newSingle(t, repo.NewIndexed(qgen.Graph(5))), generous())
 
 	code, _, e := queryError(t, ts, "/query", QueryRequest{Query: "where Items(x), -> ->"})
-	if code != http.StatusBadRequest || e.Code != CodeParse || e.Line <= 0 {
-		t.Fatalf("parse error = %d/%s line %d, want 400/%s with a line", code, e.Code, e.Line, CodeParse)
+	if code != http.StatusBadRequest || e.Code != spine.CodeParse || e.Line <= 0 {
+		t.Fatalf("parse error = %d/%s line %d, want 400/%s with a line", code, e.Code, e.Line, spine.CodeParse)
 	}
 	// An unbound filter variable is an analysis error, still typed parse.
 	code, _, e = queryError(t, ts, "/query", QueryRequest{Query: "where Items(x), y > 3"})
-	if code != http.StatusBadRequest || e.Code != CodeParse {
-		t.Fatalf("unbound variable = %d/%s, want 400/%s", code, e.Code, CodeParse)
+	if code != http.StatusBadRequest || e.Code != spine.CodeParse {
+		t.Fatalf("unbound variable = %d/%s, want 400/%s", code, e.Code, spine.CodeParse)
 	}
 	code, _, e = queryError(t, ts, "/query", QueryRequest{Query: "where Items(x)", PageSize: -1})
-	if code != http.StatusBadRequest || e.Code != CodeBadRequest {
-		t.Fatalf("negative page_size = %d/%s, want 400/%s", code, e.Code, CodeBadRequest)
+	if code != http.StatusBadRequest || e.Code != spine.CodeBadRequest {
+		t.Fatalf("negative page_size = %d/%s, want 400/%s", code, e.Code, spine.CodeBadRequest)
 	}
 	resp, err := http.Get(ts.URL + "/query")
 	if err != nil {
@@ -195,5 +236,29 @@ func TestTypedBadInput(t *testing.T) {
 	if snap["parse_errors"].(int64) != 2 || snap["bad_requests"].(int64) < 2 {
 		t.Fatalf("error counters = parse %v, bad %v; want 2 and >=2",
 			snap["parse_errors"], snap["bad_requests"])
+	}
+}
+
+// panicSource panics on the first collection scan: a stand-in for any
+// bug in evaluation, which runs on a replica goroutine that no handler
+// recovery can reach.
+type panicSource struct{ struql.Source }
+
+func (panicSource) Collection(string) []graph.OID { panic("secret internal detail") }
+
+// TestQueryPanicIsTyped500: a panic during evaluation answers that one
+// query with a sanitized, typed 500 and counts it — the process, and
+// the next query, survive.
+func TestQueryPanicIsTyped500(t *testing.T) {
+	svc, ts := newQueryServer(t, newSingle(t, panicSource{repo.NewIndexed(qgen.Graph(5))}), generous())
+	svc.chain.Logger = log.New(io.Discard, "", 0)
+	for i := 0; i < 2; i++ {
+		code, _, e := queryError(t, ts, "/query", QueryRequest{Query: "where Items(x)"})
+		if code != http.StatusInternalServerError || e.Code != spine.CodeInternal || strings.Contains(e.Message, "secret") {
+			t.Fatalf("panicking query = %d/%s %q, want a sanitized 500/%s", code, e.Code, e.Message, spine.CodeInternal)
+		}
+	}
+	if n := svc.Obs.Panics.Load(); n != 2 {
+		t.Fatalf("panics counter = %d, want 2", n)
 	}
 }

@@ -14,10 +14,11 @@ import (
 	"strudel/internal/qgen"
 	"strudel/internal/repo"
 	"strudel/internal/schema"
+	"strudel/internal/spine"
 	"strudel/internal/struql"
 )
 
-// The harness: services over fleet and single backends, an NDJSON
+// The harness: services over sharded and 1×1 fleets, an NDJSON
 // client, and the in-process reference every HTTP answer must match
 // byte for byte. Query and graph corpora come from internal/qgen — the
 // exact generators the struql differential oracle runs, so the HTTP
@@ -29,18 +30,29 @@ import (
 const querySchema = `create Root()
 link Root() -> "title" -> "Query API Test Site"`
 
-func newFleetBackend(t testing.TB, g *graph.Graph, shards, replicas int) *fleet.Fleet {
+func newFleet(t testing.TB, src struql.Source, shards, replicas int) *fleet.Fleet {
 	t.Helper()
 	s := schema.Build(struql.MustParse(querySchema))
-	f, err := fleet.New(fleet.Config{Schema: s, Shards: shards, Replicas: replicas}, repo.NewIndexed(g))
+	f, err := fleet.New(fleet.Config{Schema: s, Shards: shards, Replicas: replicas}, src)
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
 	return f
 }
 
+func newFleetBackend(t testing.TB, g *graph.Graph, shards, replicas int) *fleet.Fleet {
+	t.Helper()
+	return newFleet(t, repo.NewIndexed(g), shards, replicas)
+}
+
+// newSingle is the single-server backend: a 1×1 fleet over a source.
+func newSingle(t testing.TB, src struql.Source) *fleet.Fleet {
+	t.Helper()
+	return newFleet(t, src, 1, 1)
+}
+
 // newQueryServer builds a Service over a backend and serves it.
-func newQueryServer(t testing.TB, b Backend, lim Limits) (*Service, *httptest.Server) {
+func newQueryServer(t testing.TB, b *fleet.Fleet, lim Limits) (*Service, *httptest.Server) {
 	t.Helper()
 	svc := &Service{Backend: b, Limits: lim}
 	ts := httptest.NewServer(svc.Handler())
@@ -120,14 +132,14 @@ func queryPage(t testing.TB, ts *httptest.Server, req QueryRequest) page {
 }
 
 // queryError POSTs one request and decodes the typed error envelope.
-func queryError(t testing.TB, ts *httptest.Server, path string, req QueryRequest) (int, http.Header, *Error) {
+func queryError(t testing.TB, ts *httptest.Server, path string, req QueryRequest) (int, http.Header, *spine.Error) {
 	t.Helper()
 	code, hdr, body := postJSON(t, ts.URL+path, req, nil)
 	if code == http.StatusOK {
 		t.Fatalf("POST %s = 200, want an error; body:\n%s", path, body)
 	}
 	var env struct {
-		Error *Error `json:"error"`
+		Error *spine.Error `json:"error"`
 	}
 	if err := json.Unmarshal([]byte(body), &env); err != nil || env.Error == nil || env.Error.Code == "" {
 		t.Fatalf("POST %s: error body is not a typed envelope (%v):\n%s", path, err, body)

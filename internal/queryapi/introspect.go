@@ -9,6 +9,7 @@ import (
 
 	"strudel/internal/fleet"
 	"strudel/internal/repo"
+	"strudel/internal/spine"
 	"strudel/internal/struql"
 )
 
@@ -38,8 +39,7 @@ func (s *Service) introspect(w http.ResponseWriter, r *http.Request, kind, memoK
 	fn func(src struql.Source) (any, error)) {
 
 	if r.Method != http.MethodGet {
-		s.Obs.BadRequests.Inc()
-		writeError(w, &Error{Code: CodeBadRequest, status: http.StatusMethodNotAllowed,
+		s.fail(w, r, &spine.Error{Code: spine.CodeBadRequest, Status: http.StatusMethodNotAllowed,
 			Message: "use GET"})
 		return
 	}
@@ -69,14 +69,7 @@ func (s *Service) introspect(w http.ResponseWriter, r *http.Request, kind, memoK
 				return string(out), err
 			})
 		if err != nil {
-			e := classify(err)
-			if e == nil {
-				return
-			}
-			if e.Code == CodeUnavailable {
-				s.Obs.Unavailable.Inc()
-			}
-			writeError(w, e)
+			s.fail(w, r, err)
 			return
 		}
 		// The closure may have run on a newer generation than the one
@@ -135,8 +128,7 @@ func (s *Service) handleDataguide(w http.ResponseWriter, r *http.Request) {
 	if d := r.URL.Query().Get("depth"); d != "" {
 		n, err := strconv.Atoi(d)
 		if err != nil || n < 1 || n > 8 {
-			s.Obs.BadRequests.Inc()
-			writeError(w, &Error{Code: CodeBadRequest,
+			s.fail(w, r, &spine.Error{Code: spine.CodeBadRequest,
 				Message: "depth must be an integer in [1, 8]"})
 			return
 		}
@@ -161,18 +153,16 @@ func (s *Service) handleDataguide(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) {
 	req, aerr := s.readRequest(r)
 	if aerr != nil {
-		s.Obs.BadRequests.Inc()
-		writeError(w, aerr)
+		s.fail(w, r, aerr)
 		return
 	}
 	q, qerr := struql.Parse(req.Query)
 	if qerr != nil {
 		conds, werr := struql.ParseWhere(req.Query)
 		if werr != nil {
-			s.Obs.ParseErrors.Inc()
 			// The where-clause error wins: /query accepts only where
 			// clauses, so it is the more actionable diagnosis.
-			writeError(w, classify(werr))
+			s.fail(w, r, werr)
 			return
 		}
 		q = &struql.Query{Blocks: []*struql.Block{{Where: conds, Line: 1}}}
@@ -182,14 +172,7 @@ func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) {
 			return struql.Explain(q, src, nil)
 		})
 	if err != nil {
-		e := classify(err)
-		if e == nil {
-			return
-		}
-		if e.Code == CodeUnavailable {
-			s.Obs.Unavailable.Inc()
-		}
-		writeError(w, e)
+		s.fail(w, r, err)
 		return
 	}
 	s.Obs.Explains.Inc()

@@ -9,6 +9,7 @@ import (
 
 	"strudel/internal/qgen"
 	"strudel/internal/repo"
+	"strudel/internal/spine"
 )
 
 // Introspection endpoints: generation-stamped JSON, ETag/304 semantics,
@@ -40,7 +41,7 @@ func getJSON(t *testing.T, url string, hdr map[string]string) (int, http.Header,
 
 func TestSchemaLabels(t *testing.T) {
 	ix := repo.NewIndexed(qgen.Graph(5))
-	_, ts := newQueryServer(t, NewSingle(ix), generous())
+	_, ts := newQueryServer(t, newSingle(t, ix), generous())
 
 	code, hdr, m := getJSON(t, ts.URL+"/schema/labels", nil)
 	if code != http.StatusOK {
@@ -88,7 +89,7 @@ func TestSchemaLabels(t *testing.T) {
 
 func TestSchemaCollectionsAndDataguide(t *testing.T) {
 	ix := repo.NewIndexed(qgen.Graph(5))
-	single := NewSingle(ix)
+	single := newSingle(t, ix)
 	_, ts := newQueryServer(t, single, generous())
 
 	code, _, m := getJSON(t, ts.URL+"/schema/collections", nil)
@@ -131,7 +132,7 @@ func TestSchemaCollectionsAndDataguide(t *testing.T) {
 	// Reload invalidates the validator: same URL, new generation, 200.
 	_, hdr, _ := getJSON(t, ts.URL+"/schema/dataguide?depth=2", nil)
 	etag := hdr.Get("ETag")
-	single.Swap(repo.NewIndexed(qgen.Graph(77)))
+	single.SwapData(repo.NewIndexed(qgen.Graph(77)), nil)
 	code, hdr, m = getJSON(t, ts.URL+"/schema/dataguide?depth=2", map[string]string{"If-None-Match": etag})
 	if code != http.StatusOK {
 		t.Fatalf("post-reload conditional dataguide = %d, want 200 (validator is stale)", code)
@@ -142,7 +143,7 @@ func TestSchemaCollectionsAndDataguide(t *testing.T) {
 }
 
 func TestQueryExplain(t *testing.T) {
-	svc, ts := newQueryServer(t, NewSingle(repo.NewIndexed(qgen.Graph(5))), generous())
+	svc, ts := newQueryServer(t, newSingle(t, repo.NewIndexed(qgen.Graph(5))), generous())
 
 	// A bare where clause is wrapped and explained.
 	code, _, body := postJSON(t, ts.URL+"/query/explain",
@@ -168,8 +169,8 @@ func TestQueryExplain(t *testing.T) {
 
 	// Garbage is a typed parse error.
 	code, _, e := queryError(t, ts, "/query/explain", QueryRequest{Query: "where -> ->"})
-	if code != http.StatusBadRequest || e.Code != CodeParse {
-		t.Fatalf("explain garbage = %d/%s, want 400/%s", code, e.Code, CodeParse)
+	if code != http.StatusBadRequest || e.Code != spine.CodeParse {
+		t.Fatalf("explain garbage = %d/%s, want 400/%s", code, e.Code, spine.CodeParse)
 	}
 
 	if n := svc.Obs.Explains.Load(); n != 2 {
@@ -181,7 +182,7 @@ func TestQueryExplain(t *testing.T) {
 // validator a client or proxy weakened to W/"…" still earns a 304 from
 // /query and /schema/labels, alone or inside a list.
 func TestWeakValidatorsNotModified(t *testing.T) {
-	_, ts := newQueryServer(t, NewSingle(repo.NewIndexed(qgen.Graph(5))), generous())
+	_, ts := newQueryServer(t, newSingle(t, repo.NewIndexed(qgen.Graph(5))), generous())
 	req := QueryRequest{Query: qgen.WhereClause(3), PageSize: 5}
 	code, hdr, body := postJSON(t, ts.URL+"/query", req, nil)
 	if code != http.StatusOK {

@@ -21,22 +21,9 @@ import (
 
 	"strudel/internal/fleet"
 	"strudel/internal/obs"
+	"strudel/internal/spine"
 	"strudel/internal/struql"
 )
-
-// Backend is what the service evaluates against. *fleet.Fleet satisfies
-// it; Single adapts a bare source for tests and embedding. The closure
-// receives a generation-pinned source snapshot; its result must be a
-// pure function of (closure, source, generation) — that determinism is
-// what makes cursors, caching, and ETags sound.
-type Backend interface {
-	// Generation returns the current data generation.
-	Generation() int64
-	// EvalOn runs fn against a live replica of the shard owning key,
-	// reporting the generation fn saw. Errors fn returns are
-	// deterministic and must not be retried on siblings.
-	EvalOn(ctx context.Context, key string, fn func(ctx context.Context, src struql.Source, gen int64) (string, error)) (string, int64, error)
-}
 
 // Limits bound what one request may cost. Zero fields take defaults.
 type Limits struct {
@@ -113,13 +100,18 @@ type result struct {
 	used int64    // LRU tick
 }
 
-// Service is the query API: handlers, limits, the inflight gate, and a
-// small per-generation result cache. The cache is what lets a cursor
-// walk complete on its original generation across a hot reload — and
-// why eviction degrades to a typed generation_mismatch, never a torn
-// mix of generations.
+// Service is the query API: handlers, limits, and a small
+// per-generation result cache. The cache is what lets a cursor walk
+// complete on its original generation across a hot reload — and why
+// eviction degrades to a typed generation_mismatch, never a torn mix of
+// generations.
 type Service struct {
-	Backend Backend
+	// Backend is the fleet queries evaluate on (a 1×1 fleet for a single
+	// server). Each evaluation closure receives a generation-pinned
+	// source snapshot; its result must be a pure function of (closure,
+	// source, generation) — that determinism is what makes cursors,
+	// caching, and ETags sound.
+	Backend *fleet.Fleet
 	Limits  Limits
 	Obs     *obs.QueryMetrics
 	// MaxInflight bounds concurrently served requests; excess is shed
@@ -128,16 +120,16 @@ type Service struct {
 	MaxInflight int
 
 	lim   Limits
-	gate  chan struct{}
+	chain *spine.Chain
 	mu    sync.Mutex
 	cache map[string]*result
 	memo  map[string]string // introspection payloads, keyed per generation
 	tick  int64
 }
 
-// Handler returns the query API's HTTP handler: recovery(shed(mux)).
-// Mount it at the server root; it owns /query, /query/explain, and
-// /schema/*.
+// Handler returns the query API's HTTP handler, every route behind the
+// serving spine's chain. Mount it at the server root; it owns /query,
+// /query/explain, and /schema/*.
 func (s *Service) Handler() http.Handler {
 	s.lim = s.Limits.withDefaults()
 	if s.Obs == nil {
@@ -151,8 +143,10 @@ func (s *Service) Handler() http.Handler {
 	if n == 0 {
 		n = 64
 	}
-	if n > 0 {
-		s.gate = make(chan struct{}, n)
+	s.chain = &spine.Chain{
+		Name:        "queryapi",
+		MaxInflight: n,
+		Metrics:     spine.Metrics{Requests: &s.Obs.Requests, Shed: &s.Obs.Shed, Panics: &s.Obs.Panics},
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/query", s.handleQuery)
@@ -160,76 +154,68 @@ func (s *Service) Handler() http.Handler {
 	mux.HandleFunc("/schema/labels", s.handleLabels)
 	mux.HandleFunc("/schema/collections", s.handleCollections)
 	mux.HandleFunc("/schema/dataguide", s.handleDataguide)
-	return s.recover(s.shed(mux))
+	mux.HandleFunc("/", spine.NotFound)
+	return s.chain.Handler(mux)
 }
 
-// shed admits at most MaxInflight requests; the rest are refused with a
-// typed 503 before any body is read — overload protection must be
-// cheaper than the work it refuses.
-func (s *Service) shed(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.Obs.Requests.Inc()
-		if s.gate != nil {
-			select {
-			case s.gate <- struct{}{}:
-				defer func() { <-s.gate }()
-			default:
-				s.Obs.Shed.Inc()
-				writeError(w, &Error{Code: CodeOverloaded, RetryAfter: 1,
-					Message: "query API at max inflight requests"})
-				return
-			}
-		}
-		next.ServeHTTP(w, r)
-	})
-}
-
-// recover converts a handler panic into a structured 500. The fuzz
-// harness asserts this path never fires for arbitrary input — it is
-// the backstop, not the error path.
-func (s *Service) recover(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if p := recover(); p != nil {
-				s.Obs.Panics.Inc()
-				writeError(w, &Error{Code: CodeInternal,
-					Message: fmt.Sprintf("panic: %v", p)})
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
+// fail answers a request's error through the chain and counts it in its
+// taxonomy slot; a cancelled request (client gone) is neither answered
+// nor counted.
+func (s *Service) fail(w http.ResponseWriter, r *http.Request, err error) {
+	e := s.chain.Fail(w, r, err)
+	if e == nil {
+		return
+	}
+	switch e.Code {
+	case spine.CodeParse:
+		s.Obs.ParseErrors.Inc()
+	case spine.CodeUnknownSelect, spine.CodeBadRequest:
+		s.Obs.BadRequests.Inc()
+	case spine.CodeBadCursor:
+		s.Obs.BadCursors.Inc()
+	case spine.CodeGenerationMismatch:
+		s.Obs.GenerationMismatches.Inc()
+	case spine.CodeMaxRows:
+		s.Obs.GuardRowTrips.Inc()
+	case spine.CodeNFAStates:
+		s.Obs.GuardNFATrips.Inc()
+	case spine.CodeDeadline:
+		s.Obs.GuardDeadlineTrips.Inc()
+	case spine.CodeUnavailable:
+		s.Obs.Unavailable.Inc()
+	}
 }
 
 // readRequest decodes and bounds the request envelope.
-func (s *Service) readRequest(r *http.Request) (*QueryRequest, *Error) {
+func (s *Service) readRequest(r *http.Request) (*QueryRequest, *spine.Error) {
 	if r.Method != http.MethodPost {
-		return nil, &Error{Code: CodeBadRequest, status: http.StatusMethodNotAllowed,
+		return nil, &spine.Error{Code: spine.CodeBadRequest, Status: http.StatusMethodNotAllowed,
 			Message: "use POST with a JSON body"}
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, int64(s.lim.MaxQueryBytes)+1))
 	if err != nil {
-		return nil, &Error{Code: CodeBadRequest, Message: "unreadable request body"}
+		return nil, &spine.Error{Code: spine.CodeBadRequest, Message: "unreadable request body"}
 	}
 	if len(body) > s.lim.MaxQueryBytes {
-		return nil, &Error{Code: CodeBadRequest,
+		return nil, &spine.Error{Code: spine.CodeBadRequest,
 			Message: fmt.Sprintf("request body exceeds %d bytes", s.lim.MaxQueryBytes)}
 	}
 	var req QueryRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, &Error{Code: CodeBadRequest, Message: "request body is not valid JSON"}
+		return nil, &spine.Error{Code: spine.CodeBadRequest, Message: "request body is not valid JSON"}
 	}
 	if strings.TrimSpace(req.Query) == "" {
-		return nil, &Error{Code: CodeBadRequest, Message: "missing query"}
+		return nil, &spine.Error{Code: spine.CodeBadRequest, Message: "missing query"}
 	}
 	return &req, nil
 }
 
 // effective clamps per-request knobs into the server's limits.
-func (s *Service) effective(req *QueryRequest) (pageSize, maxRows int, timeout time.Duration, aerr *Error) {
+func (s *Service) effective(req *QueryRequest) (pageSize, maxRows int, timeout time.Duration, aerr *spine.Error) {
 	pageSize = req.PageSize
 	switch {
 	case pageSize < 0:
-		return 0, 0, 0, &Error{Code: CodeBadRequest, Message: "page_size must be non-negative"}
+		return 0, 0, 0, &spine.Error{Code: spine.CodeBadRequest, Message: "page_size must be non-negative"}
 	case pageSize == 0:
 		pageSize = s.lim.DefaultPageSize
 	case pageSize > s.lim.MaxPageSize:
@@ -238,13 +224,13 @@ func (s *Service) effective(req *QueryRequest) (pageSize, maxRows int, timeout t
 	maxRows = req.MaxRows
 	switch {
 	case maxRows < 0:
-		return 0, 0, 0, &Error{Code: CodeBadRequest, Message: "max_rows must be non-negative"}
+		return 0, 0, 0, &spine.Error{Code: spine.CodeBadRequest, Message: "max_rows must be non-negative"}
 	case maxRows == 0, maxRows > s.lim.MaxRows:
 		maxRows = s.lim.MaxRows
 	}
 	timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 	if req.TimeoutMS < 0 {
-		return 0, 0, 0, &Error{Code: CodeBadRequest, Message: "timeout_ms must be non-negative"}
+		return 0, 0, 0, &spine.Error{Code: spine.CodeBadRequest, Message: "timeout_ms must be non-negative"}
 	}
 	if timeout == 0 || timeout > s.lim.Timeout {
 		timeout = s.lim.Timeout
@@ -274,20 +260,17 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	req, aerr := s.readRequest(r)
 	if aerr != nil {
-		s.Obs.BadRequests.Inc()
-		writeError(w, aerr)
+		s.fail(w, r, aerr)
 		return
 	}
 	pageSize, maxRows, timeout, aerr := s.effective(req)
 	if aerr != nil {
-		s.Obs.BadRequests.Inc()
-		writeError(w, aerr)
+		s.fail(w, r, aerr)
 		return
 	}
 	conds, perr := struql.ParseWhere(req.Query)
 	if perr != nil {
-		s.Obs.ParseErrors.Inc()
-		writeError(w, classify(perr))
+		s.fail(w, r, perr)
 		return
 	}
 	qh := queryHash(req.Query, req.Select)
@@ -295,13 +278,11 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Cursor != "" {
 		c, cerr := decodeCursor(req.Cursor)
 		if cerr != nil {
-			s.Obs.BadCursors.Inc()
-			writeError(w, cerr)
+			s.fail(w, r, cerr)
 			return
 		}
 		if c.qhash != qh {
-			s.Obs.BadCursors.Inc()
-			writeError(w, &Error{Code: CodeBadCursor,
+			s.fail(w, r, &spine.Error{Code: spine.CodeBadCursor,
 				Message: "cursor was minted for a different query or selector"})
 			return
 		}
@@ -328,27 +309,7 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	res, err := s.resultFor(r, conds, req.Select, qh, wantGen, maxRows, timeout)
 	if err != nil {
-		e := classify(err)
-		if e == nil {
-			return // client gone
-		}
-		switch e.Code {
-		case CodeParse:
-			s.Obs.ParseErrors.Inc()
-		case CodeUnknownSelect, CodeBadRequest:
-			s.Obs.BadRequests.Inc()
-		case CodeGenerationMismatch:
-			s.Obs.GenerationMismatches.Inc()
-		case CodeMaxRows:
-			s.Obs.GuardRowTrips.Inc()
-		case CodeNFAStates:
-			s.Obs.GuardNFATrips.Inc()
-		case CodeDeadline:
-			s.Obs.GuardDeadlineTrips.Inc()
-		case CodeUnavailable:
-			s.Obs.Unavailable.Inc()
-		}
-		writeError(w, e)
+		s.fail(w, r, err)
 		return
 	}
 
@@ -414,7 +375,7 @@ func (s *Service) resultFor(r *http.Request, conds []struql.Cond, sel []string,
 	payload, gen, err := s.Backend.EvalOn(ctx, fmt.Sprintf("query:%016x", qh),
 		func(ctx context.Context, src struql.Source, gen int64) (string, error) {
 			if wantGen >= 0 && gen != wantGen {
-				return "", &Error{Code: CodeGenerationMismatch,
+				return "", &spine.Error{Code: spine.CodeGenerationMismatch,
 					Generation: gen, WantGeneration: wantGen,
 					Message: "cursor generation was reloaded away; restart the walk"}
 			}
