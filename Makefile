@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check bench bench-build check serve-smoke query-smoke fuzz-smoke chaos-smoke chaos-serve soak-smoke loadgen-smoke bench-serve bench-query clean
+.PHONY: all build test race vet fmt-check bench bench-build check serve-smoke query-smoke fuzz-smoke chaos-smoke chaos-serve soak-smoke loadgen-smoke clean
 
 all: build
 
@@ -98,16 +98,6 @@ soak-smoke:
 loadgen-smoke:
 	$(GO) test -count=1 -run '^TestLoadgenSmoke$$' -v ./internal/fleet
 	$(GO) test -count=1 -race -run '^TestReloadUnderLoad$$|^TestChaosKillsUnderLoad$$|^TestGenerationIsOneSharedSnapshot$$' ./internal/fleet
-
-# bench-serve load-tests the real strudel-serve binary at several shard
-# counts and writes BENCH_serve.json (throughput + latency percentiles).
-bench-serve:
-	sh scripts/bench_serve.sh
-
-# bench-query measures the query API against page serving on the same
-# fleet (E17) and writes BENCH_query.json.
-bench-query:
-	sh scripts/bench_query.sh
 
 # check is what CI runs.
 check: fmt-check vet race bench-build

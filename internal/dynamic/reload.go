@@ -175,20 +175,10 @@ type Swapper interface {
 	SwapData(src struql.Source, d *mediator.Delta) (kept, dropped int)
 }
 
-// Attach connects the reloader to the evaluator it maintains and the
-// health it reports into. Call before Run.
-func (r *Reloader) Attach(ev *Evaluator, h *Health) {
-	// A nil *Evaluator must become a nil interface, not a typed nil the
-	// swap path would happily call into.
-	if ev == nil {
-		r.AttachSwapper(nil, h)
-		return
-	}
-	r.AttachSwapper(ev, h)
-}
-
-// AttachSwapper is Attach for any Swapper — a single evaluator or a
-// whole fleet. Call before Run.
+// AttachSwapper connects the reloader to the Swapper it publishes
+// generations to — a single evaluator or a whole fleet — and the health
+// it reports into. Call before Run. A nil sw must be an untyped nil: a
+// typed-nil *Evaluator would be called into on the first swap.
 func (r *Reloader) AttachSwapper(sw Swapper, h *Health) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -29,7 +29,7 @@ func TestReloaderJitterWithinBounds(t *testing.T) {
 	if _, err := rl.Warehouse(); err != nil {
 		t.Fatal(err)
 	}
-	rl.Attach(nil, NewHealth())
+	rl.AttachSwapper(nil, NewHealth())
 	rl.Jitter = jitter
 	rl.rng = rand.New(rand.NewSource(42)) // deterministic jitter samples
 
@@ -66,7 +66,7 @@ func TestReloaderZeroJitterSchedulesExactly(t *testing.T) {
 	if _, err := rl.Warehouse(); err != nil {
 		t.Fatal(err)
 	}
-	rl.Attach(nil, NewHealth())
+	rl.AttachSwapper(nil, NewHealth())
 	// newTestReloader sets Jitter = 0: the schedule must be exact.
 	version = 1
 	touchFile(t, path, "gen1")

@@ -79,7 +79,7 @@ func TestReloaderBackoffGrowsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := NewHealth()
-	rl.Attach(nil, h)
+	rl.AttachSwapper(nil, h)
 	var applied *mediator.Delta
 	rl.OnApply = func(d *mediator.Delta, kept, dropped int) { applied = d }
 
@@ -217,7 +217,7 @@ func TestReloaderSwapInvalidatesAffectedPages(t *testing.T) {
 	}
 	ev := NewEvaluator(schema.Build(struql.MustParse(siteQuery)), data)
 	h := NewHealth()
-	rl.Attach(ev, h)
+	rl.AttachSwapper(ev, h)
 
 	if _, err := ev.Page(PageRef{Fn: "RootPage"}); err != nil {
 		t.Fatal(err)
@@ -296,7 +296,7 @@ func TestFailedRoundCountedOncePerDegradedWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := NewHealth()
-	rl.Attach(nil, h)
+	rl.AttachSwapper(nil, h)
 	metrics := &obs.ServeMetrics{}
 	rl.Obs = metrics
 

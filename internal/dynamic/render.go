@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"html"
-	"net/url"
 	"strings"
 
 	"strudel/internal/graph"
@@ -24,17 +23,16 @@ type Renderer struct {
 	PerFn map[string]string
 	// Default names a fallback template; empty uses a built-in listing.
 	Default string
-	// PageURLFunc, when non-nil, overrides the URL scheme used for links
-	// between pages. The fleet sets a self-describing ref encoding
-	// (function name + argument keys) so any shard replica can resolve a
-	// page it has never computed; nil keeps the oid scheme of PageURL.
-	// Set before rendering; read without synchronization.
-	PageURLFunc func(ref PageRef, oid graph.OID) string
+
+	pageURL func(PageRef) string
 }
 
-// NewRenderer returns a renderer over an evaluator and templates.
-func NewRenderer(ev *Evaluator, ts *template.Set) *Renderer {
-	return &Renderer{Ev: ev, Templates: ts, PerFn: map[string]string{}}
+// NewRenderer returns a renderer over an evaluator and templates whose
+// links between pages are pageURL(ref). The fleet passes its
+// self-describing ref encoding (function name + argument keys), so any
+// shard replica can resolve a page it has never computed.
+func NewRenderer(ev *Evaluator, ts *template.Set, pageURL func(PageRef) string) *Renderer {
+	return &Renderer{Ev: ev, Templates: ts, PerFn: map[string]string{}, pageURL: pageURL}
 }
 
 // RenderPage computes and renders one page.
@@ -122,19 +120,14 @@ func (r *dynRenderer) LookupTemplate(name string) *template.Template {
 	return r.s.Templates.Get(name)
 }
 
-// PageURL returns the click-time URL of a page oid.
-func PageURL(oid graph.OID) string {
-	return "/page/" + url.PathEscape(string(oid))
-}
-
+// RenderRef links a page by its click-time URL. An object that is not a
+// page has no URL to link to, so it renders as its anchor text alone.
 func (r *dynRenderer) RenderRef(oid graph.OID, anchorText string) (string, error) {
-	u := PageURL(oid)
-	if r.s.PageURLFunc != nil {
-		if ref, ok := r.s.Ev.RefFor(oid); ok {
-			u = r.s.PageURLFunc(ref, oid)
-		}
+	ref, ok := r.s.Ev.RefFor(oid)
+	if !ok {
+		return html.EscapeString(anchorText), nil
 	}
-	return fmt.Sprintf(`<a href="%s">%s</a>`, u, html.EscapeString(anchorText)), nil
+	return fmt.Sprintf(`<a href="%s">%s</a>`, r.s.pageURL(ref), html.EscapeString(anchorText)), nil
 }
 
 // maxEmbedDepth caps non-cyclic embed nesting; cycles themselves are cut

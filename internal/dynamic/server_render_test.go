@@ -40,6 +40,11 @@ func embedData() *graph.Graph {
 	return g
 }
 
+// testURL is the link function the package's render tests build their
+// renderers with: the page's Skolem function name is enough to see where
+// a link points, without the fleet's page-key encoding.
+func testURL(ref PageRef) string { return "/" + ref.Fn }
+
 func TestServerEmbedsDynamicPages(t *testing.T) {
 	q := struql.MustParse(embedQuery)
 	ev := NewEvaluator(schema.Build(q), struql.NewGraphSource(embedData()))
@@ -47,7 +52,7 @@ func TestServerEmbedsDynamicPages(t *testing.T) {
 	ts.MustAdd("header", `<i>dyn</i>`)
 	ts.MustAdd("Root", `<SINCLUDE header><h1><SFMT title></h1><SFMT Card EMBED UL>`)
 	ts.MustAdd("Card", `[<SFMT name>|<SFMT pic>|<SFMT self EMBED>]`)
-	srv := NewRenderer(ev, ts)
+	srv := NewRenderer(ev, ts, testURL)
 	srv.PerFn["Root"] = "Root"
 	srv.PerFn["Card"] = "Card"
 	out, err := srv.RenderPage(PageRef{Fn: "Root"})
@@ -78,7 +83,7 @@ func TestServerEmbedWithoutTemplateUsesListing(t *testing.T) {
 	ev := NewEvaluator(schema.Build(q), struql.NewGraphSource(embedData()))
 	ts := template.NewSet()
 	ts.MustAdd("Root", `<SFMT Card EMBED>`)
-	srv := NewRenderer(ev, ts)
+	srv := NewRenderer(ev, ts, testURL)
 	srv.PerFn["Root"] = "Root"
 	out, err := srv.RenderPage(PageRef{Fn: "Root"})
 	if err != nil {
@@ -86,6 +91,34 @@ func TestServerEmbedWithoutTemplateUsesListing(t *testing.T) {
 	}
 	if !strings.Contains(out, "<dt>name</dt><dd>First</dd>") {
 		t.Errorf("default listing for embedded page missing:\n%s", out)
+	}
+}
+
+// TestReferencesLinkOnlyPages pins RenderRef: a page links through the
+// renderer's link function; a data-graph object, which no server
+// resolves as a page, renders as its anchor text alone.
+func TestReferencesLinkOnlyPages(t *testing.T) {
+	q := struql.MustParse(embedQuery)
+	ev := NewEvaluator(schema.Build(q), struql.NewGraphSource(embedData()))
+	ts := template.NewSet()
+	ts.MustAdd("Root", `<SFMT Card>`)
+	ts.MustAdd("Card", `<SFMT self>`)
+	srv := NewRenderer(ev, ts, testURL)
+	srv.PerFn["Root"] = "Root"
+	srv.PerFn["Card"] = "Card"
+	root, err := srv.RenderPage(PageRef{Fn: "Root"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(root, `<a href="/Card">`) {
+		t.Errorf("page reference is not a link: %q", root)
+	}
+	card, err := srv.RenderPage(PageRef{Fn: "Card", Args: []graph.Value{graph.NewNode("i1")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if card != "First" {
+		t.Errorf("data-object reference = %q, want its anchor text without a link", card)
 	}
 }
 

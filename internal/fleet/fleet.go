@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"strudel/internal/dynamic"
-	"strudel/internal/graph"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
 	"strudel/internal/schema"
@@ -230,13 +229,12 @@ func New(cfg Config, src struql.Source) (*Fleet, error) {
 			ev := dynamic.NewEvaluator(cfg.Schema, src)
 			ev.Obs = cfg.ServeObs
 			ev.Lookahead = cfg.Lookahead
-			srv := dynamic.NewRenderer(ev, cfg.Templates)
+			srv := dynamic.NewRenderer(ev, cfg.Templates, PageURL)
 			srv.PerFn = cfg.PerFn
 			if srv.PerFn == nil {
 				srv.PerFn = map[string]string{}
 			}
 			srv.Default = cfg.Default
-			srv.PageURLFunc = func(ref dynamic.PageRef, _ graph.OID) string { return PageURL(ref) }
 			rep := &Replica{shard: s, index: i, ev: ev, srv: srv}
 			rep.life, rep.cancel = context.WithCancel(context.Background())
 			f.grid[s][i] = rep

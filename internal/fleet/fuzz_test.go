@@ -90,6 +90,7 @@ func FuzzPageRequest(f *testing.F) {
 		{"/", ""}, {"/page/Root", "5000"}, {"/page/Pub;npub01", "1"}, {"/page/Year;i1994", "-3"},
 		{"/page/Nope", ""}, {"/page/Pub;%zz", "x"}, {"/page/", "9999999999999999999999"},
 		{"/page/Tag;sdb%3B", "0"}, {"/healthz", ""}, {"//page/../Root", ""}, {"/query", "12"},
+		{"/page/Root", "9223372036854775807"},
 	} {
 		f.Add(s[0], s[1])
 	}

@@ -73,7 +73,7 @@ func drillCluster(t *testing.T, m *obs.FleetMetrics, faults map[[2]int]faultnet.
 
 // drillLoad drives the load generator against an edge with full body
 // verification against the reference evaluator.
-func drillLoad(t *testing.T, ts *httptest.Server) Report {
+func drillLoad(t *testing.T, ts *httptest.Server) *loadReport {
 	t.Helper()
 	s := buildSchema(t)
 	refSrv := newReference(t, s, genSiteData(drillSeed))
@@ -88,14 +88,14 @@ func drillLoad(t *testing.T, ts *httptest.Server) Report {
 	roots := refSrv.Ev.EntryPoints()
 	expected["/"] = expected[PageURL(roots[0])]
 
-	lg := &LoadGen{
-		BaseURL:     ts.URL,
-		Rate:        150,
-		Duration:    2 * time.Second,
-		Warmup:      400 * time.Millisecond,
-		Seed:        drillSeed,
-		AllowStatus: []int{http.StatusServiceUnavailable},
-		Verify: func(path, body string) error {
+	lg := &openLoad{
+		url:    ts.URL,
+		rate:   150,
+		window: 2 * time.Second,
+		warmup: 400 * time.Millisecond,
+		seed:   drillSeed,
+		allow:  []int{http.StatusServiceUnavailable},
+		verify: func(path, body string) error {
 			want, ok := expected[path]
 			if !ok {
 				return fmt.Errorf("unexpected path %s", path)
@@ -106,11 +106,7 @@ func drillLoad(t *testing.T, ts *httptest.Server) Report {
 			return nil
 		},
 	}
-	rep, err := lg.Run(context.Background())
-	if err != nil {
-		t.Fatalf("loadgen: %v", err)
-	}
-	return rep
+	return lg.run(t)
 }
 
 func TestGrayFailureDrill(t *testing.T) {
@@ -146,7 +142,7 @@ func TestGrayFailureDrill(t *testing.T) {
 	if gray.Errors != 0 {
 		t.Fatalf("drill produced %d non-503 errors: %+v", gray.Errors, gray)
 	}
-	for _, code := range gray.SortedStatusKeys() {
+	for code := range gray.Status {
 		if code != "200" && code != "503" {
 			t.Fatalf("unexpected status %s in drill: %+v", code, gray.Status)
 		}
@@ -199,7 +195,7 @@ func max64(a, b int64) int64 {
 
 // writeDrillReport emits the drill outcome as JSON when
 // CHAOS_SERVE_OUT names a file — the make chaos-serve artifact.
-func writeDrillReport(t *testing.T, baseline, gray Report, m *obs.FleetMetrics, health map[string]any) {
+func writeDrillReport(t *testing.T, baseline, gray *loadReport, m *obs.FleetMetrics, health map[string]any) {
 	t.Helper()
 	out := os.Getenv("CHAOS_SERVE_OUT")
 	if out == "" {

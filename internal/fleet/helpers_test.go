@@ -112,9 +112,7 @@ func buildSchema(t testing.TB) *schema.Schema {
 func newReference(t testing.TB, s *schema.Schema, g *graph.Graph) *dynamic.Renderer {
 	t.Helper()
 	ev := dynamic.NewEvaluator(s, repo.NewIndexed(g))
-	srv := dynamic.NewRenderer(ev, template.NewSet())
-	srv.PageURLFunc = func(ref dynamic.PageRef, _ graph.OID) string { return PageURL(ref) }
-	return srv
+	return dynamic.NewRenderer(ev, template.NewSet(), PageURL)
 }
 
 // crawlRefs walks the reference evaluator's page space breadth-first

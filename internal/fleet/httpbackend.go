@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -97,14 +98,22 @@ func ReplicaHandler(rep *Replica) http.Handler {
 
 // parseDeadlineMs parses the deadline header into a remaining budget.
 func parseDeadlineMs(v string) (time.Duration, bool) {
-	if v == "" {
-		return 0, false
+	d := parseCount(v, time.Millisecond)
+	return d, d > 0
+}
+
+// parseCount parses a header's decimal count of unit; 0 when absent,
+// unparseable or negative. A count too large for a time.Duration
+// saturates at the largest one rather than wrapping negative.
+func parseCount(v string, unit time.Duration) time.Duration {
+	n, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || n < 0 {
+		return 0
 	}
-	ms, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || ms <= 0 {
-		return 0, false
+	if n > int64(math.MaxInt64/unit) {
+		return math.MaxInt64
 	}
-	return time.Duration(ms) * time.Millisecond, true
+	return time.Duration(n) * unit
 }
 
 // HTTPCluster is a Cluster whose shard fetches go over real HTTP to
@@ -244,12 +253,5 @@ func (c *HTTPCluster) fetchOne(ctx context.Context, base, key string) (string, i
 // parseRetryAfter parses a Retry-After header's delay-seconds form
 // (the only form this tier emits); 0 when absent or unparseable.
 func parseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	secs, err := strconv.ParseInt(v, 10, 64)
-	if err != nil || secs < 0 {
-		return 0
-	}
-	return time.Duration(secs) * time.Second
+	return parseCount(v, time.Second)
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -68,6 +69,34 @@ func TestReplicaServerRetryAfterHint(t *testing.T) {
 	}
 	if got := resp.Header.Get("Retry-After"); got != "7" {
 		t.Fatalf("Retry-After %q, want \"7\"", got)
+	}
+}
+
+// TestHeaderCountsSaturate pins the two numeric headers a replica hop
+// parses: a count too large for a time.Duration saturates instead of
+// wrapping negative, so a huge deadline still renders (not an instant
+// 504) and a huge Retry-After stays the longest hint, not none.
+func TestHeaderCountsSaturate(t *testing.T) {
+	for _, ms := range []string{"", "5000", "9223372036855", "9223372036854775807"} {
+		// A fresh fleet per case: a page cached by an earlier case would
+		// render without ever reading the deadline.
+		f := grayFleet(t, 3, 1, 1, nil, GrayConfig{})
+		req := httptest.NewRequest(http.MethodGet, PageURL(f.EntryPoints()[0]), nil)
+		req.Header.Set(deadlineHeader, ms)
+		w := httptest.NewRecorder()
+		ReplicaHandler(f.Replica(0, 0)).ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Errorf("replica GET with %s %q = %d, want 200: %s", deadlineHeader, ms, w.Code, w.Body.String())
+		}
+	}
+	for v, want := range map[string]time.Duration{
+		"": 0, "x": 0, "-1": 0, "0": 0, "7": 7 * time.Second,
+		"9223372037":          math.MaxInt64,
+		"9223372036854775807": math.MaxInt64,
+	} {
+		if got := parseRetryAfter(v); got != want {
+			t.Errorf("parseRetryAfter(%q) = %v, want %v", v, got, want)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"net/http/httptest"
 	"testing"
@@ -11,7 +10,7 @@ import (
 // TestLoadgenSmoke runs the open-loop load generator against an
 // in-process fleet for a short fixed window and asserts the CI
 // contract: pages were discovered, throughput is non-zero, no request
-// errored, and — via the Verify hook — every measured response was
+// errored, and — via the verify hook — every measured response was
 // byte-identical to the single-evaluator oracle (zero mismatches).
 func TestLoadgenSmoke(t *testing.T) {
 	s := buildSchema(t)
@@ -37,13 +36,13 @@ func TestLoadgenSmoke(t *testing.T) {
 	}
 	want["/"] = root
 
-	lg := &LoadGen{
-		BaseURL:  ts.URL,
-		Rate:     400,
-		Duration: 600 * time.Millisecond,
-		Warmup:   150 * time.Millisecond,
-		Seed:     1,
-		Verify: func(path, body string) error {
+	lg := &openLoad{
+		url:    ts.URL,
+		rate:   400,
+		window: 600 * time.Millisecond,
+		warmup: 150 * time.Millisecond,
+		seed:   1,
+		verify: func(path, body string) error {
 			wantBody, ok := want[path]
 			if !ok {
 				return fmt.Errorf("crawled unknown path %s", path)
@@ -54,10 +53,7 @@ func TestLoadgenSmoke(t *testing.T) {
 			return nil
 		},
 	}
-	rep, err := lg.Run(context.Background())
-	if err != nil {
-		t.Fatalf("loadgen: %v", err)
-	}
+	rep := lg.run(t)
 	if rep.Pages < 5 {
 		t.Fatalf("discovered only %d pages", rep.Pages)
 	}
@@ -76,12 +72,4 @@ func TestLoadgenSmoke(t *testing.T) {
 	t.Logf("loadgen smoke: %d pages, %d requests, %.0f rps, p50=%s p99=%s",
 		rep.Pages, rep.Requests, rep.Throughput,
 		time.Duration(rep.P50Nanos), time.Duration(rep.P99Nanos))
-}
-
-// TestLoadGenRejectsBadConfig pins the argument contract.
-func TestLoadGenRejectsBadConfig(t *testing.T) {
-	lg := &LoadGen{BaseURL: "http://127.0.0.1:0", Rate: 0}
-	if _, err := lg.Run(context.Background()); err == nil {
-		t.Fatal("Run with zero rate succeeded")
-	}
 }

@@ -115,9 +115,9 @@ func DecodeRef(key string) (dynamic.PageRef, error) {
 }
 
 // PageURL is the edge's URL for a page ref: /page/<escaped page key>.
-// It is the scheme replicas embed in rendered links (via
-// dynamic.Renderer.PageURLFunc), so a page rendered by any replica links
-// to URLs any other replica can resolve.
+// It is the link function every replica's dynamic.Renderer is built
+// with, so a page rendered by any replica links to URLs any other
+// replica can resolve.
 func PageURL(ref dynamic.PageRef) string {
 	return "/page/" + urlEscapeKey(EncodeRef(ref))
 }

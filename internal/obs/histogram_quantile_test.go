@@ -104,9 +104,9 @@ func TestHistogramQuantileDegenerateInputs(t *testing.T) {
 	}
 }
 
-// TestHistSnapPercentileKeys pins the /debug/vars histogram shape: the
-// fleet load generator and bench_serve.sh read p50/p99/p999 back from
-// it, so dropping a key is an API break even though it is "just JSON".
+// TestHistSnapPercentileKeys pins the /debug/vars histogram shape:
+// dashboards and scripts read p50/p99/p999 back from it, so dropping a
+// key is an API break even though it is "just JSON".
 func TestHistSnapPercentileKeys(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 1000; i++ {

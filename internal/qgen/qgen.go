@@ -4,9 +4,9 @@
 // construction form, and standalone where clauses for the query API.
 // The generators were born in the struql package's oracle (PR 5) and
 // were extracted so network-level harnesses (the HTTP query oracle,
-// fuzz seeds, load drivers) can reuse the exact same corpus; the
-// outputs are bit-for-bit what the in-package originals produced, so
-// existing seeds and fuzz corpora keep their meaning.
+// fuzz seeds) can reuse the exact same corpus; the outputs are
+// bit-for-bit what the in-package originals produced, so existing
+// seeds and fuzz corpora keep their meaning.
 //
 // Everything is deterministic from the seed: the random source is a
 // self-contained 64-bit LCG, not math/rand, so the corpus never shifts

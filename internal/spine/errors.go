@@ -172,11 +172,14 @@ func Classify(err error) *Error {
 // whole seconds, rounded up, at least 1 (clients treat 0 as "retry
 // immediately", which defeats the point of the hint).
 func RetryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
+	secs := d / time.Second
+	if d%time.Second > 0 {
+		secs++ // rounding by division, so the largest hint cannot wrap
+	}
 	if secs < 1 {
 		secs = 1
 	}
-	return secs
+	return int(secs)
 }
 
 // Write renders a typed error as its {"error":{...}} envelope, setting

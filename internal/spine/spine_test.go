@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -64,6 +65,7 @@ func TestRetryAfterSeconds(t *testing.T) {
 	for d, want := range map[time.Duration]int{
 		0: 1, -time.Second: 1, time.Millisecond: 1, time.Second: 1,
 		1001 * time.Millisecond: 2, 7 * time.Second: 7,
+		math.MaxInt64: int(math.MaxInt64/time.Second) + 1,
 	} {
 		if got := RetryAfterSeconds(d); got != want {
 			t.Errorf("RetryAfterSeconds(%v) = %d, want %d", d, got, want)
