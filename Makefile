@@ -100,7 +100,7 @@ loadgen-smoke:
 	$(GO) test -count=1 -race -run '^TestReloadUnderLoad$$|^TestChaosKillsUnderLoad$$|^TestGenerationIsOneSharedSnapshot$$' ./internal/fleet
 
 # check is what CI runs.
-check: fmt-check vet race bench-build
+check: build fmt-check vet race bench-build
 
 clean:
 	$(GO) clean ./...

@@ -266,11 +266,12 @@ func browse(b *testing.B, ev *dynamic.Evaluator, clicks int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(pd.Links) == 0 {
+		links := ev.Links(pd)
+		if len(links) == 0 {
 			cur = root
 			continue
 		}
-		cur = pd.Links[c%len(pd.Links)]
+		cur = links[c%len(links)]
 	}
 }
 

@@ -132,10 +132,11 @@ func TestE7_WorkCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pd.Links) == 0 {
+		links := ev.Links(pd)
+		if len(links) == 0 {
 			break
 		}
-		cur = pd.Links[c%len(pd.Links)]
+		cur = links[c%len(links)]
 	}
 	st := ev.StatsSnapshot()
 	t.Logf("E7: static site objects = %d; dynamic 10-click session computed %d pages (%d queries)",

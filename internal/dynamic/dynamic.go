@@ -43,13 +43,49 @@ type PageRef struct {
 }
 
 // PageData is the computed content of one page: the node's outgoing
-// edges in the virtual site graph, plus the PageRefs of linked dynamic
-// pages (for navigation and lookahead).
+// edges in the virtual site graph. A cached page stores each target
+// once, grouped by label: labels holds the distinct labels sorted,
+// targets every target in (label, key) order, and ends[i] the end of
+// labels[i]'s span in targets (the span starts at ends[i-1], or 0).
+// The edge source is always the page itself, so it is not stored; nor
+// are the linked pages, which are the node targets that resolve to a
+// page ref (Evaluator.Links).
 type PageData struct {
-	OID   graph.OID
-	Ref   PageRef
-	Out   []graph.Edge
-	Links []PageRef
+	OID graph.OID
+	Ref PageRef
+
+	labels  []string
+	ends    []int
+	targets []graph.Value
+}
+
+// outLabel returns the page's targets under one label, in key order.
+// The slice is a view of the cached page, capped so an append cannot
+// write into it; callers must not modify its elements.
+func (pd *PageData) outLabel(label string) []graph.Value {
+	i, ok := slices.BinarySearch(pd.labels, label)
+	if !ok {
+		return nil
+	}
+	lo := 0
+	if i > 0 {
+		lo = pd.ends[i-1]
+	}
+	hi := pd.ends[i]
+	return pd.targets[lo:hi:hi]
+}
+
+// Out builds the page's out-edges, sorted by (label, target key).
+func (pd *PageData) Out() []graph.Edge {
+	out := make([]graph.Edge, 0, len(pd.targets))
+	lo := 0
+	for i, l := range pd.labels {
+		for _, v := range pd.targets[lo:pd.ends[i]] {
+			out = append(out, graph.Edge{From: pd.OID, Label: l, To: v})
+		}
+		lo = pd.ends[i]
+	}
+	return out
 }
 
 // Stats counts evaluator work for the static-vs-dynamic experiments.
@@ -276,12 +312,15 @@ func (ev *Evaluator) EntryPoints() []PageRef {
 }
 
 // OIDFor returns the page oid of a ref, consistent with static
-// evaluation's Skolem naming.
+// evaluation's Skolem naming. The first ref registered for an oid is
+// the one RefFor returns; later equal refs are not kept.
 func (ev *Evaluator) OIDFor(ref PageRef) graph.OID {
 	ev.mu.Lock()
 	defer ev.mu.Unlock()
 	oid := ev.env.OID(ref.Fn, ref.Args)
-	ev.refs[oid] = ref
+	if _, ok := ev.refs[oid]; !ok {
+		ev.refs[oid] = ref
+	}
 	return oid
 }
 
@@ -303,7 +342,7 @@ func (ev *Evaluator) Page(ref PageRef) (*PageData, error) {
 // another request's in-flight computation of the same page stops waiting
 // when its own context ends.
 func (ev *Evaluator) PageCtx(ctx context.Context, ref PageRef) (*PageData, error) {
-	return ev.pageIn(ctx, ev.snapshot(), ref, ev.Lookahead)
+	return ev.pageIn(ctx, ev.snapshot(), ev.OIDFor(ref), ref, ev.Lookahead)
 }
 
 // pageIn computes (or returns from cache) one page against a specific
@@ -311,9 +350,8 @@ func (ev *Evaluator) PageCtx(ctx context.Context, ref PageRef) (*PageData, error
 // an uncomputed page becomes the leader and evaluates it; concurrent
 // requesters wait for the leader's result. A leader cancelled mid-flight
 // does not poison the page — its context error is not cached, and one of
-// the waiters takes over as the new leader.
-func (ev *Evaluator) pageIn(ctx context.Context, st *evalState, ref PageRef, lookahead bool) (*PageData, error) {
-	oid := ev.OIDFor(ref)
+// the waiters takes over as the new leader. oid is the page oid of ref.
+func (ev *Evaluator) pageIn(ctx context.Context, st *evalState, oid graph.OID, ref PageRef, lookahead bool) (*PageData, error) {
 	for {
 		st.mu.Lock()
 		if pd, ok := st.cache[oid]; ok {
@@ -369,15 +407,22 @@ func (ev *Evaluator) pageIn(ctx context.Context, st *evalState, ref PageRef, loo
 		if lookahead {
 			// Precompute "lookahead" results for reachable pages (§2.5),
 			// one level deep (lookahead=false below stops the recursion).
-			for _, l := range pd.Links {
-				loid := ev.OIDFor(l)
+			for _, v := range pd.targets {
+				if !v.IsNode() {
+					continue
+				}
+				loid := v.OID()
+				l, ok := ev.RefFor(loid)
+				if !ok {
+					continue // a data-graph object, not a page
+				}
 				st.mu.Lock()
 				_, cached := st.cache[loid]
 				st.mu.Unlock()
 				if cached {
 					continue
 				}
-				if _, err := ev.pageIn(ctx, st, l, false); err != nil {
+				if _, err := ev.pageIn(ctx, st, loid, l, false); err != nil {
 					return nil, err
 				}
 			}
@@ -389,10 +434,7 @@ func (ev *Evaluator) pageIn(ctx context.Context, st *evalState, ref PageRef, loo
 // compute runs the incremental query of every schema edge leaving the
 // page's Skolem function, with the page's arguments pre-bound.
 func (ev *Evaluator) compute(ctx context.Context, st *evalState, ref PageRef, oid graph.OID) (*PageData, error) {
-	pd := &PageData{OID: oid, Ref: ref}
-	// Links are deduplicated by target page in first-seen order; a page
-	// oid stands for its (Fn, Args) because Skolem oids are injective.
-	linked := map[graph.OID]bool{}
+	var edges []labeledTarget
 	for _, e := range ev.edges[ref.Fn] {
 		if len(e.FromArgs) != len(ref.Args) {
 			continue // a different creation shape of the same function
@@ -421,7 +463,7 @@ func (ev *Evaluator) compute(ctx context.Context, st *evalState, ref PageRef, oi
 					}
 					v = e.nsConst
 				}
-				pd.Out = append(pd.Out, graph.Edge{From: oid, Label: label, To: v})
+				edges = append(edges, labeledTarget{label, v})
 				continue
 			}
 			args := make([]graph.Value, len(e.ToArgs))
@@ -431,17 +473,49 @@ func (ev *Evaluator) compute(ctx context.Context, st *evalState, ref PageRef, oi
 					return nil, fmt.Errorf("dynamic: page %s: target argument %s unbound", oid, a)
 				}
 			}
-			tref := PageRef{Fn: e.To, Args: args}
-			toid := ev.OIDFor(tref)
-			pd.Out = append(pd.Out, graph.Edge{From: oid, Label: label, To: graph.NewNode(toid)})
-			if !linked[toid] {
-				linked[toid] = true
-				pd.Links = append(pd.Links, tref)
-			}
+			toid := ev.OIDFor(PageRef{Fn: e.To, Args: args})
+			edges = append(edges, labeledTarget{label, graph.NewNode(toid)})
 		}
 	}
-	pd.Out = sortDedupEdges(pd.Out)
-	return pd, nil
+	return newPageData(oid, ref, sortDedup(edges)), nil
+}
+
+// labeledTarget is one out-edge of the page being computed; its source
+// is always that page.
+type labeledTarget struct {
+	label string
+	to    graph.Value
+}
+
+// newPageData groups sorted, deduplicated edges by label into the cached
+// layout, each slice allocated at its exact size.
+func newPageData(oid graph.OID, ref PageRef, edges []labeledTarget) *PageData {
+	n := 0
+	for i, e := range edges {
+		if i == 0 || e.label != edges[i-1].label {
+			n++
+		}
+	}
+	pd := &PageData{
+		OID:     oid,
+		Ref:     ref,
+		labels:  make([]string, 0, n),
+		ends:    make([]int, 0, n),
+		targets: make([]graph.Value, len(edges)),
+	}
+	for i, e := range edges {
+		if i == 0 || e.label != edges[i-1].label {
+			if i > 0 {
+				pd.ends = append(pd.ends, i)
+			}
+			pd.labels = append(pd.labels, e.label)
+		}
+		pd.targets[i] = e.to
+	}
+	if len(edges) > 0 {
+		pd.ends = append(pd.ends, len(edges))
+	}
+	return pd
 }
 
 // parseTermText resolves NS-target text as a constant term.
@@ -458,16 +532,16 @@ func parseTermText(s string) (graph.Value, error) {
 	return pc.To.Const, nil
 }
 
-// sortDedupEdges orders one page's edges by (label, target key) and
-// drops repeats. KeyCompare orders targets as their Key() strings would
+// sortDedup orders one page's edges by (label, target key) and drops
+// repeats. KeyCompare orders targets as their Key() strings would
 // without building them, and the sort brings equal edges together, so
 // one pass over neighbours dedups.
-func sortDedupEdges(edges []graph.Edge) []graph.Edge {
-	slices.SortFunc(edges, func(a, b graph.Edge) int {
-		if c := strings.Compare(a.Label, b.Label); c != 0 {
+func sortDedup(edges []labeledTarget) []labeledTarget {
+	slices.SortFunc(edges, func(a, b labeledTarget) int {
+		if c := strings.Compare(a.label, b.label); c != 0 {
 			return c
 		}
-		return graph.KeyCompare(a.To, b.To)
+		return graph.KeyCompare(a.to, b.to)
 	})
 	out := edges[:0]
 	for i, e := range edges {
@@ -506,6 +580,23 @@ func (ev *Evaluator) CacheSize() int {
 	return len(st.cache)
 }
 
+// Links returns the pages pd links to: its node targets that resolve to
+// a page ref, each once, in the page's (label, key) order.
+func (ev *Evaluator) Links(pd *PageData) []PageRef {
+	var out []PageRef
+	seen := map[graph.OID]bool{}
+	for _, v := range pd.targets {
+		if !v.IsNode() || seen[v.OID()] {
+			continue
+		}
+		seen[v.OID()] = true
+		if ref, ok := ev.RefFor(v.OID()); ok {
+			out = append(out, ref)
+		}
+	}
+	return out
+}
+
 // MaterializeAll walks the whole reachable page space from the entry
 // points and returns the site graph it induces — useful to verify that
 // dynamic evaluation agrees with static evaluation.
@@ -527,10 +618,10 @@ func (ev *Evaluator) MaterializeAll() (*graph.Graph, error) {
 			return nil, err
 		}
 		g.AddNode(oid)
-		for _, e := range pd.Out {
+		for _, e := range pd.Out() {
 			g.AddEdge(e.From, e.Label, e.To)
 		}
-		queue = append(queue, pd.Links...)
+		queue = append(queue, ev.Links(pd)...)
 	}
 	return g, nil
 }

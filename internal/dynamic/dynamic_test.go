@@ -63,26 +63,27 @@ func TestPageComputesOutEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// title atom + two year pages (1997, 1998).
-	if len(root.Out) != 3 {
-		t.Fatalf("root out = %v", root.Out)
+	if len(root.Out()) != 3 {
+		t.Fatalf("root out = %v", root.Out())
 	}
-	if len(root.Links) != 2 {
-		t.Fatalf("root links = %v", root.Links)
+	links := ev.Links(root)
+	if len(links) != 2 {
+		t.Fatalf("root links = %v", links)
 	}
-	yp := root.Links[0]
+	yp := links[0]
 	ypd, err := ev.Page(yp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var papers int
-	for _, e := range ypd.Out {
+	for _, e := range ypd.Out() {
 		if e.Label == "Paper" {
 			papers++
 		}
 	}
 	// 1997 has two papers; 1998 has one — whichever sorted first.
 	if papers != 2 && papers != 1 {
-		t.Errorf("year page papers = %d:\n%v", papers, ypd.Out)
+		t.Errorf("year page papers = %d:\n%v", papers, ypd.Out())
 	}
 }
 
@@ -198,15 +199,15 @@ where A(x) create F(x) link F(x) -> "v" -> x
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pd.Out) != 1 {
-		t.Errorf("out = %v", pd.Out)
+	if len(pd.Out()) != 1 {
+		t.Errorf("out = %v", pd.Out())
 	}
 	// Zero-arg ref to the same fn: no matching edges, no error.
 	pd2, err := ev.Page(PageRef{Fn: "F"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pd2.Out) != 0 {
-		t.Errorf("mismatched arity should yield no edges: %v", pd2.Out)
+	if len(pd2.Out()) != 0 {
+		t.Errorf("mismatched arity should yield no edges: %v", pd2.Out())
 	}
 }

@@ -1,5 +1,11 @@
 package dynamic
 
+import (
+	"context"
+
+	"strudel/internal/template"
+)
+
 // Fixtures shared with the external dynamic_test package, which may
 // import packages that import this one (ivm, fleet): the publications
 // site, and the slow query whose evaluation over a delayed FaultSource
@@ -13,3 +19,9 @@ var (
 	FixtureData = testData
 	SlowData    = slowData
 )
+
+// SiteView returns the template.Site a render against the evaluator's
+// current generation reads pages through.
+func SiteView(ev *Evaluator) template.Site {
+	return dynSite{r: &dynRenderer{s: &Renderer{Ev: ev}, ctx: context.Background(), st: ev.snapshot()}}
+}

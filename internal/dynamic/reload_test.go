@@ -240,7 +240,7 @@ func TestReloaderSwapInvalidatesAffectedPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pd.Out) == 0 {
+	if len(pd.Out()) == 0 {
 		t.Error("new-generation year page is empty")
 	}
 }

@@ -51,7 +51,7 @@ func (s *Renderer) RenderPage(ref PageRef) (string, error) {
 // bytes.
 func (s *Renderer) RenderPageGen(ctx context.Context, ref PageRef) (string, int64, error) {
 	st := s.Ev.snapshot()
-	pd, err := s.Ev.pageIn(ctx, st, ref, s.Ev.Lookahead)
+	pd, err := s.Ev.pageIn(ctx, st, s.Ev.OIDFor(ref), ref, s.Ev.Lookahead)
 	if err != nil {
 		return "", st.gen, err
 	}
@@ -62,6 +62,12 @@ func (s *Renderer) RenderPageGen(ctx context.Context, ref PageRef) (string, int6
 		return html, st.gen, err
 	}
 	html, err := template.Render(t, pd.OID, dynSite{r: r}, r)
+	if err == nil && r.err != nil {
+		// A page read failed mid-render (a cancelled request, a killed
+		// replica, a neighbour that does not evaluate): the template saw
+		// an empty attribute, so the bytes are not the page.
+		return "", st.gen, r.err
+	}
 	return html, st.gen, err
 }
 
@@ -85,19 +91,19 @@ type dynSite struct {
 	r *dynRenderer
 }
 
+// OutLabel answers a page's label with a view of the cached page (no
+// copy), per the template.Site read-only contract. A page that fails to
+// evaluate answers nil and records the error, which fails the render.
 func (d dynSite) OutLabel(oid graph.OID, label string) []graph.Value {
 	if ref, ok := d.r.s.Ev.RefFor(oid); ok {
-		pd, err := d.r.s.Ev.pageIn(d.r.ctx, d.r.st, ref, false)
+		pd, err := d.r.s.Ev.pageIn(d.r.ctx, d.r.st, oid, ref, false)
 		if err != nil {
+			if d.r.err == nil {
+				d.r.err = err
+			}
 			return nil
 		}
-		var out []graph.Value
-		for _, e := range pd.Out {
-			if e.Label == label {
-				out = append(out, e.To)
-			}
-		}
-		return out
+		return pd.outLabel(label)
 	}
 	return d.r.st.src.OutLabel(oid, label)
 }
@@ -113,6 +119,9 @@ type dynRenderer struct {
 	// stack holds the page oids currently being rendered, outermost
 	// first; an embed of any of them is a cycle.
 	stack []graph.OID
+	// err is the first page read that failed; the render returns it
+	// instead of a page with holes.
+	err error
 }
 
 // LookupTemplate resolves SINCLUDE names against the renderer's set.
@@ -146,7 +155,7 @@ func (r *dynRenderer) RenderEmbed(oid graph.OID) (string, error) {
 		if len(r.stack) > maxEmbedDepth {
 			return r.RenderRef(oid, string(oid))
 		}
-		pd, err := r.s.Ev.pageIn(r.ctx, r.st, ref, false)
+		pd, err := r.s.Ev.pageIn(r.ctx, r.st, oid, ref, false)
 		if err != nil {
 			return "", err
 		}
@@ -178,7 +187,7 @@ func (r *dynRenderer) defaultRender(pd *PageData) (string, error) {
 	var b strings.Builder
 	title := html.EscapeString(string(pd.OID))
 	fmt.Fprintf(&b, "<html><head><title>%s</title></head><body>\n<h1>%s</h1>\n<dl>\n", title, title)
-	for _, e := range pd.Out {
+	for _, e := range pd.Out() {
 		var cell string
 		if e.To.IsNode() {
 			if _, ok := r.s.Ev.RefFor(e.To.OID()); ok {

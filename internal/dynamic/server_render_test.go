@@ -1,7 +1,10 @@
 package dynamic
 
 import (
+	"context"
+	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"strudel/internal/graph"
@@ -119,6 +122,76 @@ func TestReferencesLinkOnlyPages(t *testing.T) {
 	}
 	if card != "First" {
 		t.Errorf("data-object reference = %q, want its anchor text without a link", card)
+	}
+}
+
+// cancelSource cancels a render's context on its first access once
+// armed: the request is cancelled, or its attempt times out, or its
+// replica is killed, while the render reads a page it has not computed.
+type cancelSource struct {
+	struql.Source
+	cancel context.CancelFunc
+	armed  atomic.Bool
+}
+
+func (c *cancelSource) trip() {
+	if c.armed.CompareAndSwap(true, false) {
+		c.cancel()
+	}
+}
+
+func (c *cancelSource) Collection(name string) []graph.OID {
+	c.trip()
+	return c.Source.Collection(name)
+}
+
+func (c *cancelSource) InCollection(name string, oid graph.OID) bool {
+	c.trip()
+	return c.Source.InCollection(name, oid)
+}
+
+func (c *cancelSource) Out(oid graph.OID) []graph.Edge {
+	c.trip()
+	return c.Source.Out(oid)
+}
+
+func (c *cancelSource) OutLabel(oid graph.OID, label string) []graph.Value {
+	c.trip()
+	return c.Source.OutLabel(oid, label)
+}
+
+// TestNeighbourReadErrorFailsRender pins that a page whose render
+// cannot read a neighbour page fails instead of rendering the template's
+// fallback: Root is cached, and the request dies while Root's link to
+// Card(i1) computes Card(i1) for its anchor text. The render must return
+// the error, never "Card(i1)" where "First" belongs.
+func TestNeighbourReadErrorFailsRender(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelSource{Source: struql.NewGraphSource(embedData()), cancel: cancel}
+	ev := NewEvaluator(schema.Build(struql.MustParse(embedQuery)), src)
+	ts := template.NewSet()
+	ts.MustAdd("Root", `<SFMT Card>`)
+	srv := NewRenderer(ev, ts, testURL)
+	srv.PerFn["Root"] = "Root"
+	root := PageRef{Fn: "Root"}
+	if _, err := ev.Page(root); err != nil {
+		t.Fatal(err)
+	}
+
+	src.armed.Store(true)
+	body, _, err := srv.RenderPageGen(ctx, root)
+	if err == nil || body != "" {
+		t.Fatalf("render cancelled during a neighbour read = %q, %v; want an error and no body", body, err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want the request's cancellation", err)
+	}
+
+	// The cancelled read cached nothing: a live request renders the page.
+	body, _, err = srv.RenderPageGen(context.Background(), root)
+	if err != nil || !strings.Contains(body, ">First<") {
+		t.Fatalf("render after the cancelled one = %q, %v; want the Card link with its name", body, err)
 	}
 }
 

@@ -3,12 +3,18 @@ package fleet
 import (
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"strudel/internal/dynamic"
+	"strudel/internal/graph"
 	"strudel/internal/obs"
 	"strudel/internal/repo"
+	"strudel/internal/schema"
+	"strudel/internal/struql"
+	"strudel/internal/template"
 )
 
 // Chaos drills: replicas die mid-flight and the serving tier must
@@ -204,5 +210,96 @@ func TestChaosKillsUnderLoad(t *testing.T) {
 		if status != http.StatusOK || body != want[PageURL(r)] {
 			t.Fatalf("post-chaos GET %s = %d (correct=%v)", PageURL(r), status, body == want[PageURL(r)])
 		}
+	}
+}
+
+// neighbourQuery is a site whose Root page links Card pages by name: a
+// render of Root computes each Card it links to for the anchor text.
+// Card's pic query runs after its name query, so a render cancelled
+// during the name read sees the cancellation at the next query.
+const neighbourQuery = `
+create Root()
+link Root() -> "title" -> "Home"
+
+where Items(x)
+create Card(x)
+link Root() -> "Card" -> Card(x)
+{
+  where x -> "name" -> n
+  link Card(x) -> "name" -> n
+}
+{
+  where x -> "pic" -> p
+  link Card(x) -> "pic" -> p
+}
+`
+
+// trapSource runs trip once, at the first read of a "name" attribute:
+// while a render of Root computes its neighbour Card(i1).
+type trapSource struct {
+	struql.Source
+	once sync.Once
+	trip func()
+}
+
+func (s *trapSource) OutLabel(oid graph.OID, label string) []graph.Value {
+	if label == "name" {
+		s.once.Do(s.trip)
+	}
+	return s.Source.OutLabel(oid, label)
+}
+
+// TestNeighbourReadFailureNeverCaches200 kills the replica, or outlives
+// its attempt timeout, while a render reads a neighbour page. The edge
+// must fail over or answer an error, and never cache a 200 whose Card
+// link reads "Card(i1)" where the name "First" belongs.
+func TestNeighbourReadFailureNeverCaches200(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		gray GrayConfig
+		trip func(f *Fleet)
+	}{
+		{"attempt-timeout", GrayConfig{DisableHedge: true, AttemptTimeout: 50 * time.Millisecond},
+			func(*Fleet) { time.Sleep(300 * time.Millisecond) }},
+		{"kill", GrayConfig{DisableHedge: true},
+			func(f *Fleet) {
+				f.Replica(0, 0).Kill()
+				f.Replica(0, 1).Kill()
+				// A kill cancels in-flight renders from a goroutine of
+				// its own; let it land before the read returns.
+				time.Sleep(20 * time.Millisecond)
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := graph.New()
+			g.AddToCollection("Items", "i1")
+			g.AddEdge("i1", "name", graph.NewString("First"))
+			g.AddEdge("i1", "pic", graph.NewString("p.gif"))
+			var f *Fleet
+			src := &trapSource{Source: struql.NewGraphSource(g), trip: func() { tc.trip(f) }}
+			tmpl := template.NewSet()
+			tmpl.MustAdd("Root", `<SFMT Card>`)
+			f, err := New(Config{
+				Schema: schema.Build(struql.MustParse(neighbourQuery)), Templates: tmpl,
+				PerFn: map[string]string{"Root": "Root"}, Shards: 1, Replicas: 2, Gray: tc.gray,
+			}, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(quiet(NewEdge(f)).Handler())
+			defer ts.Close()
+			url := PageURL(dynamic.PageRef{Fn: "Root"})
+
+			status, _, body := get(t, ts, url, nil)
+			if status == http.StatusOK && !strings.Contains(body, ">First<") {
+				t.Fatalf("GET %s = 200 with a hole where the neighbour read failed:\n%s", url, body)
+			}
+			f.Replica(0, 0).Revive()
+			f.Replica(0, 1).Revive()
+			status, _, body = get(t, ts, url, nil)
+			if status != http.StatusOK || !strings.Contains(body, ">First<") {
+				t.Fatalf("GET %s after recovery = %d:\n%s", url, status, body)
+			}
+		})
 	}
 }

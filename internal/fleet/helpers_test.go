@@ -135,7 +135,7 @@ func crawlRefs(t testing.TB, srv *dynamic.Renderer) []dynamic.PageRef {
 		if err != nil {
 			t.Fatalf("crawl %s: %v", key, err)
 		}
-		queue = append(queue, pd.Links...)
+		queue = append(queue, srv.Ev.Links(pd)...)
 	}
 	return out
 }

@@ -13,6 +13,10 @@ import (
 // Site is the template evaluator's view of a site graph; *graph.Graph
 // satisfies it.
 type Site interface {
+	// OutLabel returns the values of the object's edges with the label.
+	// The slice may alias the site's own storage (the click-time
+	// evaluator answers with a view of its cached page), so callers
+	// must not write to it, sort it in place, or append to it.
 	OutLabel(oid graph.OID, label string) []graph.Value
 }
 
@@ -99,6 +103,8 @@ func (ctx *renderCtx) evalExpr(e AttrExpr, obj graph.OID, line int) ([]graph.Val
 		current = []graph.Value{graph.NewNode(obj)}
 	}
 	for _, seg := range e.Path {
+		// next starts nil, so the append copies every OutLabel view:
+		// the result is the caller's to reorder (renderFmt sorts it).
 		var next []graph.Value
 		for _, v := range current {
 			if !v.IsNode() {
@@ -163,6 +169,8 @@ func (ctx *renderCtx) renderFmt(n *FmtNode, obj graph.OID, b *strings.Builder) e
 		return err
 	}
 	if n.Order != "" {
+		// values is evalExpr's own copy, never a Site view, so sorting
+		// it in place leaves the site's storage in its order.
 		keyOf := func(v graph.Value) graph.Value {
 			if n.Key != "" && v.IsNode() {
 				return ctx.first(v.OID(), n.Key)
