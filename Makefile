@@ -18,9 +18,10 @@ race:
 vet:
 	$(GO) vet ./...
 
-# fmt-check fails when any Go file outside bench/ is not gofmt-clean.
+# fmt-check fails when any Go file outside bench/ is not gofmt-clean
+# (cmd/, internal/, examples/ and the root package).
 fmt-check:
-	test -z "$$(gofmt -l cmd internal *.go)"
+	test -z "$$(gofmt -l cmd internal examples *.go)"
 
 bench:
 	$(GO) test -bench=. -benchmem .

@@ -45,7 +45,6 @@ import (
 	"syscall"
 	"time"
 
-	"strudel/internal/ddl"
 	"strudel/internal/dynamic"
 	"strudel/internal/fleet"
 	"strudel/internal/graph"
@@ -54,7 +53,7 @@ import (
 	"strudel/internal/schema"
 	"strudel/internal/struql"
 	"strudel/internal/template"
-	"strudel/internal/wrapper/bibtex"
+	"strudel/internal/wrapper/filesrc"
 )
 
 type stringList []string
@@ -287,10 +286,11 @@ func (s *server) debugMux() http.Handler {
 }
 
 // buildServer assembles the serving stack from the CLI inputs. Every
-// -data and -bibtex file becomes a watched source: the reloader polls
-// its mtime and re-wraps it on change. Metrics are always collected
-// (they are cheap atomics); the debug listener just decides whether
-// anything can read them.
+// -data and -bibtex file becomes a source (named ddl:FILE and bib:FILE,
+// as in the strudel builder): the reloader polls the file and re-wraps
+// the source on change. Metrics are always collected (they are cheap
+// atomics); the debug listener just decides whether anything can read
+// them.
 func buildServer(cfg config) (*server, error) {
 	if cfg.queryFile == "" {
 		return nil, fmt.Errorf("provide -query FILE")
@@ -304,42 +304,9 @@ func buildServer(cfg config) (*server, error) {
 		return nil, err
 	}
 
-	var sources []dynamic.WatchedSource
-	for _, f := range cfg.dataFiles {
-		f := f
-		sources = append(sources, dynamic.WatchedSource{
-			Name:  "ddl:" + f,
-			Paths: []string{f},
-			Load: func() (*graph.Graph, error) {
-				b, err := os.ReadFile(f)
-				if err != nil {
-					return nil, err
-				}
-				doc, err := ddl.Parse(string(b))
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", f, err)
-				}
-				return doc.Graph, nil
-			},
-		})
-	}
-	for _, f := range cfg.bibFiles {
-		f := f
-		sources = append(sources, dynamic.WatchedSource{
-			Name:  "bibtex:" + f,
-			Paths: []string{f},
-			Load: func() (*graph.Graph, error) {
-				b, err := os.ReadFile(f)
-				if err != nil {
-					return nil, err
-				}
-				g, err := bibtex.Load(string(b), bibtex.DefaultOptions())
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", f, err)
-				}
-				return g, nil
-			},
-		})
+	sources, err := filesrc.Sources(cfg.dataFiles, cfg.bibFiles, nil, nil)
+	if err != nil {
+		return nil, err
 	}
 	s := &server{
 		serveObs: &obs.ServeMetrics{},

@@ -25,16 +25,12 @@ import (
 	"time"
 
 	"strudel/internal/core"
-	"strudel/internal/ddl"
 	"strudel/internal/diag"
 	"strudel/internal/fsx"
-	"strudel/internal/graph"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
 	"strudel/internal/sites"
-	"strudel/internal/wrapper/bibtex"
-	"strudel/internal/wrapper/csvrel"
-	"strudel/internal/wrapper/jsonwrap"
+	"strudel/internal/wrapper/filesrc"
 )
 
 // Exit codes: 0 success, 1 generic/I-O failure, 2 flag misuse, 3 source
@@ -116,6 +112,9 @@ func main() {
 	switch {
 	case *watch && *example != "":
 		fmt.Fprintln(os.Stderr, "strudel: -watch needs explicit file inputs; the bundled examples synthesize their data in memory")
+		os.Exit(exitUsage)
+	case *watch && *watchInterval <= 0:
+		fmt.Fprintf(os.Stderr, "strudel: -watch-interval must be positive, got %s\n", *watchInterval)
 		os.Exit(exitUsage)
 	case *watch:
 		err = watchExplicit(dataFiles, bibFiles, csvSpecs, jsonFiles, *queryFile, templates, collTpl, objTpl, roots, constraintsList, *out, *watchInterval, opts)
@@ -259,107 +258,6 @@ func buildExample(name string, size int, out string, opts *core.Options) error {
 	return nil
 }
 
-// assembleSources turns the explicit-mode file flags into mediator
-// sources, each paired with the file it reads so watch mode knows what
-// to poll.
-func assembleSources(dataFiles, bibFiles, csvSpecs, jsonFiles []string) ([]fileSource, error) {
-	var sources []fileSource
-	for _, f := range dataFiles {
-		f := f
-		name := "ddl:" + f
-		sources = append(sources, fileSource{path: f, src: mediator.Source{Name: name,
-			Load: func() (*graph.Graph, error) {
-				b, err := os.ReadFile(f)
-				if err != nil {
-					return nil, err
-				}
-				doc, err := ddl.Parse(string(b))
-				if err != nil {
-					return nil, err
-				}
-				return doc.Graph, nil
-			},
-			LoadLenient: func() (*graph.Graph, *diag.Report, error) {
-				b, err := os.ReadFile(f)
-				if err != nil {
-					return nil, nil, err
-				}
-				doc, rep := ddl.ParseLenient(string(b), name)
-				return doc.Graph, rep, nil
-			}}})
-	}
-	for _, f := range bibFiles {
-		f := f
-		name := "bib:" + f
-		sources = append(sources, fileSource{path: f, src: mediator.Source{Name: name,
-			Load: func() (*graph.Graph, error) {
-				b, err := os.ReadFile(f)
-				if err != nil {
-					return nil, err
-				}
-				return bibtex.Load(string(b), bibtex.DefaultOptions())
-			},
-			LoadLenient: func() (*graph.Graph, *diag.Report, error) {
-				b, err := os.ReadFile(f)
-				if err != nil {
-					return nil, nil, err
-				}
-				g, rep := bibtex.LoadLenient(string(b), name, bibtex.DefaultOptions())
-				return g, rep, nil
-			}}})
-	}
-	for _, spec := range csvSpecs {
-		parts := strings.SplitN(spec, ":", 3)
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("-csv wants Table:keyColumn:file, got %q", spec)
-		}
-		table, key, f := parts[0], parts[1], parts[2]
-		name := "csv:" + f
-		copts := csvrel.Options{Table: table, KeyColumn: key}
-		sources = append(sources, fileSource{path: f, src: mediator.Source{Name: name,
-			Load: func() (*graph.Graph, error) {
-				b, err := os.ReadFile(f)
-				if err != nil {
-					return nil, err
-				}
-				return csvrel.Load(string(b), copts)
-			},
-			LoadLenient: func() (*graph.Graph, *diag.Report, error) {
-				b, err := os.ReadFile(f)
-				if err != nil {
-					return nil, nil, err
-				}
-				return csvrel.LoadLenient(string(b), name, copts)
-			}}})
-	}
-	for _, spec := range jsonFiles {
-		coll, f, ok := strings.Cut(spec, ":")
-		if !ok {
-			return nil, fmt.Errorf("-json wants Collection:file, got %q", spec)
-		}
-		name := "json:" + f
-		docName := strings.TrimSuffix(filepath.Base(f), filepath.Ext(f))
-		jopts := jsonwrap.Options{Collection: coll}
-		sources = append(sources, fileSource{path: f, src: mediator.Source{Name: name,
-			Load: func() (*graph.Graph, error) {
-				b, err := os.ReadFile(f)
-				if err != nil {
-					return nil, err
-				}
-				return jsonwrap.Load(docName, b, jopts)
-			},
-			LoadLenient: func() (*graph.Graph, *diag.Report, error) {
-				b, err := os.ReadFile(f)
-				if err != nil {
-					return nil, nil, err
-				}
-				g, rep := jsonwrap.LoadLenient(docName, b, name, jopts)
-				return g, rep, nil
-			}}})
-	}
-	return sources, nil
-}
-
 // makeVersion reads the query and template files of explicit mode into
 // one core.Version named "main".
 func makeVersion(queryFile string, templates, collTpl, objTpl, roots, constraintsList []string) (*core.Version, error) {
@@ -395,17 +293,13 @@ func makeVersion(queryFile string, templates, collTpl, objTpl, roots, constraint
 
 func buildExplicit(dataFiles, bibFiles, csvSpecs, jsonFiles []string, queryFile string,
 	templates, collTpl, objTpl, roots, constraintsList []string, out string, opts *core.Options) error {
-	files, err := assembleSources(dataFiles, bibFiles, csvSpecs, jsonFiles)
+	sources, err := filesrc.Sources(dataFiles, bibFiles, csvSpecs, jsonFiles)
 	if err != nil {
 		return err
 	}
 	version, err := makeVersion(queryFile, templates, collTpl, objTpl, roots, constraintsList)
 	if err != nil {
 		return err
-	}
-	sources := make([]mediator.Source, len(files))
-	for i, f := range files {
-		sources[i] = f.src
 	}
 	res, err := core.BuildWith(&core.Spec{Name: "cli", Sources: sources, Versions: []core.Version{*version}}, opts)
 	if res != nil {
@@ -438,7 +332,7 @@ func buildExplicit(dataFiles, bibFiles, csvSpecs, jsonFiles []string, queryFile 
 func watchExplicit(dataFiles, bibFiles, csvSpecs, jsonFiles []string, queryFile string,
 	templates, collTpl, objTpl, roots, constraintsList []string, out string,
 	interval time.Duration, opts *core.Options) error {
-	files, err := assembleSources(dataFiles, bibFiles, csvSpecs, jsonFiles)
+	sources, err := filesrc.Sources(dataFiles, bibFiles, csvSpecs, jsonFiles)
 	if err != nil {
 		return err
 	}
@@ -446,10 +340,10 @@ func watchExplicit(dataFiles, bibFiles, csvSpecs, jsonFiles []string, queryFile 
 	if err != nil {
 		return err
 	}
-	if len(files) == 0 {
+	if len(sources) == 0 {
 		return fmt.Errorf("-watch needs at least one file source (-data, -bibtex, -csv, or -json)")
 	}
-	return runWatch(files, version, out, interval, opts)
+	return runWatch(sources, version, out, interval, opts)
 }
 
 func splitPairs(list []string) map[string]string {

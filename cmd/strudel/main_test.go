@@ -1,16 +1,70 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"strudel/internal/core"
 	"strudel/internal/diag"
 )
+
+// TestMain lets a test run the command itself: with STRUDEL_RUN_MAIN
+// set, the test binary is strudel, and its arguments are strudel's.
+func TestMain(m *testing.M) {
+	if os.Getenv("STRUDEL_RUN_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs strudel with args in a child process and returns its exit
+// code and combined output.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "STRUDEL_RUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatalf("run strudel: %v", err)
+	}
+	return cmd.ProcessState.ExitCode(), string(out)
+}
+
+// TestWatchRejectsNonPositiveInterval: a zero or negative poll interval
+// is flag misuse, refused before anything is built or published.
+func TestWatchRejectsNonPositiveInterval(t *testing.T) {
+	dir := t.TempDir()
+	ddl := filepath.Join(dir, "d.ddl")
+	query := filepath.Join(dir, "site.struql")
+	if err := os.WriteFile(ddl, []byte("collection Pubs;\nnode p1 in Pubs { title \"A\"; }\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(query, []byte(`create Root() link Root() -> "title" -> "Home"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, interval := range []string{"0", "-1s"} {
+		out := filepath.Join(dir, "site"+interval)
+		code, output := runMain(t, "-watch", "-watch-interval", interval,
+			"-data", ddl, "-query", query, "-root", "Root()", "-out", out)
+		if code != exitUsage || !strings.Contains(output, "-watch-interval must be positive") {
+			t.Errorf("-watch-interval %s: exit %d, output:\n%s", interval, code, output)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("-watch-interval %s: site was built before the flag was rejected", interval)
+		}
+	}
+}
 
 func TestBuildExampleSites(t *testing.T) {
 	for _, name := range []string{"homepage", "cnn", "bilingual"} {

@@ -1,208 +1,141 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 	"os"
 	"time"
 
 	"strudel/internal/constraints"
 	"strudel/internal/core"
+	"strudel/internal/dynamic"
 	"strudel/internal/fsx"
 	"strudel/internal/ivm"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
+	"strudel/internal/struql"
 )
 
-// fileSource pairs a mediator source with the file it reads, so watch
-// mode knows what to poll.
-type fileSource struct {
-	src  mediator.Source
-	path string
-}
-
-// watchStamp is the polled metadata of one input file. Watch mode only
-// needs edit detection coarse enough for human-driven source files; the
-// serving reloader adds content hashing for the sub-second case.
-type watchStamp struct {
-	mtime time.Time
-	size  int64
-	ok    bool
-}
-
-func statWatch(path string) watchStamp {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return watchStamp{}
-	}
-	return watchStamp{mtime: fi.ModTime(), size: fi.Size(), ok: true}
-}
-
-// watcher drives the watch-mode loop: poll the input files, refresh
-// changed sources through the mediator, push the merged delta through
-// the incremental site, re-check integrity constraints, and patch only
-// the dirtied pages into the published tree. Every failure is fail-soft:
-// the published directory keeps the last good generation and the next
-// tick retries from current file state.
-type watcher struct {
-	med     *mediator.Mediator
-	files   []fileSource
-	version *core.Version
-	checks  []constraints.Constraint
+// swapper is watch mode's consumer of the reload loop: it pushes each
+// new data generation's delta through the incremental site, re-checks
+// the integrity constraints, and patches only the dirtied pages into the
+// published tree. Every failure is fail-soft: the published directory
+// keeps the last good generation, the site keeps its accumulated dirty
+// set, and the next generation retries.
+type swapper struct {
 	site    *ivm.Site
+	checks  []constraints.Constraint
 	out     string
 	metrics *obs.IVMMetrics
-	stamps  map[string]watchStamp
 	logf    func(format string, args ...any)
+	// err is the last swap's failure, nil after a success.
+	err error
 }
 
-// newWatcher builds the site once from current file state, publishes it
-// whole, and records the file stamps the polling loop diffs against.
-// A constraint violation on the initial build is fatal, exactly like a
-// batch build: there is no last-good tree to fall back to yet.
-func newWatcher(files []fileSource, version *core.Version, out string,
-	opts *core.Options, logf func(format string, args ...any)) (*watcher, error) {
-	w := &watcher{files: files, version: version, out: out,
-		metrics: &obs.IVMMetrics{}, stamps: map[string]watchStamp{}, logf: logf}
-	if w.logf == nil {
-		w.logf = func(string, ...any) {}
-	}
+// newWatch builds the site once from current file state, publishes it
+// whole, and returns the reload loop that keeps it fresh. The loop's
+// file stamps are taken before the first load, so an edit made while
+// the site builds is seen by the first poll. A constraint violation on
+// the initial build is fatal, exactly like a batch build: there is no
+// last-good tree to fall back to yet.
+func newWatch(sources []mediator.Source, version *core.Version, out string,
+	interval time.Duration, opts *core.Options, logger *log.Logger) (*dynamic.Reloader, *swapper, error) {
+	sw := &swapper{out: out, metrics: &obs.IVMMetrics{}, logf: logger.Printf}
 	for _, cs := range version.Constraints {
 		c, err := constraints.Parse(cs)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		w.checks = append(w.checks, c)
+		sw.checks = append(sw.checks, c)
 	}
-	srcs := make([]mediator.Source, len(files))
-	for i, f := range files {
-		srcs[i] = f.src
-	}
-	med, err := mediator.New(srcs...)
+	rl, err := dynamic.NewReloader(sources...)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	w.med = med
-	data, err := med.Warehouse()
+	rl.Interval, rl.Logger = interval, logger
+	data, err := rl.Warehouse()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	site, err := ivm.NewSite(version, data, opts, w.metrics)
-	if err != nil {
-		return nil, err
+	if sw.site, err = ivm.NewSite(version, data, opts, sw.metrics); err != nil {
+		return nil, nil, err
 	}
-	w.site = site
-	if !w.checksPass() {
-		return nil, errConstraints
+	if !sw.checksPass() {
+		return nil, nil, errConstraints
 	}
-	if err := site.Publish(fsx.OS, out, nil); err != nil {
-		return nil, err
+	if err := sw.site.Publish(fsx.OS, out, nil); err != nil {
+		return nil, nil, err
 	}
-	for _, f := range files {
-		w.stamps[f.path] = statWatch(f.path)
-	}
-	return w, nil
+	rl.AttachSwapper(sw, nil)
+	return rl, sw, nil
 }
 
 // checksPass runs every integrity constraint against the current site
 // graph, logging verdicts; any violation vetoes publication.
-func (w *watcher) checksPass() bool {
-	g := w.site.SiteGraph()
+func (s *swapper) checksPass() bool {
+	g := s.site.SiteGraph()
 	if g == nil {
 		return true
 	}
 	pass := true
-	for i, c := range w.checks {
+	for i, c := range s.checks {
 		r := c.CheckSite(g)
 		if r.Verdict == constraints.Violated {
 			pass = false
-			w.logf("constraint %d: %s — %s", i+1, r.Verdict, r.Reason)
+			s.logf("constraint %d: %s — %s", i+1, r.Verdict, r.Reason)
 		}
 	}
 	return pass
 }
 
-// tick is one poll round. It returns whether anything was republished.
+// SwapData publishes one data generation. A nil delta (the reload
+// loop's pending delta overflowed) makes the site rebuild whole. Watch
+// mode keeps no page cache, so nothing is kept or dropped.
 //
-// A failed source reload keeps the old stamp, so a torn mid-write read
-// or transient parse error is retried next tick instead of being
-// frozen until the next edit. Per-source deltas are sound to feed the
-// engine even when sources overlap: the row-level apply re-checks every
-// candidate against the merged data graph, so an edge one source
-// removed but another still contributes cannot kill a live row.
-func (w *watcher) tick() (published bool, err error) {
-	var delta *mediator.Delta
-	for _, f := range w.files {
-		st := statWatch(f.path)
-		old := w.stamps[f.path]
-		if st.ok == old.ok && st.size == old.size && st.mtime.Equal(old.mtime) {
-			continue
-		}
-		d, rerr := w.med.Refresh(f.src.Name)
-		if rerr != nil {
-			w.logf("watch: %s: %v (will retry)", f.src.Name, rerr)
-			continue
-		}
-		w.stamps[f.path] = st
-		if delta == nil {
-			delta = d
-		} else {
-			delta.Merge(d)
-		}
+// Per-source deltas are sound to feed the engine even when sources
+// overlap: the row-level apply re-checks every candidate against the
+// merged data graph, so an edge one source removed but another still
+// contributes cannot kill a live row.
+func (s *swapper) SwapData(data struql.Source, d *mediator.Delta) (kept, dropped int) {
+	if s.err = s.swap(data, d); s.err == nil {
+		snap := s.metrics.Snapshot()
+		s.logf("watch: republished (applied=%v rebuilds=%v dirty=%v)",
+			snap["deltas_applied"], snap["full_rebuilds"], snap["dirty_pages"])
 	}
-	if delta == nil {
-		return false, nil
+	return 0, 0
+}
+
+func (s *swapper) swap(data struql.Source, d *mediator.Delta) error {
+	if d != nil {
+		d.Compact()
 	}
-	delta.Compact()
-	data := repo.NewIndexed(w.med.DataGraph())
-	if aerr := w.site.Apply(data, delta); aerr != nil {
+	if err := s.site.Apply(data, d); err != nil {
 		// Even the degraded full rebuild failed; the site still holds its
 		// last good generation and the accumulated dirty set.
-		w.logf("watch: apply: %v (keeping last good site)", aerr)
-		return false, aerr
+		s.logf("watch: apply: %v (keeping last good site)", err)
+		return err
 	}
-	if !w.checksPass() {
-		w.logf("watch: constraints violated; publication vetoed, last good site kept")
-		return false, errConstraints
+	if !s.checksPass() {
+		s.logf("watch: constraints violated; publication vetoed, last good site kept")
+		return errConstraints
 	}
-	if perr := w.site.Publish(fsx.OS, w.out, nil); perr != nil {
-		w.logf("watch: publish: %v (dirty pages retained for next attempt)", perr)
-		return false, perr
+	if err := s.site.Publish(fsx.OS, s.out, nil); err != nil {
+		s.logf("watch: publish: %v (dirty pages retained for next attempt)", err)
+		return err
 	}
-	return true, nil
+	return nil
 }
 
-// run polls until stop closes. Tick errors are already logged and
-// fail-soft, so the loop only reports them, never exits on them.
-func (w *watcher) run(interval time.Duration, stop <-chan struct{}) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			if pub, _ := w.tick(); pub {
-				snap := w.metrics.Snapshot()
-				w.logf("watch: republished (applied=%v rebuilds=%v dirty=%v)",
-					snap["deltas_applied"], snap["full_rebuilds"], snap["dirty_pages"])
-			}
-		}
-	}
-}
-
-// runWatch is the -watch entry point: explicit inputs only, since the
-// bundled examples synthesize their data in memory.
-func runWatch(files []fileSource, version *core.Version, out string,
+// runWatch is the -watch entry point: build and publish once, then poll
+// and patch until killed.
+func runWatch(sources []mediator.Source, version *core.Version, out string,
 	interval time.Duration, opts *core.Options) error {
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "strudel: "+format+"\n", args...)
-	}
-	w, err := newWatcher(files, version, out, opts, logf)
+	rl, _, err := newWatch(sources, version, out, interval, opts, log.New(os.Stderr, "strudel: ", 0))
 	if err != nil {
 		return err
 	}
-	fmt.Printf("watching %d files, rebuilt site → %s (interval %s)\n", len(files), out, interval)
-	w.run(interval, nil)
+	fmt.Printf("watching %d files, rebuilt site → %s (interval %s)\n", len(sources), out, interval)
+	rl.Run(context.Background())
 	return nil
 }

@@ -1,15 +1,29 @@
 package main
 
 import (
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"strudel/internal/dynamic"
+	"strudel/internal/mediator"
+	"strudel/internal/wrapper/filesrc"
 )
 
-// watchFixture builds a two-publication site under a watcher and
-// returns it with the ddl path and output dir.
-func watchFixture(t *testing.T) (*watcher, string, string) {
+// testLog routes the reload loop's log lines to the test log.
+type testLog struct{ t *testing.T }
+
+func (l testLog) Write(p []byte) (int, error) {
+	l.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
+}
+
+// watchFixture builds a two-publication site under the reload loop and
+// returns the loop, its swapper, the ddl path and the output dir.
+func watchFixture(t *testing.T) (*dynamic.Reloader, *swapper, string, string) {
 	t.Helper()
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -35,7 +49,7 @@ link Root() -> "pub" -> PubPage(x)
 	tmplPub := write("pub.tmpl", `<h2><SFMT title></h2>`)
 	out := filepath.Join(dir, "site")
 
-	files, err := assembleSources([]string{ddl}, nil, nil, nil)
+	sources, err := filesrc.Sources([]string{ddl}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +60,23 @@ link Root() -> "pub" -> PubPage(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := newWatcher(files, version, out, nil, t.Logf)
+	rl, sw, err := newWatch(sources, version, out, time.Second, nil, log.New(testLog{t}, "", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w, ddl, out
+	return rl, sw, ddl, out
+}
+
+// tick runs one poll of the loop at now and reports whether it
+// republished the site, with the swap's failure if it had one.
+func tick(rl *dynamic.Reloader, sw *swapper, now time.Time) (published bool, err error) {
+	swapped := false
+	rl.OnApply = func(*mediator.Delta, int, int) { swapped = true }
+	rl.Tick(now)
+	if !swapped {
+		return false, nil
+	}
+	return sw.err == nil, sw.err
 }
 
 func readPage(t *testing.T, out, name string) string {
@@ -63,11 +89,11 @@ func readPage(t *testing.T, out, name string) string {
 }
 
 func TestWatchIncrementalEditPatchesSite(t *testing.T) {
-	w, ddl, out := watchFixture(t)
+	rl, sw, ddl, out := watchFixture(t)
 	if got := readPage(t, out, "index.html"); !strings.Contains(got, "First paper") {
 		t.Fatalf("initial index:\n%s", got)
 	}
-	if pub, _ := w.tick(); pub {
+	if pub, _ := tick(rl, sw, time.Now()); pub {
 		t.Error("tick with no edits republished")
 	}
 
@@ -81,7 +107,7 @@ node p2 in Pubs { title "Second paper"; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, err := w.tick()
+	pub, err := tick(rl, sw, time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +115,7 @@ node p2 in Pubs { title "Second paper"; }
 		t.Fatal("edit did not republish")
 	}
 	var p1Page string
-	for name, body := range w.site.Output().Pages {
+	for name, body := range sw.site.Output().Pages {
 		if strings.Contains(body, "revised edition") {
 			p1Page = name
 		}
@@ -100,19 +126,19 @@ node p2 in Pubs { title "Second paper"; }
 	if p1Page == "" {
 		t.Error("no page carries the new title")
 	}
-	if got := w.metrics.DeltasApplied.Load(); got != 1 {
+	if got := sw.metrics.DeltasApplied.Load(); got != 1 {
 		t.Errorf("deltas applied = %d, want 1 (edit should stay row-level)", got)
 	}
-	if got := w.metrics.FullRebuilds.Load(); got != 0 {
+	if got := sw.metrics.FullRebuilds.Load(); got != 0 {
 		t.Errorf("full rebuilds = %d, want 0", got)
 	}
-	if w.metrics.PagesLinked.Load() == 0 {
+	if sw.metrics.PagesLinked.Load() == 0 {
 		t.Error("patch publish hardlinked no unchanged pages")
 	}
 }
 
 func TestWatchConstraintVetoKeepsOldTree(t *testing.T) {
-	w, ddl, out := watchFixture(t)
+	rl, sw, ddl, out := watchFixture(t)
 	before := readPage(t, out, "index.html")
 
 	// Drop p1's title: PubPage(p1) still exists but violates
@@ -125,7 +151,7 @@ node p2 in Pubs { title "Second paper"; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, terr := w.tick()
+	pub, terr := tick(rl, sw, time.Now())
 	if pub || terr == nil {
 		t.Fatalf("veto tick: published=%v err=%v", pub, terr)
 	}
@@ -142,7 +168,7 @@ node p2 in Pubs { title "Second paper"; }
 	if err != nil {
 		t.Fatal(err)
 	}
-	pub, terr = w.tick()
+	pub, terr = tick(rl, sw, time.Now())
 	if terr != nil || !pub {
 		t.Fatalf("recovery tick: published=%v err=%v", pub, terr)
 	}
@@ -152,15 +178,17 @@ node p2 in Pubs { title "Second paper"; }
 }
 
 func TestWatchSourceErrorRetries(t *testing.T) {
-	w, ddl, out := watchFixture(t)
+	rl, sw, ddl, out := watchFixture(t)
 	before := readPage(t, out, "index.html")
 
-	// A torn write: syntactically invalid DDL. The tick must keep the
-	// old stamp (and tree) so the next tick retries.
+	// A torn write: syntactically invalid DDL. The failed refresh keeps
+	// the source pending (and the old tree) and backs off, so the first
+	// tick past the backoff retries from current file state.
 	if err := os.WriteFile(ddl, []byte(`node p1 in {`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if pub, _ := w.tick(); pub {
+	now := time.Now()
+	if pub, _ := tick(rl, sw, now); pub {
 		t.Error("broken source republished")
 	}
 	if got := readPage(t, out, "index.html"); got != before {
@@ -174,11 +202,50 @@ node p2 in Pubs { title "Second paper"; }
 `), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	pub, err := w.tick()
+	// Past the first backoff: BackoffMin (500ms) plus at most 20% jitter.
+	pub, err := tick(rl, sw, now.Add(time.Second))
 	if err != nil || !pub {
 		t.Fatalf("recovery tick: published=%v err=%v", pub, err)
 	}
 	if got := readPage(t, out, "index.html"); !strings.Contains(got, "Recovered") {
 		t.Errorf("recovered index:\n%s", got)
+	}
+}
+
+// TestWatchDetectsSameSizeSameMtimeEdit covers an edit that metadata
+// polling cannot see: same length, mtime pinned back to the stamped
+// value. The reload loop's content hash must still republish it.
+func TestWatchDetectsSameSizeSameMtimeEdit(t *testing.T) {
+	rl, sw, ddl, out := watchFixture(t)
+	fi, err := os.Stat(ddl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mtime := fi.ModTime()
+	// "Final paper" has the length of "First paper".
+	if err := os.WriteFile(ddl, []byte(`
+collection Pubs;
+node p1 in Pubs { title "Final paper"; }
+node p2 in Pubs { title "Second paper"; }
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chtimes(ddl, mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(ddl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !after.ModTime().Equal(mtime) || after.Size() != fi.Size() {
+		t.Skipf("filesystem did not pin metadata (mtime %v→%v size %d→%d)",
+			mtime, after.ModTime(), fi.Size(), after.Size())
+	}
+	pub, err := tick(rl, sw, time.Now())
+	if err != nil || !pub {
+		t.Fatalf("same-size edit tick: published=%v err=%v", pub, err)
+	}
+	if got := readPage(t, out, "index.html"); !strings.Contains(got, "Final paper") {
+		t.Errorf("index after same-size edit:\n%s", got)
 	}
 }

@@ -13,10 +13,11 @@
 // reusing "information derived for already browsed pages"), and optional
 // lookahead precomputes the pages a just-computed page links to.
 //
-// The package also provides the incremental re-evaluation used by
-// experiment E8: after an additive data change, only the query blocks
-// whose conditions mention the changed attributes or collections are
-// re-run, and the site graph grows by exactly the new objects and edges.
+// The package also holds the one reload loop: Reloader polls the source
+// files, re-wraps the changed sources through the mediator, and hands
+// each new data generation with its delta to a Swapper — an Evaluator, a
+// serving fleet, or the incremental site that `strudel -watch` patches.
+// Health reports whether the last reload succeeded.
 package dynamic
 
 import (

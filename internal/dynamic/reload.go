@@ -9,36 +9,21 @@ import (
 	"sync"
 	"time"
 
-	"strudel/internal/graph"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
 	"strudel/internal/repo"
 	"strudel/internal/struql"
 )
 
-// WatchedSource is one external data source the reload loop keeps fresh:
-// a wrapper invocation plus the files whose modification times signal
-// that the source changed and must be re-wrapped.
-type WatchedSource struct {
-	// Name identifies the source (unique across the reloader).
-	Name string
-	// Paths are the files polled for mtime/size changes. A path that
-	// cannot be stat'ed counts as changed — the reload attempt then
-	// surfaces the real error (missing file, permission) through Load.
-	Paths []string
-	// Load re-invokes the wrapper and returns the source's graph.
-	Load func() (*graph.Graph, error)
-}
-
-// Reloader watches source files and hot-reloads the evaluator's data
-// graph: when a file changes, the affected sources are re-wrapped through
-// the mediator, the contribution delta is computed, and a complete new
-// graph is swapped into the evaluator with delta-based cache
-// invalidation (Evaluator.SwapData). A failed reload — parse error,
-// missing file, injected fault — degrades gracefully: the server keeps
-// serving the last-good graph, Health reports degraded, and the reloader
-// retries with exponential backoff plus jitter until the sources are
-// loadable again.
+// Reloader watches source files and hot-reloads the data graph: when a
+// file changes, the affected sources are re-wrapped through the
+// mediator, the contribution delta is computed, and a complete new graph
+// is handed with the delta to the attached Swapper — an evaluator or
+// fleet, which invalidates its caches by the delta, or the incremental
+// site of `strudel -watch`. A failed reload — parse error, missing file,
+// injected fault — degrades gracefully: the consumer keeps the last-good
+// graph, Health reports degraded, and the reloader retries with
+// exponential backoff plus jitter until the sources are loadable again.
 type Reloader struct {
 	// Interval is the poll period; Run's ticker fires at this rate.
 	Interval time.Duration
@@ -68,7 +53,7 @@ type Reloader struct {
 	MaxPendingDelta int
 
 	med     *mediator.Mediator
-	watched []WatchedSource
+	sources []mediator.Source
 
 	mu sync.Mutex // guards everything below (tick vs. Kick vs. tests)
 	sw Swapper
@@ -120,16 +105,18 @@ func (st fileStamp) changedFrom(old fileStamp) bool {
 	return st.hashed && old.hashed && st.hash != old.hash
 }
 
-// NewReloader builds a reloader (and its mediator) over watched sources.
-func NewReloader(sources ...WatchedSource) (*Reloader, error) {
-	med := make([]mediator.Source, len(sources))
-	for i, s := range sources {
+// NewReloader builds a reloader (and its mediator) over sources. Every
+// source must list the Paths whose changes signal that it must be
+// re-wrapped. A path that cannot be stat'ed counts as changed: the
+// reload attempt then surfaces the real error (missing file,
+// permission) through Load.
+func NewReloader(sources ...mediator.Source) (*Reloader, error) {
+	for _, s := range sources {
 		if len(s.Paths) == 0 {
 			return nil, fmt.Errorf("dynamic: watched source %q has no paths to poll", s.Name)
 		}
-		med[i] = mediator.Source{Name: s.Name, Load: s.Load}
 	}
-	m, err := mediator.New(med...)
+	m, err := mediator.New(sources...)
 	if err != nil {
 		return nil, err
 	}
@@ -139,7 +126,7 @@ func NewReloader(sources ...WatchedSource) (*Reloader, error) {
 		BackoffMax: 30 * time.Second,
 		Jitter:     0.2,
 		med:        m,
-		watched:    sources,
+		sources:    sources,
 		stamps:     map[string]fileStamp{},
 		pending:    map[string]bool{},
 		accum:      &mediator.Delta{},
@@ -149,22 +136,20 @@ func NewReloader(sources ...WatchedSource) (*Reloader, error) {
 }
 
 // Warehouse performs the initial load of every source and returns the
-// merged, indexed data graph; it also records the initial file stamps so
-// the first poll does not re-report the initial state as a change.
+// merged, indexed data graph. It records the file stamps first, so the
+// first poll does not re-report the initial state as a change, while an
+// edit that lands during the load is still seen by the next poll
+// instead of being stamped as already loaded.
 func (r *Reloader) Warehouse() (*repo.Indexed, error) {
-	data, err := r.med.Warehouse()
-	if err != nil {
-		return nil, err
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := time.Now()
-	for _, s := range r.watched {
+	for _, s := range r.sources {
 		for _, p := range s.Paths {
 			r.stamps[p] = r.statPath(p, now)
 		}
 	}
-	return data, nil
+	return r.med.Warehouse()
 }
 
 // Swapper receives atomically published data generations from the
@@ -268,7 +253,7 @@ func (r *Reloader) Tick(now time.Time) {
 
 	// Change detection always runs (so changes during backoff are not
 	// lost), but reload attempts respect the backoff gate.
-	for _, s := range r.watched {
+	for _, s := range r.sources {
 		for _, p := range s.Paths {
 			st := r.statPath(p, now)
 			if st.changedFrom(r.stamps[p]) {
@@ -281,7 +266,7 @@ func (r *Reloader) Tick(now time.Time) {
 		return
 	}
 
-	for _, s := range r.watched {
+	for _, s := range r.sources {
 		if !r.pending[s.Name] {
 			continue
 		}

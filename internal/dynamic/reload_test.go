@@ -49,7 +49,7 @@ func newTestReloader(t *testing.T, load func() (*graph.Graph, error)) (*Reloader
 	path := filepath.Join(t.TempDir(), "source.dat")
 	touchFile(t, path, "gen0")
 	fl := NewFlakyLoader(load)
-	rl, err := NewReloader(WatchedSource{Name: "pubs", Paths: []string{path}, Load: fl.Load})
+	rl, err := NewReloader(mediator.Source{Name: "pubs", Paths: []string{path}, Load: fl.Load})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,6 +69,29 @@ func TestReloaderNoChangeNoReload(t *testing.T) {
 	rl.Tick(time.Now())
 	if total, _ := fl.Calls(); total != 1 {
 		t.Errorf("loader called %d times; unchanged files must not reload", total)
+	}
+}
+
+// TestReloaderWarehouseStampsBeforeLoad covers an edit that lands while
+// the initial load runs: the file is stamped before it is read, so the
+// next poll sees the edit instead of recording it as already loaded.
+func TestReloaderWarehouseStampsBeforeLoad(t *testing.T) {
+	var path string
+	loads := 0
+	rl, fl, p := newTestReloader(t, func() (*graph.Graph, error) {
+		loads++
+		if loads == 1 {
+			touchFile(t, path, "gen1, written mid-load")
+		}
+		return pubsGraph(loads, 2), nil
+	})
+	path = p
+	if _, err := rl.Warehouse(); err != nil {
+		t.Fatal(err)
+	}
+	rl.Tick(time.Now())
+	if total, _ := fl.Calls(); total != 2 {
+		t.Fatalf("loader called %d times, want 2: an edit during the initial load was stamped as seen", total)
 	}
 }
 
@@ -165,8 +188,8 @@ func TestReloaderPartialFailureAccumulatesDeltas(t *testing.T) {
 		return g, nil
 	})
 	rl, err := NewReloader(
-		WatchedSource{Name: "a", Paths: []string{pathA}, Load: loadA},
-		WatchedSource{Name: "b", Paths: []string{pathB}, Load: flB.Load},
+		mediator.Source{Name: "a", Paths: []string{pathA}, Load: loadA},
+		mediator.Source{Name: "b", Paths: []string{pathB}, Load: flB.Load},
 	)
 	if err != nil {
 		t.Fatal(err)

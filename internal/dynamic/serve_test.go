@@ -20,6 +20,7 @@ import (
 	"strudel/internal/dynamic"
 	"strudel/internal/fleet"
 	"strudel/internal/graph"
+	"strudel/internal/mediator"
 	"strudel/internal/obs"
 	"strudel/internal/schema"
 	"strudel/internal/struql"
@@ -328,7 +329,7 @@ func TestStressServeUnderFaultyReloads(t *testing.T) {
 		defer verMu.Unlock()
 		return stressGraph(version), nil
 	})
-	rl, err := dynamic.NewReloader(dynamic.WatchedSource{Name: "pubs", Paths: []string{stampPath}, Load: fl.Load})
+	rl, err := dynamic.NewReloader(mediator.Source{Name: "pubs", Paths: []string{stampPath}, Load: fl.Load})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,10 @@
 // changing source sets.
 //
 // Refresh re-runs one source's wrapper, recomputes its contribution, and
-// reports the delta, which drives incremental site re-evaluation
-// (package dynamic, experiment E8).
+// reports the delta. The reload loop (dynamic.Reloader) refreshes the
+// sources whose files changed and hands the delta on: to package ivm,
+// which patches a published site, or to the serving fleet, which
+// invalidates its caches.
 package mediator
 
 import (
@@ -34,6 +36,10 @@ type Source struct {
 	Name string
 	// Load invokes the wrapper and returns the source's graph.
 	Load func() (*graph.Graph, error)
+	// Paths are the files a reload loop polls for this source; a change
+	// to any of them triggers a Refresh. Sources that are not reloaded
+	// leave it empty.
+	Paths []string
 	// LoadLenient, when non-nil, invokes the wrapper in fail-soft mode:
 	// malformed records are skipped and reported instead of aborting the
 	// load. WarehouseLenient prefers it over Load; sources without one
