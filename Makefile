@@ -48,23 +48,18 @@ query-smoke:
 
 # fuzz-smoke runs every fuzz target briefly. Go allows one -fuzz pattern
 # per invocation, so the targets run one at a time; each starts from the
-# checked-in seed corpus under its package's testdata/fuzz.
+# checked-in seed corpus under its package's testdata/fuzz. The targets
+# are discovered with `go test -list` in every package, so a new Fuzz
+# function is picked up without editing this file.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/struql
-	$(GO) test -run='^$$' -fuzz='^FuzzEval$$' -fuzztime=$(FUZZTIME) ./internal/struql
-	$(GO) test -run='^$$' -fuzz='^FuzzDifferential$$' -fuzztime=$(FUZZTIME) ./internal/struql
-	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/ddl
-	$(GO) test -run='^$$' -fuzz='^FuzzParseAndRender$$' -fuzztime=$(FUZZTIME) ./internal/template
-	$(GO) test -run='^$$' -fuzz='^FuzzExtract$$' -fuzztime=$(FUZZTIME) ./internal/wrapper/htmlwrap
-	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=$(FUZZTIME) ./internal/wrapper/bibtex
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeBinary$$' -fuzztime=$(FUZZTIME) ./internal/repo
-	$(GO) test -run='^$$' -fuzz='^FuzzLoadLenient$$' -fuzztime=$(FUZZTIME) ./internal/wrapper/csvrel
-	$(GO) test -run='^$$' -fuzz='^FuzzLoadLenient$$' -fuzztime=$(FUZZTIME) ./internal/wrapper/jsonwrap
-	$(GO) test -run='^$$' -fuzz='^FuzzQueryEndpoint$$' -fuzztime=$(FUZZTIME) ./internal/queryapi
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeRef$$' -fuzztime=$(FUZZTIME) ./internal/fleet
-	$(GO) test -run='^$$' -fuzz='^FuzzETagMatch$$' -fuzztime=$(FUZZTIME) ./internal/fleet
-	$(GO) test -run='^$$' -fuzz='^FuzzPageRequest$$' -fuzztime=$(FUZZTIME) ./internal/fleet
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		for fz in $$(printf '%s\n' "$$targets" | grep '^Fuzz'); do \
+			echo "fuzz-smoke: $$pkg $$fz"; \
+			$(GO) test -run='^$$' -fuzz="^$$fz\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # chaos-smoke drives the fault-injection suite: filesystem faults at
 # every publish step across all example sites and parallelism settings,

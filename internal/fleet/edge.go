@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"container/list"
 	"context"
 	"fmt"
 	"log"
@@ -75,9 +76,9 @@ type Edge struct {
 	Now func() time.Time
 
 	mu     sync.Mutex
-	cache  map[string]*edgeEntry
-	reval  map[string]bool // page keys with a background revalidation in flight
-	clock  int64           // LRU tick
+	cache  map[string]*list.Element // page key → element of lru holding its *edgeEntry
+	lru    list.List                // most recently used at the front
+	reval  map[string]bool          // page keys with a background revalidation in flight
 	inited bool
 }
 
@@ -91,7 +92,7 @@ type edgeEntry struct {
 	gen     int64
 	etag    string
 	lastMod time.Time
-	used    int64
+	key     string
 }
 
 // NewEdge returns an edge over a cluster.
@@ -123,7 +124,7 @@ func (e *Edge) init() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.inited {
-		e.cache = map[string]*edgeEntry{}
+		e.cache = map[string]*list.Element{}
 		e.reval = map[string]bool{}
 		e.inited = true
 	}
@@ -207,16 +208,17 @@ func (e *Edge) serveHealth(w http.ResponseWriter, r *http.Request) {
 	w.Write(h.StatusJSON(n))
 }
 
-// lookup returns the cached entry for a key, touching its LRU stamp.
+// lookup returns the cached entry for a key, marking it most recently
+// used.
 func (e *Edge) lookup(key string) *edgeEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ent := e.cache[key]
-	if ent != nil {
-		e.clock++
-		ent.used = e.clock
+	el := e.cache[key]
+	if el == nil {
+		return nil
 	}
-	return ent
+	e.lru.MoveToFront(el)
+	return el.Value.(*edgeEntry)
 }
 
 // store caches a fetched page, evicting the least recently used entry
@@ -225,26 +227,25 @@ func (e *Edge) lookup(key string) *edgeEntry {
 func (e *Edge) store(key string, ent *edgeEntry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if old := e.cache[key]; old != nil && old.gen > ent.gen {
+	ent.key = key
+	if el := e.cache[key]; el != nil {
+		if el.Value.(*edgeEntry).gen > ent.gen {
+			return
+		}
+		el.Value = ent
+		e.lru.MoveToFront(el)
 		return
 	}
 	maxN := e.MaxEntries
 	if maxN <= 0 {
 		maxN = DefaultMaxEntries
 	}
-	if _, exists := e.cache[key]; !exists && len(e.cache) >= maxN {
-		var lruKey string
-		var lruUsed int64 = 1<<63 - 1
-		for k, v := range e.cache {
-			if v.used < lruUsed {
-				lruKey, lruUsed = k, v.used
-			}
-		}
-		delete(e.cache, lruKey)
+	if len(e.cache) >= maxN {
+		victim := e.lru.Back()
+		e.lru.Remove(victim)
+		delete(e.cache, victim.Value.(*edgeEntry).key)
 	}
-	e.clock++
-	ent.used = e.clock
-	e.cache[key] = ent
+	e.cache[key] = e.lru.PushFront(ent)
 }
 
 // fetch renders a page through the cluster and wraps it as a cache

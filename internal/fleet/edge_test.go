@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -208,4 +210,96 @@ func TestEdgeHealthz(t *testing.T) {
 	if body == "" {
 		t.Fatal("healthz returned empty body")
 	}
+}
+
+// TestEdgeEvictsLeastRecentlyUsed fills the page cache past MaxEntries
+// with lookups and re-stores interleaved, and checks against a model
+// LRU list that exactly the least recently used keys were evicted and
+// that an older generation never replaces a newer cached entry.
+func TestEdgeEvictsLeastRecentlyUsed(t *testing.T) {
+	const n = 8
+	e := &Edge{MaxEntries: n}
+	e.init()
+	var model []string // least recently used first
+	touch := func(k string) {
+		for i, m := range model {
+			if m == k {
+				model = append(model[:i], model[i+1:]...)
+				break
+			}
+		}
+		model = append(model, k)
+	}
+	gens := map[string]int64{}
+	rng := rand.New(rand.NewSource(1))
+	for step := 0; step < 2000; step++ {
+		k := fmt.Sprintf("k%d", rng.Intn(3*n))
+		_, cached := gens[k]
+		switch op := rng.Intn(3); {
+		case op == 0:
+			ent := e.lookup(k)
+			if (ent != nil) != cached {
+				t.Fatalf("step %d: lookup(%s) hit=%v, model says %v", step, k, ent != nil, cached)
+			}
+			if cached {
+				if ent.gen != gens[k] {
+					t.Fatalf("step %d: lookup(%s) gen %d, want %d", step, k, ent.gen, gens[k])
+				}
+				touch(k)
+			}
+		case cached && op == 1:
+			// A slow fetch of an older generation is discarded untouched.
+			e.store(k, &edgeEntry{gen: gens[k] - 1})
+		default:
+			gen := gens[k] + int64(rng.Intn(2))
+			e.store(k, &edgeEntry{gen: gen})
+			if !cached && len(model) == n {
+				delete(gens, model[0])
+				model = model[1:]
+			}
+			gens[k] = gen
+			touch(k)
+		}
+		if e.CacheSize() != len(model) {
+			t.Fatalf("step %d: cache holds %d entries, model %d", step, e.CacheSize(), len(model))
+		}
+		for _, m := range model {
+			if e.cache[m] == nil {
+				t.Fatalf("step %d: %s evicted, but the least recently used was %s", step, m, model[0])
+			}
+		}
+	}
+}
+
+// BenchmarkEdgeStore times one page-cache insert of a new key below the
+// bound and past it, where every insert evicts.
+func BenchmarkEdgeStore(b *testing.B) {
+	keys := make([]string, 2*DefaultMaxEntries)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("Pub;s%06d", i)
+	}
+	b.Run("below", func(b *testing.B) {
+		var e *Edge
+		for i := 0; i < b.N; i++ {
+			k := i % DefaultMaxEntries
+			if k == 0 {
+				b.StopTimer()
+				e = &Edge{}
+				e.init()
+				b.StartTimer()
+			}
+			e.store(keys[k], &edgeEntry{})
+		}
+	})
+	b.Run("above", func(b *testing.B) {
+		e := &Edge{}
+		e.init()
+		for _, k := range keys[:DefaultMaxEntries] {
+			e.store(k, &edgeEntry{})
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.store(keys[(DefaultMaxEntries+i)%len(keys)], &edgeEntry{})
+		}
+	})
 }

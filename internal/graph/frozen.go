@@ -14,9 +14,9 @@ import (
 // iteration orders match the mutable Graph's accessors, so swapping one
 // in never changes observable results — only the allocation profile.
 //
-// Lifecycle: mutate a Graph, call Freeze, query the snapshot. Any later
-// mutation must drop the snapshot and re-freeze (repo.Indexed does this
-// automatically).
+// Lifecycle: mutate a Graph, call Freeze, query the snapshot. A later
+// mutation of the Graph is not seen by the snapshot; freeze again.
+// repo.Indexed holds one snapshot for the life of an immutable graph.
 type Frozen struct {
 	// labels holds every distinct edge label, sorted, so label ids order
 	// lexicographically and per-node label runs can be binary searched.

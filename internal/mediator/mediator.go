@@ -110,7 +110,9 @@ func (m *Mediator) contribution(s Source) (*graph.Graph, error) {
 }
 
 // Warehouse loads every source and merges the contributions into one
-// indexed data graph (the repository's "data graph").
+// data graph (the repository's "data graph"). The returned repository
+// graph builds no index here: its indexes are the frozen snapshot, built
+// by its first read.
 func (m *Mediator) Warehouse() (*repo.Indexed, error) {
 	contribs := make([]*graph.Graph, 0, len(m.sources))
 	for _, s := range m.sources {

@@ -1,281 +1,152 @@
 // Package repo implements Strudel's data repository for semistructured
 // data (§2.1). Unlike repositories in traditional relational or
 // object-oriented systems, it cannot rely on schema information to organize
-// data, so it fully indexes both the schema and the data: one index holds
-// the names of all collections and attributes in a graph, others hold the
-// extents of each collection and attribute, and an index on atomic values
-// is global to the graph rather than per collection or attribute. The paper
-// notes that maintaining these indexes is expensive but that they pay for
-// themselves in query evaluation — benchmark E6 reproduces both halves of
-// that claim.
+// data, so it fully indexes both the schema and the data. Those indexes are
+// the graph's frozen snapshot (graph.Frozen), built once per repository
+// graph:
+//
+//   - the names of all collections and attributes: the snapshot's sorted
+//     collection and label dictionaries (Labels, CollectionNames);
+//   - the extent of each attribute: its label CSR, edges grouped by label
+//     and then by source (EdgesLabeled, LabelStats);
+//   - the extent of each collection: sorted member ids (Collection,
+//     InCollection);
+//   - the index on atomic values, global to the graph rather than per
+//     collection or attribute: the in-CSR keyed by target value, which
+//     covers atoms and nodes alike (In).
+//
+// The paper notes that building these indexes is expensive but that they
+// pay for themselves in query evaluation — benchmark E6 reproduces both
+// halves of that claim.
 package repo
 
 import (
-	"sort"
 	"sync"
 
 	"strudel/internal/graph"
 )
 
-// Indexed wraps a graph with the repository's full set of indexes. It
-// satisfies struql.Source, so queries run against it take indexed paths the
-// plain graph cannot offer. Mutations must go through Indexed's methods so
-// the indexes stay consistent. Not safe for concurrent mutation.
+// Indexed is a repository graph together with its indexes. It is
+// immutable: the graph it is built from must not be mutated afterwards.
+// It satisfies struql.Source and struql.LabelStatser, answering every
+// access path from the snapshot that Frozen builds on first use. Safe
+// for concurrent readers.
 type Indexed struct {
-	g *graph.Graph
+	g    *graph.Graph // nil until Graph thaws an adopted snapshot
+	thaw sync.Once
 
-	byLabel map[string][]graph.Edge // attribute extent: label → edges
-	byValue map[string][]graph.Edge // global value index: value key → edges targeting it
-	inEdges map[graph.OID][]graph.Edge
-
-	// labelMu guards the lazily rebuilt labelSet cache: concurrent
-	// readers (parallel query evaluation, concurrent version builds)
-	// may both find it stale and rebuild it.
-	labelMu  sync.Mutex
-	labelSet []string // sorted cache, invalidated on new label
-	dirty    bool
-
-	// statMu guards labelStats, the per-label selectivity cache behind
-	// LabelStats; entries are invalidated label-by-label on mutation.
-	statMu     sync.Mutex
-	labelStats map[string]labelStat
-
-	// frozenMu guards the lazily built compact snapshot. It is built on
-	// the first Frozen call after a mutation (not eagerly, so write-heavy
-	// workloads like index-maintenance never pay for it) and dropped by
-	// any mutation.
-	frozenMu    sync.Mutex
-	frozen      *graph.Frozen
-	frozenBuilt bool
+	frozen *graph.Frozen // nil past the snapshot's id capacity
+	freeze sync.Once
 }
 
-// labelStat caches one label's selectivity summary.
-type labelStat struct {
-	count, sources, targets int
+// view is the read surface the snapshot and the map graph share.
+type view interface {
+	Collection(name string) []graph.OID
+	InCollection(name string, oid graph.OID) bool
+	CollectionNames() []string
+	CollectionSize(name string) int
+	Out(oid graph.OID) []graph.Edge
+	OutLabel(oid graph.OID, label string) []graph.Value
+	EdgesLabeled(label string) []graph.Edge
+	In(v graph.Value) []graph.Edge
+	Nodes() []graph.OID
+	Labels() []string
+	LabelStats(label string) (count, sources, targets int)
+	NumEdges() int
+	NumNodes() int
 }
 
-// NewIndexed builds all indexes over g. The graph is adopted, not copied;
-// callers must mutate it only through Indexed afterwards.
-func NewIndexed(g *graph.Graph) *Indexed {
-	ix := &Indexed{
-		g:       g,
-		byLabel: make(map[string][]graph.Edge),
-		byValue: make(map[string][]graph.Edge),
-		inEdges: make(map[graph.OID][]graph.Edge),
-	}
-	g.Edges(func(e graph.Edge) bool {
-		ix.index(e)
-		return true
-	})
-	ix.dirty = true
-	return ix
-}
+// NewIndexed adopts g without copying it and builds nothing: the
+// snapshot is built by the first read.
+func NewIndexed(g *graph.Graph) *Indexed { return &Indexed{g: g} }
 
-// Empty returns an Indexed over a fresh empty graph.
-func Empty() *Indexed { return NewIndexed(graph.New()) }
-
-// NewIndexedFrozen builds an Indexed from a decoded snapshot, adopting it
-// as the already-built frozen view so the first query never re-freezes.
+// NewIndexedFrozen adopts a decoded snapshot as the indexes. The map
+// graph is reconstructed only if Graph is called.
 func NewIndexedFrozen(f *graph.Frozen) *Indexed {
-	ix := NewIndexed(f.Thaw())
-	ix.frozen = f
-	ix.frozenBuilt = true
+	ix := &Indexed{frozen: f}
+	ix.freeze.Do(func() {})
 	return ix
 }
 
-// Frozen returns the compact read-optimized snapshot of the current
-// state, building it on first use and caching it until the next
-// mutation. It returns nil when the graph exceeds the snapshot's packed
-// id capacity; callers fall back to the mutable representation.
+// Frozen returns the snapshot, building it on first use. It returns nil
+// when the graph exceeds the snapshot's packed id capacity; every read
+// then falls back to scans over the map graph.
 func (ix *Indexed) Frozen() *graph.Frozen {
-	ix.frozenMu.Lock()
-	defer ix.frozenMu.Unlock()
-	if !ix.frozenBuilt {
-		ix.frozen = ix.g.Freeze()
-		ix.frozenBuilt = true
-	}
+	ix.freeze.Do(func() { ix.frozen = ix.g.Freeze() })
 	return ix.frozen
 }
 
-// invalidateFrozen drops the snapshot; every mutation path calls it.
-func (ix *Indexed) invalidateFrozen() {
-	ix.frozenMu.Lock()
-	ix.frozen = nil
-	ix.frozenBuilt = false
-	ix.frozenMu.Unlock()
-}
-
-func (ix *Indexed) index(e graph.Edge) {
-	if _, known := ix.byLabel[e.Label]; !known {
-		ix.dirty = true
-	}
-	ix.statMu.Lock()
-	delete(ix.labelStats, e.Label)
-	ix.statMu.Unlock()
-	ix.byLabel[e.Label] = append(ix.byLabel[e.Label], e)
-	if e.To.IsNode() {
-		ix.inEdges[e.To.OID()] = append(ix.inEdges[e.To.OID()], e)
-	} else {
-		key := e.To.Key()
-		ix.byValue[key] = append(ix.byValue[key], e)
-	}
-}
-
-// Graph exposes the underlying graph for read-only use.
-func (ix *Indexed) Graph() *graph.Graph { return ix.g }
-
-// AddEdge inserts an edge, maintaining every index. It reports whether the
-// edge was new.
-func (ix *Indexed) AddEdge(from graph.OID, label string, to graph.Value) bool {
-	if !ix.g.AddEdge(from, label, to) {
-		return false
-	}
-	ix.invalidateFrozen()
-	ix.index(graph.Edge{From: from, Label: label, To: to})
-	return true
-}
-
-// AddNode ensures the node exists.
-func (ix *Indexed) AddNode(oid graph.OID) {
-	if !ix.g.HasNode(oid) {
-		ix.invalidateFrozen()
-	}
-	ix.g.AddNode(oid)
-}
-
-// AddToCollection adds oid to the named collection.
-func (ix *Indexed) AddToCollection(coll string, oid graph.OID) {
-	ix.invalidateFrozen()
-	ix.g.AddToCollection(coll, oid)
-}
-
-// Merge indexes and inserts every edge, node, and membership of other.
-func (ix *Indexed) Merge(other *graph.Graph) {
-	ix.invalidateFrozen()
-	for _, oid := range other.Nodes() {
-		ix.g.AddNode(oid)
-	}
-	other.Edges(func(e graph.Edge) bool {
-		ix.AddEdge(e.From, e.Label, e.To)
-		return true
-	})
-	for _, coll := range other.CollectionNames() {
-		ix.g.DeclareCollection(coll)
-		for _, m := range other.Collection(coll) {
-			ix.g.AddToCollection(coll, m)
+// Graph returns the map graph for read-only use, thawing an adopted
+// snapshot on first call.
+func (ix *Indexed) Graph() *graph.Graph {
+	ix.thaw.Do(func() {
+		if ix.g == nil {
+			ix.g = ix.frozen.Thaw()
 		}
-	}
+	})
+	return ix.g
 }
 
-// --- struql.Source interface ---
+func (ix *Indexed) view() view {
+	if f := ix.Frozen(); f != nil {
+		return f
+	}
+	return ix.g
+}
 
-// Collection returns the members of coll, sorted.
-func (ix *Indexed) Collection(name string) []graph.OID { return ix.g.Collection(name) }
+// --- struql.Source and struql.LabelStatser ---
+
+// Collection returns the members of the named collection, sorted.
+func (ix *Indexed) Collection(name string) []graph.OID { return ix.view().Collection(name) }
 
 // InCollection reports membership.
 func (ix *Indexed) InCollection(name string, oid graph.OID) bool {
-	return ix.g.InCollection(name, oid)
+	return ix.view().InCollection(name, oid)
 }
 
 // CollectionNames returns all collection names, sorted.
-func (ix *Indexed) CollectionNames() []string { return ix.g.CollectionNames() }
+func (ix *Indexed) CollectionNames() []string { return ix.view().CollectionNames() }
 
 // CollectionSize returns the extent size of a collection.
-func (ix *Indexed) CollectionSize(name string) int { return ix.g.CollectionSize(name) }
+func (ix *Indexed) CollectionSize(name string) int { return ix.view().CollectionSize(name) }
 
 // Out returns oid's outgoing edges, sorted.
-func (ix *Indexed) Out(oid graph.OID) []graph.Edge { return ix.g.Out(oid) }
+func (ix *Indexed) Out(oid graph.OID) []graph.Edge { return ix.view().Out(oid) }
 
 // OutLabel returns the values of oid's edges with the given label.
 func (ix *Indexed) OutLabel(oid graph.OID, label string) []graph.Value {
-	return ix.g.OutLabel(oid, label)
+	return ix.view().OutLabel(oid, label)
 }
 
-// EdgesLabeled returns every edge with the given label, via the attribute
-// extent index.
-func (ix *Indexed) EdgesLabeled(label string) []graph.Edge {
-	edges := ix.byLabel[label]
-	out := make([]graph.Edge, len(edges))
-	copy(out, edges)
-	return out
-}
+// EdgesLabeled returns every edge with the given label: the attribute
+// extent.
+func (ix *Indexed) EdgesLabeled(label string) []graph.Edge { return ix.view().EdgesLabeled(label) }
 
-// In returns every edge whose target equals v: node in-edges via the
-// in-edge index, atoms via the global value index.
-func (ix *Indexed) In(v graph.Value) []graph.Edge {
-	var edges []graph.Edge
-	if v.IsNode() {
-		edges = ix.inEdges[v.OID()]
-	} else {
-		edges = ix.byValue[v.Key()]
-	}
-	out := make([]graph.Edge, len(edges))
-	copy(out, edges)
-	return out
-}
+// In returns every edge whose target equals v, node or atom: the global
+// value index.
+func (ix *Indexed) In(v graph.Value) []graph.Edge { return ix.view().In(v) }
 
 // Nodes returns all node OIDs, sorted.
-func (ix *Indexed) Nodes() []graph.OID { return ix.g.Nodes() }
+func (ix *Indexed) Nodes() []graph.OID { return ix.view().Nodes() }
 
 // Labels returns every attribute name, sorted — the schema index.
-func (ix *Indexed) Labels() []string {
-	ix.labelMu.Lock()
-	defer ix.labelMu.Unlock()
-	if ix.dirty {
-		ix.labelSet = ix.labelSet[:0]
-		for l := range ix.byLabel {
-			ix.labelSet = append(ix.labelSet, l)
-		}
-		sort.Strings(ix.labelSet)
-		ix.dirty = false
-	}
-	out := make([]string, len(ix.labelSet))
-	copy(out, ix.labelSet)
-	return out
+func (ix *Indexed) Labels() []string { return ix.view().Labels() }
+
+// LabelCount returns the number of edges with the given label.
+func (ix *Indexed) LabelCount(label string) int {
+	count, _, _ := ix.view().LabelStats(label)
+	return count
 }
 
-// LabelCount returns the number of edges with the given label, an optimizer
-// statistic.
-func (ix *Indexed) LabelCount(label string) int { return len(ix.byLabel[label]) }
-
-// LabelStats returns one label's selectivity summary — edge count,
-// distinct sources, distinct targets — from the attribute extent index,
-// caching the distinct counts until the label is next mutated. It is
-// the repository's implementation of struql.LabelStatser: the planner's
-// statistics come from here without a graph scan.
+// LabelStats returns one label's edge count, distinct sources and
+// distinct targets, precomputed by the snapshot: the planner's
+// statistics come from here without a scan.
 func (ix *Indexed) LabelStats(label string) (count, sources, targets int) {
-	ix.statMu.Lock()
-	if st, ok := ix.labelStats[label]; ok {
-		ix.statMu.Unlock()
-		return st.count, st.sources, st.targets
-	}
-	ix.statMu.Unlock()
-	// A built snapshot has the distinct counts precomputed.
-	ix.frozenMu.Lock()
-	f := ix.frozen
-	ix.frozenMu.Unlock()
-	if f != nil {
-		return f.LabelStats(label)
-	}
-	edges := ix.byLabel[label]
-	srcs := make(map[graph.OID]struct{}, len(edges))
-	tgts := make(map[string]struct{}, len(edges))
-	for _, e := range edges {
-		srcs[e.From] = struct{}{}
-		tgts[e.To.Key()] = struct{}{}
-	}
-	st := labelStat{count: len(edges), sources: len(srcs), targets: len(tgts)}
-	ix.statMu.Lock()
-	if ix.labelStats == nil {
-		ix.labelStats = make(map[string]labelStat)
-	}
-	ix.labelStats[label] = st
-	ix.statMu.Unlock()
-	return st.count, st.sources, st.targets
+	return ix.view().LabelStats(label)
 }
 
 // NumEdges returns the total number of edges.
-func (ix *Indexed) NumEdges() int { return ix.g.NumEdges() }
+func (ix *Indexed) NumEdges() int { return ix.view().NumEdges() }
 
 // NumNodes returns the total number of nodes.
-func (ix *Indexed) NumNodes() int { return ix.g.NumNodes() }
+func (ix *Indexed) NumNodes() int { return ix.view().NumNodes() }

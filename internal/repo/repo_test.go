@@ -61,32 +61,6 @@ func TestIndexedInEdgesForNodes(t *testing.T) {
 	}
 }
 
-func TestIndexMaintenanceOnAddEdge(t *testing.T) {
-	ix := NewIndexed(sampleGraph())
-	if !ix.AddEdge("pub3", "title", graph.NewString("New")) {
-		t.Fatal("AddEdge reported not-new")
-	}
-	if ix.AddEdge("pub3", "title", graph.NewString("New")) {
-		t.Error("duplicate AddEdge should report false")
-	}
-	if len(ix.EdgesLabeled("title")) != 3 {
-		t.Error("label index not maintained")
-	}
-	if len(ix.In(graph.NewString("New"))) != 1 {
-		t.Error("value index not maintained")
-	}
-	labels := ix.Labels()
-	found := false
-	for _, l := range labels {
-		if l == "title" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("schema index missing title")
-	}
-}
-
 func TestIndexedMatchesNaiveScanProperty(t *testing.T) {
 	// Property: for any graph, the indexed answers equal a naive scan.
 	f := func(n uint8) bool {
@@ -128,28 +102,6 @@ func TestIndexedMatchesNaiveScanProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestIndexedMerge(t *testing.T) {
-	ix := Empty()
-	ix.Merge(sampleGraph())
-	if ix.NumEdges() != 5 {
-		t.Errorf("NumEdges = %d, want 5", ix.NumEdges())
-	}
-	if len(ix.EdgesLabeled("title")) != 2 {
-		t.Error("merge did not index edges")
-	}
-	if !ix.InCollection("Publications", "pub1") {
-		t.Error("merge did not carry collections")
-	}
-	// Merging again is a no-op under set semantics.
-	ix.Merge(sampleGraph())
-	if ix.NumEdges() != 5 {
-		t.Errorf("NumEdges after re-merge = %d, want 5", ix.NumEdges())
-	}
-	if len(ix.EdgesLabeled("title")) != 2 {
-		t.Error("re-merge duplicated index entries")
 	}
 }
 

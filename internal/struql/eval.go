@@ -176,7 +176,8 @@ func EvalWhereCtx(reqCtx context.Context, conds []Cond, src Source, seed *Bindin
 
 // SnapshotOf returns the compact immutable snapshot behind src: src
 // itself when it is a bare *graph.Frozen, whatever a Frozen() method
-// supplies (repo.Indexed), nil for sources that have none (GraphSource,
+// supplies (repo.Indexed, whose indexes are that snapshot, built on
+// first call), nil for sources that have none (GraphSource,
 // UnionSource, fault-injecting wrappers). It is the one place that
 // decides which access-path family an evaluation uses: with a snapshot,
 // zero-copy CSR iteration; without, the slice-returning Source

@@ -26,7 +26,8 @@ import (
 
 // Source is the evaluator's view of a graph. Two implementations matter:
 // GraphSource (naive scans over a plain graph — the unoptimized baseline)
-// and repo.Indexed (the repository's fully-indexed access paths, §2.1).
+// and repo.Indexed (the repository's fully-indexed access paths, §2.1,
+// answered from the graph's frozen snapshot).
 // The optimizer consults the statistics methods to order conditions.
 type Source interface {
 	// Collection returns the members of the named collection, sorted.
@@ -90,28 +91,10 @@ func (s GraphSource) OutLabel(oid graph.OID, label string) []graph.Value {
 }
 
 // EdgesLabeled scans every edge for the label.
-func (s GraphSource) EdgesLabeled(label string) []graph.Edge {
-	var out []graph.Edge
-	s.G.Edges(func(e graph.Edge) bool {
-		if e.Label == label {
-			out = append(out, e)
-		}
-		return true
-	})
-	return out
-}
+func (s GraphSource) EdgesLabeled(label string) []graph.Edge { return s.G.EdgesLabeled(label) }
 
 // In scans every edge for the target value.
-func (s GraphSource) In(v graph.Value) []graph.Edge {
-	var out []graph.Edge
-	s.G.Edges(func(e graph.Edge) bool {
-		if e.To == v {
-			out = append(out, e)
-		}
-		return true
-	})
-	return out
-}
+func (s GraphSource) In(v graph.Value) []graph.Edge { return s.G.In(v) }
 
 // Nodes returns every node oid, sorted.
 func (s GraphSource) Nodes() []graph.OID { return s.G.Nodes() }
