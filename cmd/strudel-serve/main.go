@@ -9,11 +9,7 @@
 //	              [-template Fn=file.tmpl] [-addr :8080] [-lookahead]
 //	              [-request-timeout 10s] [-max-inflight 256]
 //	              [-reload-interval 2s] [-shutdown-timeout 10s]
-//	              [-shards 1] [-replicas 1] [-stale-for 2s]
-//	              [-hedge] [-hedge-min-delay 2ms] [-hedge-max-delay 500ms]
-//	              [-hedge-ratio 0.1] [-retry-ratio 0.2] [-attempt-timeout 0]
-//	              [-probe-interval 250ms] [-breaker-failures 5]
-//	              [-breaker-open-for 500ms] [-query-api]
+//	              [-shards 1] [-replicas 1] [-stale-for 2s] [-query-api]
 //	              [-query-max-rows 100000] [-query-timeout 5s]
 //
 // Templates are keyed by Skolem function name (Fn=...).
@@ -22,12 +18,12 @@
 // past -max-inflight, panic recovery, /healthz, hot reload of changed
 // -data/-bibtex files with graceful degradation (a broken file keeps the
 // last-good site serving and retries with backoff), and SIGINT/SIGTERM
-// graceful drain. The serving tier is gray-failure-tolerant: per-replica
-// circuit breakers, tail-latency hedging under a token budget, active
-// health probing of ejected replicas, and a live health grid under
-// /debug/vars (strudel.fleet_health). Exit codes: 0 clean (including graceful shutdown),
-// 1 configuration or serving error, 2 listener failure (e.g. address in
-// use).
+// graceful drain. The serving tier is gray-failure-tolerant, with fixed
+// settings (docs/SERVING.md): per-replica circuit breakers, tail-latency
+// hedging under a token budget, active health probing every 250ms, and a
+// live health grid under /debug/vars (strudel.fleet_health). Exit codes:
+// 0 clean (including graceful shutdown), 1 configuration or serving
+// error, 2 listener failure (e.g. address in use).
 package main
 
 import (
@@ -83,13 +79,6 @@ type config struct {
 	shutdownTimeout                time.Duration
 	shards, replicas               int
 	staleFor                       time.Duration
-	hedge                          bool
-	hedgeMinDelay, hedgeMaxDelay   time.Duration
-	hedgeRatio, retryRatio         float64
-	attemptTimeout                 time.Duration
-	probeInterval                  time.Duration
-	breakerFailures                int
-	breakerOpenFor                 time.Duration
 	queryAPI                       bool
 	queryMaxRows                   int
 	queryMaxNFAStates              int
@@ -116,15 +105,6 @@ func main() {
 	flag.IntVar(&cfg.shards, "shards", 1, "number of page-space shards")
 	flag.IntVar(&cfg.replicas, "replicas", 1, "replicas per shard (failover capacity)")
 	flag.DurationVar(&cfg.staleFor, "stale-for", 2*time.Second, "stale-while-revalidate window after a hot reload (0 disables stale serving)")
-	flag.BoolVar(&cfg.hedge, "hedge", true, "hedge tail-latency requests onto a sibling replica")
-	flag.DurationVar(&cfg.hedgeMinDelay, "hedge-min-delay", 2*time.Millisecond, "floor for the quantile-tracked hedge delay")
-	flag.DurationVar(&cfg.hedgeMaxDelay, "hedge-max-delay", 500*time.Millisecond, "ceiling for the hedge delay")
-	flag.Float64Var(&cfg.hedgeRatio, "hedge-ratio", 0.1, "hedge budget as a fraction of offered load")
-	flag.Float64Var(&cfg.retryRatio, "retry-ratio", 0.2, "failover-retry budget as a fraction of offered load")
-	flag.DurationVar(&cfg.attemptTimeout, "attempt-timeout", 0, "per-replica attempt deadline inside a fetch (0 = request deadline only)")
-	flag.DurationVar(&cfg.probeInterval, "probe-interval", 250*time.Millisecond, "active replica health-check period (0 disables probing)")
-	flag.IntVar(&cfg.breakerFailures, "breaker-failures", 5, "consecutive replica failures that trip its circuit breaker")
-	flag.DurationVar(&cfg.breakerOpenFor, "breaker-open-for", 500*time.Millisecond, "breaker cool-down before half-open trials")
 	flag.BoolVar(&cfg.queryAPI, "query-api", true, "serve the StruQL query API (/query, /query/explain, /schema/*)")
 	flag.IntVar(&cfg.queryMaxRows, "query-max-rows", 100000, "row guard ceiling per query (requests may only tighten it)")
 	flag.IntVar(&cfg.queryMaxNFAStates, "query-max-nfa-states", 1<<20, "path-automaton state guard per query start node")
@@ -160,9 +140,7 @@ func run(cfg config) int {
 
 	// Active health probing keeps ejected replicas on a path back to
 	// service even when no traffic is reaching them.
-	if cfg.probeInterval > 0 {
-		fl.StartHealthChecks(ctx)
-	}
+	fl.StartHealthChecks(ctx)
 
 	// The debug listener is separate from the production listener on
 	// purpose: /debug/vars and /debug/pprof/* expose internals (and
@@ -360,19 +338,6 @@ func buildServer(cfg config) (*server, error) {
 		Lookahead: cfg.lookahead,
 		Obs:       s.fleetObs,
 		ServeObs:  s.serveObs,
-		Gray: fleet.GrayConfig{
-			Breaker: fleet.BreakerConfig{
-				Failures: cfg.breakerFailures,
-				OpenFor:  cfg.breakerOpenFor,
-			},
-			HedgeMinDelay:  cfg.hedgeMinDelay,
-			HedgeMaxDelay:  cfg.hedgeMaxDelay,
-			HedgeRatio:     cfg.hedgeRatio,
-			DisableHedge:   !cfg.hedge,
-			RetryRatio:     cfg.retryRatio,
-			AttemptTimeout: cfg.attemptTimeout,
-			ProbeInterval:  cfg.probeInterval,
-		},
 	}, data)
 	if err != nil {
 		return nil, err

@@ -16,21 +16,6 @@ import (
 	"strudel/internal/spine"
 )
 
-// Cluster is what the edge fronts: something that can route a page key
-// to a shard, render the page there (with replica failover), and report
-// the current data generation. *Fleet implements it in-process; the
-// test harness also implements it over real HTTP replicas to prove the
-// network path changes nothing.
-type Cluster interface {
-	Route(key string) int
-	Fetch(ctx context.Context, shard int, key string, ref dynamic.PageRef) (body string, gen int64, err error)
-	Generation() int64
-	GenTime(gen int64) time.Time
-	LastSwap() time.Time
-	EntryPoints() []dynamic.PageRef
-	KnownFn(fn string) bool
-}
-
 // Edge is the HTTP front of the fleet: it routes page requests by
 // consistent-hashed page key, caches rendered pages keyed by (page,
 // generation), serves conditional GETs with generation-scoped ETags and
@@ -43,7 +28,7 @@ type Cluster interface {
 // generation, which instantly reclassifies every cached page as stale —
 // no invalidation fan-out, no stale page older than the SWR window.
 type Edge struct {
-	Cluster Cluster
+	Fleet *Fleet
 	// Root overrides the page served at "/"; zero Fn uses the first
 	// entry point.
 	Root dynamic.PageRef
@@ -95,10 +80,10 @@ type edgeEntry struct {
 	key     string
 }
 
-// NewEdge returns an edge over a cluster.
-func NewEdge(c Cluster) *Edge {
+// NewEdge returns an edge over a fleet.
+func NewEdge(f *Fleet) *Edge {
 	return &Edge{
-		Cluster:        c,
+		Fleet:          f,
 		StaleFor:       2 * time.Second,
 		RequestTimeout: 10 * time.Second,
 		Health:         dynamic.NewHealth(),
@@ -166,7 +151,7 @@ func (e *Edge) Handler() http.Handler {
 		}
 		root := e.Root
 		if root.Fn == "" {
-			roots := e.Cluster.EntryPoints()
+			roots := e.Fleet.EntryPoints()
 			if len(roots) == 0 {
 				spine.Write(w, &spine.Error{Code: spine.CodeNotFound, Message: "site has no entry points"})
 				return
@@ -183,7 +168,7 @@ func (e *Edge) Handler() http.Handler {
 			spine.Write(w, &spine.Error{Code: spine.CodeBadRequest, Message: "bad page key"})
 			return
 		}
-		if !e.Cluster.KnownFn(ref.Fn) {
+		if !e.Fleet.KnownFn(ref.Fn) {
 			spine.Write(w, &spine.Error{Code: spine.CodeNotFound, Message: "unknown page " + ref.Fn})
 			return
 		}
@@ -248,10 +233,10 @@ func (e *Edge) store(key string, ent *edgeEntry) {
 	e.cache[key] = e.lru.PushFront(ent)
 }
 
-// fetch renders a page through the cluster and wraps it as a cache
+// fetch renders a page through the fleet and wraps it as a cache
 // entry.
 func (e *Edge) fetch(ctx context.Context, key string, ref dynamic.PageRef) (*edgeEntry, error) {
-	body, gen, err := e.Cluster.Fetch(ctx, e.Cluster.Route(key), key, ref)
+	body, gen, err := e.Fleet.Fetch(ctx, e.Fleet.Route(key), key, ref)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +244,7 @@ func (e *Edge) fetch(ctx context.Context, key string, ref dynamic.PageRef) (*edg
 		body:    body,
 		gen:     gen,
 		etag:    ETag(gen, body),
-		lastMod: e.Cluster.GenTime(gen).Truncate(time.Second),
+		lastMod: e.Fleet.GenTime(gen).Truncate(time.Second),
 	}, nil
 }
 
@@ -310,7 +295,7 @@ func (e *Edge) revalidate(key string, ref dynamic.PageRef) {
 //   - otherwise → fetch synchronously from the owning shard; a failed
 //     fetch is returned for the chain to answer, with nothing written.
 func (e *Edge) servePage(w http.ResponseWriter, r *http.Request, key string, ref dynamic.PageRef) error {
-	cur := e.Cluster.Generation()
+	cur := e.Fleet.Generation()
 	ent := e.lookup(key)
 	conditional := r.Header.Get("If-None-Match") != "" || r.Header.Get("If-Modified-Since") != ""
 
@@ -319,7 +304,7 @@ func (e *Edge) servePage(w http.ResponseWriter, r *http.Request, key string, ref
 		if e.Obs != nil {
 			e.Obs.CacheHits.Inc()
 		}
-	case ent != nil && !conditional && e.StaleFor > 0 && e.now().Sub(e.Cluster.LastSwap()) <= e.StaleFor:
+	case ent != nil && !conditional && e.StaleFor > 0 && e.now().Sub(e.Fleet.LastSwap()) <= e.StaleFor:
 		if e.Obs != nil {
 			e.Obs.StaleServed.Inc()
 		}

@@ -1,13 +1,19 @@
 package fleet
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
+	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"strudel/internal/dynamic"
 	"strudel/internal/obs"
 	"strudel/internal/repo"
 )
@@ -302,4 +308,42 @@ func BenchmarkEdgeStore(b *testing.B) {
 			e.store(keys[(DefaultMaxEntries+i)%len(keys)], &edgeEntry{})
 		}
 	})
+}
+
+func TestFailRequestSanitizesErrors(t *testing.T) {
+	s, g := buildSchema(t), genSiteData(1)
+	var logged bytes.Buffer
+	fetchErr := func(err error) *httptest.ResponseRecorder {
+		f := newTestFleet(t, s, g, 1, 1)
+		f.attempt = func(context.Context, int, int, string, dynamic.PageRef) (string, int64, error) {
+			return "", 0, err
+		}
+		e := NewEdge(f)
+		e.Logger = log.New(&logged, "", 0)
+		w := httptest.NewRecorder()
+		e.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/", nil))
+		return w
+	}
+
+	if w := fetchErr(fmt.Errorf("page: %w", context.DeadlineExceeded)); w.Code != http.StatusGatewayTimeout {
+		t.Errorf("deadline: status = %d", w.Code)
+	}
+
+	// A client disconnect gets no response body: nobody is listening.
+	if w := fetchErr(fmt.Errorf("page: %w", context.Canceled)); w.Body.Len() != 0 {
+		t.Errorf("cancel: wrote body %q", w.Body.String())
+	}
+
+	// Internal errors are logged in full but the client sees only a
+	// generic message — error strings can embed data values and internals.
+	w := fetchErr(errors.New("confidential: /etc/site/pubs.ddl:17"))
+	if w.Code != http.StatusInternalServerError {
+		t.Errorf("internal: status = %d", w.Code)
+	}
+	if got := w.Body.String(); strings.Contains(got, "confidential") || !strings.Contains(got, "internal server error") {
+		t.Errorf("internal: body = %q", got)
+	}
+	if !strings.Contains(logged.String(), "confidential: /etc/site/pubs.ddl:17") {
+		t.Error("error detail missing from server-side log")
+	}
 }

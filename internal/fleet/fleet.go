@@ -135,11 +135,18 @@ func guard(err *error) {
 }
 
 // Render renders one page on this replica, reporting the data
-// generation every byte was computed from. A killed replica refuses
-// immediately; a kill mid-render cancels the evaluation and reports
+// generation every byte was computed from.
+func (r *Replica) Render(ctx context.Context, ref dynamic.PageRef) (string, int64, error) {
+	return r.run(ctx, func(ctx context.Context) (string, int64, error) {
+		return r.srv.RenderPageGen(ctx, ref)
+	})
+}
+
+// run is every call on a replica: a killed replica refuses
+// immediately; a kill mid-call cancels the call's context and reports
 // ErrReplicaDown so the caller fails over instead of surfacing a
-// spurious cancellation.
-func (r *Replica) Render(ctx context.Context, ref dynamic.PageRef) (_ string, _ int64, err error) {
+// spurious cancellation; a panic becomes an error (guard).
+func (r *Replica) run(ctx context.Context, call func(context.Context) (string, int64, error)) (_ string, _ int64, err error) {
 	defer guard(&err)
 	life, down := r.lifeCtx()
 	if down {
@@ -149,20 +156,24 @@ func (r *Replica) Render(ctx context.Context, ref dynamic.PageRef) (_ string, _ 
 	defer cancel()
 	stop := context.AfterFunc(life, cancel)
 	defer stop()
-	body, gen, err := r.srv.RenderPageGen(rctx, ref)
+	out, gen, err := call(rctx)
 	if err != nil {
 		// The request's own context ending is the caller's problem; the
-		// replica dying under the render is ours to report as such.
+		// replica dying under the call is ours to report as such.
 		if ctx.Err() == nil && life.Err() != nil {
 			return "", gen, ErrReplicaDown
 		}
 		return "", gen, err
 	}
-	return body, gen, nil
+	return out, gen, nil
 }
 
 // Generation returns the replica's current data generation.
 func (r *Replica) Generation() int64 { return r.ev.Generation() }
+
+// transport makes one attempt at one page on one replica: the
+// in-process Replica.Render, or a GET to that replica's server.
+type transport func(ctx context.Context, shard, idx int, key string, ref dynamic.PageRef) (body string, gen int64, err error)
 
 // Fleet is the coordinator: the ring, the shard/replica grid, and the
 // generation counter every swap advances in lockstep. It implements
@@ -177,6 +188,10 @@ type Fleet struct {
 	// breakers, hedge/retry budgets, latency tracking, and the
 	// rotation counters routing starts from.
 	gray *grayState
+	// attempt is the replica transport: one try of one page on one
+	// replica. New sets the in-process call; ServeOverHTTP replaces it
+	// with a GET to that replica's server.
+	attempt transport
 
 	gen   atomic.Int64
 	start time.Time
@@ -216,9 +231,12 @@ func New(cfg Config, src struql.Source) (*Fleet, error) {
 		cfg:      cfg,
 		ring:     NewRing(cfg.Shards),
 		grid:     make([][]*Replica, cfg.Shards),
-		gray:     newGrayState(cfg.Gray, uniformCounts(cfg.Shards, cfg.Replicas), cfg.Obs),
+		gray:     newGrayState(cfg.Gray, cfg.Shards, cfg.Replicas, cfg.Obs),
 		start:    time.Now(),
 		genTimes: map[int64]time.Time{},
+	}
+	f.attempt = func(ctx context.Context, shard, idx int, _ string, ref dynamic.PageRef) (string, int64, error) {
+		return f.grid[shard][idx].Render(ctx, ref)
 	}
 	if fz := struql.SnapshotOf(src); fz != nil {
 		src = fz
@@ -296,20 +314,15 @@ func (f *Fleet) EntryPoints() []dynamic.PageRef {
 
 // Fetch renders a page on the owning shard through the gray-failure
 // policy: health-ordered replica selection, tail-latency hedging, and
-// budget-bounded failover (see hedge.go). A down (or dying-mid-render)
-// replica sends the request to the next; only when every replica has
-// refused does the shard count as down. Page evaluation errors are NOT
-// failed over — they are deterministic functions of the data, so a
-// sibling would fail identically.
+// budget-bounded failover (see hedge.go), each attempt crossing the
+// fleet's transport. A down (or dying-mid-render) replica sends the
+// request to the next; only when every replica has refused does the
+// shard count as down. Page evaluation errors are NOT failed over —
+// they are deterministic functions of the data, so a sibling would
+// fail identically.
 func (f *Fleet) Fetch(ctx context.Context, shard int, key string, ref dynamic.PageRef) (string, int64, error) {
-	if shard < 0 || shard >= len(f.grid) {
-		return "", 0, fmt.Errorf("fleet: no such shard %d", shard)
-	}
-	if m := f.cfg.Obs; m != nil {
-		m.ShardFetches.Inc()
-	}
 	return f.gray.fetch(ctx, shard, func(ctx context.Context, idx int) (string, int64, error) {
-		return f.grid[shard][idx].Render(ctx, ref)
+		return f.attempt(ctx, shard, idx, key, ref)
 	})
 }
 
@@ -321,16 +334,18 @@ func (f *Fleet) Health(shard, i int) *ReplicaHealth { return f.gray.Health(shard
 func (f *Fleet) HealthSnapshot() map[string]any { return f.gray.Snapshot() }
 
 // StartHealthChecks launches the active prober: every replica renders
-// the site's first entry point each Gray.ProbeInterval, bounded by
-// Gray.ProbeTimeout, feeding its breaker. Probing stops when ctx ends.
+// the site's first entry point over the fleet's transport each
+// Gray.ProbeInterval, bounded by Gray.ProbeTimeout, feeding its
+// breaker. Probing stops when ctx ends.
 func (f *Fleet) StartHealthChecks(ctx context.Context) {
 	entries := f.EntryPoints()
 	if len(entries) == 0 {
 		return
 	}
 	probe := entries[0]
+	key := EncodeRef(probe)
 	f.gray.startProbes(ctx, func(ctx context.Context, shard, idx int) error {
-		_, _, err := f.grid[shard][idx].Render(ctx, probe)
+		_, _, err := f.attempt(ctx, shard, idx, key, probe)
 		return err
 	})
 }

@@ -39,11 +39,11 @@ func drillGray() GrayConfig {
 	}
 }
 
-// drillCluster builds a fleet served over HTTP, with an optional fault
+// drillFleet builds a fleet served over HTTP, with an optional fault
 // proxy per replica, fronted by an edge with a deliberately tiny cache
 // (a drill where the cache absorbs every request never exercises the
 // backends).
-func drillCluster(t *testing.T, m *obs.FleetMetrics, faults map[[2]int]faultnet.Schedule) (*httptest.Server, *HTTPCluster, context.CancelFunc) {
+func drillFleet(t *testing.T, m *obs.FleetMetrics, faults map[[2]int]faultnet.Schedule) (*httptest.Server, *Fleet, context.CancelFunc) {
 	t.Helper()
 	const shards, replicas = 2, 2
 	f := grayFleet(t, drillSeed, shards, replicas, m, drillGray())
@@ -59,16 +59,18 @@ func drillCluster(t *testing.T, m *obs.FleetMetrics, faults map[[2]int]faultnet.
 			urls[sh] = append(urls[sh], rts.URL)
 		}
 	}
-	c := NewHTTPCluster(f, urls)
+	if err := f.ServeOverHTTP(urls); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	c.StartHealthChecks(ctx)
-	e := quiet(NewEdge(c))
+	f.StartHealthChecks(ctx)
+	e := quiet(NewEdge(f))
 	e.Obs = m
 	e.StaleFor = 0
 	e.MaxEntries = 4
 	ts := httptest.NewServer(e.Handler())
 	t.Cleanup(ts.Close)
-	return ts, c, cancel
+	return ts, f, cancel
 }
 
 // drillLoad drives the load generator against an edge with full body
@@ -116,7 +118,7 @@ func TestGrayFailureDrill(t *testing.T) {
 
 	// Healthy baseline: same topology, no faults.
 	var mBase obs.FleetMetrics
-	baseTS, _, stopBase := drillCluster(t, &mBase, nil)
+	baseTS, _, stopBase := drillFleet(t, &mBase, nil)
 	baseline := drillLoad(t, baseTS)
 	stopBase()
 	if baseline.Errors != 0 || baseline.Mismatches != 0 {
@@ -127,7 +129,7 @@ func TestGrayFailureDrill(t *testing.T) {
 	// shard 1 replica 1 flaps — 20 clean responses, then 10 dropped
 	// connections, repeating.
 	var m obs.FleetMetrics
-	grayTS, c, stopGray := drillCluster(t, &m, map[[2]int]faultnet.Schedule{
+	grayTS, c, stopGray := drillFleet(t, &m, map[[2]int]faultnet.Schedule{
 		{0, 0}: faultnet.Script{{Delay: 200 * time.Millisecond}},
 		{1, 1}: faultnet.Flap{Up: 20, Down: 10},
 	})

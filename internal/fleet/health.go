@@ -14,8 +14,8 @@ import (
 // This file is the gray-failure tolerance layer's state: a per-replica
 // health state machine driven by both passive request outcomes and
 // active probes, and the grayState bundle (health grid, latency
-// tracking, hedge/retry budgets) shared by the in-process fleet and the
-// over-the-wire HTTP cluster.
+// tracking, hedge/retry budgets) every fleet fetch runs through,
+// whichever transport its attempts cross.
 //
 // The binary alive/dead model PR 8 shipped handles a killed replica;
 // the common production failure is grayer — a replica that is slow, or
@@ -66,17 +66,15 @@ type GrayConfig struct {
 	SlowFactor float64
 	SlowMin    time.Duration
 
-	// HedgeQuantile is the request-latency quantile that arms the hedge
-	// timer: when the primary attempt outlives that quantile (clamped
-	// to [HedgeMinDelay, HedgeMaxDelay]), the same render fires on the
-	// next replica and the first success wins. HedgeRatio/HedgeBurst
-	// bound hedges to a fraction of offered load (the global hedge
+	// The hedge timer arms at the hedgeQuantile of recent request
+	// latencies, clamped to [HedgeMinDelay, HedgeMaxDelay]: when the
+	// primary attempt outlives it, the same render fires on the next
+	// replica and the first success wins. HedgeRatio (with hedgeBurst)
+	// bounds hedges to a fraction of offered load (the global hedge
 	// budget that prevents retry storms).
-	HedgeQuantile float64
 	HedgeMinDelay time.Duration
 	HedgeMaxDelay time.Duration
 	HedgeRatio    float64
-	HedgeBurst    float64
 	DisableHedge  bool
 
 	// RetryRatio/RetryBurst bound failover retries the same way.
@@ -118,9 +116,6 @@ func (c GrayConfig) withDefaults() GrayConfig {
 	if c.SlowMin <= 0 {
 		c.SlowMin = 5 * time.Millisecond
 	}
-	if c.HedgeQuantile <= 0 || c.HedgeQuantile >= 1 {
-		c.HedgeQuantile = 0.95
-	}
 	if c.HedgeMinDelay <= 0 {
 		c.HedgeMinDelay = 2 * time.Millisecond
 	}
@@ -129,9 +124,6 @@ func (c GrayConfig) withDefaults() GrayConfig {
 	}
 	if c.HedgeRatio <= 0 {
 		c.HedgeRatio = 0.1
-	}
-	if c.HedgeBurst <= 0 {
-		c.HedgeBurst = 32
 	}
 	if c.RetryRatio <= 0 {
 		c.RetryRatio = 0.2
@@ -147,6 +139,13 @@ func (c GrayConfig) withDefaults() GrayConfig {
 	}
 	return c
 }
+
+// hedgeQuantile is the fetch-latency quantile that arms the hedge
+// timer; hedgeBurst is the hedge budget's bucket size.
+const (
+	hedgeQuantile = 0.95
+	hedgeBurst    = 32
+)
 
 // attemptOutcome classifies one finished replica attempt for health
 // accounting.
@@ -290,13 +289,10 @@ func (h *ReplicaHealth) acquire(forced bool) (releaseFn, bool) {
 }
 
 // grayState bundles the per-replica health grid with the fleet-wide
-// latency histogram and token budgets. One instance backs the
-// in-process Fleet; the HTTP cluster owns its own (the two are
-// alternative data paths, never active at once for the same traffic).
+// latency histogram and token budgets. Each Fleet owns one.
 type grayState struct {
 	cfg GrayConfig
-	// health[shard][replica]; shards may have differing replica counts
-	// on the HTTP path.
+	// health[shard][replica]
 	health [][]*ReplicaHealth
 	lat    obs.Histogram // successful fetch latencies → hedge delay quantile
 	hedge  *ratioBudget
@@ -305,33 +301,24 @@ type grayState struct {
 	rr     []atomic.Uint32
 }
 
-// newGrayState builds the health grid for counts[shard] replicas per
-// shard.
-func newGrayState(cfg GrayConfig, counts []int, m *obs.FleetMetrics) *grayState {
+// newGrayState builds the health grid for shards × replicas.
+func newGrayState(cfg GrayConfig, shards, replicas int, m *obs.FleetMetrics) *grayState {
 	cfg = cfg.withDefaults()
 	g := &grayState{
 		cfg:   cfg,
-		hedge: newRatioBudget(cfg.HedgeRatio, cfg.HedgeBurst),
+		hedge: newRatioBudget(cfg.HedgeRatio, hedgeBurst),
 		retry: newRatioBudget(cfg.RetryRatio, cfg.RetryBurst),
 		obs:   m,
-		rr:    make([]atomic.Uint32, len(counts)),
+		rr:    make([]atomic.Uint32, shards),
 	}
-	g.health = make([][]*ReplicaHealth, len(counts))
-	for s, n := range counts {
-		g.health[s] = make([]*ReplicaHealth, n)
-		for i := 0; i < n; i++ {
+	g.health = make([][]*ReplicaHealth, shards)
+	for s := range g.health {
+		g.health[s] = make([]*ReplicaHealth, replicas)
+		for i := range g.health[s] {
 			g.health[s][i] = &ReplicaHealth{g: g, br: newBreaker(cfg.Breaker)}
 		}
 	}
 	return g
-}
-
-func uniformCounts(shards, replicas int) []int {
-	counts := make([]int, shards)
-	for i := range counts {
-		counts[i] = replicas
-	}
-	return counts
 }
 
 func (g *grayState) count(f func(*obs.FleetMetrics)) {
@@ -371,7 +358,7 @@ func (g *grayState) hedgeDelay() time.Duration {
 	if g.lat.Count() < minSamples {
 		return g.cfg.HedgeMinDelay
 	}
-	d := time.Duration(g.lat.Quantile(g.cfg.HedgeQuantile))
+	d := time.Duration(g.lat.Quantile(hedgeQuantile))
 	if d < g.cfg.HedgeMinDelay {
 		d = g.cfg.HedgeMinDelay
 	}

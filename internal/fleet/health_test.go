@@ -8,7 +8,7 @@ import (
 	"strudel/internal/obs"
 )
 
-func testGrayState(clk *fakeClock, m *obs.FleetMetrics, counts ...int) *grayState {
+func testGrayState(clk *fakeClock, m *obs.FleetMetrics, shards, replicas int) *grayState {
 	return newGrayState(GrayConfig{
 		Breaker: BreakerConfig{
 			Failures:       3,
@@ -23,7 +23,7 @@ func testGrayState(clk *fakeClock, m *obs.FleetMetrics, counts ...int) *grayStat
 		SlowFactor:   4,
 		SlowMin:      5 * time.Millisecond,
 		Clock:        clk.Now,
-	}, counts, m)
+	}, shards, replicas, m)
 }
 
 // record feeds one attempt outcome through the acquire/release path.
@@ -38,7 +38,7 @@ func record(t *testing.T, h *ReplicaHealth, outcome attemptOutcome, elapsed time
 
 func TestHealthStateLifecycle(t *testing.T) {
 	clk := newFakeClock()
-	g := testGrayState(clk, nil, 2)
+	g := testGrayState(clk, nil, 1, 2)
 	h := g.Health(0, 0)
 	if h.State() != HealthHealthy {
 		t.Fatal("fresh replica should be healthy")
@@ -74,7 +74,7 @@ func TestHealthStateLifecycle(t *testing.T) {
 func TestSlowReplicaDemotedToSuspect(t *testing.T) {
 	clk := newFakeClock()
 	var m obs.FleetMetrics
-	g := testGrayState(clk, &m, 2)
+	g := testGrayState(clk, &m, 1, 2)
 	fast, slow := g.Health(0, 0), g.Health(0, 1)
 	for i := 0; i < 10; i++ {
 		record(t, fast, outcomeOK, 2*time.Millisecond)
@@ -102,7 +102,7 @@ func TestSlowReplicaDemotedToSuspect(t *testing.T) {
 
 func TestRoutingOrderPrefersHealthy(t *testing.T) {
 	clk := newFakeClock()
-	g := testGrayState(clk, nil, 3)
+	g := testGrayState(clk, nil, 1, 3)
 	// Trip replica 1's breaker.
 	for i := 0; i < 3; i++ {
 		record(t, g.Health(0, 1), outcomeFail, 0)
@@ -134,7 +134,7 @@ func TestRecoveryHintTracksBreakerCooldown(t *testing.T) {
 	g := newGrayState(GrayConfig{
 		Breaker: BreakerConfig{Failures: 1, OpenFor: 10 * time.Second},
 		Clock:   clk.Now,
-	}, []int{2}, nil)
+	}, 1, 2, nil)
 	if got := g.recoveryHint(0); got != time.Second {
 		t.Fatalf("no open breakers: hint %v, want the 1s floor", got)
 	}
@@ -159,7 +159,7 @@ func TestHedgeDelayFromQuantile(t *testing.T) {
 		HedgeMinDelay: 2 * time.Millisecond,
 		HedgeMaxDelay: 500 * time.Millisecond,
 		Clock:         clk.Now,
-	}, []int{2}, nil)
+	}, 1, 2, nil)
 	if got := g.hedgeDelay(); got != 2*time.Millisecond {
 		t.Fatalf("cold state: hedge delay %v, want the floor", got)
 	}
@@ -177,7 +177,7 @@ func TestProbesHealEjectedReplica(t *testing.T) {
 	g := newGrayState(GrayConfig{
 		Breaker:       BreakerConfig{Failures: 1, OpenFor: time.Millisecond, CloseAfter: 1},
 		ProbeInterval: 5 * time.Millisecond,
-	}, []int{1}, &m)
+	}, 1, 1, &m)
 	h := g.Health(0, 0)
 	record(t, h, outcomeFail, 0)
 	if h.State() != HealthEjected {
@@ -203,7 +203,7 @@ func TestProbesHealEjectedReplica(t *testing.T) {
 
 func TestHealthSnapshotShape(t *testing.T) {
 	clk := newFakeClock()
-	g := testGrayState(clk, nil, 2, 1)
+	g := testGrayState(clk, nil, 2, 2)
 	record(t, g.Health(0, 1), outcomeFail, 0)
 	record(t, g.Health(0, 1), outcomeFail, 0)
 	snap := g.Snapshot()

@@ -9,9 +9,9 @@ import (
 	"strudel/internal/obs"
 )
 
-// This file is the hedged, health-routed, budget-bounded fetch that
-// both the in-process fleet and the HTTP cluster dispatch through. One
-// page fetch becomes a small race:
+// This file is the hedged, health-routed, budget-bounded fetch every
+// fleet fetch and query runs through, whichever transport its attempts
+// cross. One fetch becomes a small race:
 //
 //  1. The primary attempt goes to the best replica the health grid
 //     offers (rotation within the same state, healthy before suspect
@@ -37,8 +37,9 @@ var errLost = errors.New("fleet: attempt lost race")
 
 // errUnavail is a transport-level replica failure on the HTTP path:
 // connection refused/reset, a 503 from the replica server, a corrupt
-// body caught by the end-to-end checksum. It is always retryable and
-// may carry the backend's Retry-After hint.
+// body caught by the end-to-end checksum, a 200 without the replica
+// protocol's headers. It is always retryable and may carry the
+// backend's Retry-After hint.
 type errUnavail struct {
 	RetryAfter time.Duration
 	cause      error
@@ -76,6 +77,7 @@ func (g *grayState) fetch(ctx context.Context, shard int, attempt fetchAttempt) 
 	if shard < 0 || shard >= len(g.health) {
 		return "", 0, fmt.Errorf("fleet: no such shard %d", shard)
 	}
+	g.count(func(m *obs.FleetMetrics) { m.ShardFetches.Inc() })
 	g.hedge.Deposit()
 	g.retry.Deposit()
 

@@ -21,7 +21,7 @@ func hedgeGray(m *obs.FleetMetrics, replicas int, mut func(*GrayConfig)) *graySt
 	if mut != nil {
 		mut(&cfg)
 	}
-	return newGrayState(cfg, []int{replicas}, m)
+	return newGrayState(cfg, 1, replicas, m)
 }
 
 func TestFetchHedgeRescuesSlowReplica(t *testing.T) {

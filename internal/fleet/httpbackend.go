@@ -12,23 +12,25 @@ import (
 
 	"strudel/internal/dynamic"
 	"strudel/internal/htmlgen"
+	"strudel/internal/obs"
 	"strudel/internal/spine"
 )
 
-// This file is the over-the-wire shard transport: a replica can be
-// exposed as its own HTTP server and the edge can fetch from replicas
-// by URL instead of method call. The in-process path is the production
-// default for a single binary; the HTTP path is what a multi-process
-// deployment uses, and the differential oracle runs both to prove the
-// network hop changes no byte. The HTTP path carries three extra
-// end-to-end signals the in-process path gets for free:
+// This file is the over-the-wire replica transport: a replica can be
+// exposed as its own HTTP server (ReplicaServer) and a fleet can send
+// its attempts there by URL instead of method call (ServeOverHTTP). The
+// in-process call is the production default for a single binary; the
+// HTTP transport is what a multi-process deployment uses, and the
+// differential oracle runs both to prove the network hop changes no
+// byte. The HTTP transport carries three extra end-to-end signals the
+// in-process call gets for free:
 //
 //   - the request deadline propagates as a header, so a replica stops
 //     rendering work whose requester has already given up;
 //   - the body carries a content checksum, so a corrupted wire byte is
 //     caught at the edge and failed over instead of served;
 //   - a down replica's 503 carries a Retry-After hint that flows
-//     through the cluster's shard-down error to the edge's response.
+//     through the fleet's shard-down error to the edge's response.
 
 // genHeader carries the data generation a replica rendered against.
 const genHeader = "X-Strudel-Generation"
@@ -116,22 +118,6 @@ func parseCount(v string, unit time.Duration) time.Duration {
 	return time.Duration(n) * unit
 }
 
-// HTTPCluster is a Cluster whose shard fetches go over real HTTP to
-// replica servers, through the same gray-failure policy as the
-// in-process fleet: health-ordered routing, tail-latency hedging,
-// per-replica circuit breakers, budget-bounded failover. Routing,
-// generations, and entry points delegate to the underlying fleet (in a
-// multi-process deployment those would come from configuration and a
-// coordination channel; the tests' concern here is the data path).
-type HTTPCluster struct {
-	Fleet *Fleet
-	// URLs[shard] lists the base URLs of that shard's replica servers.
-	URLs   [][]string
-	Client *http.Client
-
-	gray *grayState
-}
-
 // httpAttemptTimeout bounds each outbound replica request (connect,
 // response, and full body read) when the fleet's GrayConfig left
 // AttemptTimeout unset. The in-process path can afford "parent deadline
@@ -140,74 +126,38 @@ type HTTPCluster struct {
 // failure this layer exists to route around.
 const httpAttemptTimeout = 5 * time.Second
 
-// NewHTTPCluster wraps a fleet with per-replica HTTP endpoints. The
-// gray-failure config (and metrics sink) comes from the fleet's own
-// Config; the cluster keeps its own health grid because replica
-// identity differs (URLs, not in-process handles).
-func NewHTTPCluster(f *Fleet, urls [][]string) *HTTPCluster {
-	counts := make([]int, len(urls))
+// ServeOverHTTP makes every page attempt and health probe a GET to the
+// replica's own server: urls[shard][replica] is the base URL of the
+// ReplicaServer in front of that replica, for every one of the fleet's
+// Shards × Replicas. Routing, generations and the gray-failure policy
+// stay the fleet's; queries still run in-process. It must be called
+// before the first fetch. Attempts are bounded by httpAttemptTimeout
+// unless Gray.AttemptTimeout is set.
+func (f *Fleet) ServeOverHTTP(urls [][]string) error {
+	if len(urls) != f.cfg.Shards {
+		return fmt.Errorf("fleet: %d shards of replica URLs for %d shards", len(urls), f.cfg.Shards)
+	}
 	for s, u := range urls {
-		counts[s] = len(u)
+		if len(u) != f.cfg.Replicas {
+			return fmt.Errorf("fleet: shard %d has %d replica URLs for %d replicas", s, len(u), f.cfg.Replicas)
+		}
 	}
-	gcfg := f.cfg.Gray
-	if gcfg.AttemptTimeout <= 0 {
-		gcfg.AttemptTimeout = httpAttemptTimeout
+	if f.gray.cfg.AttemptTimeout <= 0 {
+		f.gray.cfg.AttemptTimeout = httpAttemptTimeout
 	}
-	return &HTTPCluster{
-		Fleet:  f,
-		URLs:   urls,
-		Client: &http.Client{Timeout: 30 * time.Second},
-		gray:   newGrayState(gcfg, counts, f.cfg.Obs),
+	client := &http.Client{Timeout: 30 * time.Second}
+	f.attempt = func(ctx context.Context, shard, idx int, key string, _ dynamic.PageRef) (string, int64, error) {
+		return fetchOne(ctx, client, f.cfg.Obs, urls[shard][idx], key)
 	}
-}
-
-func (c *HTTPCluster) Route(key string) int           { return c.Fleet.Route(key) }
-func (c *HTTPCluster) Generation() int64              { return c.Fleet.Generation() }
-func (c *HTTPCluster) GenTime(gen int64) time.Time    { return c.Fleet.GenTime(gen) }
-func (c *HTTPCluster) LastSwap() time.Time            { return c.Fleet.LastSwap() }
-func (c *HTTPCluster) EntryPoints() []dynamic.PageRef { return c.Fleet.EntryPoints() }
-func (c *HTTPCluster) KnownFn(fn string) bool         { return c.Fleet.KnownFn(fn) }
-
-// Health returns one replica endpoint's health account.
-func (c *HTTPCluster) Health(shard, i int) *ReplicaHealth { return c.gray.Health(shard, i) }
-
-// HealthSnapshot reports the cluster's health grid for /debug/vars.
-func (c *HTTPCluster) HealthSnapshot() map[string]any { return c.gray.Snapshot() }
-
-// StartHealthChecks begins active probing of every replica endpoint:
-// each probe fetches the site's first entry point over HTTP. Probes
-// stop when ctx is cancelled.
-func (c *HTTPCluster) StartHealthChecks(ctx context.Context) {
-	eps := c.Fleet.EntryPoints()
-	if len(eps) == 0 {
-		return
-	}
-	key := EncodeRef(eps[0])
-	c.gray.startProbes(ctx, func(ctx context.Context, shard, idx int) error {
-		_, _, err := c.fetchOne(ctx, c.URLs[shard][idx], key)
-		return err
-	})
-}
-
-// Fetch renders a page over HTTP on the owning shard through the
-// gray-failure policy.
-func (c *HTTPCluster) Fetch(ctx context.Context, shard int, key string, ref dynamic.PageRef) (string, int64, error) {
-	if shard < 0 || shard >= len(c.URLs) {
-		return "", 0, fmt.Errorf("fleet: no such shard %d", shard)
-	}
-	if m := c.Fleet.cfg.Obs; m != nil {
-		m.ShardFetches.Inc()
-	}
-	return c.gray.fetch(ctx, shard, func(ctx context.Context, idx int) (string, int64, error) {
-		return c.fetchOne(ctx, c.URLs[shard][idx], key)
-	})
+	return nil
 }
 
 // fetchOne performs a single replica request. Transport failures,
-// 503s, and checksum mismatches come back as *errUnavail (retryable on
-// a sibling, possibly carrying the replica's Retry-After hint); any
-// other non-200 is deterministic and surfaces as-is.
-func (c *HTTPCluster) fetchOne(ctx context.Context, base, key string) (string, int64, error) {
+// 503s, checksum mismatches and a 200 without the generation and body
+// hash headers come back as *errUnavail (retryable on a sibling,
+// possibly carrying the replica's Retry-After hint); any other non-200
+// is deterministic and surfaces as-is.
+func fetchOne(ctx context.Context, client *http.Client, m *obs.FleetMetrics, base, key string) (string, int64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/page/"+urlEscapeKey(key), nil)
 	if err != nil {
 		return "", 0, err
@@ -219,7 +169,7 @@ func (c *HTTPCluster) fetchOne(ctx context.Context, base, key string) (string, i
 		}
 		req.Header.Set(deadlineHeader, strconv.FormatInt(ms, 10))
 	}
-	resp, err := c.Client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return "", 0, &errUnavail{cause: err}
 	}
@@ -232,13 +182,19 @@ func (c *HTTPCluster) fetchOne(ctx context.Context, base, key string) (string, i
 	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		if want := resp.Header.Get(bodyHashHeader); want != "" && htmlgen.PageHash(string(b)) != want {
-			if m := c.Fleet.cfg.Obs; m != nil {
+		// A 200 without both headers is not a replica's answer: its
+		// bytes cannot be verified or labelled with a generation.
+		want := resp.Header.Get(bodyHashHeader)
+		gen, err := strconv.ParseInt(resp.Header.Get(genHeader), 10, 64)
+		if want == "" || err != nil || gen < 0 {
+			return "", 0, &errUnavail{cause: fmt.Errorf("replica %s: 200 without valid %s and %s", base, genHeader, bodyHashHeader)}
+		}
+		if htmlgen.PageHash(string(b)) != want {
+			if m != nil {
 				m.ChecksumFailures.Inc()
 			}
 			return "", 0, &errUnavail{cause: fmt.Errorf("body checksum mismatch from %s", base)}
 		}
-		gen, _ := strconv.ParseInt(resp.Header.Get(genHeader), 10, 64)
 		return string(b), gen, nil
 	case resp.StatusCode == http.StatusServiceUnavailable:
 		return "", 0, &errUnavail{

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,7 +101,7 @@ func TestHeaderCountsSaturate(t *testing.T) {
 	}
 }
 
-func TestHTTPClusterPropagatesDeadlineHeader(t *testing.T) {
+func TestHTTPTransportPropagatesDeadlineHeader(t *testing.T) {
 	f := grayFleet(t, 3, 1, 1, nil, GrayConfig{})
 	gotMs := make(chan string, 1)
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -108,15 +109,20 @@ func TestHTTPClusterPropagatesDeadlineHeader(t *testing.T) {
 		case gotMs <- r.Header.Get(deadlineHeader):
 		default:
 		}
-		io.WriteString(w, "<html>ok</html>")
+		body := "<html>ok</html>"
+		w.Header().Set(genHeader, "0")
+		w.Header().Set(bodyHashHeader, htmlgen.PageHash(body))
+		io.WriteString(w, body)
 	}))
 	defer backend.Close()
 
-	c := NewHTTPCluster(f, [][]string{{backend.URL}})
+	if err := f.ServeOverHTTP([][]string{{backend.URL}}); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 	ref := f.EntryPoints()[0]
-	if _, _, err := c.Fetch(ctx, 0, EncodeRef(ref), ref); err != nil {
+	if _, _, err := f.Fetch(ctx, 0, EncodeRef(ref), ref); err != nil {
 		t.Fatalf("fetch: %v", err)
 	}
 	hdr := <-gotMs
@@ -140,7 +146,10 @@ func TestEdgeRetryAfterDerivedFromBackendHint(t *testing.T) {
 		urls[0] = append(urls[0], rts.URL)
 		f.Replica(0, i).Kill()
 	}
-	e := quiet(NewEdge(NewHTTPCluster(f, urls)))
+	if err := f.ServeOverHTTP(urls); err != nil {
+		t.Fatal(err)
+	}
+	e := quiet(NewEdge(f))
 	ts := httptest.NewServer(e.Handler())
 	defer ts.Close()
 
@@ -157,7 +166,7 @@ func TestEdgeRetryAfterDerivedFromBackendHint(t *testing.T) {
 	}
 }
 
-func TestHTTPClusterChecksumFailover(t *testing.T) {
+func TestHTTPTransportChecksumFailover(t *testing.T) {
 	var m obs.FleetMetrics
 	f := grayFleet(t, 5, 1, 2, &m, GrayConfig{})
 	// Replica 0's responses are corrupted on the wire, every time;
@@ -170,14 +179,16 @@ func TestHTTPClusterChecksumFailover(t *testing.T) {
 	clean := httptest.NewServer(ReplicaHandler(f.Replica(0, 1)))
 	defer clean.Close()
 
-	c := NewHTTPCluster(f, [][]string{{corrupt.URL, clean.URL}})
+	if err := f.ServeOverHTTP([][]string{{corrupt.URL, clean.URL}}); err != nil {
+		t.Fatal(err)
+	}
 	ref := f.EntryPoints()[0]
 	want, _, err := newReference(t, buildSchema(t), genSiteData(5)).RenderPageGen(context.Background(), ref)
 	if err != nil {
 		t.Fatalf("reference render: %v", err)
 	}
 	for i := 0; i < 6; i++ {
-		body, _, err := c.Fetch(context.Background(), 0, EncodeRef(ref), ref)
+		body, _, err := f.Fetch(context.Background(), 0, EncodeRef(ref), ref)
 		if err != nil {
 			t.Fatalf("fetch %d: %v", i, err)
 		}
@@ -190,11 +201,11 @@ func TestHTTPClusterChecksumFailover(t *testing.T) {
 	}
 }
 
-// TestHTTPClusterStalledBodyFailsOver is the stalled-replica
+// TestHTTPTransportStalledBodyFailsOver is the stalled-replica
 // regression: a backend that sends headers and part of the body, then
 // wedges, must not hold the fetch hostage — the attempt deadline (or a
 // hedge) moves the request to a sibling.
-func TestHTTPClusterStalledBodyFailsOver(t *testing.T) {
+func TestHTTPTransportStalledBodyFailsOver(t *testing.T) {
 	var m obs.FleetMetrics
 	f := grayFleet(t, 5, 1, 2, &m, GrayConfig{AttemptTimeout: 300 * time.Millisecond})
 	stalled := httptest.NewServer(&faultnet.Proxy{
@@ -205,7 +216,9 @@ func TestHTTPClusterStalledBodyFailsOver(t *testing.T) {
 	clean := httptest.NewServer(ReplicaHandler(f.Replica(0, 1)))
 	defer clean.Close()
 
-	c := NewHTTPCluster(f, [][]string{{stalled.URL, clean.URL}})
+	if err := f.ServeOverHTTP([][]string{{stalled.URL, clean.URL}}); err != nil {
+		t.Fatal(err)
+	}
 	ref := f.EntryPoints()[0]
 	want, _, err := newReference(t, buildSchema(t), genSiteData(5)).RenderPageGen(context.Background(), ref)
 	if err != nil {
@@ -213,7 +226,7 @@ func TestHTTPClusterStalledBodyFailsOver(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		start := time.Now()
-		body, _, err := c.Fetch(context.Background(), 0, EncodeRef(ref), ref)
+		body, _, err := f.Fetch(context.Background(), 0, EncodeRef(ref), ref)
 		if err != nil {
 			t.Fatalf("fetch %d: %v", i, err)
 		}
@@ -223,5 +236,117 @@ func TestHTTPClusterStalledBodyFailsOver(t *testing.T) {
 		if el := time.Since(start); el > 5*time.Second {
 			t.Fatalf("fetch %d took %v: the stall leaked past the attempt bound", i, el)
 		}
+	}
+}
+
+// TestHTTPTransportRequiresProtocolHeaders: a 200 without a parseable
+// generation header or without a body hash is not a replica's answer —
+// its bytes can be neither verified nor labelled with a generation — so
+// it fails over to a clean sibling instead of being served (and cached
+// under a "g0-…" ETag) unverified.
+func TestHTTPTransportRequiresProtocolHeaders(t *testing.T) {
+	const imposter = "<html>not a replica</html>"
+	for name, hdr := range map[string]map[string]string{
+		"no headers":     {},
+		"no body hash":   {genHeader: "0"},
+		"no generation":  {bodyHashHeader: htmlgen.PageHash(imposter)},
+		"bad generation": {genHeader: "g0", bodyHashHeader: htmlgen.PageHash(imposter)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := grayFleet(t, 5, 1, 2, nil, GrayConfig{DisableHedge: true})
+			var hits atomic.Int32
+			other := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				hits.Add(1)
+				for k, v := range hdr {
+					w.Header().Set(k, v)
+				}
+				io.WriteString(w, imposter)
+			}))
+			defer other.Close()
+			clean := httptest.NewServer(ReplicaHandler(f.Replica(0, 1)))
+			defer clean.Close()
+			if err := f.ServeOverHTTP([][]string{{other.URL, clean.URL}}); err != nil {
+				t.Fatal(err)
+			}
+
+			ref := f.EntryPoints()[0]
+			want, _, err := newReference(t, buildSchema(t), genSiteData(5)).RenderPageGen(context.Background(), ref)
+			if err != nil {
+				t.Fatalf("reference render: %v", err)
+			}
+			for i := 0; i < 4; i++ {
+				body, gen, err := f.Fetch(context.Background(), 0, EncodeRef(ref), ref)
+				if err != nil {
+					t.Fatalf("fetch %d: %v", i, err)
+				}
+				if body != want || gen != 0 {
+					t.Fatalf("fetch %d: served %q at generation %d, want the clean replica's page at 0", i, body, gen)
+				}
+			}
+			if hits.Load() == 0 {
+				t.Fatal("routing never tried the header-less backend")
+			}
+		})
+	}
+}
+
+// TestServeOverHTTPRejectsWrongShape: the URL grid must name one server
+// per replica, Shards × Replicas; a rejected grid leaves the in-process
+// transport in place.
+func TestServeOverHTTPRejectsWrongShape(t *testing.T) {
+	f := grayFleet(t, 3, 2, 2, nil, GrayConfig{})
+	for _, urls := range [][][]string{
+		nil,
+		{{"a", "b"}},
+		{{"a", "b"}, {"c"}},
+		{{"a", "b"}, {"c", "d", "e"}},
+		{{"a", "b"}, {"c", "d"}, {"e", "f"}},
+	} {
+		if err := f.ServeOverHTTP(urls); err == nil {
+			t.Errorf("ServeOverHTTP(%v) accepted a grid for a 2x2 fleet", urls)
+		}
+	}
+	ref := f.EntryPoints()[0]
+	key := EncodeRef(ref)
+	if _, _, err := f.Fetch(context.Background(), f.Route(key), key, ref); err != nil {
+		t.Fatalf("fetch after rejected grids: %v", err)
+	}
+	if err := f.ServeOverHTTP([][]string{{"a", "b"}, {"c", "d"}}); err != nil {
+		t.Fatalf("ServeOverHTTP rejected a 2x2 grid: %v", err)
+	}
+}
+
+// TestHealthChecksProbeOverHTTP: once a fleet serves over HTTP, its
+// health probes cross the wire too. A replica whose server is gone
+// fails its probes even though the in-process replica behind it is
+// alive.
+func TestHealthChecksProbeOverHTTP(t *testing.T) {
+	var m obs.FleetMetrics
+	f := grayFleet(t, 3, 1, 2, &m, GrayConfig{ProbeInterval: 10 * time.Millisecond})
+	var urls []string
+	var servers []*httptest.Server
+	for i := 0; i < 2; i++ {
+		rts := httptest.NewServer(ReplicaHandler(f.Replica(0, i)))
+		defer rts.Close()
+		urls = append(urls, rts.URL)
+		servers = append(servers, rts)
+	}
+	if err := f.ServeOverHTTP([][]string{urls}); err != nil {
+		t.Fatal(err)
+	}
+	servers[1].Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	f.StartHealthChecks(ctx)
+	deadline := time.Now().Add(5 * time.Second)
+	for m.ProbeFailures.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no probe failed in 5s against a closed replica server (%d probes)", m.Probes.Load())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if f.Replica(0, 1).Down() {
+		t.Fatal("the in-process replica was killed; only its server should be gone")
 	}
 }

@@ -212,7 +212,10 @@ func TestServingOracleOverHTTP(t *testing.T) {
 			urls[sh] = append(urls[sh], rts.URL)
 		}
 	}
-	e := NewEdge(NewHTTPCluster(f, urls))
+	if err := f.ServeOverHTTP(urls); err != nil {
+		t.Fatal(err)
+	}
+	e := NewEdge(f)
 	e.StaleFor = 0 // post-reload requests must synchronously cross the wire
 	ts := httptest.NewServer(e.Handler())
 	defer ts.Close()

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"context"
-	"fmt"
 
 	"strudel/internal/struql"
 )
@@ -15,29 +14,14 @@ import (
 // on the capability without importing fleet.
 
 // EvalSource runs an evaluation closure against this replica's data
-// snapshot, handing it the source and generation from one atomic read.
-// A killed replica refuses immediately; a kill mid-evaluation cancels
-// the closure's context and reports ErrReplicaDown so the caller fails
-// over — the same life-context and panic discipline Render uses.
-func (r *Replica) EvalSource(ctx context.Context, fn func(context.Context, struql.Source, int64) (string, error)) (_ string, _ int64, err error) {
-	defer guard(&err)
-	life, down := r.lifeCtx()
-	if down {
-		return "", 0, ErrReplicaDown
-	}
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	stop := context.AfterFunc(life, cancel)
-	defer stop()
-	src, gen := r.ev.SourceGen()
-	out, err := fn(rctx, src, gen)
-	if err != nil {
-		if ctx.Err() == nil && life.Err() != nil {
-			return "", gen, ErrReplicaDown
-		}
-		return "", gen, err
-	}
-	return out, gen, nil
+// snapshot, handing it the source and generation from one atomic read,
+// under the same life-context and panic discipline Render uses.
+func (r *Replica) EvalSource(ctx context.Context, fn func(context.Context, struql.Source, int64) (string, error)) (string, int64, error) {
+	return r.run(ctx, func(ctx context.Context) (string, int64, error) {
+		src, gen := r.ev.SourceGen()
+		out, err := fn(ctx, src, gen)
+		return out, gen, err
+	})
 }
 
 // EvalOn routes an evaluation closure to the shard owning key and runs
@@ -48,15 +32,10 @@ func (r *Replica) EvalSource(ctx context.Context, fn func(context.Context, struq
 // generation mismatches) are NOT failed over — a sibling replica on the
 // same generation would fail identically — while refusals from down
 // replicas and timeouts are retried on siblings until the shard is
-// exhausted (then ErrShardDown with a Retry-After hint).
+// exhausted (then ErrShardDown with a Retry-After hint). Queries always
+// run in-process, whatever the page transport.
 func (f *Fleet) EvalOn(ctx context.Context, key string, fn func(context.Context, struql.Source, int64) (string, error)) (string, int64, error) {
 	shard := f.Route(key)
-	if shard < 0 || shard >= len(f.grid) {
-		return "", 0, fmt.Errorf("fleet: no such shard %d", shard)
-	}
-	if m := f.cfg.Obs; m != nil {
-		m.ShardFetches.Inc()
-	}
 	return f.gray.fetch(ctx, shard, func(ctx context.Context, idx int) (string, int64, error) {
 		return f.grid[shard][idx].EvalSource(ctx, fn)
 	})

@@ -72,22 +72,22 @@ func TestStaleWhileRevalidateExactBoundary(t *testing.T) {
 	}
 }
 
-// slowCluster wraps a Cluster, counting fetches and delaying each one —
-// the slow backend that makes revalidation collapse observable.
-type slowCluster struct {
-	Cluster
-	delay   time.Duration
-	fetches atomic.Int64
-}
-
-func (c *slowCluster) Fetch(ctx context.Context, shard int, key string, ref dynamic.PageRef) (string, int64, error) {
-	c.fetches.Add(1)
-	select {
-	case <-time.After(c.delay):
-	case <-ctx.Done():
-		return "", 0, ctx.Err()
+// slowTransport wraps a fleet's transport, counting attempts and
+// delaying each one — the slow backend that makes revalidation collapse
+// observable.
+func slowTransport(f *Fleet, delay time.Duration) (fetches *atomic.Int64) {
+	fetches = new(atomic.Int64)
+	inner := f.attempt
+	f.attempt = func(ctx context.Context, shard, idx int, key string, ref dynamic.PageRef) (string, int64, error) {
+		fetches.Add(1)
+		select {
+		case <-time.After(delay):
+		case <-ctx.Done():
+			return "", 0, ctx.Err()
+		}
+		return inner(ctx, shard, idx, key, ref)
 	}
-	return c.Cluster.Fetch(ctx, shard, key, ref)
+	return fetches
 }
 
 // TestSingleFlightRevalidationCollapses fires many concurrent requests
@@ -98,8 +98,8 @@ func TestSingleFlightRevalidationCollapses(t *testing.T) {
 	s := buildSchema(t)
 	g0, g1 := genSiteData(13), mutateSiteData(13)
 	f := newTestFleet(t, s, g0, 1, 1)
-	sc := &slowCluster{Cluster: f, delay: 150 * time.Millisecond}
-	e := NewEdge(sc)
+	fetches := slowTransport(f, 150*time.Millisecond)
+	e := NewEdge(f)
 	e.StaleFor = time.Hour // every post-swap request lands inside the window
 	ts := httptest.NewServer(e.Handler())
 	defer ts.Close()
@@ -108,7 +108,7 @@ func TestSingleFlightRevalidationCollapses(t *testing.T) {
 	if status, _, _ := get(t, ts, PageURL(ref), nil); status != http.StatusOK {
 		t.Fatal("prime failed")
 	}
-	if got := sc.fetches.Load(); got != 1 {
+	if got := fetches.Load(); got != 1 {
 		t.Fatalf("prime fetches = %d", got)
 	}
 	f.SwapData(repo.NewIndexed(g1), nil)
@@ -149,7 +149,7 @@ func TestSingleFlightRevalidationCollapses(t *testing.T) {
 		t.Fatalf("revalidation never landed, still at gen %d", gen)
 	}
 	// All sixteen stale hits collapsed into one revalidation fetch.
-	if got := sc.fetches.Load(); got != 2 {
+	if got := fetches.Load(); got != 2 {
 		t.Fatalf("backend fetches = %d, want 2 (prime + one collapsed revalidation)", got)
 	}
 }
