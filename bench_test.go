@@ -347,19 +347,20 @@ func BenchmarkE8_FullRebuild(b *testing.B) {
 }
 
 // benchEngineApply measures ivm.Engine.Apply of one delta against a
-// maintained version. Re-applying the identical delta is idempotent
-// (rows dedupe, refcounts stay balanced), so every iteration seeds the
-// same evaluations and re-constructs the same partitions.
+// maintained version. Iterations alternate the delta and its inverse:
+// re-applying an identical delta dedupes every row and constructs
+// nothing, so it would time a no-op.
 func benchEngineApply(b *testing.B, v *core.Version, data, updated *graph.Graph, delta *mediator.Delta) {
 	e, err := ivm.NewEngine(v, struql.NewGraphSource(data), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	src := struql.NewGraphSource(updated)
+	srcs := []struql.Source{struql.NewGraphSource(updated), struql.NewGraphSource(data)}
+	deltas := []*mediator.Delta{delta, mediator.Diff(updated, data)}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Apply(src, delta); err != nil {
+		if _, err := e.Apply(srcs[i%2], deltas[i%2]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -755,7 +756,7 @@ func BenchmarkE14_RPEDispatch(b *testing.B) {
 // --- E15: fail-soft incremental rebuilds — delta propagation vs full
 // rebuild for a localized edit (the edit-storm steady state) ---
 
-func e15Site(b *testing.B) (*ivm.Site, *core.Version, *graph.Graph, *mediator.Delta) {
+func e15Site(b *testing.B) (*ivm.Site, *core.Version, *graph.Graph, *graph.Graph, *mediator.Delta) {
 	b.Helper()
 	spec := sites.Homepage(200)
 	med, err := mediator.New(spec.Sources...)
@@ -778,20 +779,21 @@ func e15Site(b *testing.B) (*ivm.Site, *core.Version, *graph.Graph, *mediator.De
 	updated.AddToCollection("Patents", "benchpat")
 	updated.AddEdge("benchpat", "title", graph.NewString("Bench patent"))
 	updated.AddEdge("benchpat", "number", graph.NewString("US7777777"))
-	return site, &spec.Versions[0], updated, mediator.Diff(data, updated)
+	return site, &spec.Versions[0], data, updated, mediator.Diff(data, updated)
 }
 
 func BenchmarkE15_DeltaApplyLocalized(b *testing.B) {
 	// One patent added to a 200-publication site: the delta path
 	// re-derives only the patent rows and re-renders only the pages they
-	// touch. Re-applying the identical delta is idempotent (rows dedupe,
-	// refcounts stay balanced), so every iteration does the same work.
-	site, _, updated, delta := e15Site(b)
-	src := struql.NewGraphSource(updated)
+	// touch. Iterations alternate the addition and its removal, so every
+	// one constructs rows (an identical delta would dedupe to a no-op).
+	site, _, data, updated, delta := e15Site(b)
+	srcs := []struql.Source{struql.NewGraphSource(updated), struql.NewGraphSource(data)}
+	deltas := []*mediator.Delta{delta, mediator.Diff(updated, data)}
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := site.Apply(src, delta); err != nil {
+		if err := site.Apply(srcs[i%2], deltas[i%2]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -800,7 +802,7 @@ func BenchmarkE15_DeltaApplyLocalized(b *testing.B) {
 func BenchmarkE15_FullRebuildLocalized(b *testing.B) {
 	// The degraded path for the same edit: evaluate the whole query and
 	// re-render every page from scratch.
-	_, version, updated, _ := e15Site(b)
+	_, version, _, updated, _ := e15Site(b)
 	src := struql.NewGraphSource(updated)
 	b.ResetTimer()
 	b.ReportAllocs()

@@ -7,7 +7,7 @@
 // The subsystem is fail-soft by construction. Any operator that cannot
 // produce a sound delta — a composed (multi-query) version, a delta too
 // large to beat a rebuild, an evaluation error mid-propagation, a
-// refcount underflow in the partition store — raises a typed *Bailout,
+// refcount underflow in the site-graph splice — raises a typed *Bailout,
 // and the Site wrapper degrades to the full fail-soft rebuild of the
 // batch pipeline. Degradation is never silent: every bailout is counted
 // by reason in obs.IVMMetrics.
@@ -36,9 +36,9 @@ const (
 	// ReasonEvalError: a seeded re-evaluation failed (resource guard,
 	// timeout, or a relation that no longer binds an expected variable).
 	ReasonEvalError Reason = Reason(obs.BailoutEvalError)
-	// ReasonSupportUnderflow: removing a block partition would drive a
-	// site-graph refcount negative — the maintained state is inconsistent
-	// and cannot be patched.
+	// ReasonSupportUnderflow: counting a lost row or an old partition
+	// out of the site graph would drive a refcount negative — the
+	// maintained state is inconsistent and cannot be patched.
 	ReasonSupportUnderflow Reason = Reason(obs.BailoutSupportUnderflow)
 
 	// NumReasons is the number of distinct bailout reasons.

@@ -182,3 +182,51 @@ func TestBailoutReasonNames(t *testing.T) {
 		t.Errorf("Bailout.Error() = %q", b.Error())
 	}
 }
+
+// TestFailedRebuildRetriesAreNotBailouts pins the accounting after a
+// rebuild fails: the next apply on the engine-less single-query site is
+// a rebuild retry, never a composed-queries bailout, and once the data
+// fits again the retry restores an engine and a correct site.
+func TestFailedRebuildRetriesAreNotBailouts(t *testing.T) {
+	m := &obs.IVMMetrics{}
+	v := testVersion(`where Papers(x), x -> "title" -> ti
+create PaperPage(x)
+link PaperPage(x) -> "title" -> ti`)
+	cur := baseGraph()
+	// Six papers fit under the guard; twenty more do not.
+	s, err := NewSite(v, struql.NewGraphSource(cur), &core.Options{MaxRows: 12}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := cur.Copy()
+	for i := 0; i < 20; i++ {
+		oid := graph.OID(fmt.Sprintf("big%d", i))
+		cur.AddToCollection("Papers", oid)
+		cur.AddEdge(oid, "title", graph.NewString(fmt.Sprintf("Big %d", i)))
+	}
+	// A nil delta rebuilds, and the rebuild trips the guard.
+	if err := s.Apply(struql.NewGraphSource(cur), nil); err == nil {
+		t.Fatal("rebuild over the row guard succeeded")
+	}
+	if s.Engine() != nil {
+		t.Fatal("a failed rebuild left an engine behind")
+	}
+	prev := cur
+	cur = good
+	if err := s.Apply(struql.NewGraphSource(cur), mediator.Diff(prev, cur)); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.RebuildRetries.Load(); got != 1 {
+		t.Errorf("rebuild retries = %d, want 1", got)
+	}
+	if got := m.Bailouts[obs.BailoutComposedQueries].Load(); got != 0 {
+		t.Errorf("composed_queries bailouts = %d, want 0", got)
+	}
+	if got := m.FullRebuilds.Load(); got != 2 {
+		t.Errorf("full rebuilds = %d, want 2 (the failed one and its retry)", got)
+	}
+	if s.Engine() == nil {
+		t.Fatal("the successful retry left no engine")
+	}
+	requireOraclePages(t, s.Output(), v, cur, "after retry")
+}

@@ -27,7 +27,8 @@ type Site struct {
 	version *core.Version
 	opts    *core.Options
 	// eng is nil when the version cannot be maintained incrementally
-	// (composed queries): every Apply is then a counted full rebuild.
+	// (composed queries), or when the last rebuild failed: every Apply
+	// is then a counted full rebuild.
 	eng *Engine
 	out *htmlgen.Output
 	// fbGraph is the site graph of the last full build when eng is nil,
@@ -95,7 +96,15 @@ func (s *Site) Engine() *Engine { return s.eng }
 // site then still holds (and can republish) its last good generation.
 func (s *Site) Apply(data struql.Source, delta *mediator.Delta) error {
 	if s.eng == nil {
-		s.Obs.RecordBailout(int(ReasonComposedQueries))
+		if len(s.version.Queries) == 1 {
+			// A single-query version without an engine lost it to a
+			// failed rebuild: this is that rebuild's retry, not a bailout.
+			if s.Obs != nil {
+				s.Obs.RebuildRetries.Inc()
+			}
+		} else {
+			s.Obs.RecordBailout(int(ReasonComposedQueries))
+		}
 		return s.rebuild(data)
 	}
 	if delta != nil && delta.Empty() {

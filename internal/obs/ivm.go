@@ -33,22 +33,28 @@ func BailoutName(kind int) string {
 type IVMMetrics struct {
 	// DeltasApplied counts deltas propagated incrementally end to end;
 	// FullRebuilds counts applies that degraded to a from-scratch build
-	// (every bailout produces one, so FullRebuilds == sum of Bailouts
-	// unless a rebuild was requested directly).
+	// (every bailout and every rebuild retry produces one).
 	DeltasApplied Counter
 	FullRebuilds  Counter
+	// RebuildRetries counts applies that found no engine because the
+	// previous full rebuild failed, and so rebuilt again; they are not
+	// bailouts.
+	RebuildRetries Counter
 	// Bailouts counts typed DeltaBailout raises by reason.
 	Bailouts [NumBailoutReasons]Counter
 	// DirtyPages counts pages dirtied (regenerated or dropped) by
 	// incremental applies.
 	DirtyPages Counter
 	// RowsInserted/RowsRemoved count row-level (tier A) delta effects on
-	// materialized where-relations; SitesReevaluated counts construction
+	// materialized where-relations; RowsRechecked counts the rows a
+	// removal ground-re-checked (delete-and-rederive candidates, whether
+	// or not they died); SitesReevaluated counts construction
 	// sites that fell back to a from-scratch relation re-evaluation
 	// (negation delete-and-rederive); BlocksReevaluated counts whole
 	// query blocks re-evaluated wholesale (tier B).
 	RowsInserted      Counter
 	RowsRemoved       Counter
+	RowsRechecked     Counter
 	SitesReevaluated  Counter
 	BlocksReevaluated Counter
 	// PagesLinked/PagesWritten classify staged pages during patch
@@ -88,9 +94,11 @@ func (m *IVMMetrics) Snapshot() map[string]any {
 	out := map[string]any{
 		"deltas_applied":     m.DeltasApplied.Load(),
 		"full_rebuilds":      m.FullRebuilds.Load(),
+		"rebuild_retries":    m.RebuildRetries.Load(),
 		"dirty_pages":        m.DirtyPages.Load(),
 		"rows_inserted":      m.RowsInserted.Load(),
 		"rows_removed":       m.RowsRemoved.Load(),
+		"rows_rechecked":     m.RowsRechecked.Load(),
 		"sites_reevaluated":  m.SitesReevaluated.Load(),
 		"blocks_reevaluated": m.BlocksReevaluated.Load(),
 		"pages_linked":       m.PagesLinked.Load(),

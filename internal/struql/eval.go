@@ -329,7 +329,7 @@ func (ctx *evalCtx) evalBlock(blk *Block, parent *Bindings) error {
 		}
 	}
 	ctx.rows += len(b.Rows)
-	if err := ctx.construct(blk, b); err != nil {
+	if err := ctx.construct(blk, b, ctx.out); err != nil {
 		return err
 	}
 	for _, nb := range blk.Nested {
@@ -1211,10 +1211,11 @@ func numericText(v graph.Value) (float64, bool) {
 }
 
 // construct runs the create, link, and collect clauses once per binding
-// row (§2.2). Skolem terms in link and collect clauses implicitly create
-// their nodes; edges are only ever added from Skolem-created nodes, so
-// existing nodes are never extended.
-func (ctx *evalCtx) construct(blk *Block, b *Bindings) error {
+// row (§2.2), handing every assertion to dst in row order. Skolem terms
+// in link and collect clauses implicitly create their nodes; edges are
+// only ever added from Skolem-created nodes, so existing nodes are never
+// extended.
+func (ctx *evalCtx) construct(blk *Block, b *Bindings, dst Sink) error {
 	if len(blk.Create) == 0 && len(blk.Link) == 0 && len(blk.Collect) == 0 {
 		return nil
 	}
@@ -1299,7 +1300,7 @@ func (ctx *evalCtx) construct(blk *Block, b *Bindings) error {
 			if err != nil {
 				return graph.Null, err
 			}
-			ctx.out.AddNode(oid)
+			dst.AddNode(oid)
 			return graph.NewNode(oid), nil
 		}
 		v, known := resolveAt(*t.term, t.idx, row)
@@ -1314,7 +1315,7 @@ func (ctx *evalCtx) construct(blk *Block, b *Bindings) error {
 			if err != nil {
 				return err
 			}
-			ctx.out.AddNode(oid)
+			dst.AddNode(oid)
 		}
 		for i := range links {
 			lp := &links[i]
@@ -1322,7 +1323,7 @@ func (ctx *evalCtx) construct(blk *Block, b *Bindings) error {
 			if err != nil {
 				return err
 			}
-			ctx.out.AddNode(fromOID)
+			dst.AddNode(fromOID)
 			label := lp.labelLit
 			if lp.labelIsVar {
 				if lp.labelIdx < 0 || row[lp.labelIdx].IsNull() {
@@ -1334,7 +1335,7 @@ func (ctx *evalCtx) construct(blk *Block, b *Bindings) error {
 			if err != nil {
 				return err
 			}
-			ctx.out.AddEdge(fromOID, label, to)
+			dst.AddEdge(fromOID, label, to)
 		}
 		for i := range collects {
 			cp := &collects[i]
@@ -1346,7 +1347,7 @@ func (ctx *evalCtx) construct(blk *Block, b *Bindings) error {
 				return fmt.Errorf("struql: line %d: collect %s: collections contain objects, not the atom %s",
 					cp.pos, cp.coll, v)
 			}
-			ctx.out.AddToCollection(cp.coll, v.OID())
+			dst.AddToCollection(cp.coll, v.OID())
 		}
 	}
 	return nil

@@ -170,20 +170,16 @@ func (ctx *renderCtx) renderFmt(n *FmtNode, obj graph.OID, b *strings.Builder) e
 	}
 	if n.Order != "" {
 		// values is evalExpr's own copy, never a Site view, so sorting
-		// it in place leaves the site's storage in its order.
-		keyOf := func(v graph.Value) graph.Value {
+		// it in place leaves the site's storage in its order. Each sort
+		// key is read once, not once per comparison.
+		keys := make([]graph.Value, len(values))
+		for i, v := range values {
+			keys[i] = v
 			if n.Key != "" && v.IsNode() {
-				return ctx.first(v.OID(), n.Key)
+				keys[i] = ctx.first(v.OID(), n.Key)
 			}
-			return v
 		}
-		sort.SliceStable(values, func(i, j int) bool {
-			c := graph.Compare(keyOf(values[i]), keyOf(values[j]))
-			if n.Order == "descend" {
-				return c > 0
-			}
-			return c < 0
-		})
+		sort.Stable(keyedValues{vals: values, keys: keys, desc: n.Order == "descend"})
 	}
 	enumerate := n.Enum || n.List != "" || n.Order != ""
 	if !enumerate && len(values) > 1 {
@@ -214,6 +210,27 @@ func (ctx *renderCtx) renderFmt(n *FmtNode, obj graph.OID, b *strings.Builder) e
 		b.WriteString(strings.Join(parts, n.Delim))
 	}
 	return nil
+}
+
+// keyedValues sorts values by their precomputed sort keys.
+type keyedValues struct {
+	vals, keys []graph.Value
+	desc       bool
+}
+
+func (k keyedValues) Len() int { return len(k.vals) }
+
+func (k keyedValues) Less(i, j int) bool {
+	c := graph.Compare(k.keys[i], k.keys[j])
+	if k.desc {
+		return c > 0
+	}
+	return c < 0
+}
+
+func (k keyedValues) Swap(i, j int) {
+	k.vals[i], k.vals[j] = k.vals[j], k.vals[i]
+	k.keys[i], k.keys[j] = k.keys[j], k.keys[i]
 }
 
 // parseConst reads a SIF comparison constant: int, float, or string.
