@@ -322,11 +322,10 @@ func e8Fixture(b *testing.B) (*core.Version, *graph.Graph, *graph.Graph, *mediat
 	if err != nil {
 		b.Fatal(err)
 	}
-	warehouse, err := med.Warehouse()
-	if err != nil {
+	if _, err := med.Warehouse(); err != nil {
 		b.Fatal(err)
 	}
-	data := warehouse.Graph()
+	data := med.DataGraph()
 	updated := data.Copy()
 	updated.AddToCollection("Publications", "brandnew")
 	updated.AddEdge("brandnew", "title", graph.NewString("A Brand New Result"))
@@ -763,11 +762,10 @@ func e15Site(b *testing.B) (*ivm.Site, *core.Version, *graph.Graph, *graph.Graph
 	if err != nil {
 		b.Fatal(err)
 	}
-	warehouse, err := med.Warehouse()
-	if err != nil {
+	if _, err := med.Warehouse(); err != nil {
 		b.Fatal(err)
 	}
-	data := warehouse.Graph()
+	data := med.DataGraph()
 	site, err := ivm.NewSite(&spec.Versions[0], struql.NewGraphSource(data), nil, nil)
 	if err != nil {
 		b.Fatal(err)

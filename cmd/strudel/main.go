@@ -67,8 +67,6 @@ func main() {
 	maxRows := flag.Int("max-rows", 0, "abort query evaluation when an intermediate relation exceeds N rows (0 = unlimited)")
 	maxNFA := flag.Int("max-nfa-states", 0, "abort a regular-path search after N visited product states (0 = unlimited)")
 	evalTimeout := flag.Duration("eval-timeout", 0, "wall-clock budget per version's query evaluation (0 = none)")
-	noStats := flag.Bool("no-stats", false, "plan queries with fixed heuristics instead of collected selectivity statistics (output is identical)")
-	noReorder := flag.Bool("no-reorder", false, "evaluate query conditions in first-ready textual order instead of cost order (output is identical)")
 	watch := flag.Bool("watch", false, "after the first build, keep running: poll the input files and patch only the affected pages of the published site on each edit")
 	watchInterval := flag.Duration("watch-interval", 2*time.Second, "poll interval for -watch")
 	flag.Var(&dataFiles, "data", "data-definition-language file (repeatable)")
@@ -94,8 +92,6 @@ func main() {
 		MaxRows:      *maxRows,
 		MaxNFAStates: *maxNFA,
 		EvalTimeout:  *evalTimeout,
-		NoStats:      *noStats,
-		NoReorder:    *noReorder,
 	}
 	var reg *obs.Registry
 	if *traceOut != "" {

@@ -42,8 +42,6 @@ type config struct {
 	showSchema bool
 	guide      bool
 	jobs       int
-	noStats    bool
-	noReorder  bool
 }
 
 func main() {
@@ -58,8 +56,6 @@ func main() {
 	flag.BoolVar(&cfg.showSchema, "schema", false, "print the query's site schema instead of evaluating")
 	flag.BoolVar(&cfg.guide, "guide", false, "print the data graph's dataguide (structure summary) and exit")
 	flag.IntVar(&cfg.jobs, "j", 0, "evaluation parallelism: 0 = one worker per CPU, 1 = sequential (results are identical at any setting)")
-	flag.BoolVar(&cfg.noStats, "no-stats", false, "plan with fixed heuristics instead of collected selectivity statistics (results are identical)")
-	flag.BoolVar(&cfg.noReorder, "no-reorder", false, "evaluate conditions in first-ready textual order instead of cost order (results are identical)")
 	flag.Parse()
 	cfg.dataFiles, cfg.bibFiles = dataFiles, bibFiles
 
@@ -103,11 +99,7 @@ func run(cfg *config) error {
 	if err != nil {
 		return err
 	}
-	opts := &struql.Options{
-		Parallelism: cfg.jobs,
-		NoStats:     cfg.noStats,
-		NoReorder:   cfg.noReorder,
-	}
+	opts := &struql.Options{Parallelism: cfg.jobs}
 	if cfg.explain {
 		text, err := struql.Explain(q, repo.NewIndexed(data), opts)
 		if err != nil {

@@ -63,21 +63,7 @@ func TestRunBibtex(t *testing.T) {
 
 func TestRunExplainMode(t *testing.T) {
 	ddlFile := writeFile(t, "d.ddl", testDDL)
-	query := `where Pubs(x), x -> "year" -> y, y > 1997 create N(x)`
-	for _, cfg := range []*config{
-		{dataFiles: []string{ddlFile}, expr: query, explain: true},
-		{dataFiles: []string{ddlFile}, expr: query, explain: true, noStats: true},
-		{dataFiles: []string{ddlFile}, expr: query, explain: true, noReorder: true},
-	} {
-		if err := run(cfg); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestRunPlannerFlags(t *testing.T) {
-	ddlFile := writeFile(t, "d.ddl", testDDL)
-	err := run(&config{dataFiles: []string{ddlFile}, noStats: true, noReorder: true,
+	err := run(&config{dataFiles: []string{ddlFile}, explain: true,
 		expr: `where Pubs(x), x -> "year" -> y, y > 1997 create N(x)`})
 	if err != nil {
 		t.Fatal(err)

@@ -39,6 +39,6 @@ func main() {
 		}
 	}
 	fmt.Printf("\ndata graph: %d sources integrated, %d nodes, %d edges\n",
-		len(spec.Sources), res.Data.Graph().NumNodes(), res.Data.Graph().NumEdges())
+		len(spec.Sources), res.Data.NumNodes(), res.Data.NumEdges())
 	fmt.Println("The external site needed no new queries — five templates differ (§5.1).")
 }

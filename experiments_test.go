@@ -126,6 +126,8 @@ func TestE7_WorkCounts(t *testing.T) {
 		}
 	}
 	ev := dynamic.NewEvaluator(schema.Build(q), data)
+	m := &obs.ServeMetrics{}
+	ev.Obs = m
 	cur := dynamic.PageRef{Fn: "FrontPage"}
 	for c := 0; c < 10; c++ {
 		pd, err := ev.Page(cur)
@@ -138,12 +140,12 @@ func TestE7_WorkCounts(t *testing.T) {
 		}
 		cur = links[c%len(links)]
 	}
-	st := ev.StatsSnapshot()
+	computed := int(m.PagesComputed.Load())
 	t.Logf("E7: static site objects = %d; dynamic 10-click session computed %d pages (%d queries)",
-		staticPages, st.PagesComputed, st.QueriesRun)
-	if st.PagesComputed >= staticPages {
+		staticPages, computed, m.QueriesRun.Load())
+	if computed >= staticPages {
 		t.Errorf("dynamic session computed %d pages, static site has %d — dynamic should be lazy",
-			st.PagesComputed, staticPages)
+			computed, staticPages)
 	}
 }
 
@@ -153,11 +155,10 @@ func TestE8_IncrementalMatchesFullAndSkips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warehouse, err := med.Warehouse()
-	if err != nil {
+	if _, err := med.Warehouse(); err != nil {
 		t.Fatal(err)
 	}
-	data := warehouse.Graph()
+	data := med.DataGraph()
 	version := &spec.Versions[0]
 	m := &obs.IVMMetrics{}
 	em := &obs.EvalMetrics{}

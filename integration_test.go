@@ -38,7 +38,7 @@ func TestPipelineArchitecture(t *testing.T) {
 	}
 	// Persist and reload through both formats.
 	r := repo.NewRepository()
-	r.Put("data", warehouse.Graph())
+	r.PutIndexed("data", warehouse)
 	textDir := filepath.Join(t.TempDir(), "text")
 	binDir := filepath.Join(t.TempDir(), "bin")
 	if err := r.Save(textDir); err != nil {

@@ -65,14 +65,6 @@ type Options struct {
 	// evaluation (0 = none). Exceeding any of the three guards fails
 	// the build with a struql.ResourceExhausted error.
 	EvalTimeout time.Duration
-	// NoReorder evaluates where conditions in first-ready textual order
-	// instead of cost order — the unoptimized planner baseline. Output
-	// is byte-identical either way; only evaluation time differs.
-	NoReorder bool
-	// NoStats disables selectivity statistics in the query planner,
-	// falling back to fixed uniform-degree heuristics — the before half
-	// of experiment E14. Output is byte-identical either way.
-	NoStats bool
 	// parent is the enclosing span for this build's stage spans,
 	// threaded internally so concurrent version builds nest correctly.
 	parent *obs.Span
@@ -86,7 +78,7 @@ func (o *Options) parallelism() int {
 }
 
 // EvalOptions derives the struql evaluation options this build would
-// run with: limits, reordering switches, and — when EvalTimeout is set —
+// run with: parallelism, metrics, limits, and — when EvalTimeout is set —
 // a deadline anchored at the call. The incremental maintainer uses it to
 // evaluate deltas under the same guards as the full build. Nil-safe.
 func (o *Options) EvalOptions() *struql.Options { return o.evalOptions() }
@@ -97,8 +89,6 @@ func (o *Options) evalOptions() *struql.Options {
 		so.Metrics = o.Eval
 		so.MaxRows = o.MaxRows
 		so.MaxNFAStates = o.MaxNFAStates
-		so.NoReorder = o.NoReorder
-		so.NoStats = o.NoStats
 		if o.EvalTimeout > 0 {
 			so.Deadline = time.Now().Add(o.EvalTimeout)
 		}
@@ -348,10 +338,38 @@ func RenderVersionWith(v *Version, queries []*struql.Query, site *graph.Graph, o
 
 	gspan := opts.span("generate", "version", v.Name)
 	defer gspan.End()
+	gen, roots, err := NewGenerator(v, site, opts)
+	if err != nil {
+		return nil, err
+	}
+	out, err := gen.Generate(roots)
+	if err != nil {
+		return nil, err
+	}
+	vr.Output = out
+
+	vr.Stats = SiteStats{
+		QueryLines:    countQueryLines(v.Queries),
+		LinkClauses:   linkClauses(queries),
+		Templates:     len(v.Templates),
+		TemplateLines: countTemplateLines(v.Templates),
+		SiteNodes:     site.NumNodes(),
+		SiteEdges:     site.NumEdges(),
+		Pages:         out.PageCount(),
+	}
+	return vr, nil
+}
+
+// NewGenerator sets up the HTML generator that renders one version of
+// site under the build's options — its templates, template-selection
+// rules, parallelism and metrics sink — and returns it with the
+// version's realization roots. A full build and incremental maintenance
+// both render through it.
+func NewGenerator(v *Version, site *graph.Graph, opts *Options) (*htmlgen.Generator, []graph.OID, error) {
 	ts := template.NewSet()
 	for name, src := range v.Templates {
 		if err := ts.Add(name, src); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	gen := htmlgen.New(site, ts)
@@ -372,22 +390,7 @@ func RenderVersionWith(v *Version, queries []*struql.Query, site *graph.Graph, o
 	for i, r := range v.Roots {
 		roots[i] = graph.OID(r)
 	}
-	out, err := gen.Generate(roots)
-	if err != nil {
-		return nil, err
-	}
-	vr.Output = out
-
-	vr.Stats = SiteStats{
-		QueryLines:    countQueryLines(v.Queries),
-		LinkClauses:   linkClauses(queries),
-		Templates:     len(v.Templates),
-		TemplateLines: countTemplateLines(v.Templates),
-		SiteNodes:     site.NumNodes(),
-		SiteEdges:     site.NumEdges(),
-		Pages:         out.PageCount(),
-	}
-	return vr, nil
+	return gen, roots, nil
 }
 
 func parseQueries(sources []string) ([]*struql.Query, error) {

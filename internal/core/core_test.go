@@ -33,7 +33,7 @@ func TestBuildPipeline(t *testing.T) {
 	if !strings.Contains(vr.Output.Pages["index.html"], "Home") {
 		t.Errorf("index:\n%s", vr.Output.Pages["index.html"])
 	}
-	if res.Data.Graph().NumEdges() != 1 {
+	if res.Data.NumEdges() != 1 {
 		t.Error("data graph should hold the source edge")
 	}
 }

@@ -394,18 +394,32 @@ func (p *parser) value() (graph.Value, error) {
 	return graph.Null, p.errf("expected value, got %q", p.tok.text)
 }
 
+// View is the read surface Print needs. *graph.Graph, *graph.Frozen
+// and *repo.Indexed all provide it, so a map graph and a snapshot print
+// alike.
+type View interface {
+	CollectionNames() []string
+	Collection(name string) []graph.OID
+	Nodes() []graph.OID
+	Out(oid graph.OID) []graph.Edge
+}
+
 // Print serializes a graph to DDL text that Parse round-trips: first all
 // collection declarations, then one node block per node carrying its
 // memberships and attributes. Directives, having already been applied
 // during parsing, serialize as explicitly typed values instead.
-func Print(g *graph.Graph) string {
+func Print(g View) string {
 	var b strings.Builder
+	memberOf := map[graph.OID][]string{}
 	for _, c := range g.CollectionNames() {
 		fmt.Fprintf(&b, "collection %s;\n", c)
+		for _, oid := range g.Collection(c) {
+			memberOf[oid] = append(memberOf[oid], c)
+		}
 	}
 	for _, oid := range g.Nodes() {
 		fmt.Fprintf(&b, "node %s", string(oid))
-		if colls := g.CollectionsOf(oid); len(colls) > 0 {
+		if colls := memberOf[oid]; len(colls) > 0 {
 			fmt.Fprintf(&b, " in %s", strings.Join(colls, ", "))
 		}
 		b.WriteString(" {\n")

@@ -238,3 +238,37 @@ func TestDirectivesLabels(t *testing.T) {
 		t.Error("unknown collection should have nil labels")
 	}
 }
+
+// TestPrintSnapshotMatchesGraph pins Print's exact text for a map graph
+// (collections first, then nodes with their sorted memberships) and that
+// the graph's frozen snapshot prints the same bytes.
+func TestPrintSnapshotMatchesGraph(t *testing.T) {
+	g := graph.New()
+	g.AddToCollection("B", "n1")
+	g.AddToCollection("A", "n1")
+	g.AddToCollection("A", "n0")
+	g.DeclareCollection("Empty")
+	g.AddEdge("n1", "title", graph.NewString("Strudel"))
+	g.AddEdge("n1", "year", graph.NewInt(1998))
+	g.AddEdge("n0", "next", graph.NewNode("n1"))
+	g.AddNode("lonely")
+	want := `collection A;
+collection B;
+collection Empty;
+node lonely {
+}
+node n0 in A {
+    next &n1;
+}
+node n1 in A, B {
+    title "Strudel";
+    year 1998;
+}
+`
+	if got := Print(g); got != want {
+		t.Errorf("Print(graph):\n%s\nwant:\n%s", got, want)
+	}
+	if got := Print(g.Freeze()); got != want {
+		t.Errorf("Print(snapshot):\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"strudel/internal/dynamic"
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
+	"strudel/internal/obs"
 	"strudel/internal/schema"
 	"strudel/internal/sites"
 	"strudel/internal/struql"
@@ -32,6 +33,8 @@ import (
 func TestColdPageAllocation(t *testing.T) {
 	snap, s, refs := orgSitePages(t)
 	ev := dynamic.NewEvaluator(s, snap)
+	m := &obs.ServeMetrics{}
+	ev.Obs = m
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
@@ -45,8 +48,8 @@ func TestColdPageAllocation(t *testing.T) {
 		edges += len(pd.Out())
 	}
 	runtime.ReadMemStats(&after)
-	if st := ev.StatsSnapshot(); st.PagesComputed != len(refs) {
-		t.Fatalf("computed %d pages, want %d cold ones", st.PagesComputed, len(refs))
+	if got := m.PagesComputed.Load(); got != int64(len(refs)) {
+		t.Fatalf("computed %d pages, want %d cold ones", got, len(refs))
 	}
 	perPage := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(refs))
 	t.Logf("%d pages, %d edges: %.0f bytes per cold page", len(refs), edges, perPage)

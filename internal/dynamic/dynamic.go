@@ -89,13 +89,6 @@ func (pd *PageData) Out() []graph.Edge {
 	return out
 }
 
-// Stats counts evaluator work for the static-vs-dynamic experiments.
-type Stats struct {
-	PagesComputed int
-	CacheHits     int
-	QueriesRun    int
-}
-
 // Evaluator computes pages on demand from the site schema and the data
 // graph. It is safe for concurrent use: the page cache is shared under a
 // lock, concurrent requests for the same uncomputed page share one
@@ -108,9 +101,10 @@ type Evaluator struct {
 	// Lookahead precomputes linked pages after each page computation.
 	// Set it before serving; it is read without synchronization.
 	Lookahead bool
-	// Obs, when non-nil, receives cache hit/miss, coalesce, and query
-	// counts. Set it before serving (read without synchronization); nil
-	// disables instrumentation.
+	// Obs, when non-nil, receives cache hit/miss, coalesce, computed
+	// page and query counts: the evaluator's one work account. Set it
+	// before serving (read without synchronization); nil disables
+	// instrumentation.
 	Obs *obs.ServeMetrics
 
 	env *struql.SkolemEnv
@@ -122,12 +116,11 @@ type Evaluator struct {
 	// (an arc variable ranges over the whole schema).
 	deps map[string]map[string]bool
 
-	// mu guards state, refs, stats, and env (SkolemEnv memoizes and is
-	// not itself concurrency-safe).
+	// mu guards state, refs, and env (SkolemEnv memoizes and is not
+	// itself concurrency-safe).
 	mu    sync.Mutex
 	state *evalState
 	refs  map[graph.OID]PageRef
-	stats Stats
 }
 
 // evalState is one generation of the evaluator: a data source and the
@@ -283,19 +276,6 @@ func (ev *Evaluator) SwapDataAt(src struql.Source, d *mediator.Delta, gen int64)
 	return kept, dropped
 }
 
-// Stats returns a copy of the work counters.
-func (ev *Evaluator) StatsSnapshot() Stats {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	return ev.stats
-}
-
-func (ev *Evaluator) countStat(f func(*Stats)) {
-	ev.mu.Lock()
-	f(&ev.stats)
-	ev.mu.Unlock()
-}
-
 // EntryPoints returns the unconditionally created pages (zero-argument
 // Skolem creations with an empty governing conjunction) — the roots a
 // browser can start from.
@@ -357,7 +337,6 @@ func (ev *Evaluator) pageIn(ctx context.Context, st *evalState, oid graph.OID, r
 		st.mu.Lock()
 		if pd, ok := st.cache[oid]; ok {
 			st.mu.Unlock()
-			ev.countStat(func(s *Stats) { s.CacheHits++ })
 			if ev.Obs != nil {
 				ev.Obs.PageCacheHits.Inc()
 			}
@@ -371,7 +350,6 @@ func (ev *Evaluator) pageIn(ctx context.Context, st *evalState, oid graph.OID, r
 			select {
 			case <-c.done:
 				if c.err == nil {
-					ev.countStat(func(s *Stats) { s.CacheHits++ })
 					return c.pd, nil
 				}
 				if errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded) {
@@ -401,7 +379,6 @@ func (ev *Evaluator) pageIn(ctx context.Context, st *evalState, oid graph.OID, r
 		if err != nil {
 			return nil, err
 		}
-		ev.countStat(func(s *Stats) { s.PagesComputed++ })
 		if ev.Obs != nil {
 			ev.Obs.PagesComputed.Inc()
 		}
@@ -445,7 +422,6 @@ func (ev *Evaluator) compute(ctx context.Context, st *evalState, ref PageRef, oi
 		if err != nil {
 			return nil, fmt.Errorf("dynamic: page %s: %w", oid, err)
 		}
-		ev.countStat(func(s *Stats) { s.QueriesRun++ })
 		if ev.Obs != nil {
 			ev.Obs.QueriesRun.Inc()
 		}

@@ -5,6 +5,7 @@ import (
 
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
+	"strudel/internal/obs"
 	"strudel/internal/schema"
 	"strudel/internal/struql"
 )
@@ -128,6 +129,8 @@ func TestDynamicAgreesWithStatic(t *testing.T) {
 
 func TestCacheHits(t *testing.T) {
 	ev, _ := newEvaluator(t, testData())
+	m := &obs.ServeMetrics{}
+	ev.Obs = m
 	ref := PageRef{Fn: "RootPage"}
 	if _, err := ev.Page(ref); err != nil {
 		t.Fatal(err)
@@ -135,29 +138,29 @@ func TestCacheHits(t *testing.T) {
 	if _, err := ev.Page(ref); err != nil {
 		t.Fatal(err)
 	}
-	st := ev.StatsSnapshot()
-	if st.PagesComputed != 1 || st.CacheHits != 1 {
-		t.Errorf("stats = %+v", st)
+	if computed, hits := m.PagesComputed.Load(), m.PageCacheHits.Load(); computed != 1 || hits != 1 {
+		t.Errorf("pages computed %d, cache hits %d; want 1, 1", computed, hits)
 	}
 }
 
 func TestLookaheadPrecomputes(t *testing.T) {
 	ev, _ := newEvaluator(t, testData())
 	ev.Lookahead = true
+	m := &obs.ServeMetrics{}
+	ev.Obs = m
 	if _, err := ev.Page(PageRef{Fn: "RootPage"}); err != nil {
 		t.Fatal(err)
 	}
-	st := ev.StatsSnapshot()
 	// Root plus its two year pages.
-	if st.PagesComputed != 3 {
-		t.Errorf("lookahead computed %d pages, want 3", st.PagesComputed)
+	if got := m.PagesComputed.Load(); got != 3 {
+		t.Errorf("lookahead computed %d pages, want 3", got)
 	}
 	// Browsing to a year page is now a cache hit.
 	yp := PageRef{Fn: "YearPage", Args: []graph.Value{graph.NewInt(1997)}}
 	if _, err := ev.Page(yp); err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.StatsSnapshot().CacheHits; got != 1 {
+	if got := m.PageCacheHits.Load(); got != 1 {
 		t.Errorf("cache hits = %d, want 1", got)
 	}
 }

@@ -270,6 +270,8 @@ func TestReloaderSwapInvalidatesAffectedPages(t *testing.T) {
 
 func TestSwapDataKeepsUnaffectedPages(t *testing.T) {
 	ev, _ := newEvaluator(t, testData())
+	m := &obs.ServeMetrics{}
+	ev.Obs = m
 	if _, err := ev.Page(PageRef{Fn: "RootPage"}); err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +281,11 @@ func TestSwapDataKeepsUnaffectedPages(t *testing.T) {
 	if kept != 1 || dropped != 0 {
 		t.Errorf("kept %d dropped %d, want 1/0", kept, dropped)
 	}
-	st := ev.StatsSnapshot()
+	computed := m.PagesComputed.Load()
 	if _, err := ev.Page(PageRef{Fn: "RootPage"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := ev.StatsSnapshot().PagesComputed; got != st.PagesComputed {
+	if got := m.PagesComputed.Load(); got != computed {
 		t.Errorf("carried-over page was recomputed")
 	}
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"strudel/internal/graph"
+	"strudel/internal/obs"
 	"strudel/internal/schema"
 	"strudel/internal/struql"
 	"strudel/internal/template"
@@ -43,6 +44,8 @@ func TestSingleFlightComputesOnce(t *testing.T) {
 	// onto the same uncomputed page.
 	fs := NewFaultSource(struql.NewGraphSource(slowData(64)), 100*time.Microsecond)
 	ev := NewEvaluator(schema.Build(struql.MustParse(slowQuery)), fs)
+	m := &obs.ServeMetrics{}
+	ev.Obs = m
 	const clients = 16
 	var wg sync.WaitGroup
 	results := make([]*PageData, clients)
@@ -60,12 +63,13 @@ func TestSingleFlightComputesOnce(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	st := ev.StatsSnapshot()
-	if st.PagesComputed != 1 {
-		t.Errorf("PagesComputed = %d, want 1 (single-flight)", st.PagesComputed)
+	if got := m.PagesComputed.Load(); got != 1 {
+		t.Errorf("PagesComputed = %d, want 1 (single-flight)", got)
 	}
-	if st.CacheHits != clients-1 {
-		t.Errorf("CacheHits = %d, want %d", st.CacheHits, clients-1)
+	// Every other client either found the page cached or waited on the
+	// leader's computation.
+	if hits, joined := m.PageCacheHits.Load(), m.Coalesced.Load(); hits+joined != clients-1 {
+		t.Errorf("cache hits %d + coalesced %d = %d, want %d", hits, joined, hits+joined, clients-1)
 	}
 	for i := 1; i < clients; i++ {
 		if results[i] != results[0] {

@@ -632,24 +632,3 @@ func (f *Frozen) Stats() Stats {
 		Collections: len(f.collNames),
 	}
 }
-
-// Thaw reconstructs a mutable Graph equivalent to the snapshot.
-func (f *Frozen) Thaw() *Graph {
-	g := NewWithCapacity(len(f.nodes), len(f.outLbl))
-	for _, oid := range f.nodes {
-		g.AddNode(oid)
-	}
-	for nid := range f.nodes {
-		from := f.nodes[nid]
-		for p := f.outOff[nid]; p < f.outOff[nid+1]; p++ {
-			g.AddEdge(from, f.labels[f.outLbl[p]], f.value(f.outTo[p]))
-		}
-	}
-	for i, name := range f.collNames {
-		g.DeclareCollection(name)
-		for _, nid := range f.collMembers[i] {
-			g.AddToCollection(name, f.nodes[nid])
-		}
-	}
-	return g
-}

@@ -5,7 +5,7 @@ package graph
 // dictionary-encode labels, OIDs, and atom payloads — with no schema to
 // factor repetition out of the data, attribute names and Skolem-oid
 // fragments repeat constantly, and interning them is where the
-// compression comes from (the same observation behind the SGB1 format).
+// compression comes from.
 type Interner struct {
 	idx  map[string]uint32
 	strs []string

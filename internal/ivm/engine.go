@@ -11,7 +11,6 @@ import (
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
 	"strudel/internal/struql"
-	"strudel/internal/template"
 )
 
 // DefaultMaxDelta is the delta size past which propagation bails out:
@@ -145,28 +144,9 @@ func NewEngine(v *core.Version, data struql.Source, opts *core.Options) (*Engine
 		e.blocks = append(e.blocks, bs)
 	}
 
-	ts := template.NewSet()
-	for name, src := range v.Templates {
-		if err := ts.Add(name, src); err != nil {
-			return nil, err
-		}
-	}
-	e.gen = htmlgen.New(e.site, ts)
-	if opts != nil {
-		e.gen.Obs = opts.Gen
-	}
-	for coll, name := range v.PerCollection {
-		e.gen.PerCollection[coll] = name
-	}
-	for oid, name := range v.PerObject {
-		e.gen.PerObject[graph.OID(oid)] = name
-	}
-	for prefix, name := range v.ObjectTemplatePrefixes {
-		e.gen.PerPrefix[prefix] = name
-	}
-	roots := make([]graph.OID, len(v.Roots))
-	for i, r := range v.Roots {
-		roots[i] = graph.OID(r)
+	var roots []graph.OID
+	if e.gen, roots, err = core.NewGenerator(v, e.site, opts); err != nil {
+		return nil, err
 	}
 	e.out, err = e.gen.Generate(roots)
 	if err != nil {

@@ -736,3 +736,21 @@ func TestDeltaBlockMaintenance(t *testing.T) {
 		})
 	}
 }
+
+// TestEngineRendersAtBuildParallelism: the engine sets up its generator
+// the way a full build does (core.NewGenerator), so the build's
+// Parallelism reaches it and `strudel -watch -j 1` renders, and
+// re-renders after each edit, with one worker.
+func TestEngineRendersAtBuildParallelism(t *testing.T) {
+	for _, par := range []int{1, 3} {
+		cur := pubsData()
+		e, err := NewEngine(pubsVersion(), struql.NewGraphSource(cur), &core.Options{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.gen.Parallelism != par {
+			t.Errorf("Parallelism %d: engine renders with Parallelism %d", par, e.gen.Parallelism)
+		}
+		applyAndCheck(t, e, cur, fmt.Sprintf("Parallelism %d", par), addPub("pub4", 1999))
+	}
+}

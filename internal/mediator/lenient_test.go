@@ -35,10 +35,10 @@ func TestWarehouseLenientWithinBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WarehouseLenient: %v", err)
 	}
-	if got := len(ix.Graph().Collection("emp")); got != 2 {
+	if got := len(ix.Collection("emp")); got != 2 {
 		t.Errorf("emp rows = %d, want 2 (the clean ones)", got)
 	}
-	if got := len(ix.Graph().Collection("org")); got != 1 {
+	if got := len(ix.Collection("org")); got != 1 {
 		t.Errorf("org rows = %d, want 1", got)
 	}
 	if len(reports) != 2 {
@@ -103,7 +103,7 @@ func TestWarehouseLenientWholeSourceFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("WarehouseLenient: %v", err)
 	}
-	if got := len(ix.Graph().Collection("emp")); got != 1 {
+	if got := len(ix.Collection("emp")); got != 1 {
 		t.Errorf("emp rows = %d, want 1", got)
 	}
 	r := reports[0]

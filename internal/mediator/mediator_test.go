@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"strudel/internal/ddl"
 	"strudel/internal/graph"
 	"strudel/internal/struql"
 )
@@ -47,12 +48,11 @@ func TestWarehouseMergesSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := ix.Graph()
-	if !g.InCollection("People", "People/mff") || !g.InCollection("Publications", "pub1") {
+	if !ix.InCollection("People", "People/mff") || !ix.InCollection("Publications", "pub1") {
 		t.Error("warehouse missing collections")
 	}
-	if g.NumEdges() != 4 {
-		t.Errorf("edges = %d, want 4", g.NumEdges())
+	if ix.NumEdges() != 4 {
+		t.Errorf("edges = %d, want 4", ix.NumEdges())
 	}
 	names := m.SourceNames()
 	if len(names) != 2 || names[0] != "people" {
@@ -78,16 +78,15 @@ collect MediatedPeople(Person(p))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := ix.Graph()
-	if g.CollectionSize("MediatedPeople") != 1 {
-		t.Fatalf("mediated collection missing:\n%s", g.Dump())
+	if ix.CollectionSize("MediatedPeople") != 1 {
+		t.Fatalf("mediated collection missing:\n%s", ddl.Print(ix))
 	}
-	p := g.Collection("MediatedPeople")[0]
-	if g.First(p, "name").Text() != "Mary" {
+	p := ix.Collection("MediatedPeople")[0]
+	if name := ix.OutLabel(p, "name"); len(name) != 1 || name[0].Text() != "Mary" {
 		t.Error("mapped attribute missing")
 	}
 	// The internal phone is not exported by the mapping.
-	if !g.First(p, "internalPhone").IsNull() {
+	if len(ix.OutLabel(p, "internalPhone")) != 0 {
 		t.Error("mapping should filter internalPhone")
 	}
 }
@@ -203,8 +202,7 @@ func TestOverlappingSourcesUnifyByOID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := ix.Graph()
-	if g.First("People/mff", "name").IsNull() || g.First("People/mff", "project").IsNull() {
-		t.Errorf("attributes not unified:\n%s", g.Dump())
+	if len(ix.OutLabel("People/mff", "name")) == 0 || len(ix.OutLabel("People/mff", "project")) == 0 {
+		t.Errorf("attributes not unified:\n%s", ddl.Print(ix))
 	}
 }

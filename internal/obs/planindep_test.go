@@ -17,8 +17,9 @@ import (
 	"strudel/internal/struql"
 )
 
-// buildSite builds a spec and returns rendered pages plus each version's
-// site-graph dump.
+// buildSite builds a spec through the whole pipeline and returns
+// rendered pages plus each version's site-graph dump: the reference
+// every planner configuration is compared against.
 func buildSite(t *testing.T, spec *core.Spec, opts *core.Options) (map[string]map[string]string, map[string]string) {
 	t.Helper()
 	res, err := core.BuildWith(spec, opts)
@@ -40,25 +41,43 @@ func buildSite(t *testing.T, spec *core.Spec, opts *core.Options) (map[string]ma
 // UnionSource anyway — takes the evaluator's generic access paths.
 type genericOnly struct{ struql.Source }
 
-// buildSiteGeneric is buildSite with the data graph wrapped in
-// genericOnly: it warehouses the sources itself and builds each version
-// against the wrapped source.
-func buildSiteGeneric(t *testing.T, spec *core.Spec, opts *core.Options) (map[string]map[string]string, map[string]string) {
+// buildSiteWith is buildSite under one planner configuration. The
+// planner toggles are evaluator options (struql.Options), so it
+// warehouses the sources itself, evaluates each version's queries with
+// struql.EvalSeq under opts, and renders the site graph with
+// core.RenderVersionWith at the same parallelism. With generic set the
+// data graph is wrapped in genericOnly.
+func buildSiteWith(t *testing.T, spec *core.Spec, opts *struql.Options, generic bool) (map[string]map[string]string, map[string]string) {
 	t.Helper()
 	med, err := mediator.New(spec.Sources...)
 	if err != nil {
 		t.Fatalf("build %s: %v", spec.Name, err)
 	}
-	data, err := med.Warehouse()
+	ix, err := med.Warehouse()
 	if err != nil {
 		t.Fatalf("build %s: %v", spec.Name, err)
+	}
+	var data struql.Source = ix
+	if generic {
+		data = genericOnly{ix}
 	}
 	pages := map[string]map[string]string{}
 	dumps := map[string]string{}
 	for i := range spec.Versions {
-		vr, err := core.BuildVersionWith(&spec.Versions[i], genericOnly{data}, opts)
+		v := &spec.Versions[i]
+		queries := make([]*struql.Query, len(v.Queries))
+		for j, src := range v.Queries {
+			if queries[j], err = struql.Parse(src); err != nil {
+				t.Fatalf("build %s: version %s: %v", spec.Name, v.Name, err)
+			}
+		}
+		site, err := struql.EvalSeq(queries, data, opts)
 		if err != nil {
-			t.Fatalf("build %s: version %s: %v", spec.Name, spec.Versions[i].Name, err)
+			t.Fatalf("build %s: version %s: %v", spec.Name, v.Name, err)
+		}
+		vr, err := core.RenderVersionWith(v, queries, site, &core.Options{Parallelism: opts.Parallelism})
+		if err != nil {
+			t.Fatalf("build %s: version %s: %v", spec.Name, v.Name, err)
 		}
 		pages[vr.Name] = vr.Output.Pages
 		dumps[vr.Name] = vr.SiteGraph.Dump()
@@ -78,14 +97,14 @@ func diffDumps(t *testing.T, label string, want, got map[string]string) {
 // TestPlannerConfigIndependence builds every example site under the
 // planner-toggle matrix and compares against the sequential default.
 func TestPlannerConfigIndependence(t *testing.T) {
-	variants := []*core.Options{
+	variants := []*struql.Options{
 		{NoStats: true},
 		{NoReorder: true},
 		{NoStats: true, NoReorder: true, Parallelism: 2},
 		{Parallelism: runtime.NumCPU()},
 		{NoStats: true, Parallelism: runtime.NumCPU()},
 	}
-	genericVariants := []*core.Options{
+	genericVariants := []*struql.Options{
 		{},
 		{NoStats: true, Parallelism: 2},
 	}
@@ -94,13 +113,13 @@ func TestPlannerConfigIndependence(t *testing.T) {
 			basePages, baseDumps := buildSite(t, spec, &core.Options{Parallelism: 1})
 			for _, opts := range variants {
 				label := fmt.Sprintf("noStats=%v/noReorder=%v/par=%d", opts.NoStats, opts.NoReorder, opts.Parallelism)
-				pages, dumps := buildSite(t, spec, opts)
+				pages, dumps := buildSiteWith(t, spec, opts, false)
 				diffPages(t, label, basePages, pages)
 				diffDumps(t, label, baseDumps, dumps)
 			}
 			for _, opts := range genericVariants {
 				label := fmt.Sprintf("generic/noStats=%v/par=%d", opts.NoStats, opts.Parallelism)
-				pages, dumps := buildSiteGeneric(t, spec, opts)
+				pages, dumps := buildSiteWith(t, spec, opts, true)
 				diffPages(t, label, basePages, pages)
 				diffDumps(t, label, baseDumps, dumps)
 			}
@@ -173,13 +192,13 @@ func TestShuffledConditionsIndependence(t *testing.T) {
 			basePages, baseDumps := buildSite(t, spec, &core.Options{Parallelism: 1})
 			for _, seed := range seeds {
 				shuffled := shuffledSpec(t, spec, seed)
-				for _, opts := range []*core.Options{{}, {NoReorder: true}} {
+				for _, opts := range []*struql.Options{{}, {NoReorder: true}} {
 					label := fmt.Sprintf("seed=%d/noReorder=%v", seed, opts.NoReorder)
-					pages, dumps := buildSite(t, shuffled, opts)
+					pages, dumps := buildSiteWith(t, shuffled, opts, false)
 					diffPages(t, label, basePages, pages)
 					diffDumps(t, label, baseDumps, dumps)
 				}
-				pages, dumps := buildSiteGeneric(t, shuffled, &core.Options{})
+				pages, dumps := buildSiteWith(t, shuffled, &struql.Options{}, true)
 				label := fmt.Sprintf("seed=%d/generic", seed)
 				diffPages(t, label, basePages, pages)
 				diffDumps(t, label, baseDumps, dumps)

@@ -73,7 +73,7 @@ func TestSaveAtomicReplacement(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := ddl.Print(r2.Get("data").Graph()); got != ddl.Print(graphWithEdge("second")) {
+			if got := ddl.Print(r2.Get("data")); got != ddl.Print(graphWithEdge("second")) {
 				t.Errorf("reloaded graph = %s", got)
 			}
 		})

@@ -1,9 +1,9 @@
 package repo
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,18 +30,6 @@ func allKindsGraph() *graph.Graph {
 	return g
 }
 
-// sgb1 returns checked-in SGB1 bytes: the format is decode-only, so its
-// decoder is fed by files the last encoder wrote (testdata/sgb1_<name>.sgb
-// holds that encoder's output for <name>Graph()).
-func sgb1(t testing.TB, name string) []byte {
-	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "sgb1_"+name+".sgb"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
 // encodeV2 freezes g and serializes it — what SaveBinary writes.
 func encodeV2(t testing.TB, g *graph.Graph) []byte {
 	t.Helper()
@@ -50,25 +38,6 @@ func encodeV2(t testing.TB, g *graph.Graph) []byte {
 		t.Fatal("Freeze returned nil")
 	}
 	return EncodeBinaryFrozen(f)
-}
-
-func TestBinaryV1DecodesAllKinds(t *testing.T) {
-	g := allKindsGraph()
-	got, err := DecodeBinary(sgb1(t, "allkinds"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dump() != g.Dump() {
-		t.Errorf("round trip changed graph:\n--- original\n%s--- decoded\n%s", g.Dump(), got.Dump())
-	}
-	// The lonely node and empty collection survive too.
-	if !got.HasNode("lonely") {
-		t.Error("isolated node lost")
-	}
-	names := got.CollectionNames()
-	if len(names) != 2 {
-		t.Errorf("collections = %v", names)
-	}
 }
 
 func TestBinaryRoundTripProperty(t *testing.T) {
@@ -83,8 +52,8 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 				g.AddToCollection("Even", oid)
 			}
 		}
-		got, err := DecodeBinary(encodeV2(t, g))
-		return err == nil && got.Dump() == g.Dump()
+		got, err := DecodeBinaryFrozen(encodeV2(t, g))
+		return err == nil && ddl.Print(got) == ddl.Print(g)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -92,7 +61,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 }
 
 func TestBinaryRejectsCorruptInput(t *testing.T) {
-	good := sgb1(t, "allkinds")
+	good := encodeV2(t, allKindsGraph())
 	cases := [][]byte{
 		nil,
 		[]byte("XXXX"),
@@ -101,7 +70,7 @@ func TestBinaryRejectsCorruptInput(t *testing.T) {
 		append(append([]byte{}, good[:5]...), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff),
 	}
 	for i, c := range cases {
-		if _, err := DecodeBinary(c); err == nil {
+		if _, err := DecodeBinaryFrozen(c); err == nil {
 			t.Errorf("case %d: corrupt input accepted", i)
 		}
 	}
@@ -109,7 +78,36 @@ func TestBinaryRejectsCorruptInput(t *testing.T) {
 	for i := 4; i < len(good); i += 7 {
 		mut := append([]byte{}, good...)
 		mut[i] ^= 0xff
-		_, _ = DecodeBinary(mut) // error or success, but no panic
+		_, _ = DecodeBinaryFrozen(mut) // error or success, but no panic
+	}
+}
+
+// TestBinaryRejectsOtherFormats: input that does not start with the
+// SGB2 magic — every other SGB version digit, other file types, a
+// truncated header — gets a *FormatError naming the magic it found,
+// never a panic and never a decode attempt.
+func TestBinaryRejectsOtherFormats(t *testing.T) {
+	body := encodeV2(t, allKindsGraph())[len(binaryMagic):]
+	var inputs [][]byte
+	for v := '0'; v <= '9'; v++ {
+		if v != '2' {
+			magic := append([]byte("SGB"), byte(v))
+			inputs = append(inputs, magic, append(magic, body...))
+		}
+	}
+	inputs = append(inputs, nil, []byte("S"), []byte("SGB"), []byte("sgb2"),
+		[]byte("PK\x03\x04"), []byte("collection C;\n"), append([]byte("XXXX"), body...))
+	for _, in := range inputs {
+		f, err := DecodeBinaryFrozen(in)
+		var fe *FormatError
+		if f != nil || !errors.As(err, &fe) {
+			t.Errorf("%q: got %v, %v; want a *FormatError", in, f, err)
+			continue
+		}
+		magic := string(in[:min(len(in), len(binaryMagic))])
+		if fe.Magic != magic || !strings.Contains(err.Error(), fmt.Sprintf("%q", magic)) {
+			t.Errorf("%q: error %q does not name the magic %q", in, err, magic)
+		}
 	}
 }
 
@@ -124,11 +122,11 @@ func TestBinarySmallerAndFasterThanText(t *testing.T) {
 	if len(bin) >= len(text) {
 		t.Errorf("binary (%d) should be smaller than text (%d)", len(bin), len(text))
 	}
-	got, err := DecodeBinary(bin)
+	got, err := DecodeBinaryFrozen(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Dump() != g.Dump() {
+	if ddl.Print(got) != text {
 		t.Error("binary round trip changed the bibliography graph")
 	}
 }
@@ -152,7 +150,7 @@ func BenchmarkBinaryVsText(b *testing.B) {
 	})
 	b.Run("decode-binary", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeBinary(bin); err != nil {
+			if _, err := DecodeBinaryFrozen(bin); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"strudel/internal/ddl"
 	"strudel/internal/graph"
 )
 
@@ -20,18 +21,11 @@ func freezeAllKinds(t *testing.T) *graph.Frozen {
 func TestBinaryV2RoundTrip(t *testing.T) {
 	g := allKindsGraph()
 	data := EncodeBinaryFrozen(freezeAllKinds(t))
-	if !strings.HasPrefix(string(data), binaryMagicV2) {
+	if !strings.HasPrefix(string(data), binaryMagic) {
 		t.Fatalf("magic = %q", data[:4])
 	}
-	// DecodeBinary dispatches on the magic and yields the same graph.
-	got, err := DecodeBinary(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Dump() != g.Dump() {
-		t.Errorf("SGB2 round trip changed graph:\n--- original\n%s--- decoded\n%s", g.Dump(), got.Dump())
-	}
-	// DecodeBinaryFrozen gives a queryable snapshot directly.
+	// DecodeBinaryFrozen gives a queryable snapshot directly, holding
+	// every value kind, the isolated node and the empty collection.
 	f, err := DecodeBinaryFrozen(data)
 	if err != nil {
 		t.Fatal(err)
@@ -39,30 +33,18 @@ func TestBinaryV2RoundTrip(t *testing.T) {
 	if f.NumNodes() != g.NumNodes() || f.NumEdges() != g.NumEdges() {
 		t.Errorf("snapshot sizes: %d/%d want %d/%d", f.NumNodes(), f.NumEdges(), g.NumNodes(), g.NumEdges())
 	}
-}
-
-// Mixed formats: an SGB1 payload must round-trip through the frozen
-// decoder, and an SGB2 payload through the graph decoder, with identical
-// contents either way.
-func TestBinaryMixedFormats(t *testing.T) {
-	v1 := sgb1(t, "allkinds")
-	v2 := EncodeBinaryFrozen(freezeAllKinds(t))
-
-	fromV1, err := DecodeBinaryFrozen(v1)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := ddl.Print(f), ddl.Print(g); got != want {
+		t.Errorf("SGB2 round trip changed graph:\n--- original\n%s--- decoded\n%s", want, got)
 	}
-	fromV2, err := DecodeBinaryFrozen(v2)
-	if err != nil {
-		t.Fatal(err)
+	if !f.HasNode("lonely") {
+		t.Error("isolated node lost")
 	}
-	if fromV1.Thaw().Dump() != fromV2.Thaw().Dump() {
-		t.Error("SGB1 and SGB2 decode to different graphs")
+	if names := f.CollectionNames(); len(names) != 2 {
+		t.Errorf("collections = %v", names)
 	}
-	// Re-freezing a thawed SGB2 snapshot re-encodes byte-identically: the
-	// format is canonical.
-	again := EncodeBinaryFrozen(fromV2.Thaw().Freeze())
-	if string(again) != string(v2) {
+	// Re-encoding the decoded snapshot is byte-identical: the format is
+	// canonical.
+	if again := EncodeBinaryFrozen(f); string(again) != string(data) {
 		t.Error("SGB2 re-encode is not byte-identical")
 	}
 }
@@ -70,16 +52,16 @@ func TestBinaryMixedFormats(t *testing.T) {
 func TestBinaryV2RejectsCorruptInput(t *testing.T) {
 	good := EncodeBinaryFrozen(freezeAllKinds(t))
 	// Every truncation of the payload must error, never panic.
-	for n := len(binaryMagicV2); n < len(good); n++ {
-		if _, err := DecodeBinary(good[:n]); err == nil {
+	for n := len(binaryMagic); n < len(good); n++ {
+		if _, err := DecodeBinaryFrozen(good[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
 	}
 	// Bit-flip fuzzing over the body must never panic.
-	for i := len(binaryMagicV2); i < len(good); i++ {
+	for i := len(binaryMagic); i < len(good); i++ {
 		mut := append([]byte{}, good...)
 		mut[i] ^= 0xff
-		_, _ = DecodeBinary(mut)
+		_, _ = DecodeBinaryFrozen(mut)
 	}
 }
 
@@ -88,7 +70,7 @@ func TestBinaryV2RejectsCorruptInput(t *testing.T) {
 func buildV2(edit func(section string, b []byte) []byte) []byte {
 	id := func(i int) []byte { return binary.AppendUvarint(nil, uint64(i)) }
 	var out []byte
-	out = append(out, binaryMagicV2...)
+	out = append(out, binaryMagic...)
 	sec := func(name string, b []byte) {
 		if edit != nil {
 			b = edit(name, b)
@@ -126,7 +108,7 @@ func buildV2(edit func(section string, b []byte) []byte) []byte {
 
 func TestBinaryV2DecodeErrorPaths(t *testing.T) {
 	// Baseline must decode.
-	if _, err := DecodeBinary(buildV2(nil)); err != nil {
+	if _, err := DecodeBinaryFrozen(buildV2(nil)); err != nil {
 		t.Fatalf("baseline: %v", err)
 	}
 	id := func(i int) []byte { return binary.AppendUvarint(nil, uint64(i)) }
@@ -178,7 +160,7 @@ func TestBinaryV2DecodeErrorPaths(t *testing.T) {
 			}
 			return b
 		})
-		_, err := DecodeBinary(payload)
+		_, err := DecodeBinaryFrozen(payload)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue
@@ -205,7 +187,7 @@ func TestRepositorySaveLoadBinaryV2(t *testing.T) {
 	if ix == nil {
 		t.Fatal("graph not loaded")
 	}
-	if ix.Graph().Dump() != g.Dump() {
+	if ddl.Print(ix) != ddl.Print(g) {
 		t.Error("SGB2 save/load changed the graph")
 	}
 	// The loaded Indexed adopts the decoded snapshot: Frozen() must not

@@ -1,34 +1,37 @@
 package repo
 
-import "testing"
+import (
+	"testing"
+
+	"strudel/internal/ddl"
+)
 
 // FuzzDecodeBinary: arbitrary bytes must never panic the decoder, and
-// anything it accepts — in either format — must freeze and re-encode as
-// SGB2 to a form that decodes to the same graph.
+// any snapshot it accepts must re-encode to bytes that decode to the
+// same graph and re-encode to themselves (SGB2's encoding is
+// canonical).
 func FuzzDecodeBinary(f *testing.F) {
-	f.Add(sgb1(f, "sample"))
-	f.Add(sgb1(f, "allkinds"))
-	if fz := allKindsGraph().Freeze(); fz != nil {
-		f.Add(EncodeBinaryFrozen(fz))
-	}
-	f.Add([]byte("SGB1"))
-	f.Add([]byte("SGB2"))
+	f.Add(encodeV2(f, allKindsGraph()))
+	f.Add(encodeV2(f, sampleGraph()))
+	f.Add(buildV2(nil))
+	f.Add([]byte(binaryMagic))
+	f.Add([]byte("XXXX"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := DecodeBinary(data)
+		fz, err := DecodeBinaryFrozen(data)
 		if err != nil {
 			return
 		}
-		fz := g.Freeze()
-		if fz == nil {
-			t.Skip("graph beyond the snapshot's id capacity")
-		}
-		g2, err := DecodeBinary(EncodeBinaryFrozen(fz))
+		again := EncodeBinaryFrozen(fz)
+		fz2, err := DecodeBinaryFrozen(again)
 		if err != nil {
-			t.Fatalf("re-encode of accepted graph failed: %v", err)
+			t.Fatalf("re-encode of accepted snapshot failed: %v", err)
 		}
-		if g.Dump() != g2.Dump() {
+		if ddl.Print(fz) != ddl.Print(fz2) {
 			t.Fatal("re-encode round trip changed the graph")
+		}
+		if string(EncodeBinaryFrozen(fz2)) != string(again) {
+			t.Fatal("re-encoding is not canonical")
 		}
 	})
 }

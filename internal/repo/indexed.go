@@ -18,6 +18,12 @@
 // The paper notes that building these indexes is expensive but that they
 // pay for themselves in query evaluation — benchmark E6 reproduces both
 // halves of that claim.
+//
+// The snapshot is also the storage form (§7): SaveBinary writes it as
+// SGB2 and LoadBinary adopts the decoded snapshot as a graph's indexes.
+// The direction is one way. A map graph is frozen into a snapshot, never
+// rebuilt from one; a loaded graph is served, queried and saved (Save
+// prints it as DDL) as the snapshot it was decoded into.
 package repo
 
 import (
@@ -32,8 +38,7 @@ import (
 // access path from the snapshot that Frozen builds on first use. Safe
 // for concurrent readers.
 type Indexed struct {
-	g    *graph.Graph // nil until Graph thaws an adopted snapshot
-	thaw sync.Once
+	g *graph.Graph // nil for an adopted snapshot
 
 	frozen *graph.Frozen // nil past the snapshot's id capacity
 	freeze sync.Once
@@ -60,8 +65,8 @@ type view interface {
 // snapshot is built by the first read.
 func NewIndexed(g *graph.Graph) *Indexed { return &Indexed{g: g} }
 
-// NewIndexedFrozen adopts a decoded snapshot as the indexes. The map
-// graph is reconstructed only if Graph is called.
+// NewIndexedFrozen adopts a decoded snapshot as the indexes; there is
+// no map graph behind it.
 func NewIndexedFrozen(f *graph.Frozen) *Indexed {
 	ix := &Indexed{frozen: f}
 	ix.freeze.Do(func() {})
@@ -74,17 +79,6 @@ func NewIndexedFrozen(f *graph.Frozen) *Indexed {
 func (ix *Indexed) Frozen() *graph.Frozen {
 	ix.freeze.Do(func() { ix.frozen = ix.g.Freeze() })
 	return ix.frozen
-}
-
-// Graph returns the map graph for read-only use, thawing an adopted
-// snapshot on first call.
-func (ix *Indexed) Graph() *graph.Graph {
-	ix.thaw.Do(func() {
-		if ix.g == nil {
-			ix.g = ix.frozen.Thaw()
-		}
-	})
-	return ix.g
 }
 
 func (ix *Indexed) view() view {

@@ -13,20 +13,28 @@ import (
 )
 
 // TestIndexedMatchesGraphSource checks every access path of the
-// repository — on its snapshot and on the map-graph fallback — against
-// the plain scans of struql.GraphSource, answer by answer, compared as
-// sorted sets.
+// repository — on its own snapshot, on a snapshot adopted from SGB2
+// bytes, and on the map-graph fallback — against the plain scans of
+// struql.GraphSource, answer by answer, compared as sorted sets.
 func TestIndexedMatchesGraphSource(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 1998} {
 		g := qgen.Graph(seed)
 		want := struql.NewGraphSource(g)
+		decoded, err := repo.DecodeBinaryFrozen(repo.EncodeBinaryFrozen(g.Freeze()))
+		if err != nil {
+			t.Fatal(err)
+		}
 		for name, ix := range map[string]*repo.Indexed{
 			"snapshot": repo.NewIndexed(g),
+			"adopted":  repo.NewIndexedFrozen(decoded),
 			"fallback": repo.NewIndexedUnfrozen(g),
 		} {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, name), func(t *testing.T) {
 				if name == "snapshot" && ix.Frozen() == nil {
 					t.Fatal("no snapshot built")
+				}
+				if name == "adopted" && ix.Frozen() != decoded {
+					t.Fatal("adopted snapshot not returned by Frozen")
 				}
 				if name == "fallback" && ix.Frozen() != nil {
 					t.Fatal("fallback has a snapshot")
@@ -98,23 +106,6 @@ func TestNewIndexedBuildsNoIndex(t *testing.T) {
 	}
 	if sink.NumEdges() != g.NumEdges() {
 		t.Errorf("NumEdges = %d, want %d", sink.NumEdges(), g.NumEdges())
-	}
-}
-
-// TestNewIndexedFrozenThawsOnlyOnDemand checks that an adopted snapshot
-// answers reads directly and that Graph reconstructs the same graph.
-func TestNewIndexedFrozenThawsOnlyOnDemand(t *testing.T) {
-	g := qgen.Graph(7)
-	f := g.Freeze()
-	ix := repo.NewIndexedFrozen(f)
-	if ix.Frozen() != f {
-		t.Fatal("adopted snapshot not returned by Frozen")
-	}
-	if ix.NumEdges() != g.NumEdges() {
-		t.Errorf("NumEdges = %d, want %d", ix.NumEdges(), g.NumEdges())
-	}
-	if got := ix.Graph().Dump(); got != g.Dump() {
-		t.Errorf("thawed graph differs:\n%s\nvs\n%s", got, g.Dump())
 	}
 }
 

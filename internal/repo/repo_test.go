@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"strudel/internal/ddl"
 	"strudel/internal/graph"
 )
 
@@ -141,8 +142,8 @@ func TestRepositorySaveLoadRoundTrip(t *testing.T) {
 	if got == nil {
 		t.Fatal("data graph missing after load")
 	}
-	if got.Graph().Dump() != sampleGraph().Dump() {
-		t.Errorf("data graph changed by round trip:\n%s\nvs\n%s", got.Graph().Dump(), sampleGraph().Dump())
+	if ddl.Print(got) != ddl.Print(sampleGraph()) {
+		t.Errorf("data graph changed by round trip:\n%s\nvs\n%s", ddl.Print(got), ddl.Print(sampleGraph()))
 	}
 	if r2.Get("site_graph") == nil {
 		t.Error("sanitized graph name missing after load")
@@ -161,7 +162,7 @@ func TestRepositoryBinarySaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := r2.Get("data")
-	if got == nil || got.Graph().Dump() != sampleGraph().Dump() {
+	if got == nil || ddl.Print(got) != ddl.Print(sampleGraph()) {
 		t.Error("binary repository round trip failed")
 	}
 	if err := r2.LoadBinary("/nonexistent/xyz"); err == nil {

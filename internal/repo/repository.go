@@ -86,7 +86,7 @@ func (r *Repository) Drop(name string) bool {
 // are written in sorted name order, so partial failures are
 // deterministic.
 func (r *Repository) Save(dir string) error {
-	return r.save(dir, ".ddl", func(ix *Indexed) ([]byte, error) { return []byte(ddl.Print(ix.Graph())), nil })
+	return r.save(dir, ".ddl", func(ix *Indexed) ([]byte, error) { return []byte(ddl.Print(ix)), nil })
 }
 
 // SaveBinary writes every stored graph to dir as <name>.sgb in the SGB2
@@ -153,7 +153,8 @@ func (r *Repository) Load(dir string) error {
 	return nil
 }
 
-// LoadBinary reads every *.sgb file in dir into the repository.
+// LoadBinary reads every *.sgb file in dir into the repository, each
+// adopted as the snapshot it decodes to.
 func (r *Repository) LoadBinary(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -167,20 +168,11 @@ func (r *Repository) LoadBinary(dir string) error {
 		if err != nil {
 			return fmt.Errorf("repo: load %s: %w", ent.Name(), err)
 		}
-		name := strings.TrimSuffix(ent.Name(), ".sgb")
-		if len(data) >= len(binaryMagicV2) && string(data[:len(binaryMagicV2)]) == binaryMagicV2 {
-			f, err := graph.DecodeFrozen(data[len(binaryMagicV2):])
-			if err != nil {
-				return fmt.Errorf("repo: load %s: %w", ent.Name(), err)
-			}
-			r.PutIndexed(name, NewIndexedFrozen(f))
-			continue
-		}
-		g, err := DecodeBinary(data)
+		f, err := DecodeBinaryFrozen(data)
 		if err != nil {
 			return fmt.Errorf("repo: load %s: %w", ent.Name(), err)
 		}
-		r.Put(name, g)
+		r.PutIndexed(strings.TrimSuffix(ent.Name(), ".sgb"), NewIndexedFrozen(f))
 	}
 	return nil
 }

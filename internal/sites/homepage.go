@@ -306,9 +306,8 @@ func HomepageData(nPubs int) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix, err := med.Warehouse()
-	if err != nil {
+	if _, err := med.Warehouse(); err != nil {
 		return nil, err
 	}
-	return ix.Graph(), nil
+	return med.DataGraph(), nil
 }

@@ -154,11 +154,10 @@ func TestSoakEditStorm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			data, err := med.Warehouse()
-			if err != nil {
+			if _, err := med.Warehouse(); err != nil {
 				t.Fatal(err)
 			}
-			cur := data.Graph().Copy()
+			cur := med.DataGraph()
 			m := &obs.IVMMetrics{}
 			site, err := ivm.NewSite(version, struql.NewGraphSource(cur), nil, m)
 			if err != nil {
@@ -198,11 +197,10 @@ func TestSoakPatchFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warehouse, err := med.Warehouse()
-	if err != nil {
+	if _, err := med.Warehouse(); err != nil {
 		t.Fatal(err)
 	}
-	base := warehouse.Graph()
+	base := med.DataGraph()
 
 	edited := base.Copy()
 	r := newSoakRand(7)
@@ -312,11 +310,10 @@ func TestSoakFailedPublishAccumulatesDirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warehouse, err := med.Warehouse()
-	if err != nil {
+	if _, err := med.Warehouse(); err != nil {
 		t.Fatal(err)
 	}
-	cur := warehouse.Graph().Copy()
+	cur := med.DataGraph()
 	site, err := ivm.NewSite(version, struql.NewGraphSource(cur), nil, nil)
 	if err != nil {
 		t.Fatal(err)
