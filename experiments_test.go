@@ -259,7 +259,7 @@ func TestE6_IndexedAgreesWithNaive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rn, err := struql.Eval(q, struql.NewGraphSource(g), &struql.Options{NoReorder: true})
+		rn, err := struql.NaiveEval(q, struql.NewGraphSource(g))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,7 +30,8 @@ import (
 // Verdict is the outcome of a constraint check.
 type Verdict uint8
 
-// Verdicts. Static checks may return Unknown; site checks never do.
+// Verdicts. Static checks may return Unknown; site checks only for a
+// site past the snapshot's id capacity.
 const (
 	Unknown Verdict = iota
 	Verified
@@ -110,17 +111,20 @@ func membersOf(site *graph.Graph, set string) []graph.OID {
 }
 
 // CheckSite verifies reachability exactly by running the path expression
-// forward from every From member.
+// forward from every From member over one snapshot of the site.
 func (c Reachability) CheckSite(site *graph.Graph) Result {
 	from := membersOf(site, c.From)
 	to := membersOf(site, c.To)
 	if len(to) == 0 {
 		return Result{Verdict: Verified, Reason: "target set is empty"}
 	}
+	snap := site.Freeze()
+	if snap == nil {
+		return Result{Verdict: Unknown, Reason: "site graph exceeds the snapshot's id capacity"}
+	}
 	reached := map[graph.OID]bool{}
-	src := struql.NewGraphSource(site)
 	for _, f := range from {
-		for _, v := range struql.ReachableVia(src, f, c.Path) {
+		for _, v := range struql.ReachableVia(snap, f, c.Path) {
 			if v.IsNode() {
 				reached[v.OID()] = true
 			}

@@ -78,38 +78,78 @@ func TestSingleFlightComputesOnce(t *testing.T) {
 	}
 }
 
-func TestCancelledRequestStopsEvaluation(t *testing.T) {
-	data := slowData(256)
-	q := struql.MustParse(slowQuery)
+// pollCancelCtx is a request context cancelled from within the
+// evaluation: its Err polls succeed until after of them have passed,
+// and every later poll reports context.Canceled. It places the
+// cancellation at a chosen poll, independent of timing.
+type pollCancelCtx struct {
+	context.Context
+	after int
 
-	// Baseline: how many source accesses does a full evaluation make?
-	base := NewFaultSource(struql.NewGraphSource(data), 0)
-	ev := NewEvaluator(schema.Build(q), base)
-	if _, err := ev.Page(PageRef{Fn: "Root"}); err != nil {
+	mu    sync.Mutex
+	polls int
+	done  chan struct{}
+}
+
+func newPollCancelCtx(after int) *pollCancelCtx {
+	return &pollCancelCtx{Context: context.Background(), after: after, done: make(chan struct{})}
+}
+
+func (c *pollCancelCtx) Done() <-chan struct{} { return c.done }
+
+func (c *pollCancelCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.polls++
+	if c.polls <= c.after {
+		return nil
+	}
+	if c.polls == c.after+1 {
+		close(c.done)
+	}
+	return context.Canceled
+}
+
+func (c *pollCancelCtx) Polls() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.polls
+}
+
+// TestCancelledRequestStopsEvaluation pins cancellation inside an
+// operator. The page's query ends in a cross product of 512 × 512 rows,
+// and its request is cancelled in the middle of that last operator.
+// Only the evaluator's polls between row batches can observe that
+// cancellation: no operator boundary follows.
+func TestCancelledRequestStopsEvaluation(t *testing.T) {
+	data := graph.New()
+	for i := 0; i < 512; i++ {
+		data.AddToCollection("Pubs", graph.OID(fmt.Sprintf("p%04d", i)))
+	}
+	snap := data.Freeze()
+	q := struql.MustParse(`create Root() where Pubs(x), Pubs(y) link Root() -> "pair" -> x`)
+
+	// Before the cross product the evaluation polls three times: at its
+	// two operator boundaries and in the single row batch of Pubs(x).
+	// The first cross-product batch is the fourth poll, so cancelling
+	// from the fifth lands within the cross product.
+	const after = 4
+	full := newPollCancelCtx(1 << 30)
+	if _, err := NewEvaluator(schema.Build(q), snap).PageCtx(full, PageRef{Fn: "Root"}); err != nil {
 		t.Fatal(err)
 	}
-	fullOps := base.Ops()
-
-	// Cancelled run: each access sleeps 1ms, the context dies a few ms in,
-	// and evaluation must stop at an operator boundary well short of the
-	// full walk.
-	fs := NewFaultSource(struql.NewGraphSource(data), time.Millisecond)
-	ev2 := NewEvaluator(schema.Build(q), fs)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(5 * time.Millisecond)
-		cancel()
-	}()
-	_, err := ev2.PageCtx(ctx, PageRef{Fn: "Root"})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	if full.Polls() <= after+1 {
+		t.Fatalf("a full evaluation polls its context %d times; the cross product must poll between row batches", full.Polls())
 	}
-	if ops := fs.Ops(); ops >= fullOps/2 {
-		t.Errorf("cancelled evaluation made %d source accesses; a full run makes %d — cancellation did not stop it early", ops, fullOps)
+
+	ev := NewEvaluator(schema.Build(q), snap)
+	ctx := newPollCancelCtx(after)
+	if _, err := ev.PageCtx(ctx, PageRef{Fn: "Root"}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled from a poll inside the cross product", err)
 	}
 	// A cancelled leader must not poison the page: a fresh request
 	// computes it successfully.
-	if _, err := ev2.Page(PageRef{Fn: "Root"}); err != nil {
+	if _, err := ev.Page(PageRef{Fn: "Root"}); err != nil {
 		t.Errorf("page poisoned after cancelled leader: %v", err)
 	}
 }

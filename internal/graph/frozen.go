@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -107,27 +108,15 @@ func (f *Frozen) value(r uint32) Value {
 
 // Freeze builds the compact snapshot of the graph's current state. It
 // returns nil when the graph exceeds the packed-id capacity (2^28
-// distinct nodes, labels, or atoms per kind) — callers treat nil as
-// "no snapshot" and keep the mutable representation.
+// distinct nodes, labels, or atoms per kind): such a graph has no
+// snapshot, and StruQL evaluation over it fails with a typed error.
 func (g *Graph) Freeze() *Frozen {
 	f := &Frozen{}
 
-	// Nodes, sorted, and their dense ids.
-	f.nodes = make([]OID, 0, len(g.nodes))
-	for oid := range g.nodes {
-		f.nodes = append(f.nodes, oid)
-	}
-	sort.Slice(f.nodes, func(i, j int) bool { return f.nodes[i] < f.nodes[j] })
-	if len(f.nodes) > int(vrefMask) {
-		return nil
-	}
-	f.nodeOf = make(map[OID]uint32, len(f.nodes))
-	for i, oid := range f.nodes {
-		f.nodeOf[oid] = uint32(i)
-	}
-
-	// Collect distinct labels and atom payloads.
+	// Collect distinct labels, atom payloads, and the node targets whose
+	// record RemoveNode deleted while edges still point at them.
 	labelDict := NewInterner()
+	var dangling []OID
 	strSet := map[string]struct{}{}
 	urlSet := map[string]struct{}{}
 	intSet := map[int64]struct{}{}
@@ -137,6 +126,10 @@ func (g *Graph) Freeze() *Frozen {
 		for _, e := range g.recs[rec].out {
 			labelDict.Intern(e.Label)
 			switch e.To.kind {
+			case KindNode:
+				if _, ok := g.nodes[e.To.oid]; !ok {
+					dangling = append(dangling, e.To.oid)
+				}
 			case KindString:
 				strSet[e.To.str] = struct{}{}
 			case KindURL:
@@ -150,6 +143,24 @@ func (g *Graph) Freeze() *Frozen {
 			}
 		}
 	}
+
+	// Nodes, sorted, and their dense ids. A dangling target freezes as a
+	// node with no out-edges, so the edge keeps pointing at it.
+	f.nodes = make([]OID, 0, len(g.nodes)+len(dangling))
+	for oid := range g.nodes {
+		f.nodes = append(f.nodes, oid)
+	}
+	f.nodes = append(f.nodes, dangling...)
+	sort.Slice(f.nodes, func(i, j int) bool { return f.nodes[i] < f.nodes[j] })
+	f.nodes = slices.Compact(f.nodes)
+	if len(f.nodes) > int(vrefMask) {
+		return nil
+	}
+	f.nodeOf = make(map[OID]uint32, len(f.nodes))
+	for i, oid := range f.nodes {
+		f.nodeOf[oid] = uint32(i)
+	}
+
 	f.labels = append([]string(nil), labelDict.Strings()...)
 	sort.Strings(f.labels)
 	f.labelOf = make(map[string]uint32, len(f.labels))
@@ -227,8 +238,10 @@ func (g *Graph) Freeze() *Frozen {
 	var scratch []Edge
 	for i, oid := range f.nodes {
 		f.outOff[i] = uint32(len(f.outLbl))
-		rec := &g.recs[g.nodes[oid]]
-		scratch = append(scratch[:0], rec.out...)
+		scratch = scratch[:0]
+		if ri, ok := g.nodes[oid]; ok {
+			scratch = append(scratch, g.recs[ri].out...)
+		}
 		sort.Slice(scratch, func(a, b int) bool {
 			if scratch[a].Label != scratch[b].Label {
 				return scratch[a].Label < scratch[b].Label

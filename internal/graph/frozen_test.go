@@ -274,10 +274,19 @@ func TestFreezeOfEmptyAndMutatedGraph(t *testing.T) {
 	g.AddEdge("a", "l", NewNode("b"))
 	g.RemoveNode("b")
 	f = g.Freeze()
-	// The dangling edge target still appears as a value, but only "a"
-	// remains a node.
-	if f.NumNodes() != 1 || f.NumEdges() != 1 {
-		t.Fatalf("post-removal freeze: %d nodes %d edges", f.NumNodes(), f.NumEdges())
+	// RemoveNode leaves the edge into "b": the snapshot keeps it pointing
+	// at "b" (a node with no out-edges), never at node id 0.
+	if got := f.Out("a"); len(got) != 1 || got[0] != (Edge{From: "a", Label: "l", To: NewNode("b")}) {
+		t.Fatalf("post-removal Out(a) = %v, want a -l-> b", got)
+	}
+	if got := f.In(NewNode("b")); len(got) != 1 || got[0].From != "a" {
+		t.Fatalf("post-removal In(b) = %v, want the edge from a", got)
+	}
+	if got := f.In(NewNode("a")); len(got) != 0 {
+		t.Fatalf("post-removal In(a) = %v, want none", got)
+	}
+	if len(f.Out("b")) != 0 || f.NumEdges() != 1 {
+		t.Fatalf("post-removal freeze: Out(b) = %v, %d edges", f.Out("b"), f.NumEdges())
 	}
 }
 

@@ -36,9 +36,10 @@ func buildSite(t *testing.T, spec *core.Spec, opts *core.Options) (map[string]ma
 }
 
 // genericOnly hides the warehoused repository's Frozen() and LabelStats
-// (embedding the interface promotes only struql.Source's own methods),
-// so every query of a build — not just the composed ones, which read a
-// UnionSource anyway — takes the evaluator's generic access paths.
+// (embedding the interface promotes only struql.Source's own methods):
+// it is the snapshot-less source, so every query of a build reads a
+// snapshot frozen from a copy of the data, as the composed queries after
+// the first always do.
 type genericOnly struct{ struql.Source }
 
 // buildSiteWith is buildSite under one planner configuration. The

@@ -160,8 +160,8 @@ type EvalMetrics struct {
 	// runaway query into a typed failure.
 	GuardTrips [NumGuards]Counter
 	// StatsBuilds counts cold statistics collections (one per evaluation
-	// that wasn't handed warm Options.Stats); StatsLabels counts cold
-	// per-label selectivity computations across those collections.
+	// that wasn't handed warm Options.Stats); StatsLabels counts the
+	// per-label selectivities the planner read from those collections.
 	StatsBuilds Counter
 	StatsLabels Counter
 	// IndexSeeks/FullScans classify scheduled condition dispatches:
@@ -244,7 +244,7 @@ func (m *EvalMetrics) RecordStatsBuild() {
 	m.StatsBuilds.Inc()
 }
 
-// RecordStatsLabel counts one cold per-label selectivity computation.
+// RecordStatsLabel counts one per-label selectivity read.
 // Nil-safe.
 func (m *EvalMetrics) RecordStatsLabel() {
 	if m == nil {

@@ -6,13 +6,13 @@ import (
 	"strudel/internal/graph"
 )
 
-// ReachableVia returns every value reachable from start by a path matching
-// the regular path expression, in deterministic order. It is the
-// building block other packages (constraint checking, HTML generation
-// diagnostics) use to ask reachability questions without re-implementing
-// the product-automaton search.
-func ReachableVia(src Source, start graph.OID, path *PathExpr) []graph.Value {
-	return newPathMatcher(path, src, SnapshotOf(src), 0).reachableFrom(start)
+// ReachableVia returns every value of the snapshot reachable from start
+// by a path matching the regular path expression, in deterministic
+// order. It is the building block other packages (constraint checking)
+// use to ask reachability questions without re-implementing the
+// product-automaton search.
+func ReachableVia(f *graph.Frozen, start graph.OID, path *PathExpr) []graph.Value {
+	return newPathMatcher(path, f, 0).reachableFrom(start)
 }
 
 // ParsePathExpr parses a standalone regular path expression such as

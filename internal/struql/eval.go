@@ -32,8 +32,8 @@ type Options struct {
 	// (see CollectStats) instead of collecting them per evaluation — the
 	// warm-statistics path. The Stats must describe the evaluated
 	// source; stale statistics degrade plan quality but never
-	// correctness, since access paths re-check the live source. Ignored
-	// under NoStats.
+	// correctness, since access paths read the evaluated snapshot.
+	// Ignored under NoStats.
 	Stats *Stats
 	// Parallelism is the worker count for the per-row operators: 0 uses
 	// one worker per available CPU (the default), 1 forces the sequential
@@ -114,7 +114,10 @@ func Eval(q *Query, src Source, opts *Options) (*Result, error) {
 // EvalWithEnv evaluates a query with a caller-provided Skolem environment,
 // the mechanism by which composed queries extend one site graph (§6.2).
 func EvalWithEnv(q *Query, src Source, env *SkolemEnv, opts *Options) (*Result, error) {
-	ctx := newEvalCtx(src, opts)
+	ctx, err := newEvalCtx(src, opts)
+	if err != nil {
+		return nil, err
+	}
 	ctx.env, ctx.out = env, graph.New()
 	for _, blk := range q.Blocks {
 		if err := ctx.evalBlock(blk, emptyBindings()); err != nil {
@@ -131,11 +134,15 @@ func EvalSeq(queries []*Query, base Source, opts *Options) (*graph.Graph, error)
 	env := NewSkolemEnv()
 	acc := graph.New()
 	for i, q := range queries {
-		// The first query sees base alone: a union with the still-empty
-		// accumulator would only hide base's snapshot and statistics.
+		// The first query reads base's own snapshot; each later one reads
+		// a snapshot frozen from a copy of base and acc together.
 		src := base
 		if i > 0 {
-			src = NewUnionSource(base, NewGraphSource(acc))
+			u := freezeCopy(base, acc)
+			if u == nil {
+				return nil, fmt.Errorf("query %d: %w", i+1, &CapacityError{Nodes: base.NumNodes() + acc.NumNodes()})
+			}
+			src = u
 		}
 		r, err := EvalWithEnv(q, src, env, opts)
 		if err != nil {
@@ -166,7 +173,10 @@ func EvalWhereCtx(reqCtx context.Context, conds []Cond, src Source, seed *Bindin
 	}
 	// Where-only: no construction state (output graph, Skolem
 	// environment), and no plan strings, since no Result carries them.
-	ctx := newEvalCtx(src, opts)
+	ctx, err := newEvalCtx(src, opts)
+	if err != nil {
+		return nil, err
+	}
 	ctx.suppressPlans = true
 	if reqCtx != nil && reqCtx != context.Background() {
 		ctx.reqCtx = reqCtx
@@ -178,10 +188,7 @@ func EvalWhereCtx(reqCtx context.Context, conds []Cond, src Source, seed *Bindin
 // itself when it is a bare *graph.Frozen, whatever a Frozen() method
 // supplies (repo.Indexed, whose indexes are that snapshot, built on
 // first call), nil for sources that have none (GraphSource,
-// UnionSource, fault-injecting wrappers). It is the one place that
-// decides which access-path family an evaluation uses: with a snapshot,
-// zero-copy CSR iteration; without, the slice-returning Source
-// accessors. Both answer every access identically.
+// fault-injecting wrappers).
 func SnapshotOf(src Source) *graph.Frozen {
 	switch s := src.(type) {
 	case *graph.Frozen:
@@ -192,8 +199,28 @@ func SnapshotOf(src Source) *graph.Frozen {
 	return nil
 }
 
+// snapshot resolves the one snapshot an evaluation of src reads: src's
+// own, or for a source that has none, one frozen from a copy of its read
+// surface. Every operator, the planner and the statistics read only that
+// snapshot. A source whose own snapshot is nil is past the snapshot's id
+// capacity; so is one whose copy cannot be frozen.
+func snapshot(src Source) (*graph.Frozen, error) {
+	var f *graph.Frozen
+	switch s := src.(type) {
+	case *graph.Frozen:
+		f = s
+	case interface{ Frozen() *graph.Frozen }:
+		f = s.Frozen()
+	default:
+		f = freezeCopy(src)
+	}
+	if f == nil {
+		return nil, &CapacityError{Nodes: src.NumNodes()}
+	}
+	return f, nil
+}
+
 type evalCtx struct {
-	src  Source
 	opts *Options
 	// env and out are construction state, set by EvalWithEnv only;
 	// where-only evaluations leave them nil.
@@ -201,12 +228,11 @@ type evalCtx struct {
 	out   *graph.Graph
 	rows  int
 	plans []string
-	// frozen is SnapshotOf(src), nil when the source has none.
+	// frozen is the snapshot every access path reads (see snapshot).
 	frozen *graph.Frozen
 	// par is the resolved worker count for per-row operators.
 	par int
-	// avgDeg caches avgDegree(src) for the planner; the source does not
-	// change during one evaluation.
+	// avgDeg caches avgDegree(frozen) for the planner.
 	avgDeg float64
 	// stats is the selectivity statistics the cost model consults; nil
 	// under Options.NoStats (the heuristic baseline).
@@ -235,16 +261,19 @@ type evalCtx struct {
 
 // newEvalCtx prepares a where-evaluation context; EvalWithEnv adds the
 // construction state.
-func newEvalCtx(src Source, opts *Options) *evalCtx {
+func newEvalCtx(src Source, opts *Options) (*evalCtx, error) {
+	f, err := snapshot(src)
+	if err != nil {
+		return nil, err
+	}
 	if opts == nil {
 		opts = &Options{}
 	}
 	ctx := &evalCtx{
-		src:      src,
 		opts:     opts,
-		frozen:   SnapshotOf(src),
+		frozen:   f,
 		par:      opts.parallelism(),
-		avgDeg:   avgDegree(src),
+		avgDeg:   avgDegree(f),
 		maxRows:  opts.MaxRows,
 		maxNFA:   opts.MaxNFAStates,
 		deadline: opts.Deadline,
@@ -253,18 +282,18 @@ func newEvalCtx(src Source, opts *Options) *evalCtx {
 	}
 	if opts.NoStats {
 		ctx.planCache = newPlanCache()
-		return ctx
+		return ctx, nil
 	}
 	ctx.stats = opts.Stats
 	if ctx.stats == nil {
-		ctx.stats = CollectStats(src)
+		ctx.stats = newStats(f)
 		ctx.stats.metrics = opts.Metrics
 		opts.Metrics.RecordStatsBuild()
 	}
 	// Statistics carry their plans: everything a plan depends on is
 	// fixed for the source the Stats describes.
 	ctx.planCache = ctx.stats.plans
-	return ctx
+	return ctx, nil
 }
 
 // forkSequential derives a context for a not(...) sub-evaluation running
@@ -272,7 +301,6 @@ func newEvalCtx(src Source, opts *Options) *evalCtx {
 // pool), plan recording off, matcher cache shared.
 func (ctx *evalCtx) forkSequential() *evalCtx {
 	return &evalCtx{
-		src:           ctx.src,
 		opts:          ctx.opts,
 		env:           ctx.env,
 		out:           ctx.out,
@@ -314,7 +342,7 @@ func (ctx *evalCtx) polled() bool {
 }
 
 func (ctx *evalCtx) matcher(p *PathExpr) *pathMatcher {
-	return ctx.cache.get(p, ctx.src, ctx.frozen, ctx.maxNFA, ctx.metrics)
+	return ctx.cache.get(p, ctx.frozen, ctx.maxNFA, ctx.metrics)
 }
 
 func (ctx *evalCtx) evalBlock(blk *Block, parent *Bindings) error {
@@ -484,12 +512,12 @@ func (ctx *evalCtx) orderConds(conds []Cond, inputVars []string) (*Plan, error) 
 	return plan, nil
 }
 
-func avgDegree(src Source) float64 {
-	n := src.NumNodes()
+func avgDegree(f *graph.Frozen) float64 {
+	n := f.NumNodes()
 	if n == 0 {
 		return 1
 	}
-	return float64(src.NumEdges())/float64(n) + 1
+	return float64(f.NumEdges())/float64(n) + 1
 }
 
 // applyCond extends or filters the relation by one condition, honoring
@@ -547,13 +575,7 @@ func (ctx *evalCtx) applyMember(c *MemberCond, b *Bindings) (*Bindings, error) {
 	var membersOnce sync.Once
 	var members []graph.OID
 	extent := func() []graph.OID {
-		membersOnce.Do(func() {
-			if f != nil {
-				members = f.Collection(c.Coll)
-			} else {
-				members = ctx.src.Collection(c.Coll)
-			}
-		})
+		membersOnce.Do(func() { members = f.Collection(c.Coll) })
 		return members
 	}
 	rows, err := ctx.rowMap(b.Rows, func(_ int, chunk [][]graph.Value) ([][]graph.Value, error) {
@@ -562,14 +584,8 @@ func (ctx *evalCtx) applyMember(c *MemberCond, b *Bindings) (*Bindings, error) {
 		for _, row := range chunk {
 			v := row[vi]
 			if !v.IsNull() {
-				if v.IsNode() {
-					if f != nil {
-						if f.InCollection(c.Coll, v.OID()) {
-							out = append(out, row)
-						}
-					} else if ctx.src.InCollection(c.Coll, v.OID()) {
-						out = append(out, row)
-					}
+				if v.IsNode() && f.InCollection(c.Coll, v.OID()) {
+					out = append(out, row)
 				}
 				continue
 			}
@@ -700,8 +716,8 @@ func bindIfConsistent(row []graph.Value, i int, v graph.Value) bool {
 }
 
 // applyEdge evaluates x -> l -> y with an arc variable, choosing the
-// access path from what is already bound. With a snapshot, every access
-// path iterates the CSR in place instead of materializing edge slices.
+// access path from what is already bound. Every access path iterates the
+// snapshot's CSR in place instead of materializing edge slices.
 func (ctx *evalCtx) applyEdge(c *EdgeCond, b *Bindings) (*Bindings, error) {
 	fi, ti := termIndex(c.From, b), termIndex(c.To, b)
 	li := b.Index(c.LabelVar)
@@ -734,73 +750,40 @@ func (ctx *evalCtx) applyEdge(c *EdgeCond, b *Bindings) (*Bindings, error) {
 				}
 				if labelKnown {
 					lt := label.Text()
-					if f != nil {
-						f.ForEachOutLabel(from.OID(), lt, func(v graph.Value) bool {
-							emit(from.OID(), lt, v)
-							return true
-						})
-					} else {
-						for _, v := range ctx.src.OutLabel(from.OID(), lt) {
-							emit(from.OID(), lt, v)
-						}
-					}
-				} else if f != nil {
+					f.ForEachOutLabel(from.OID(), lt, func(v graph.Value) bool {
+						emit(from.OID(), lt, v)
+						return true
+					})
+				} else {
 					f.ForEachOut(from.OID(), func(elabel string, v graph.Value) bool {
 						emit(from.OID(), elabel, v)
 						return true
 					})
-				} else {
-					for _, e := range ctx.src.Out(from.OID()) {
-						emit(e.From, e.Label, e.To)
-					}
 				}
 			case toKnown:
 				lt := ""
 				if labelKnown {
 					lt = label.Text()
 				}
-				if f != nil {
-					f.ForEachIn(to, func(efrom graph.OID, elabel string) bool {
-						if !labelKnown || elabel == lt {
-							emit(efrom, elabel, to)
-						}
-						return true
-					})
-				} else {
-					for _, e := range ctx.src.In(to) {
-						if labelKnown && e.Label != lt {
-							continue
-						}
-						emit(e.From, e.Label, e.To)
+				f.ForEachIn(to, func(efrom graph.OID, elabel string) bool {
+					if !labelKnown || elabel == lt {
+						emit(efrom, elabel, to)
 					}
-				}
+					return true
+				})
 			case labelKnown:
 				lt := label.Text()
-				if f != nil {
-					f.ForEachLabeled(lt, func(efrom graph.OID, v graph.Value) bool {
-						emit(efrom, lt, v)
+				f.ForEachLabeled(lt, func(efrom graph.OID, v graph.Value) bool {
+					emit(efrom, lt, v)
+					return true
+				})
+			default:
+				for i, nn := 0, f.NumNodes(); i < nn; i++ {
+					n := f.NodeAt(i)
+					f.ForEachOut(n, func(elabel string, v graph.Value) bool {
+						emit(n, elabel, v)
 						return true
 					})
-				} else {
-					for _, e := range ctx.src.EdgesLabeled(lt) {
-						emit(e.From, e.Label, e.To)
-					}
-				}
-			default:
-				if f != nil {
-					for i, nn := 0, f.NumNodes(); i < nn; i++ {
-						n := f.NodeAt(i)
-						f.ForEachOut(n, func(elabel string, v graph.Value) bool {
-							emit(n, elabel, v)
-							return true
-						})
-					}
-				} else {
-					for _, n := range ctx.src.Nodes() {
-						for _, e := range ctx.src.Out(n) {
-							emit(e.From, e.Label, e.To)
-						}
-					}
 				}
 			}
 		}
@@ -822,6 +805,7 @@ func (ctx *evalCtx) applyPath(c *PathCond, step PlanStep, b *Bindings) (*Binding
 	}
 	fi, ti := termIndex(c.From, b), termIndex(c.To, b)
 	m := ctx.matcher(c.Path)
+	f := ctx.frozen
 	// allStarts computes, once, the start set for rows whose from
 	// variable is unbound: the distinct sources of the seed labels'
 	// extents, or every node. Lazy — rows with a bound start never pay
@@ -831,21 +815,12 @@ func (ctx *evalCtx) applyPath(c *PathCond, step PlanStep, b *Bindings) (*Binding
 	allStarts := func() []graph.Value {
 		startsOnce.Do(func() {
 			if len(step.SeedLabels) > 0 {
-				if ctx.frozen != nil {
-					seededStarts = seedStartsFrozen(ctx.frozen, step.SeedLabels)
-				} else {
-					seededStarts = seedStarts(ctx.src, step.SeedLabels)
-				}
+				seededStarts = seedStarts(f, step.SeedLabels)
 				return
 			}
-			if ctx.frozen != nil {
-				for i, nn := 0, ctx.frozen.NumNodes(); i < nn; i++ {
-					seededStarts = append(seededStarts, graph.NewNode(ctx.frozen.NodeAt(i)))
-				}
-				return
-			}
-			for _, n := range ctx.src.Nodes() {
-				seededStarts = append(seededStarts, graph.NewNode(n))
+			seededStarts = make([]graph.Value, f.NumNodes())
+			for i := range seededStarts {
+				seededStarts[i] = graph.NewNode(f.NodeAt(i))
 			}
 		})
 		return seededStarts
@@ -927,63 +902,32 @@ func (ctx *evalCtx) applySingleLabel(c *PathCond, label string, step PlanStep, b
 				if !from.IsNode() {
 					continue
 				}
-				if f != nil {
-					f.ForEachInLabel(to, label, func(efrom graph.OID) bool {
-						if efrom == from.OID() {
-							emit(efrom, to)
-						}
-						return true
-					})
-				} else {
-					for _, e := range ctx.src.In(to) {
-						if e.Label == label && e.From == from.OID() {
-							emit(e.From, e.To)
-						}
+				f.ForEachInLabel(to, label, func(efrom graph.OID) bool {
+					if efrom == from.OID() {
+						emit(efrom, to)
 					}
-				}
+					return true
+				})
 			case fromKnown:
 				if !from.IsNode() {
 					continue
 				}
-				if f != nil {
-					f.ForEachOutLabel(from.OID(), label, func(v graph.Value) bool {
-						if !toKnown || v == to {
-							emit(from.OID(), v)
-						}
-						return true
-					})
-				} else {
-					for _, v := range ctx.src.OutLabel(from.OID(), label) {
-						if toKnown && v != to {
-							continue
-						}
+				f.ForEachOutLabel(from.OID(), label, func(v graph.Value) bool {
+					if !toKnown || v == to {
 						emit(from.OID(), v)
 					}
-				}
+					return true
+				})
 			case toKnown:
-				if f != nil {
-					f.ForEachInLabel(to, label, func(efrom graph.OID) bool {
-						emit(efrom, to)
-						return true
-					})
-				} else {
-					for _, e := range ctx.src.In(to) {
-						if e.Label == label {
-							emit(e.From, e.To)
-						}
-					}
-				}
+				f.ForEachInLabel(to, label, func(efrom graph.OID) bool {
+					emit(efrom, to)
+					return true
+				})
 			default:
-				if f != nil {
-					f.ForEachLabeled(label, func(efrom graph.OID, v graph.Value) bool {
-						emit(efrom, v)
-						return true
-					})
-				} else {
-					for _, e := range ctx.src.EdgesLabeled(label) {
-						emit(e.From, e.To)
-					}
-				}
+				f.ForEachLabeled(label, func(efrom graph.OID, v graph.Value) bool {
+					emit(efrom, v)
+					return true
+				})
 			}
 		}
 		return out, nil

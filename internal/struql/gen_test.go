@@ -42,9 +42,9 @@ func buildOracleGraph(seed uint64) *oracleGraph {
 
 // genericOnly hides whatever a source offers beyond the Source
 // interface — Frozen(), LabelStats — because embedding the interface
-// promotes only its own methods. Wrapping a source in it is how tests
-// put the evaluator's generic access-path family under the oracles: the
-// evaluator picks its family from the source alone (SnapshotOf).
+// promotes only its own methods. It is the snapshot-less source: the
+// evaluator reads it through a snapshot frozen from a copy of it, so
+// wrapping a source in it puts that copy path under the oracles.
 type genericOnly struct{ Source }
 
 // oracleConfigs is the number of distinct (options, source) pairs
@@ -52,12 +52,11 @@ type genericOnly struct{ Source }
 const oracleConfigs = 16
 
 // oracleOptions maps a configuration index to evaluation options and a
-// source: even indexes evaluate against the label-indexed repository
-// (LabelStatser fast path, index-backed seeks), odd against the plain
-// graph source (scan fallbacks); the option half cycles parallelism,
-// planner toggles, both access-path families (a bare snapshot and a
-// genericOnly wrapper beside the repository), warm statistics, and
-// generous resource guards that must never trip.
+// source: even indexes evaluate against the repository (its own
+// snapshot), odd against the plain graph source (a frozen copy); the
+// option half cycles parallelism, planner toggles, a bare snapshot and
+// the snapshot-less genericOnly wrapper, warm statistics, and generous
+// resource guards that must never trip.
 func oracleOptions(i int, og *oracleGraph) (*Options, Source) {
 	src := og.indexed
 	if i%2 == 1 {

@@ -128,14 +128,14 @@ type matcherCache struct {
 
 func newMatcherCache() *matcherCache { return &matcherCache{m: make(map[string]*pathMatcher)} }
 
-func (c *matcherCache) get(p *PathExpr, src Source, frozen *graph.Frozen, maxStates int, metrics *obs.EvalMetrics) *pathMatcher {
+func (c *matcherCache) get(p *PathExpr, frozen *graph.Frozen, maxStates int, metrics *obs.EvalMetrics) *pathMatcher {
 	key := p.String()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m, ok := c.m[key]
 	metrics.RecordNFA(ok)
 	if !ok {
-		m = newPathMatcher(p, src, frozen, maxStates)
+		m = newPathMatcher(p, frozen, maxStates)
 		c.m[key] = m
 	}
 	return m

@@ -76,31 +76,11 @@ func (ctx *evalCtx) recordAccess(access string) {
 
 // seedStarts returns the distinct sources of the labels' edge extents,
 // sorted — the seeded start set of a regular-path search whose accepted
-// paths must all begin with one of the labels.
-func seedStarts(src Source, labels []string) []graph.Value {
-	seen := map[graph.OID]bool{}
-	for _, l := range labels {
-		for _, e := range src.EdgesLabeled(l) {
-			seen[e.From] = true
-		}
-	}
-	oids := make([]graph.OID, 0, len(seen))
-	for o := range seen {
-		oids = append(oids, o)
-	}
-	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
-	out := make([]graph.Value, len(oids))
-	for i, o := range oids {
-		out[i] = graph.NewNode(o)
-	}
-	return out
-}
-
-// seedStartsFrozen is seedStarts against a snapshot: each label's
-// extent is already grouped by ascending source node, so per-label
-// distinct sources fall out of a linear walk; the cross-label merge
-// sorts and dedups the (typically small) union.
-func seedStartsFrozen(f *graph.Frozen, labels []string) []graph.Value {
+// paths must all begin with one of the labels. Each label's extent is
+// already grouped by ascending source node, so per-label distinct
+// sources fall out of a linear walk; the cross-label merge sorts and
+// dedups the (typically small) union.
+func seedStarts(f *graph.Frozen, labels []string) []graph.Value {
 	var oids []graph.OID
 	for _, l := range labels {
 		var prev graph.OID
@@ -280,7 +260,7 @@ func (ctx *evalCtx) condCost(c Cond, bound, canBind map[string]bool) (PlanStep, 
 			return PlanStep{Access: AccessMemberSeek, Cost: 0.1}, true
 		}
 		return PlanStep{Access: AccessMemberScan + "[" + c.Coll + "]",
-			Cost: float64(ctx.src.CollectionSize(c.Coll)) + 1}, true
+			Cost: float64(ctx.frozen.CollectionSize(c.Coll)) + 1}, true
 	case *PredCond:
 		if termBound(c.Arg) {
 			return PlanStep{Access: AccessFilter, Cost: 0}, true
@@ -307,9 +287,9 @@ func (ctx *evalCtx) condCost(c Cond, bound, canBind map[string]bool) (PlanStep, 
 		case termBound(c.To):
 			return PlanStep{Access: AccessSeekIn, Cost: ctx.avgDeg}, true
 		case bound[c.LabelVar]:
-			return PlanStep{Access: AccessLabelScan, Cost: float64(ctx.src.NumEdges())/4 + 8}, true
+			return PlanStep{Access: AccessLabelScan, Cost: float64(ctx.frozen.NumEdges())/4 + 8}, true
 		default:
-			return PlanStep{Access: AccessEdgeScan, Cost: float64(ctx.src.NumEdges()) + 16}, true
+			return PlanStep{Access: AccessEdgeScan, Cost: float64(ctx.frozen.NumEdges()) + 16}, true
 		}
 	case *PathCond:
 		if label, ok := singleLabel(c.Path); ok {
@@ -334,7 +314,7 @@ func (ctx *evalCtx) singleLabelCost(c *PathCond, label string, termBound func(Te
 			return PlanStep{Access: AccessSeekIn + "[" + label + "]", Cost: ctx.avgDeg}
 		default:
 			return PlanStep{Access: AccessLabelScan + "[" + label + "]",
-				Cost: float64(ctx.src.LabelCount(label)) + 4}
+				Cost: float64(ctx.frozen.LabelCount(label)) + 4}
 		}
 	}
 	ls := ctx.stats.Label(label)
@@ -388,7 +368,7 @@ func (ctx *evalCtx) rpeCost(c *PathCond, termBound func(Term) bool) PlanStep {
 				Cost: 4*float64(sum) + 8, SeedLabels: labels}
 		}
 	}
-	return PlanStep{Access: AccessRPEScan, Cost: float64(ctx.src.NumEdges())*4 + 64}
+	return PlanStep{Access: AccessRPEScan, Cost: float64(ctx.frozen.NumEdges())*4 + 64}
 }
 
 // startLabels computes the set of concrete labels an accepted path must
@@ -429,7 +409,10 @@ func startLabels(p *PathExpr) ([]string, bool) {
 // their ancestors' bound variables, exactly as evaluation would.
 // The rendered form is stable and is pinned by golden tests.
 func Explain(q *Query, src Source, opts *Options) (string, error) {
-	ctx := newEvalCtx(src, opts)
+	ctx, err := newEvalCtx(src, opts)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	var walk func(blk *Block, path string, inherited []string) error
 	walk = func(blk *Block, path string, inherited []string) error {

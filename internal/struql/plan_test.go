@@ -161,8 +161,8 @@ func TestWarmStatsReuse(t *testing.T) {
 }
 
 // TestStatsAccessors covers the statistics accessors on both source
-// kinds: the LabelStatser fast path (indexed repository) and the scan
-// fallback (plain graph source).
+// kinds: the repository's own snapshot and the frozen copy of a plain
+// graph source.
 func TestStatsAccessors(t *testing.T) {
 	g := propertyGraph(12)
 	for _, src := range []Source{NewGraphSource(g), repo.NewIndexed(g)} {

@@ -135,16 +135,14 @@ func stateKey(states []int) string {
 	return string(b)
 }
 
-// pathMatcher evaluates x -> R -> y conditions against a source, with a
+// pathMatcher evaluates x -> R -> y conditions against a snapshot, with a
 // per-query memo of reachable-value sets keyed by start node. The memo is
 // mutex-guarded so worker goroutines of the parallel evaluator can share
 // one matcher; the BFS itself runs outside the lock (a start node raced by
 // two workers is computed twice, with identical deterministic results).
 type pathMatcher struct {
 	nfa *nfa
-	src Source
-	// frozen, when non-nil, replaces src.Out slice materialization with
-	// in-place CSR iteration during the product BFS.
+	// frozen is iterated in place during the product BFS.
 	frozen *graph.Frozen
 	// maxStates, when positive, caps the product states one BFS may
 	// visit before aborting with *ResourceExhausted.
@@ -154,8 +152,8 @@ type pathMatcher struct {
 	memo map[graph.OID][]graph.Value
 }
 
-func newPathMatcher(p *PathExpr, src Source, frozen *graph.Frozen, maxStates int) *pathMatcher {
-	return &pathMatcher{nfa: compileNFA(p), src: src, frozen: frozen, maxStates: maxStates,
+func newPathMatcher(p *PathExpr, frozen *graph.Frozen, maxStates int) *pathMatcher {
+	return &pathMatcher{nfa: compileNFA(p), frozen: frozen, maxStates: maxStates,
 		memo: make(map[graph.OID][]graph.Value)}
 }
 
@@ -230,15 +228,7 @@ func (m *pathMatcher) reachable(start graph.OID) ([]graph.Value, error) {
 			}
 			return true
 		}
-		if m.frozen != nil {
-			m.frozen.ForEachOut(cur.oid, visit)
-		} else {
-			for _, e := range m.src.Out(cur.oid) {
-				if !visit(e.Label, e.To) {
-					break
-				}
-			}
-		}
+		m.frozen.ForEachOut(cur.oid, visit)
 	}
 	if exhausted != nil {
 		return nil, exhausted

@@ -43,7 +43,7 @@ func TestPathMatcherCycles(t *testing.T) {
 	g := graph.New()
 	g.AddEdge("a", "n", graph.NewNode("b"))
 	g.AddEdge("b", "n", graph.NewNode("a"))
-	m := newPathMatcher(parsePath(t, `"n"*`), NewGraphSource(g), nil, 0)
+	m := newPathMatcher(parsePath(t, `"n"*`), g.Freeze(), 0)
 	got := m.reachableFrom("a")
 	if len(got) != 2 {
 		t.Fatalf("reachable = %v, want a and b", got)
@@ -57,7 +57,7 @@ func TestPathMatcherDiamond(t *testing.T) {
 	g.AddEdge("s", "l", graph.NewNode("m2"))
 	g.AddEdge("m1", "r", graph.NewNode("t"))
 	g.AddEdge("m2", "r", graph.NewNode("t"))
-	m := newPathMatcher(parsePath(t, `"l"."r"`), NewGraphSource(g), nil, 0)
+	m := newPathMatcher(parsePath(t, `"l"."r"`), g.Freeze(), 0)
 	got := m.reachableFrom("s")
 	if len(got) != 1 || got[0].OID() != "t" {
 		t.Errorf("reachable = %v, want [t]", got)
@@ -71,7 +71,7 @@ func TestPathMatcherPredicateEdges(t *testing.T) {
 	g.AddEdge("a", "isPart", graph.NewNode("b"))
 	g.AddEdge("b", "isPiece", graph.NewNode("c"))
 	g.AddEdge("b", "other", graph.NewNode("d"))
-	m := newPathMatcher(parsePath(t, `~"is.*"+`), NewGraphSource(g), nil, 0)
+	m := newPathMatcher(parsePath(t, `~"is.*"+`), g.Freeze(), 0)
 	got := m.reachableFrom("a")
 	oids := map[graph.OID]bool{}
 	for _, v := range got {
@@ -87,7 +87,7 @@ func TestPathMatcherRegexAnchored(t *testing.T) {
 	g := graph.New()
 	g.AddEdge("a", "xy", graph.NewNode("b"))
 	g.AddEdge("a", "x", graph.NewNode("c"))
-	m := newPathMatcher(parsePath(t, `~"x"`), NewGraphSource(g), nil, 0)
+	m := newPathMatcher(parsePath(t, `~"x"`), g.Freeze(), 0)
 	got := m.reachableFrom("a")
 	if len(got) != 1 || got[0].OID() != "c" {
 		t.Errorf("reachable = %v, want only c", got)
@@ -103,11 +103,11 @@ func TestPathMatcherStarVsPlusProperty(t *testing.T) {
 		for i := 0; i < size-1; i++ {
 			g.AddEdge(graph.OID(fmt.Sprintf("n%d", i)), "next", graph.NewNode(graph.OID(fmt.Sprintf("n%d", i+1))))
 		}
-		src := NewGraphSource(g)
+		src := g.Freeze()
 		var tt testing.T
-		star := newPathMatcher(parsePath(&tt, `"next"*`), src, nil, 0).reachableFrom("n0")
-		plus := newPathMatcher(parsePath(&tt, `"next"+`), src, nil, 0).reachableFrom("n0")
-		comp := newPathMatcher(parsePath(&tt, `"next"."next"*`), src, nil, 0).reachableFrom("n0")
+		star := newPathMatcher(parsePath(&tt, `"next"*`), src, 0).reachableFrom("n0")
+		plus := newPathMatcher(parsePath(&tt, `"next"+`), src, 0).reachableFrom("n0")
+		comp := newPathMatcher(parsePath(&tt, `"next"."next"*`), src, 0).reachableFrom("n0")
 		if len(plus) != len(comp) {
 			return false
 		}
@@ -126,7 +126,7 @@ func TestPathMatcherStarVsPlusProperty(t *testing.T) {
 func TestPathMatcherMemoConsistency(t *testing.T) {
 	g := graph.New()
 	g.AddEdge("a", "x", graph.NewNode("b"))
-	m := newPathMatcher(parsePath(t, `"x"*`), NewGraphSource(g), nil, 0)
+	m := newPathMatcher(parsePath(t, `"x"*`), g.Freeze(), 0)
 	first := m.reachableFrom("a")
 	second := m.reachableFrom("a")
 	if len(first) != len(second) {

@@ -18,17 +18,13 @@
 // because edge predicates may appear where labels do.
 package struql
 
-import (
-	"sort"
+import "strudel/internal/graph"
 
-	"strudel/internal/graph"
-)
-
-// Source is the evaluator's view of a graph. Two implementations matter:
-// GraphSource (naive scans over a plain graph — the unoptimized baseline)
-// and repo.Indexed (the repository's fully-indexed access paths, §2.1,
-// answered from the graph's frozen snapshot).
-// The optimizer consults the statistics methods to order conditions.
+// Source is the evaluator's view of a graph. The optimized evaluator
+// reads every source through one snapshot (repo.Indexed and a bare
+// *graph.Frozen supply their own, §2.1's full indexing; any other source
+// is copied into one), so NaiveEval, the reference evaluator, is the
+// only one that answers queries through the accessors below.
 type Source interface {
 	// Collection returns the members of the named collection, sorted.
 	Collection(name string) []graph.OID
@@ -59,8 +55,8 @@ type Source interface {
 }
 
 // GraphSource adapts a plain graph to Source with linear scans for the
-// indexed access paths. It is the ablation baseline for experiment E6: the
-// same queries run against it and against the indexed repository.
+// indexed access paths. It is the reference evaluator's source for
+// experiment E6; the optimized evaluator freezes a copy of it.
 type GraphSource struct {
 	G *graph.Graph
 }
@@ -111,126 +107,40 @@ func (s GraphSource) NumEdges() int { return s.G.NumEdges() }
 // NumNodes returns the total node count.
 func (s GraphSource) NumNodes() int { return s.G.NumNodes() }
 
-// UnionSource presents the union of two sources as one graph; composed
-// queries see the original data graph plus graphs built by earlier queries.
-// When both sides know a node or collection, answers concatenate with
-// duplicates removed.
-type UnionSource struct {
-	A, B Source
+// readSurface is what a snapshot is copied from: every Source and a
+// plain *graph.Graph offer it.
+type readSurface interface {
+	Nodes() []graph.OID
+	Out(oid graph.OID) []graph.Edge
+	CollectionNames() []string
+	Collection(name string) []graph.OID
+	NumNodes() int
+	NumEdges() int
 }
 
-// NewUnionSource returns the union of a and b.
-func NewUnionSource(a, b Source) UnionSource { return UnionSource{A: a, B: b} }
-
-// Collection returns the union of both members lists.
-func (u UnionSource) Collection(name string) []graph.OID {
-	return dedupOIDs(append(u.A.Collection(name), u.B.Collection(name)...))
-}
-
-// InCollection reports membership in either side.
-func (u UnionSource) InCollection(name string, oid graph.OID) bool {
-	return u.A.InCollection(name, oid) || u.B.InCollection(name, oid)
-}
-
-// CollectionNames returns the union of names.
-func (u UnionSource) CollectionNames() []string {
-	return dedupStrings(append(u.A.CollectionNames(), u.B.CollectionNames()...))
-}
-
-// CollectionSize returns the size of the unioned extent.
-func (u UnionSource) CollectionSize(name string) int { return len(u.Collection(name)) }
-
-// Out returns the union of outgoing edges.
-func (u UnionSource) Out(oid graph.OID) []graph.Edge {
-	return dedupEdges(append(u.A.Out(oid), u.B.Out(oid)...))
-}
-
-// OutLabel returns the union of attribute values.
-func (u UnionSource) OutLabel(oid graph.OID, label string) []graph.Value {
-	return dedupValues(append(u.A.OutLabel(oid, label), u.B.OutLabel(oid, label)...))
-}
-
-// EdgesLabeled returns the union of labeled edges.
-func (u UnionSource) EdgesLabeled(label string) []graph.Edge {
-	return dedupEdges(append(u.A.EdgesLabeled(label), u.B.EdgesLabeled(label)...))
-}
-
-// In returns the union of in-edges.
-func (u UnionSource) In(v graph.Value) []graph.Edge {
-	return dedupEdges(append(u.A.In(v), u.B.In(v)...))
-}
-
-// Nodes returns the union of node sets.
-func (u UnionSource) Nodes() []graph.OID {
-	return dedupOIDs(append(u.A.Nodes(), u.B.Nodes()...))
-}
-
-// Labels returns the union of label sets.
-func (u UnionSource) Labels() []string {
-	return dedupStrings(append(u.A.Labels(), u.B.Labels()...))
-}
-
-// LabelCount over-counts edges present in both sides; it is a statistic,
-// not an answer, so the approximation is acceptable.
-func (u UnionSource) LabelCount(label string) int {
-	return u.A.LabelCount(label) + u.B.LabelCount(label)
-}
-
-// NumEdges over-counts shared edges, acceptable for a statistic.
-func (u UnionSource) NumEdges() int { return u.A.NumEdges() + u.B.NumEdges() }
-
-// NumNodes over-counts shared nodes, acceptable for a statistic.
-func (u UnionSource) NumNodes() int { return u.A.NumNodes() + u.B.NumNodes() }
-
-func dedupOIDs(in []graph.OID) []graph.OID {
-	sort.Slice(in, func(i, j int) bool { return in[i] < in[j] })
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
+// freezeCopy freezes the union of what the surfaces hold — every node,
+// edge and collection, empty collections included — into one snapshot,
+// nil past the snapshot's id capacity. It gives a source without a
+// snapshot of its own (GraphSource, a test wrapper) one, and it is the
+// one graph a composed query reads: the base plus what earlier queries
+// constructed (EvalSeq).
+func freezeCopy(surfaces ...readSurface) *graph.Frozen {
+	nodes, edges := 0, 0
+	for _, s := range surfaces {
+		nodes, edges = nodes+s.NumNodes(), edges+s.NumEdges()
+	}
+	g := graph.NewWithCapacity(nodes, edges)
+	for _, s := range surfaces {
+		for _, n := range s.Nodes() {
+			g.AddNode(n)
+			g.AddEdges(s.Out(n))
+		}
+		for _, c := range s.CollectionNames() {
+			g.DeclareCollection(c)
+			for _, m := range s.Collection(c) {
+				g.AddToCollection(c, m)
+			}
 		}
 	}
-	return out
-}
-
-func dedupStrings(in []string) []string {
-	sort.Strings(in)
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func dedupValues(in []graph.Value) []graph.Value {
-	sort.Slice(in, func(i, j int) bool { return graph.KeyCompare(in[i], in[j]) < 0 })
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func dedupEdges(in []graph.Edge) []graph.Edge {
-	sort.Slice(in, func(i, j int) bool {
-		a, b := in[i], in[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		return graph.KeyCompare(a.To, b.To) < 0
-	})
-	out := in[:0]
-	for i, e := range in {
-		if i == 0 || e != in[i-1] {
-			out = append(out, e)
-		}
-	}
-	return out
+	return g.Freeze()
 }

@@ -1,8 +1,9 @@
 package struql_test
 
-// External test file: checks that queries answer identically against the
-// naive GraphSource and the fully-indexed repository (§2.1 / experiment
-// E6's correctness precondition), and that UnionSource behaves as a union.
+// External test file: checks that queries answer identically against a
+// plain GraphSource (evaluated through a frozen copy) and the
+// fully-indexed repository (its own snapshot), and that a composed
+// query reads base and constructed data as one graph.
 
 import (
 	"fmt"
@@ -74,54 +75,26 @@ func TestIndexedAndNaiveAgreeProperty(t *testing.T) {
 	}
 }
 
-func TestUnionSource(t *testing.T) {
-	a := graph.New()
-	a.AddToCollection("C", "x")
-	a.AddEdge("x", "v", graph.NewInt(1))
-	b := graph.New()
-	b.AddToCollection("C", "y")
-	b.AddToCollection("C", "x") // overlap
-	b.AddEdge("y", "v", graph.NewInt(2))
-	b.AddEdge("x", "w", graph.NewInt(3))
-	u := struql.NewUnionSource(struql.NewGraphSource(a), struql.NewGraphSource(b))
-	if got := u.Collection("C"); len(got) != 2 {
-		t.Errorf("union collection = %v", got)
-	}
-	if !u.InCollection("C", "y") || !u.InCollection("C", "x") {
-		t.Error("union membership wrong")
-	}
-	out := u.Out("x")
-	if len(out) != 2 {
-		t.Errorf("union out(x) = %v", out)
-	}
-	if got := u.Labels(); len(got) != 2 {
-		t.Errorf("union labels = %v", got)
-	}
-	if len(u.Nodes()) != 2 {
-		t.Errorf("union nodes = %v", u.Nodes())
-	}
-	if len(u.In(graph.NewInt(2))) != 1 {
-		t.Error("union In failed")
-	}
-	if len(u.EdgesLabeled("v")) != 2 {
-		t.Error("union EdgesLabeled failed")
-	}
-}
-
+// TestQueryOverUnionSeesBothSides pins composition: a later query of
+// EvalSeq reads the base data and what earlier queries constructed as
+// one graph, so it can join across the two.
 func TestQueryOverUnionSeesBothSides(t *testing.T) {
 	data := graph.New()
 	data.AddToCollection("Pubs", "p")
 	data.AddEdge("p", "title", graph.NewString("T"))
-	built := graph.New()
-	built.AddToCollection("Pages", "Page(p)")
-	built.AddEdge("Page(p)", "self", graph.NewNode("p"))
-	u := struql.NewUnionSource(struql.NewGraphSource(data), struql.NewGraphSource(built))
-	r, err := struql.Eval(struql.MustParse(
-		`where Pages(pg), pg -> "self" -> x, x -> "title" -> t create Nav(pg) link Nav(pg) -> "title" -> t`), u, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Graph.HasEdge("Nav(Page_p_)", "title", graph.NewString("T")) {
-		t.Errorf("cross-side join failed:\n%s", r.Graph.Dump())
+	build := struql.MustParse(`where Pubs(x) create Page(x) link Page(x) -> "self" -> x collect Pages(Page(x))`)
+	join := struql.MustParse(`where Pages(pg), pg -> "self" -> x, x -> "title" -> t
+		create Nav(pg) link Nav(pg) -> "title" -> t`)
+	for _, src := range []struct {
+		name string
+		src  struql.Source
+	}{{"graph", struql.NewGraphSource(data)}, {"indexed", repo.NewIndexed(data.Copy())}} {
+		site, err := struql.EvalSeq([]*struql.Query{build, join}, src.src, &struql.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", src.name, err)
+		}
+		if !site.HasEdge("Nav(Page_p_)", "title", graph.NewString("T")) {
+			t.Errorf("%s: cross-side join failed:\n%s", src.name, site.Dump())
+		}
 	}
 }

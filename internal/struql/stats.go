@@ -1,8 +1,7 @@
 package struql
 
 import (
-	"sync"
-
+	"strudel/internal/graph"
 	"strudel/internal/obs"
 )
 
@@ -20,10 +19,9 @@ type LabelStat struct {
 	Targets int
 }
 
-// LabelStatser is the optional fast path for per-label statistics: a
-// source that already indexes its attribute extents (the repository)
-// can answer without a scan. Sources that do not implement it are
-// scanned once per label through EdgesLabeled, and the result cached.
+// LabelStatser is implemented by sources that index their attribute
+// extents (the repository, a snapshot), so schema introspection can
+// report per-label statistics without a scan.
 type LabelStatser interface {
 	// LabelStats returns the edge count, distinct source count, and
 	// distinct target count of one label.
@@ -31,17 +29,16 @@ type LabelStatser interface {
 }
 
 // Stats holds the selectivity statistics the cost-based planner
-// consults: graph totals eagerly, per-label selectivities lazily (only
-// labels a query actually mentions are ever computed). A Stats is safe
-// for concurrent use and can be shared across evaluations of the same
-// source through Options.Stats — the "warm statistics" path of
-// experiment E14. It also memoises the plans made from it for its whole
+// consults: graph totals, and per-label selectivities read from the
+// snapshot's label index when asked. A Stats is safe for concurrent
+// use and can be shared across evaluations of the same source through
+// Options.Stats — the "warm statistics" path of experiment E14. It also memoises the plans made from it for its whole
 // lifetime, so sharing a Stats shares planning too; the memo grows with
 // the distinct condition lists evaluated under it, which suits a fixed
 // query set (a site schema's edge queries) and not per-request parsed
 // queries.
 type Stats struct {
-	src Source
+	f *graph.Frozen
 
 	// NumNodes and NumEdges are the graph totals, collected eagerly.
 	NumNodes int
@@ -50,61 +47,41 @@ type Stats struct {
 	// estimate for conditions without a usable label statistic.
 	AvgDeg float64
 
-	mu     sync.Mutex
-	labels map[string]LabelStat
-	// metrics counts cold per-label computations (nil disables).
+	// metrics counts per-label reads (nil disables).
 	metrics *obs.EvalMetrics
 	// plans memoises the condition orders planned with these statistics.
 	plans *planCache
 }
 
-// CollectStats prepares statistics over src. Graph totals are read
-// immediately (O(1) on every Source implementation); per-label
-// statistics are computed on first use.
+// CollectStats prepares statistics over the snapshot an evaluation of
+// src reads (see snapshot): for a source without a snapshot of its own,
+// that means freezing a copy. A source past the snapshot's id capacity,
+// which no evaluation can read, gets the statistics of an empty graph.
 func CollectStats(src Source) *Stats {
+	f, err := snapshot(src)
+	if err != nil {
+		f = graph.New().Freeze()
+	}
+	return newStats(f)
+}
+
+// newStats reads the graph totals of f.
+func newStats(f *graph.Frozen) *Stats {
 	return &Stats{
-		src:      src,
-		NumNodes: src.NumNodes(),
-		NumEdges: src.NumEdges(),
-		AvgDeg:   avgDegree(src),
-		labels:   make(map[string]LabelStat),
+		f:        f,
+		NumNodes: f.NumNodes(),
+		NumEdges: f.NumEdges(),
+		AvgDeg:   avgDegree(f),
 		plans:    newPlanCache(),
 	}
 }
 
-// Label returns the statistics for one edge label, computing and
-// caching them on first request. Sources implementing LabelStatser
-// answer from their indexes; others are scanned via EdgesLabeled.
+// Label returns the statistics for one edge label, precomputed in the
+// snapshot's label index.
 func (s *Stats) Label(label string) LabelStat {
-	s.mu.Lock()
-	if st, ok := s.labels[label]; ok {
-		s.mu.Unlock()
-		return st
-	}
-	s.mu.Unlock()
-	var st LabelStat
-	if ls, ok := s.src.(LabelStatser); ok {
-		st.Count, st.Sources, st.Targets = ls.LabelStats(label)
-	} else {
-		st = scanLabelStat(s.src, label)
-	}
 	s.metrics.RecordStatsLabel()
-	s.mu.Lock()
-	s.labels[label] = st
-	s.mu.Unlock()
-	return st
-}
-
-// scanLabelStat computes one label's statistics by scanning its edges.
-func scanLabelStat(src Source, label string) LabelStat {
-	edges := src.EdgesLabeled(label)
-	srcs := map[string]bool{}
-	tgts := map[string]bool{}
-	for _, e := range edges {
-		srcs[string(e.From)] = true
-		tgts[e.To.Key()] = true
-	}
-	return LabelStat{Count: len(edges), Sources: len(srcs), Targets: len(tgts)}
+	count, sources, targets := s.f.LabelStats(label)
+	return LabelStat{Count: count, Sources: sources, Targets: targets}
 }
 
 // FanOut estimates the expected number of result rows per already-bound
