@@ -89,11 +89,11 @@ soak-smoke:
 # loadgen-smoke runs the open-loop load generator against an in-process
 # sharded fleet for a short fixed window, asserting non-zero throughput
 # and zero differential-oracle mismatches; the raced serving-invariant
-# drills (reload under load, chaos kills, the shared-snapshot pin) run
-# alongside it.
+# drills (reload under load, chaos kills, the shared-snapshot pin, the
+# cross-replica single-flight handover) run alongside it.
 loadgen-smoke:
 	$(GO) test -count=1 -run '^TestLoadgenSmoke$$' -v ./internal/fleet
-	$(GO) test -count=1 -race -run '^TestReloadUnderLoad$$|^TestChaosKillsUnderLoad$$|^TestGenerationIsOneSharedSnapshot$$' ./internal/fleet
+	$(GO) test -count=1 -race -run '^TestReloadUnderLoad$$|^TestChaosKillsUnderLoad$$|^TestGenerationIsOneSharedSnapshot$$|^TestSingleFlightAcrossShards$$' ./internal/fleet
 
 # check is what CI runs.
 check: build fmt-check vet race bench-build

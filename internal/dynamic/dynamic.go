@@ -131,10 +131,9 @@ type Evaluator struct {
 type evalState struct {
 	src struql.Source
 	// gen is the data generation this state serves: it increases by one
-	// per swap (or jumps to the explicit generation a fleet coordinator
-	// assigns, so every replica of a fleet agrees on the number). A page
-	// rendered against this state is a pure function of gen — that is
-	// what makes generation-scoped ETags sound.
+	// per swap. A page rendered against this state is a pure function of
+	// gen — that is what makes generation-scoped ETags sound, and what
+	// lets every replica of a fleet share one state's cache.
 	gen int64
 
 	// opts carries the generation's planner statistics and, through
@@ -244,22 +243,9 @@ func (ev *Evaluator) SourceGen() (struql.Source, int64) {
 // finish against the previous generation — they serve a consistent,
 // slightly stale page rather than a torn one.
 func (ev *Evaluator) SwapData(src struql.Source, d *mediator.Delta) (kept, dropped int) {
-	return ev.SwapDataAt(src, d, -1)
-}
-
-// SwapDataAt is SwapData with an explicit target generation, used by the
-// fleet coordinator to move every replica to the same generation number.
-// gen < 0 means "previous generation + 1" (what SwapData does); a gen at
-// or below the current one also falls back to +1, preserving
-// monotonicity.
-func (ev *Evaluator) SwapDataAt(src struql.Source, d *mediator.Delta, gen int64) (kept, dropped int) {
 	next := newEvalState(src)
 	old := ev.snapshot()
-	if gen > old.gen {
-		next.gen = gen
-	} else {
-		next.gen = old.gen + 1
-	}
+	next.gen = old.gen + 1
 	old.mu.Lock()
 	for oid, pd := range old.cache {
 		if d == nil || affectedBy(ev.deps[pd.Ref.Fn], d, src) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"strudel/internal/dynamic"
@@ -27,18 +26,18 @@ type Config struct {
 	PerFn     map[string]string
 	Default   string
 	// Shards is the number of page-space partitions (≥1); Replicas the
-	// number of independent evaluators per shard (≥1).
+	// number of independently failing serving units per shard (≥1).
 	Shards   int
 	Replicas int
-	// Lookahead turns on link-following precomputation in every
-	// replica's evaluator, like dynamic.Evaluator.Lookahead.
+	// Lookahead turns on link-following precomputation in the fleet's
+	// evaluator, like dynamic.Evaluator.Lookahead.
 	Lookahead bool
 	// Gray tunes the gray-failure tolerance layer (health-checked
 	// routing, hedged requests, circuit breakers, retry budgets). The
 	// zero value takes every default.
 	Gray GrayConfig
-	// Obs receives fleet-level counters; ServeObs is threaded into every
-	// replica's evaluator (cache hits, queries run). Both nil-safe.
+	// Obs receives fleet-level counters; ServeObs is threaded into the
+	// fleet's one evaluator (cache hits, queries run). Both nil-safe.
 	Obs      *obs.FleetMetrics
 	ServeObs *obs.ServeMetrics
 }
@@ -68,14 +67,13 @@ func (e ErrShardDown) TypedError() *spine.Error {
 		Message: fmt.Sprintf("shard %d has no live replica", e.Shard)}
 }
 
-// Replica is one serving unit of one shard: its own evaluator (page
-// cache, Skolem environment) and its own renderer over the generation's
-// shared immutable snapshot. Replicas of the same shard answer the same
-// page requests; replicas of different shards are never asked for each
-// other's pages.
+// Replica is one serving unit of one shard: a unit of failure (life
+// context, health, breaker), not of cache — it renders through the
+// fleet's one renderer and the generation's one page cache. Replicas of
+// the same shard answer the same page requests; replicas of different
+// shards are never asked for each other's pages.
 type Replica struct {
 	shard, index int
-	ev           *dynamic.Evaluator
 	srv          *dynamic.Renderer
 
 	// life is cancelled by Kill, so in-flight renders on a killed
@@ -168,20 +166,20 @@ func (r *Replica) run(ctx context.Context, call func(context.Context) (string, i
 	return out, gen, nil
 }
 
-// Generation returns the replica's current data generation.
-func (r *Replica) Generation() int64 { return r.ev.Generation() }
-
 // transport makes one attempt at one page on one replica: the
 // in-process Replica.Render, or a GET to that replica's server.
 type transport func(ctx context.Context, shard, idx int, key string, ref dynamic.PageRef) (body string, gen int64, err error)
 
 // Fleet is the coordinator: the ring, the shard/replica grid, and the
-// generation counter every swap advances in lockstep. It implements
-// dynamic.Swapper, so the existing hot-reload loop publishes new data
-// to the whole fleet exactly as it did to a single evaluator.
+// one evaluator whose generation every replica serves. It implements
+// dynamic.Swapper, so the hot-reload loop publishes new data to the
+// whole fleet with one swap, exactly as it did to a single evaluator.
 type Fleet struct {
 	cfg  Config
 	ring *Ring
+	// srv renders for every replica; its evaluator holds the generation
+	// (snapshot, page cache, single-flight table, Skolem environment).
+	srv *dynamic.Renderer
 	// grid[shard][replica]
 	grid [][]*Replica
 	// gray is the gray-failure tolerance state: per-replica health and
@@ -193,7 +191,6 @@ type Fleet struct {
 	// with a GET to that replica's server.
 	attempt transport
 
-	gen   atomic.Int64
 	start time.Time
 
 	// swapMu serializes swaps; genTimes records when recent generations
@@ -210,10 +207,11 @@ const keptGenTimes = 16
 
 // New builds a fleet over an initial data source. A generation's data
 // is one immutable snapshot: the source's *graph.Frozen is resolved once
-// and every replica's evaluator reads that same pointer; a source with
-// no snapshot (a plain GraphSource) is shared as-is. Replicas stay
-// isolated because the snapshot never changes and all per-request state
-// lives in their own evaluators.
+// and the fleet's one evaluator reads it; a source with no snapshot (a
+// plain GraphSource) is shared as-is. That evaluator's page cache serves
+// every replica, as a (generation, page oid) pair fully determines a page,
+// and its one Skolem environment gives every display-form oid; page keys
+// (EncodeRef) do not depend on it.
 func New(cfg Config, src struql.Source) (*Fleet, error) {
 	if cfg.Schema == nil {
 		return nil, fmt.Errorf("fleet: config needs a schema")
@@ -241,19 +239,18 @@ func New(cfg Config, src struql.Source) (*Fleet, error) {
 	if fz := struql.SnapshotOf(src); fz != nil {
 		src = fz
 	}
+	ev := dynamic.NewEvaluator(cfg.Schema, src)
+	ev.Obs = cfg.ServeObs
+	ev.Lookahead = cfg.Lookahead
+	f.srv = dynamic.NewRenderer(ev, cfg.Templates, PageURL)
+	if cfg.PerFn != nil {
+		f.srv.PerFn = cfg.PerFn
+	}
+	f.srv.Default = cfg.Default
 	for s := 0; s < cfg.Shards; s++ {
 		f.grid[s] = make([]*Replica, cfg.Replicas)
 		for i := 0; i < cfg.Replicas; i++ {
-			ev := dynamic.NewEvaluator(cfg.Schema, src)
-			ev.Obs = cfg.ServeObs
-			ev.Lookahead = cfg.Lookahead
-			srv := dynamic.NewRenderer(ev, cfg.Templates, PageURL)
-			srv.PerFn = cfg.PerFn
-			if srv.PerFn == nil {
-				srv.PerFn = map[string]string{}
-			}
-			srv.Default = cfg.Default
-			rep := &Replica{shard: s, index: i, ev: ev, srv: srv}
+			rep := &Replica{shard: s, index: i, srv: f.srv}
 			rep.life, rep.cancel = context.WithCancel(context.Background())
 			f.grid[s][i] = rep
 		}
@@ -273,7 +270,7 @@ func (f *Fleet) Replica(shard, i int) *Replica { return f.grid[shard][i] }
 
 // Generation returns the fleet's current data generation (0 until the
 // first swap).
-func (f *Fleet) Generation() int64 { return f.gen.Load() }
+func (f *Fleet) Generation() int64 { return f.srv.Ev.Generation() }
 
 // GenTime returns the publish time of a generation, for Last-Modified:
 // the swap wall time for recent generations, the fleet start time for
@@ -290,7 +287,7 @@ func (f *Fleet) GenTime(gen int64) time.Time {
 // LastSwap returns when the current generation was published (the fleet
 // start time before any swap). The edge measures its
 // stale-while-revalidate window from it.
-func (f *Fleet) LastSwap() time.Time { return f.GenTime(f.gen.Load()) }
+func (f *Fleet) LastSwap() time.Time { return f.GenTime(f.Generation()) }
 
 // Route returns the shard owning a page key.
 func (f *Fleet) Route(key string) int { return f.ring.Shard(key) }
@@ -306,10 +303,10 @@ func (f *Fleet) KnownFn(fn string) bool {
 	return false
 }
 
-// EntryPoints returns the site's unconditional entry pages (identical
-// on every replica — it is schema-derived).
+// EntryPoints returns the site's unconditional entry pages (it is
+// schema-derived).
 func (f *Fleet) EntryPoints() []dynamic.PageRef {
-	return f.grid[0][0].ev.EntryPoints()
+	return f.srv.Ev.EntryPoints()
 }
 
 // Fetch renders a page on the owning shard through the gray-failure
@@ -350,27 +347,20 @@ func (f *Fleet) StartHealthChecks(ctx context.Context) {
 	})
 }
 
-// SwapData implements dynamic.Swapper: it hands the new generation's
-// snapshot (resolved once, as in New) to every replica of every shard
-// and then publishes the new generation number. Replicas swap one by
-// one — a request racing the swap is served entirely from whichever
-// generation its replica held when the render began (the per-request
-// snapshot guarantee), and the response is tagged with that generation,
-// so the edge never caches a mixed or mislabeled page.
+// SwapData implements dynamic.Swapper: it records the next generation's
+// publish time, then hands its snapshot (resolved once, as in New) to
+// the fleet's evaluator, which keeps the cached pages the delta leaves
+// valid; kept and dropped count each page once. A request racing the
+// swap is served entirely from the generation its render began with
+// (the per-request snapshot guarantee), and the response is tagged with
+// that generation, so the edge never caches a mixed or mislabeled page.
 func (f *Fleet) SwapData(src struql.Source, d *mediator.Delta) (kept, dropped int) {
 	f.swapMu.Lock()
 	defer f.swapMu.Unlock()
-	next := f.gen.Load() + 1
 	if fz := struql.SnapshotOf(src); fz != nil {
 		src = fz
 	}
-	for s := range f.grid {
-		for _, rep := range f.grid[s] {
-			k, dr := rep.ev.SwapDataAt(src, d, next)
-			kept += k
-			dropped += dr
-		}
-	}
+	next := f.Generation() + 1 // only SwapData swaps the evaluator
 	now := time.Now()
 	f.genMu.Lock()
 	f.genTimes[next] = now
@@ -384,7 +374,7 @@ func (f *Fleet) SwapData(src struql.Source, d *mediator.Delta) (kept, dropped in
 		delete(f.genTimes, oldest)
 	}
 	f.genMu.Unlock()
-	f.gen.Store(next)
+	kept, dropped = f.srv.Ev.SwapData(src, d)
 	if m := f.cfg.Obs; m != nil {
 		m.Swaps.Inc()
 		m.Generation.Set(next)

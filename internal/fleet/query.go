@@ -18,7 +18,7 @@ import (
 // under the same life-context and panic discipline Render uses.
 func (r *Replica) EvalSource(ctx context.Context, fn func(context.Context, struql.Source, int64) (string, error)) (string, int64, error) {
 	return r.run(ctx, func(ctx context.Context) (string, int64, error) {
-		src, gen := r.ev.SourceGen()
+		src, gen := r.srv.Ev.SourceGen()
 		out, err := fn(ctx, src, gen)
 		return out, gen, err
 	})

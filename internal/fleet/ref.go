@@ -1,11 +1,11 @@
 // Package fleet is the sharded, replicated serving tier for click-time
 // traffic: the site's page space is partitioned by consistent hashing
 // over Skolem page keys into shards, every replica of every shard reads
-// the generation's one immutable frozen snapshot of the data graph
-// through its own evaluator (a hot reload swaps the shared snapshot in),
-// and an HTTP edge routes page requests to the owning shard, caches
-// rendered pages with generation-scoped ETags, answers conditional GETs,
-// and serves stale-while-revalidate across reloads.
+// the generation's one immutable frozen snapshot of the data graph and
+// its one page cache through the fleet's one evaluator (a hot reload
+// swaps both), and an HTTP edge routes page requests to the owning
+// shard, caches rendered pages with generation-scoped ETags, answers
+// conditional GETs, and serves stale-while-revalidate across reloads.
 //
 // The paper's "Catching the Boat" scenario serves pages straight from
 // the StruQL evaluator; this package scales that single evaluator to a
@@ -26,10 +26,10 @@ import (
 // function name and each argument's canonical value key, joined with
 // ';' (escaped inside components). Unlike display-form oids — whose "#n"
 // disambiguation suffixes depend on the order pages were first computed
-// by a particular evaluator — page keys are derived only from the ref
-// itself, so every replica, the edge, and the router agree on them
-// without shared state, and any replica can decode one it has never
-// seen.
+// by a particular evaluator (one per fleet process) — page keys are
+// derived only from the ref itself, so every replica, the edge, and the
+// router agree on them without shared state, and any replica, in any
+// process, can decode one it has never seen.
 
 // escapeComp escapes '%' and ';' inside a key component; everything
 // else passes through, keeping keys readable in URLs and logs.
@@ -115,9 +115,9 @@ func DecodeRef(key string) (dynamic.PageRef, error) {
 }
 
 // PageURL is the edge's URL for a page ref: /page/<escaped page key>.
-// It is the link function every replica's dynamic.Renderer is built
-// with, so a page rendered by any replica links to URLs any other
-// replica can resolve.
+// It is the link function the fleet's dynamic.Renderer is built with,
+// so a page rendered by any replica links to URLs any other replica,
+// in this process or another, can resolve.
 func PageURL(ref dynamic.PageRef) string {
 	return "/page/" + urlEscapeKey(EncodeRef(ref))
 }

@@ -396,9 +396,9 @@ func (m *GenMetrics) Snapshot() map[string]any {
 
 // ServeMetrics instruments the click-time server: page-cache behaviour,
 // single-flight coalescing, load shedding, and hot-reload outcomes. One
-// instance is shared by every replica's evaluator, the page edge's
-// middleware chain, and the reloader; request counts and latency are
-// the edge's own (FleetMetrics). Nil-safe throughout.
+// instance is shared by the fleet's evaluator (one for every replica),
+// the page edge's middleware chain, and the reloader; request counts
+// and latency are the edge's own (FleetMetrics). Nil-safe throughout.
 type ServeMetrics struct {
 	// PageCacheHits/Misses count page lookups served from (or missing)
 	// the per-generation page cache; Coalesced counts requests that
@@ -424,7 +424,8 @@ type ServeMetrics struct {
 	ReloadFailures     Counter
 	ReloadRoundsFailed Counter
 	// ReloadApplied counts successful swaps; ReloadKept/ReloadDropped
-	// the cached pages carried over / invalidated across them.
+	// the cached pages carried over / invalidated across them, each page
+	// once however many replicas serve it.
 	ReloadApplied Counter
 	ReloadKept    Counter
 	ReloadDropped Counter
