@@ -19,7 +19,6 @@ import (
 	"strudel/internal/graph"
 	"strudel/internal/ivm"
 	"strudel/internal/mediator"
-	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/sites"
 	"strudel/internal/struql"
@@ -59,7 +58,7 @@ func BenchmarkFig8_Strudel(b *testing.B) {
 	for _, size := range []int{100, 400, 1600} {
 		for _, dims := range []int{1, 2, 4, 8} {
 			q := struql.MustParse(baseline.GroupedQuery("Publications", dims))
-			data := repo.NewIndexed(bibData(b, size))
+			data := bibData(b, size).Freeze()
 			b.Run(fmt.Sprintf("items=%d/links=%d", size, q.LinkClauseCount()), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
@@ -139,7 +138,7 @@ func BenchmarkE3_SportsOnly(b *testing.B) {
 // --- E4: composed queries (the suciu example, §5.1) ---
 
 func BenchmarkE4_Composition(b *testing.B) {
-	data := repo.NewIndexed(bibData(b, 200))
+	data := bibData(b, 200).Freeze()
 	q1 := struql.MustParse(`
 where Publications(x) create Page(x) link Page(x) -> "self" -> x collect Pages(Page(x))
 { where x -> l -> v link Page(x) -> l -> v }`)
@@ -187,7 +186,7 @@ func BenchmarkE6_IndexedQueries(b *testing.B) {
 	// The 25600-item tier (~270k edges) exercises the frozen-snapshot
 	// fast path at a scale where per-edge allocation dominates.
 	for _, size := range []int{100, 400, 1600, 6400, 25600} {
-		data := repo.NewIndexed(bibData(b, size))
+		data := bibData(b, size).Freeze()
 		b.Run(fmt.Sprintf("edges=%d", data.NumEdges()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -200,19 +199,18 @@ func BenchmarkE6_IndexedQueries(b *testing.B) {
 }
 
 // BenchmarkE6_NaiveQueries runs the optimized evaluator without its
-// planner: conditions in first-ready textual order over a plain graph
-// source, which the evaluator reads through a snapshot frozen from a
-// copy of the graph on every evaluation. It is the no-planner ablation,
+// planner: conditions in first-ready textual order over a plain map
+// graph, which the evaluator freezes into a snapshot on every
+// evaluation. It is the no-planner ablation,
 // not a scan baseline.
 func BenchmarkE6_NaiveQueries(b *testing.B) {
 	for _, size := range []int{100, 400, 1600} {
 		g := bibData(b, size)
-		data := struql.NewGraphSource(g)
 		b.Run(fmt.Sprintf("edges=%d", g.NumEdges()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, qs := range e6Queries {
-					r, err := struql.Eval(struql.MustParse(qs), data, &struql.Options{NoReorder: true})
+					r, err := struql.Eval(struql.MustParse(qs), g, &struql.Options{NoReorder: true})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -225,17 +223,16 @@ func BenchmarkE6_NaiveQueries(b *testing.B) {
 
 // BenchmarkE6_ReferenceScans runs the suite through NaiveEval, the
 // reference evaluator, which answers every access with a scan of a
-// plain graph source. Its self-join is quadratic, so it stops at 4,246
+// plain map graph. Its self-join is quadratic, so it stops at 4,246
 // edges.
 func BenchmarkE6_ReferenceScans(b *testing.B) {
 	for _, size := range []int{100, 400} {
 		g := bibData(b, size)
-		data := struql.NewGraphSource(g)
 		b.Run(fmt.Sprintf("edges=%d", g.NumEdges()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, qs := range e6Queries {
-					if _, err := struql.NaiveEval(struql.MustParse(qs), data); err != nil {
+					if _, err := struql.NaiveEval(struql.MustParse(qs), g); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -245,15 +242,15 @@ func BenchmarkE6_ReferenceScans(b *testing.B) {
 }
 
 // BenchmarkE6_IndexMaintenance times building the repository's indexes,
-// which are its frozen snapshot: NewIndexed itself builds nothing, so
-// each iteration forces the build with Frozen.
+// which are its frozen snapshot: each iteration freezes a fresh copy of
+// the graph.
 func BenchmarkE6_IndexMaintenance(b *testing.B) {
 	for _, size := range []int{100, 400, 1600, 6400, 25600} {
 		g := bibData(b, size)
 		b.Run(fmt.Sprintf("edges=%d", g.NumEdges()), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				repo.NewIndexed(g.Copy()).Frozen()
+				g.Copy().Freeze()
 			}
 		})
 	}
@@ -261,7 +258,7 @@ func BenchmarkE6_IndexMaintenance(b *testing.B) {
 
 // --- E7: static materialization vs dynamic click-time evaluation (§2.5) ---
 
-func e7Fixture(b *testing.B) (*struql.Query, *repo.Indexed) {
+func e7Fixture(b *testing.B) (*struql.Query, *graph.Frozen) {
 	b.Helper()
 	q := struql.MustParse(sites.CNNQuery)
 	spec := sites.CNN(300)
@@ -363,11 +360,10 @@ func e8Fixture(b *testing.B) (*core.Version, *graph.Graph, *graph.Graph, *mediat
 func BenchmarkE8_FullRebuild(b *testing.B) {
 	v, _, updated, _ := e8Fixture(b)
 	q := struql.MustParse(v.Queries[0])
-	src := struql.NewGraphSource(updated)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		mustEval(b, q, src)
+		mustEval(b, q, updated)
 	}
 }
 
@@ -376,11 +372,11 @@ func BenchmarkE8_FullRebuild(b *testing.B) {
 // re-applying an identical delta dedupes every row and constructs
 // nothing, so it would time a no-op.
 func benchEngineApply(b *testing.B, v *core.Version, data, updated *graph.Graph, delta *mediator.Delta) {
-	e, err := ivm.NewEngine(v, struql.NewGraphSource(data), nil)
+	e, err := ivm.NewEngine(v, data, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	srcs := []struql.Source{struql.NewGraphSource(updated), struql.NewGraphSource(data)}
+	srcs := []struql.Source{updated, data}
 	deltas := []*mediator.Delta{delta, mediator.Diff(updated, data)}
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -458,7 +454,7 @@ func BenchmarkE9_SecondVersion(b *testing.B) {
 // --- E10: separation of query and construction stages (§6.2) ---
 
 func BenchmarkE10_WhereStage(b *testing.B) {
-	data := repo.NewIndexed(bibData(b, 1000))
+	data := bibData(b, 1000).Freeze()
 	conds := struql.MustParse(`where Publications(x), x -> "year" -> y, x -> l -> v create N(x)`).Blocks[0].Where
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -470,7 +466,7 @@ func BenchmarkE10_WhereStage(b *testing.B) {
 }
 
 func BenchmarkE10_FullQuery(b *testing.B) {
-	data := repo.NewIndexed(bibData(b, 1000))
+	data := bibData(b, 1000).Freeze()
 	q := struql.MustParse(`where Publications(x), x -> "year" -> y, x -> l -> v create N(x) link N(x) -> l -> v, N(x) -> "year" -> y`)
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -542,7 +538,7 @@ func chainSite(depth, fanout int) *graph.Graph {
 func BenchmarkE11_TextOnly(b *testing.B) {
 	q := struql.MustParse(textOnlyQuery)
 	for _, depth := range []int{10, 100, 1000} {
-		data := repo.NewIndexed(chainSite(depth, 6))
+		data := chainSite(depth, 6).Freeze()
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -567,14 +563,14 @@ func BenchmarkE11_RPEScaling(b *testing.B) {
 
 // --- E12: integrity-constraint verification (§2.5) ---
 
-func e12Fixture(b *testing.B) (*schema.Schema, *repo.Indexed, *graph.Graph, constraints.Constraint) {
+func e12Fixture(b *testing.B) (*schema.Schema, *graph.Frozen, *graph.Graph, constraints.Constraint) {
 	b.Helper()
 	q := struql.MustParse(sites.HomepageQuery)
 	data, err := sites.HomepageData(200)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ix := repo.NewIndexed(data)
+	ix := data.Freeze()
 	site := mustEval(b, q, ix)
 	c, err := constraints.Parse(`every PaperPresentation reachable from CategoryPage via "Paper"`)
 	if err != nil {
@@ -662,7 +658,7 @@ func BenchmarkE13_ParallelScaling(b *testing.B) {
 // item carries one unique "id" edge (fan-out 1) and forty "tag" edges
 // (fan-out 40), plus a sparse "rare" chain. Uniform-degree heuristics
 // cannot tell the two labels apart; collected statistics can.
-func e14Data(n int) *repo.Indexed {
+func e14Data(n int) *graph.Frozen {
 	g := graph.New()
 	oid := func(i int) graph.OID { return graph.OID(fmt.Sprintf("p%05d", i)) }
 	for i := 0; i < n; i++ {
@@ -675,7 +671,7 @@ func e14Data(n int) *repo.Indexed {
 			g.AddEdge(oid(i-50), "rare", graph.NewNode(oid(i)))
 		}
 	}
-	return repo.NewIndexed(g)
+	return g.Freeze()
 }
 
 // e14SelectiveQuery touches the dense label first textually: the
@@ -792,7 +788,7 @@ func e15Site(b *testing.B) (*ivm.Site, *core.Version, *graph.Graph, *graph.Graph
 		b.Fatal(err)
 	}
 	data := med.DataGraph()
-	site, err := ivm.NewSite(&spec.Versions[0], struql.NewGraphSource(data), nil, nil)
+	site, err := ivm.NewSite(&spec.Versions[0], data, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -812,7 +808,7 @@ func BenchmarkE15_DeltaApplyLocalized(b *testing.B) {
 	// touch. Iterations alternate the addition and its removal, so every
 	// one constructs rows (an identical delta would dedupe to a no-op).
 	site, _, data, updated, delta := e15Site(b)
-	srcs := []struql.Source{struql.NewGraphSource(updated), struql.NewGraphSource(data)}
+	srcs := []struql.Source{updated, data}
 	deltas := []*mediator.Delta{delta, mediator.Diff(updated, data)}
 	b.ResetTimer()
 	b.ReportAllocs()
@@ -827,7 +823,7 @@ func BenchmarkE15_FullRebuildLocalized(b *testing.B) {
 	// The degraded path for the same edit: evaluate the whole query and
 	// re-render every page from scratch.
 	_, version, _, updated, _ := e15Site(b)
-	src := struql.NewGraphSource(updated)
+	src := updated
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

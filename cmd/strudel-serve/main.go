@@ -294,7 +294,7 @@ func buildServer(cfg config) (*server, error) {
 	}
 	// A site can be pure construction (no data files); it serves fine but
 	// has nothing to watch, so the reloader is nil and hot reload is off.
-	var data struql.Source
+	var data *graph.Frozen
 	if len(sources) > 0 {
 		if s.reloader, err = dynamic.NewReloader(sources...); err != nil {
 			return nil, err
@@ -305,7 +305,7 @@ func buildServer(cfg config) (*server, error) {
 		s.reloader.Obs = s.serveObs
 		s.reloader.IVM = s.ivmObs
 	} else {
-		data = struql.NewGraphSource(graph.New())
+		data = graph.New().Freeze()
 	}
 
 	ts := template.NewSet()

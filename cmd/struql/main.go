@@ -71,7 +71,7 @@ func run(cfg *config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Print(repo.BuildDataGuide(repo.NewIndexed(data), nil).String())
+		fmt.Print(repo.BuildDataGuide(data, nil).String())
 		return nil
 	}
 	var src string
@@ -101,14 +101,14 @@ func run(cfg *config) error {
 	}
 	opts := &struql.Options{Parallelism: cfg.jobs}
 	if cfg.explain {
-		text, err := struql.Explain(q, repo.NewIndexed(data), opts)
+		text, err := struql.Explain(q, data, opts)
 		if err != nil {
 			return err
 		}
 		fmt.Print(text)
 		return nil
 	}
-	r, err := struql.Eval(q, repo.NewIndexed(data), opts)
+	r, err := struql.Eval(q, data, opts)
 	if err != nil {
 		return err
 	}

@@ -22,7 +22,6 @@ import (
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/sites"
 	"strudel/internal/struql"
@@ -109,7 +108,7 @@ func main() {
 	for _, e := range delta.AddedEdges {
 		g.AddEdge(e.From, e.Label, e.To)
 	}
-	kept, dropped := fl.SwapData(repo.NewIndexed(g), delta)
+	kept, dropped := fl.SwapData(g.Freeze(), delta)
 	fmt.Printf("data change (new article) invalidated %d cached pages; %d carried over\n",
 		dropped, kept)
 }

@@ -14,7 +14,6 @@ import (
 	"strudel/internal/constraints"
 	"strudel/internal/graph"
 	"strudel/internal/htmlgen"
-	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/struql"
 	"strudel/internal/template"
@@ -62,7 +61,7 @@ link Home() -> "Book" -> BookPage(b)
 	fmt.Print(schema.Build(q).String())
 
 	// 3. Evaluate against the fully indexed repository.
-	result, err := struql.Eval(q, repo.NewIndexed(data), nil)
+	result, err := struql.Eval(q, data, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

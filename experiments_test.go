@@ -16,7 +16,6 @@ import (
 	"strudel/internal/ivm"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/sites"
 	"strudel/internal/struql"
@@ -162,7 +161,7 @@ func TestE8_IncrementalMatchesFullAndSkips(t *testing.T) {
 	version := &spec.Versions[0]
 	m := &obs.IVMMetrics{}
 	em := &obs.EvalMetrics{}
-	site, err := ivm.NewSite(version, struql.NewGraphSource(data), &core.Options{Eval: em}, m)
+	site, err := ivm.NewSite(version, data, &core.Options{Eval: em}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +170,10 @@ func TestE8_IncrementalMatchesFullAndSkips(t *testing.T) {
 	updated.AddEdge("new1", "title", graph.NewString("New"))
 	updated.AddEdge("new1", "year", graph.NewInt(2000))
 	before := em.WhereEvals.Load()
-	if err := site.Apply(struql.NewGraphSource(updated), mediator.Diff(data, updated)); err != nil {
+	if err := site.Apply(updated, mediator.Diff(data, updated)); err != nil {
 		t.Fatal(err)
 	}
-	full, err := core.BuildVersion(version, struql.NewGraphSource(updated))
+	full, err := core.BuildVersion(version, updated)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,11 +254,11 @@ func TestE6_IndexedAgreesWithNaive(t *testing.T) {
 	}
 	for _, qs := range e6Queries {
 		q := struql.MustParse(qs)
-		ri, err := struql.Eval(q, repo.NewIndexed(g.Copy()), nil)
+		ri, err := struql.Eval(q, g.Copy().Freeze(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rn, err := struql.NaiveEval(q, struql.NewGraphSource(g))
+		rn, err := struql.NaiveEval(q, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +274,7 @@ func TestE12_ThreeCheckersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix := repo.NewIndexed(data)
+	ix := data.Freeze()
 	r, err := struql.Eval(q, ix, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func TestPipelineArchitecture(t *testing.T) {
 	}
 	// Persist and reload through both formats.
 	r := repo.NewRepository()
-	r.PutIndexed("data", warehouse)
+	r.Put("data", warehouse)
 	textDir := filepath.Join(t.TempDir(), "text")
 	binDir := filepath.Join(t.TempDir(), "bin")
 	if err := r.Save(textDir); err != nil {

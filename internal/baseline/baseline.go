@@ -7,8 +7,8 @@
 // pipeline on build time and on specification size.
 //
 // The unoptimized-query baseline for experiment E6 does not live here: it
-// is struql evaluation with Options{NoReorder: true} over a plain
-// GraphSource instead of the indexed repository.
+// is struql evaluation with Options{NoReorder: true} over a plain map
+// graph instead of the repository's snapshot.
 package baseline
 
 import (

@@ -76,7 +76,7 @@ func TestGroupedQueryParsesAndMatchesProcedural(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dims=%d: %v", dims, err)
 		}
-		r, err := struql.Eval(q, struql.NewGraphSource(data), nil)
+		r, err := struql.Eval(q, data, nil)
 		if err != nil {
 			t.Fatalf("dims=%d: %v", dims, err)
 		}

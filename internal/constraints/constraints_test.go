@@ -68,7 +68,7 @@ func dataGraph(withOrphan bool) *graph.Graph {
 func buildSite(t *testing.T, data *graph.Graph) (*schema.Schema, *graph.Graph) {
 	t.Helper()
 	q := struql.MustParse(fig3Query)
-	r, err := struql.Eval(q, struql.NewGraphSource(data), nil)
+	r, err := struql.Eval(q, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDataCheckAgreesWithSiteCheck(t *testing.T) {
 	paper := Reachability{From: "CategoryPage", To: "PaperPresentation", Path: struql.MustParsePathExpr(`"Paper"`)}
 	for _, orphan := range []bool{false, true} {
 		s, site := buildSite(t, dataGraph(orphan))
-		data := struql.NewGraphSource(dataGraph(orphan))
+		data := dataGraph(orphan)
 		dr := paper.CheckData(s, data)
 		sr := paper.CheckSite(site)
 		if dr.Verdict != sr.Verdict {
@@ -133,7 +133,7 @@ func TestMultiHopDataCheck(t *testing.T) {
 	// Reachability from the root via a two-hop star path.
 	c := Reachability{From: "RootPage", To: "PaperPresentation", Path: struql.MustParsePathExpr(`_*`)}
 	s, site := buildSite(t, dataGraph(true))
-	dr := c.CheckData(s, struql.NewGraphSource(dataGraph(true)))
+	dr := c.CheckData(s, dataGraph(true))
 	sr := c.CheckSite(site)
 	if dr.Verdict != Violated || sr.Verdict != Violated {
 		t.Errorf("data=%v (%s), site=%v (%s), want violated (orphan pub3)", dr.Verdict, dr.Reason, sr.Verdict, sr.Reason)
@@ -143,7 +143,7 @@ func TestMultiHopDataCheck(t *testing.T) {
 	}
 	// Without the orphan everything is reachable.
 	s2, site2 := buildSite(t, dataGraph(false))
-	if r := c.CheckData(s2, struql.NewGraphSource(dataGraph(false))); r.Verdict != Verified {
+	if r := c.CheckData(s2, dataGraph(false)); r.Verdict != Verified {
 		t.Errorf("no-orphan data verdict = %v (%s)", r.Verdict, r.Reason)
 	}
 	if r := c.CheckSite(site2); r.Verdict != Verified {
@@ -170,7 +170,7 @@ func TestAttributeExistsStatic(t *testing.T) {
 func TestAttributeExistsDataAndSite(t *testing.T) {
 	c := AttributeExists{Set: "PaperPresentation", Label: "month"}
 	s, site := buildSite(t, dataGraph(true))
-	dr := c.CheckData(s, struql.NewGraphSource(dataGraph(true)))
+	dr := c.CheckData(s, dataGraph(true))
 	if dr.Verdict != Violated {
 		t.Fatalf("data verdict = %v (%s)", dr.Verdict, dr.Reason)
 	}
@@ -184,7 +184,7 @@ func TestAttributeExistsDataAndSite(t *testing.T) {
 	}
 	// With months present everywhere, both agree on verified.
 	s2, site2 := buildSite(t, dataGraph(false))
-	if r := c.CheckData(s2, struql.NewGraphSource(dataGraph(false))); r.Verdict != Verified {
+	if r := c.CheckData(s2, dataGraph(false)); r.Verdict != Verified {
 		t.Errorf("data verdict = %v (%s)", r.Verdict, r.Reason)
 	}
 	if r := c.CheckSite(site2); r.Verdict != Verified {
@@ -203,7 +203,7 @@ func TestConnectedChecks(t *testing.T) {
 	if r := c.CheckStatic(s); r.Verdict != Unknown {
 		t.Errorf("static connected = %v (%s), want unknown", r.Verdict, r.Reason)
 	}
-	if r := c.CheckData(s, struql.NewGraphSource(dataGraph(false))); r.Verdict != Verified {
+	if r := c.CheckData(s, dataGraph(false)); r.Verdict != Verified {
 		t.Errorf("data connected = %v (%s)", r.Verdict, r.Reason)
 	}
 	// With the orphan the site is disconnected and all three notice.
@@ -211,7 +211,7 @@ func TestConnectedChecks(t *testing.T) {
 	if r := c.CheckSite(site2); r.Verdict != Violated {
 		t.Errorf("site connected orphan = %v", r.Verdict)
 	}
-	if r := c.CheckData(s2, struql.NewGraphSource(dataGraph(true))); r.Verdict != Violated {
+	if r := c.CheckData(s2, dataGraph(true)); r.Verdict != Violated {
 		t.Errorf("data connected orphan = %v (%s)", r.Verdict, r.Reason)
 	}
 }
@@ -299,7 +299,7 @@ func TestVerdictStrings(t *testing.T) {
 func TestReasonMentionsWitnessCount(t *testing.T) {
 	s, _ := buildSite(t, dataGraph(true))
 	c := Reachability{From: "CategoryPage", To: "PaperPresentation", Path: struql.MustParsePathExpr(`"Paper"`)}
-	r := c.CheckData(s, struql.NewGraphSource(dataGraph(true)))
+	r := c.CheckData(s, dataGraph(true))
 	if !strings.Contains(r.Reason, "1 data rows") {
 		t.Errorf("reason = %q", r.Reason)
 	}

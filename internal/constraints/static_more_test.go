@@ -47,7 +47,7 @@ func TestUnknownSetsReturnUnknown(t *testing.T) {
 			t.Errorf("%s: static = %v, want unknown", c, r.Verdict)
 		}
 	}
-	data := struql.NewGraphSource(graph.New())
+	data := graph.New()
 	for _, c := range checks {
 		if _, isConn := c.(Connected); isConn {
 			continue // Connected aggregates per-node results
@@ -71,7 +71,7 @@ link Root() -> l -> Page(x)
 	g.AddToCollection("Items", "i1")
 	g.AddEdge("i1", "weird", graph.NewInt(1))
 	c := Reachability{From: "Root", To: "Page", Path: struql.MustParsePathExpr(`~"we.*"`)}
-	r := c.CheckData(s, struql.NewGraphSource(g))
+	r := c.CheckData(s, g)
 	if r.Verdict == Violated {
 		t.Errorf("regex-over-arc-variable path must not yield Violated: %s", r.Reason)
 	}

@@ -23,7 +23,6 @@ import (
 	"strudel/internal/htmlgen"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/struql"
 	"strudel/internal/template"
@@ -182,7 +181,7 @@ type VersionResult struct {
 
 // BuildResult is a fully built spec.
 type BuildResult struct {
-	Data     *repo.Indexed
+	Data     *graph.Frozen
 	Versions map[string]*VersionResult
 	// SourceReports are the per-source skip reports of a lenient build,
 	// in source order; nil in strict mode.
@@ -211,7 +210,7 @@ func BuildWith(spec *Spec, opts *Options) (*BuildResult, error) {
 		med.Obs = opts.Source
 	}
 	ws := opts.span("wrap")
-	var data *repo.Indexed
+	var data *graph.Frozen
 	var reports []mediator.SourceReport
 	if opts != nil && opts.Lenient {
 		data, reports, err = med.WarehouseLenient(opts.Budget)
@@ -450,10 +449,6 @@ func linkClauses(queries []*struql.Query) int {
 	}
 	return n
 }
-
-// GraphSourceOf wraps a plain graph as a source, re-exported so example
-// programs depend only on core.
-func GraphSourceOf(g *graph.Graph) struql.Source { return struql.NewGraphSource(g) }
 
 // StaticSource wraps an already loaded graph as a mediator source.
 func StaticSource(name string, g *graph.Graph) mediator.Source {

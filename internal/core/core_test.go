@@ -70,7 +70,7 @@ link Root() -> "pub" -> Page(x)
 			`every Page has "title"`,
 		},
 	}
-	vr, err := BuildVersion(v, struql.NewGraphSource(data))
+	vr, err := BuildVersion(v, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestConstraintViolationReported(t *testing.T) {
 		Roots:       []string{"Root()"},
 		Constraints: []string{`connected from Root`},
 	}
-	vr, err := BuildVersion(v, struql.NewGraphSource(data))
+	vr, err := BuildVersion(v, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestBuildErrors(t *testing.T) {
 	}
 	for _, v := range cases {
 		v := v
-		if _, err := BuildVersion(&v, struql.NewGraphSource(data)); err == nil {
+		if _, err := BuildVersion(&v, data); err == nil {
 			t.Errorf("version %s should fail", v.Name)
 		}
 	}
@@ -146,7 +146,7 @@ link Page(x) -> "title" -> "T"
 collect Pages(Page(x))
 { where x -> l -> v link Page(x) -> l -> v }
 `)}
-	site, err := struql.EvalSeq(queries, struql.NewGraphSource(data), nil)
+	site, err := struql.EvalSeq(queries, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"strudel/internal/graph"
-	"strudel/internal/struql"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -88,7 +87,7 @@ link Home() -> "Book" -> BookPage(b)
 
 func TestGoldenSiteOutput(t *testing.T) {
 	v, data := goldenVersion()
-	vr, err := BuildVersion(v, struql.NewGraphSource(data))
+	vr, err := BuildVersion(v, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestGoldenSiteOutputParallel(t *testing.T) {
 		t.Skip("golden files are rewritten by the sequential test")
 	}
 	v, data := goldenVersion()
-	vr, err := BuildVersionWith(v, struql.NewGraphSource(data), &Options{Parallelism: 8})
+	vr, err := BuildVersionWith(v, data, &Options{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

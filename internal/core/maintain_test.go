@@ -9,7 +9,6 @@ import (
 	"strudel/internal/ivm"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
-	"strudel/internal/struql"
 )
 
 // A built version is kept up to date by ivm. These tests pin what
@@ -66,7 +65,7 @@ func maintainData() *graph.Graph {
 func TestMaintainerNoopDelta(t *testing.T) {
 	data := maintainData()
 	m := &obs.IVMMetrics{}
-	s, err := ivm.NewSite(maintainVersion(), struql.NewGraphSource(data), nil, m)
+	s, err := ivm.NewSite(maintainVersion(), data, nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +73,7 @@ func TestMaintainerNoopDelta(t *testing.T) {
 		t.Fatal("single-query version should be maintained incrementally")
 	}
 	out := s.Output()
-	if err := s.Apply(struql.NewGraphSource(data), &mediator.Delta{}); err != nil {
+	if err := s.Apply(data, &mediator.Delta{}); err != nil {
 		t.Fatal(err)
 	}
 	work := m.RowsInserted.Load() + m.RowsRemoved.Load() +
@@ -88,7 +87,7 @@ func TestMaintainerNoopDelta(t *testing.T) {
 func TestMaintainerRejectsMultiQueryVersions(t *testing.T) {
 	v := maintainVersion()
 	v.Queries = append(v.Queries, `create X()`)
-	_, err := ivm.NewEngine(v, struql.NewGraphSource(maintainData()), nil)
+	_, err := ivm.NewEngine(v, maintainData(), nil)
 	var b *ivm.Bailout
 	if !errors.As(err, &b) || b.Reason != ivm.ReasonComposedQueries {
 		t.Errorf("multi-query version should be refused as composed queries, got %v", err)

@@ -394,9 +394,8 @@ func (p *parser) value() (graph.Value, error) {
 	return graph.Null, p.errf("expected value, got %q", p.tok.text)
 }
 
-// View is the read surface Print needs. *graph.Graph, *graph.Frozen
-// and *repo.Indexed all provide it, so a map graph and a snapshot print
-// alike.
+// View is the read surface Print needs. *graph.Graph and *graph.Frozen
+// both provide it, so a map graph and a snapshot print alike.
 type View interface {
 	CollectionNames() []string
 	Collection(name string) []graph.OID

@@ -118,17 +118,16 @@ func orgSitePages(t *testing.T) (*graph.Frozen, *schema.Schema, []dynamic.PageRe
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := data.Frozen()
 	var refs []dynamic.PageRef
 	for _, c := range []struct{ coll, fn string }{
 		{"People", "PersonPage"}, {"Orgs", "OrgPage"}, {"Projects", "ProjectPage"},
 	} {
-		for _, oid := range snap.Collection(c.coll) {
+		for _, oid := range data.Collection(c.coll) {
 			refs = append(refs, dynamic.PageRef{Fn: c.fn, Args: []graph.Value{graph.NewNode(oid)}})
 		}
 	}
 	if len(refs) < 100 {
 		t.Fatalf("only %d pages to compute", len(refs))
 	}
-	return snap, schema.Build(struql.MustParse(sites.OrgSiteQuery)), refs
+	return data, schema.Build(struql.MustParse(sites.OrgSiteQuery)), refs
 }

@@ -97,15 +97,11 @@ func BlockDeps(b *struql.Block) map[string]bool {
 
 // AffectedBy reports whether a dependency set intersects a delta. For
 // edges-of:C dependencies, each changed edge's source is tested for
-// membership in C against the current data — this is what distinguishes
-// "a new patent attribute" from "a new publication attribute". The
-// batch-side incremental maintainer (package ivm) shares this test.
-func AffectedBy(deps map[string]bool, d *mediator.Delta, data struql.Source) bool {
-	return affectedBy(deps, d, data)
-}
-
-// affectedBy is AffectedBy; kept unexported for package-internal callers.
-func affectedBy(deps map[string]bool, d *mediator.Delta, data struql.Source) bool {
+// membership in C against the generation's snapshot — this is what
+// distinguishes "a new patent attribute" from "a new publication
+// attribute". The batch-side incremental maintainer (package ivm)
+// shares this test.
+func AffectedBy(deps map[string]bool, d *mediator.Delta, data *graph.Frozen) bool {
 	if deps["*"] {
 		return !d.Empty()
 	}

@@ -36,41 +36,41 @@ func TestAffectedByMembershipRefinement(t *testing.T) {
 	data.AddToCollection("Patents", "pat1")
 	data.AddEdge("pub1", "title", graph.NewString("T"))
 	data.AddEdge("pat1", "number", graph.NewString("US1"))
-	src := struql.NewGraphSource(data)
+	src := data.Freeze()
 	deps := map[string]bool{"edges-of:Publications": true, "coll:Publications": true}
 
 	// An edge on a patent does not affect a publications-only block.
 	patDelta := &mediator.Delta{AddedEdges: []graph.Edge{
 		{From: "pat1", Label: "year", To: graph.NewInt(1998)},
 	}}
-	if affectedBy(deps, patDelta, src) {
+	if AffectedBy(deps, patDelta, src) {
 		t.Error("patent edge should not affect a publications block")
 	}
 	// An edge on a publication does.
 	pubDelta := &mediator.Delta{AddedEdges: []graph.Edge{
 		{From: "pub1", Label: "year", To: graph.NewInt(1998)},
 	}}
-	if !affectedBy(deps, pubDelta, src) {
+	if !AffectedBy(deps, pubDelta, src) {
 		t.Error("publication edge should affect the block")
 	}
 	// New membership in the watched collection affects it too.
 	memDelta := &mediator.Delta{AddedMembers: []mediator.Membership{{Coll: "Publications", OID: "pubX"}}}
-	if !affectedBy(deps, memDelta, src) {
+	if !AffectedBy(deps, memDelta, src) {
 		t.Error("membership change should affect the block")
 	}
 	// Label-specific dependencies.
 	labelDeps := map[string]bool{"label:year": true}
-	if !affectedBy(labelDeps, pubDelta, src) {
+	if !AffectedBy(labelDeps, pubDelta, src) {
 		t.Error("label:year should match a year edge")
 	}
-	if affectedBy(labelDeps, &mediator.Delta{AddedEdges: []graph.Edge{
+	if AffectedBy(labelDeps, &mediator.Delta{AddedEdges: []graph.Edge{
 		{From: "x", Label: "other", To: graph.NewInt(1)},
 	}}, src) {
 		t.Error("label:year should not match an other edge")
 	}
 	// "*" matches any non-empty delta and nothing on an empty one.
 	star := map[string]bool{"*": true}
-	if !affectedBy(star, pubDelta, src) || affectedBy(star, &mediator.Delta{}, src) {
+	if !AffectedBy(star, pubDelta, src) || AffectedBy(star, &mediator.Delta{}, src) {
 		t.Error("* semantics wrong")
 	}
 }

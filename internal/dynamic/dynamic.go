@@ -136,21 +136,40 @@ type evalState struct {
 	// lets every replica of a fleet share one state's cache.
 	gen int64
 
-	// opts carries the generation's planner statistics and, through
-	// them, its plans: built on the first compute, then shared by every
-	// page computed against src.
-	optsOnce sync.Once
-	opts     *struql.Options
+	// frozen is src's snapshot and opts carries the generation's planner
+	// statistics and, through them, its plans: resolved on first use,
+	// then shared by every page computed against src. Evaluations are
+	// handed src itself (see struql.Snapshot); frozen serves the reads
+	// that are not evaluations.
+	once   sync.Once
+	frozen *graph.Frozen
+	opts   *struql.Options
 
 	mu     sync.Mutex
 	cache  map[graph.OID]*PageData
 	flight map[graph.OID]*flightCall
 }
 
+func (st *evalState) resolve() {
+	st.once.Do(func() {
+		// nil past the snapshot's id capacity, where every evaluation of
+		// src fails with the typed error.
+		st.frozen, _ = struql.Snapshot(st.src)
+		st.opts = &struql.Options{Stats: struql.CollectStats(st.frozen)}
+	})
+}
+
 // evalOpts returns the evaluation options of the generation.
 func (st *evalState) evalOpts() *struql.Options {
-	st.optsOnce.Do(func() { st.opts = &struql.Options{Stats: struql.CollectStats(st.src)} })
+	st.resolve()
 	return st.opts
+}
+
+// data returns the generation's snapshot, nil past the id capacity:
+// then no page computes, and SwapData carries none over.
+func (st *evalState) data() *graph.Frozen {
+	st.resolve()
+	return st.frozen
 }
 
 // pageEdge is one schema out-edge of a Skolem function plus its NS
@@ -248,7 +267,7 @@ func (ev *Evaluator) SwapData(src struql.Source, d *mediator.Delta) (kept, dropp
 	next.gen = old.gen + 1
 	old.mu.Lock()
 	for oid, pd := range old.cache {
-		if d == nil || affectedBy(ev.deps[pd.Ref.Fn], d, src) {
+		if d == nil || next.data() == nil || AffectedBy(ev.deps[pd.Ref.Fn], d, next.data()) {
 			dropped++
 			continue
 		}
@@ -527,7 +546,7 @@ func (ev *Evaluator) Invalidate(d *mediator.Delta) int {
 	defer st.mu.Unlock()
 	dropped := 0
 	for oid, pd := range st.cache {
-		if affectedBy(ev.deps[pd.Ref.Fn], d, st.src) {
+		if AffectedBy(ev.deps[pd.Ref.Fn], d, st.data()) {
 			delete(st.cache, oid)
 			dropped++
 		}

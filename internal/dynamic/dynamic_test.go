@@ -46,7 +46,7 @@ func testData() *graph.Graph {
 func newEvaluator(t *testing.T, data *graph.Graph) (*Evaluator, *struql.Query) {
 	t.Helper()
 	q := struql.MustParse(siteQuery)
-	return NewEvaluator(schema.Build(q), struql.NewGraphSource(data)), q
+	return NewEvaluator(schema.Build(q), data), q
 }
 
 func TestEntryPoints(t *testing.T) {
@@ -95,7 +95,7 @@ func TestDynamicAgreesWithStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := struql.Eval(q, struql.NewGraphSource(data), nil)
+	r, err := struql.Eval(q, data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ where A(x) create F(x) link F(x) -> "v" -> x
 `)
 	data := graph.New()
 	data.AddToCollection("A", "a1")
-	ev := NewEvaluator(schema.Build(q), struql.NewGraphSource(data))
+	ev := NewEvaluator(schema.Build(q), data)
 	pd, err := ev.Page(PageRef{Fn: "F", Args: []graph.Value{graph.NewNode("a1")}})
 	if err != nil {
 		t.Fatal(err)

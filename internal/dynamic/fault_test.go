@@ -16,11 +16,11 @@ import (
 	"strudel/internal/struql"
 )
 
-// FaultSource wraps a struql.Source, delaying every indexed access by
-// Delay and counting accesses. Because the StruQL evaluator polls its
-// request context between bounded row batches, a cancelled request
-// against a FaultSource stops after a few more accesses instead of
-// walking the whole graph — Ops makes that observable.
+// FaultSource wraps a struql.Source, delaying every access by Delay and
+// counting accesses. It has no snapshot of its own, so every evaluation
+// over it first reads it whole into a copy (struql.Snapshot): each
+// evaluation, and so each page computed on it, is slow — Ops makes that
+// observable.
 type FaultSource struct {
 	Inner struql.Source
 	// Delay is added to every access; zero only counts.
@@ -44,24 +44,9 @@ func (f *FaultSource) touch() {
 	}
 }
 
-func (f *FaultSource) Collection(name string) []graph.OID {
+func (f *FaultSource) Nodes() []graph.OID {
 	f.touch()
-	return f.Inner.Collection(name)
-}
-
-func (f *FaultSource) InCollection(name string, oid graph.OID) bool {
-	f.touch()
-	return f.Inner.InCollection(name, oid)
-}
-
-func (f *FaultSource) CollectionNames() []string {
-	f.touch()
-	return f.Inner.CollectionNames()
-}
-
-func (f *FaultSource) CollectionSize(name string) int {
-	f.touch()
-	return f.Inner.CollectionSize(name)
+	return f.Inner.Nodes()
 }
 
 func (f *FaultSource) Out(oid graph.OID) []graph.Edge {
@@ -69,44 +54,24 @@ func (f *FaultSource) Out(oid graph.OID) []graph.Edge {
 	return f.Inner.Out(oid)
 }
 
-func (f *FaultSource) OutLabel(oid graph.OID, label string) []graph.Value {
+func (f *FaultSource) CollectionNames() []string {
 	f.touch()
-	return f.Inner.OutLabel(oid, label)
+	return f.Inner.CollectionNames()
 }
 
-func (f *FaultSource) EdgesLabeled(label string) []graph.Edge {
+func (f *FaultSource) Collection(name string) []graph.OID {
 	f.touch()
-	return f.Inner.EdgesLabeled(label)
-}
-
-func (f *FaultSource) In(v graph.Value) []graph.Edge {
-	f.touch()
-	return f.Inner.In(v)
-}
-
-func (f *FaultSource) Nodes() []graph.OID {
-	f.touch()
-	return f.Inner.Nodes()
-}
-
-func (f *FaultSource) Labels() []string {
-	f.touch()
-	return f.Inner.Labels()
-}
-
-func (f *FaultSource) LabelCount(label string) int {
-	f.touch()
-	return f.Inner.LabelCount(label)
-}
-
-func (f *FaultSource) NumEdges() int {
-	f.touch()
-	return f.Inner.NumEdges()
+	return f.Inner.Collection(name)
 }
 
 func (f *FaultSource) NumNodes() int {
 	f.touch()
 	return f.Inner.NumNodes()
+}
+
+func (f *FaultSource) NumEdges() int {
+	f.touch()
+	return f.Inner.NumEdges()
 }
 
 // FlakyLoader wraps a wrapper-load function with programmable faults: a

@@ -35,7 +35,7 @@ func siteVersion() *core.Version {
 
 func maintainedSite(t *testing.T, data *graph.Graph) (*ivm.Engine, *obs.IVMMetrics) {
 	t.Helper()
-	e, err := ivm.NewEngine(siteVersion(), struql.NewGraphSource(data), nil)
+	e, err := ivm.NewEngine(siteVersion(), data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func maintainedSite(t *testing.T, data *graph.Graph) (*ivm.Engine, *obs.IVMMetri
 
 func requireMonolithic(t *testing.T, site, data *graph.Graph, context string) {
 	t.Helper()
-	full, err := struql.Eval(struql.MustParse(dynamic.SiteQuery), struql.NewGraphSource(data), nil)
+	full, err := struql.Eval(struql.MustParse(dynamic.SiteQuery), data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,8 +65,9 @@ func work(m *obs.IVMMetrics) int64 {
 // block of the site query reads anything the delta changes.
 func requireNoBlockAffected(t *testing.T, delta *mediator.Delta, data *graph.Graph) {
 	t.Helper()
+	snap := data.Freeze()
 	for i, blk := range struql.MustParse(dynamic.SiteQuery).Blocks {
-		if dynamic.AffectedBy(dynamic.BlockDeps(blk), delta, struql.NewGraphSource(data)) {
+		if dynamic.AffectedBy(dynamic.BlockDeps(blk), delta, snap) {
 			t.Errorf("block %d counted as affected by %+v", i, delta)
 		}
 	}
@@ -87,7 +88,7 @@ func TestIncrementalAdditive(t *testing.T) {
 	data.AddEdge("pub4", "title", graph.NewString("New Paper"))
 	data.AddEdge("pub4", "year", graph.NewInt(1999))
 	// An error would be a bailout: the additive delta must propagate.
-	pages, err := e.Apply(struql.NewGraphSource(data), mediator.Diff(prev, data))
+	pages, err := e.Apply(data, mediator.Diff(prev, data))
 	if err != nil {
 		t.Fatalf("additive delta should propagate, not bail out: %v", err)
 	}
@@ -107,7 +108,7 @@ func TestIncrementalSkipsUnaffectedBlocks(t *testing.T) {
 	data.AddEdge("misc", "noise", graph.NewInt(1))
 	delta := &mediator.Delta{AddedEdges: []graph.Edge{{From: "misc", Label: "noise", To: graph.NewInt(1)}}}
 	requireNoBlockAffected(t, delta, data)
-	pages, err := e.Apply(struql.NewGraphSource(data), delta)
+	pages, err := e.Apply(data, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestIncrementalStateSkipsUnrelatedChanges(t *testing.T) {
 	data.AddEdge("noise", "unrelated", graph.NewInt(1))
 	delta := &mediator.Delta{AddedEdges: []graph.Edge{{From: "noise", Label: "unrelated", To: graph.NewInt(1)}}}
 	requireNoBlockAffected(t, delta, data)
-	if _, err := e.Apply(struql.NewGraphSource(data), delta); err != nil {
+	if _, err := e.Apply(data, delta); err != nil {
 		t.Fatal(err)
 	}
 	if d := mediator.Diff(siteBefore, e.Site()); !d.Empty() {
@@ -148,7 +149,7 @@ func TestIncrementalEmptyDelta(t *testing.T) {
 	data := dynamic.FixtureData()
 	e, m := maintainedSite(t, data)
 	site := e.Site()
-	pages, err := e.Apply(struql.NewGraphSource(data), &mediator.Delta{})
+	pages, err := e.Apply(data, &mediator.Delta{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,12 +161,12 @@ func TestIncrementalEmptyDelta(t *testing.T) {
 func TestIncrementalStateEmptyDelta(t *testing.T) {
 	data := dynamic.FixtureData()
 	m := &obs.IVMMetrics{}
-	s, err := ivm.NewSite(siteVersion(), struql.NewGraphSource(data), nil, m)
+	s, err := ivm.NewSite(siteVersion(), data, nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := s.Output()
-	if err := s.Apply(struql.NewGraphSource(data), &mediator.Delta{}); err != nil {
+	if err := s.Apply(data, &mediator.Delta{}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Output() != out || m.DeltasApplied.Load() != 0 || m.FullRebuilds.Load() != 0 || m.DirtyPages.Load() != 0 {

@@ -9,9 +9,9 @@ import (
 	"sync"
 	"time"
 
+	"strudel/internal/graph"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 	"strudel/internal/struql"
 )
 
@@ -136,11 +136,11 @@ func NewReloader(sources ...mediator.Source) (*Reloader, error) {
 }
 
 // Warehouse performs the initial load of every source and returns the
-// merged, indexed data graph. It records the file stamps first, so the
+// merged data graph's snapshot. It records the file stamps first, so the
 // first poll does not re-report the initial state as a change, while an
 // edit that lands during the load is still seen by the next poll
 // instead of being stamped as already loaded.
-func (r *Reloader) Warehouse() (*repo.Indexed, error) {
+func (r *Reloader) Warehouse() (*graph.Frozen, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := time.Now()
@@ -296,8 +296,14 @@ func (r *Reloader) Tick(now time.Time) {
 		delete(r.pending, s.Name)
 	}
 
-	// Every changed source re-wrapped: publish the new graph atomically.
-	data := repo.NewIndexed(r.med.DataGraph())
+	// Every changed source re-wrapped: publish the new graph's snapshot
+	// atomically. A merged graph past the snapshot's id capacity keeps
+	// the last good generation serving, like a source that fails.
+	data, err := r.med.DataGraph().Snapshot()
+	if err != nil {
+		r.fail(now, "data graph", err)
+		return
+	}
 	delta := r.accum
 	r.accum = &mediator.Delta{}
 	if r.overflow {

@@ -277,7 +277,7 @@ func TestSwapDataKeepsUnaffectedPages(t *testing.T) {
 	}
 	// A delta touching nothing the site reads: the cache carries over.
 	d := &mediator.Delta{AddedEdges: []graph.Edge{{From: "x", Label: "unrelated", To: graph.NewInt(1)}}}
-	kept, dropped := ev.SwapData(struql.NewGraphSource(testData()), d)
+	kept, dropped := ev.SwapData(testData(), d)
 	if kept != 1 || dropped != 0 {
 		t.Errorf("kept %d dropped %d, want 1/0", kept, dropped)
 	}
@@ -291,7 +291,7 @@ func TestSwapDataKeepsUnaffectedPages(t *testing.T) {
 
 	// A delta touching Publications drops the page.
 	d = &mediator.Delta{AddedMembers: []mediator.Membership{{Coll: "Publications", OID: "pubN"}}}
-	kept, dropped = ev.SwapData(struql.NewGraphSource(testData()), d)
+	kept, dropped = ev.SwapData(testData(), d)
 	if kept != 0 || dropped != 1 {
 		t.Errorf("kept %d dropped %d, want 0/1", kept, dropped)
 	}
@@ -300,7 +300,7 @@ func TestSwapDataKeepsUnaffectedPages(t *testing.T) {
 	if _, err := ev.Page(PageRef{Fn: "RootPage"}); err != nil {
 		t.Fatal(err)
 	}
-	kept, dropped = ev.SwapData(struql.NewGraphSource(testData()), nil)
+	kept, dropped = ev.SwapData(testData(), nil)
 	if kept != 0 || dropped != 1 {
 		t.Errorf("nil delta: kept %d dropped %d, want 0/1", kept, dropped)
 	}

@@ -105,7 +105,7 @@ func (d dynSite) OutLabel(oid graph.OID, label string) []graph.Value {
 		}
 		return pd.outLabel(label)
 	}
-	return d.r.st.src.OutLabel(oid, label)
+	return d.r.st.data().OutLabel(oid, label)
 }
 
 // dynRenderer renders references as click-time URLs. It carries the

@@ -42,7 +42,7 @@ func slowData(rows int) *graph.Graph {
 func TestSingleFlightComputesOnce(t *testing.T) {
 	// The per-access delay widens the window in which all goroutines pile
 	// onto the same uncomputed page.
-	fs := NewFaultSource(struql.NewGraphSource(slowData(64)), 100*time.Microsecond)
+	fs := NewFaultSource(slowData(64), 100*time.Microsecond)
 	ev := NewEvaluator(schema.Build(struql.MustParse(slowQuery)), fs)
 	m := &obs.ServeMetrics{}
 	ev.Obs = m
@@ -162,7 +162,7 @@ link A() -> "title" -> "a-title",
      A() -> "next" -> B(),
      B() -> "back" -> A()
 `)
-	ev := NewEvaluator(schema.Build(q), struql.NewGraphSource(graph.New()))
+	ev := NewEvaluator(schema.Build(q), graph.New())
 	ts := template.NewSet()
 	ts.MustAdd("A", `A[<SFMT next EMBED>]`)
 	ts.MustAdd("B", `B{<SFMT back EMBED>}`)
@@ -185,7 +185,7 @@ func TestEmbedSelfCycle(t *testing.T) {
 create C()
 link C() -> "self" -> C()
 `)
-	ev := NewEvaluator(schema.Build(q), struql.NewGraphSource(graph.New()))
+	ev := NewEvaluator(schema.Build(q), graph.New())
 	ts := template.NewSet()
 	ts.MustAdd("C", `C(<SFMT self EMBED>)`)
 	srv := NewRenderer(ev, ts, testURL)

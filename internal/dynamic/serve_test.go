@@ -73,7 +73,7 @@ func TestServerServesPages(t *testing.T) {
 	ts.MustAdd("RootPage", `<h1><SFMT title></h1><SFMT YearPage UL ORDER=ascend KEY=Year>`)
 	ts.MustAdd("YearPage", `<h1>Year <SFMT Year></h1><SFMT Paper UL>`)
 	ts.MustAdd("PaperPage", `<b><SFMT title></b>`)
-	_, e := serve(t, dynamic.SiteQuery, struql.NewGraphSource(dynamic.FixtureData()), ts,
+	_, e := serve(t, dynamic.SiteQuery, dynamic.FixtureData(), ts,
 		map[string]string{"RootPage": "RootPage", "YearPage": "YearPage", "PaperPage": "PaperPage"})
 	hs := httptest.NewServer(e.Handler())
 	defer hs.Close()
@@ -105,7 +105,7 @@ func TestServerServesPages(t *testing.T) {
 }
 
 func TestServerDefaultTemplate(t *testing.T) {
-	_, e := serve(t, dynamic.SiteQuery, struql.NewGraphSource(dynamic.FixtureData()), nil, nil)
+	_, e := serve(t, dynamic.SiteQuery, dynamic.FixtureData(), nil, nil)
 	hs := httptest.NewServer(e.Handler())
 	defer hs.Close()
 	body := get(t, hs.URL+"/")
@@ -115,7 +115,7 @@ func TestServerDefaultTemplate(t *testing.T) {
 }
 
 func TestRequestDeadlineMapsTo504(t *testing.T) {
-	fs := dynamic.NewFaultSource(struql.NewGraphSource(dynamic.SlowData(256)), time.Millisecond)
+	fs := dynamic.NewFaultSource(dynamic.SlowData(256), time.Millisecond)
 	_, e := serve(t, dynamic.SlowQuery, fs, nil, nil)
 	e.RequestTimeout = 20 * time.Millisecond
 	e.Logger = log.New(io.Discard, "", 0)
@@ -135,7 +135,7 @@ func TestRequestDeadlineMapsTo504(t *testing.T) {
 }
 
 func TestSheddingAndHealthzBypass(t *testing.T) {
-	fs := dynamic.NewFaultSource(struql.NewGraphSource(dynamic.SlowData(64)), 2*time.Millisecond)
+	fs := dynamic.NewFaultSource(dynamic.SlowData(64), 2*time.Millisecond)
 	_, e := serve(t, dynamic.SlowQuery, fs, nil, nil)
 	e.MaxInflight = 1
 	var m obs.ServeMetrics
@@ -201,7 +201,7 @@ type panicSource struct {
 func (panicSource) Collection(string) []graph.OID { panic("secret internal detail") }
 
 func TestPanicRecoverySanitizes500(t *testing.T) {
-	_, e := serve(t, dynamic.SiteQuery, panicSource{struql.NewGraphSource(dynamic.FixtureData())}, nil, nil)
+	_, e := serve(t, dynamic.SiteQuery, panicSource{dynamic.FixtureData()}, nil, nil)
 	var logged bytes.Buffer
 	e.Logger = log.New(&logged, "", 0)
 	var m obs.ServeMetrics

@@ -50,7 +50,7 @@ func testURL(ref PageRef) string { return "/" + ref.Fn }
 
 func TestServerEmbedsDynamicPages(t *testing.T) {
 	q := struql.MustParse(embedQuery)
-	ev := NewEvaluator(schema.Build(q), struql.NewGraphSource(embedData()))
+	ev := NewEvaluator(schema.Build(q), embedData())
 	ts := template.NewSet()
 	ts.MustAdd("header", `<i>dyn</i>`)
 	ts.MustAdd("Root", `<SINCLUDE header><h1><SFMT title></h1><SFMT Card EMBED UL>`)
@@ -83,7 +83,7 @@ func TestServerEmbedsDynamicPages(t *testing.T) {
 
 func TestServerEmbedWithoutTemplateUsesListing(t *testing.T) {
 	q := struql.MustParse(embedQuery)
-	ev := NewEvaluator(schema.Build(q), struql.NewGraphSource(embedData()))
+	ev := NewEvaluator(schema.Build(q), embedData())
 	ts := template.NewSet()
 	ts.MustAdd("Root", `<SFMT Card EMBED>`)
 	srv := NewRenderer(ev, ts, testURL)
@@ -102,7 +102,7 @@ func TestServerEmbedWithoutTemplateUsesListing(t *testing.T) {
 // resolves as a page, renders as its anchor text alone.
 func TestReferencesLinkOnlyPages(t *testing.T) {
 	q := struql.MustParse(embedQuery)
-	ev := NewEvaluator(schema.Build(q), struql.NewGraphSource(embedData()))
+	ev := NewEvaluator(schema.Build(q), embedData())
 	ts := template.NewSet()
 	ts.MustAdd("Root", `<SFMT Card>`)
 	ts.MustAdd("Card", `<SFMT self>`)
@@ -145,19 +145,9 @@ func (c *cancelSource) Collection(name string) []graph.OID {
 	return c.Source.Collection(name)
 }
 
-func (c *cancelSource) InCollection(name string, oid graph.OID) bool {
-	c.trip()
-	return c.Source.InCollection(name, oid)
-}
-
 func (c *cancelSource) Out(oid graph.OID) []graph.Edge {
 	c.trip()
 	return c.Source.Out(oid)
-}
-
-func (c *cancelSource) OutLabel(oid graph.OID, label string) []graph.Value {
-	c.trip()
-	return c.Source.OutLabel(oid, label)
 }
 
 // TestNeighbourReadErrorFailsRender pins that a page whose render
@@ -168,7 +158,7 @@ func (c *cancelSource) OutLabel(oid graph.OID, label string) []graph.Value {
 func TestNeighbourReadErrorFailsRender(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	src := &cancelSource{Source: struql.NewGraphSource(embedData()), cancel: cancel}
+	src := &cancelSource{Source: embedData(), cancel: cancel}
 	ev := NewEvaluator(schema.Build(struql.MustParse(embedQuery)), src)
 	ts := template.NewSet()
 	ts.MustAdd("Root", `<SFMT Card>`)

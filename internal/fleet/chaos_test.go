@@ -5,13 +5,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"strudel/internal/dynamic"
 	"strudel/internal/graph"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/struql"
 	"strudel/internal/template"
@@ -26,7 +26,7 @@ func TestChaosReplicaFailover(t *testing.T) {
 	s := buildSchema(t)
 	g := genSiteData(11)
 	m := &obs.FleetMetrics{}
-	f, err := New(Config{Schema: s, Shards: 2, Replicas: 2, Obs: m}, repo.NewIndexed(g))
+	f, err := New(Config{Schema: s, Shards: 2, Replicas: 2, Obs: m}, g.Freeze())
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}
@@ -234,19 +234,22 @@ link Root() -> "Card" -> Card(x)
 }
 `
 
-// trapSource runs trip once, at the first read of a "name" attribute:
-// while a render of Root computes its neighbour Card(i1).
+// trapSource runs trip once, at its first read once armed. The test
+// arms it after Root is cached, so it fires while a render of Root
+// computes its neighbour Card(i1): that evaluation starts by copying
+// the snapshot-less source.
 type trapSource struct {
 	struql.Source
-	once sync.Once
-	trip func()
+	armed atomic.Bool
+	once  sync.Once
+	trip  func()
 }
 
-func (s *trapSource) OutLabel(oid graph.OID, label string) []graph.Value {
-	if label == "name" {
+func (s *trapSource) Out(oid graph.OID) []graph.Edge {
+	if s.armed.Load() {
 		s.once.Do(s.trip)
 	}
-	return s.Source.OutLabel(oid, label)
+	return s.Source.Out(oid)
 }
 
 // TestNeighbourReadFailureNeverCaches200 kills the replica, or outlives
@@ -276,7 +279,7 @@ func TestNeighbourReadFailureNeverCaches200(t *testing.T) {
 			g.AddEdge("i1", "name", graph.NewString("First"))
 			g.AddEdge("i1", "pic", graph.NewString("p.gif"))
 			var f *Fleet
-			src := &trapSource{Source: struql.NewGraphSource(g), trip: func() { tc.trip(f) }}
+			src := &trapSource{Source: g, trip: func() { tc.trip(f) }}
 			tmpl := template.NewSet()
 			tmpl.MustAdd("Root", `<SFMT Card>`)
 			f, err := New(Config{
@@ -288,9 +291,19 @@ func TestNeighbourReadFailureNeverCaches200(t *testing.T) {
 			}
 			ts := httptest.NewServer(quiet(NewEdge(f)).Handler())
 			defer ts.Close()
-			url := PageURL(dynamic.PageRef{Fn: "Root"})
+			root := dynamic.PageRef{Fn: "Root"}
+			if _, err := f.srv.Ev.Page(root); err != nil {
+				t.Fatal(err)
+			}
+			src.armed.Store(true)
+			url := PageURL(root)
 
 			status, _, body := get(t, ts, url, nil)
+			fired := false
+			src.once.Do(func() { fired = true })
+			if fired {
+				t.Fatal("the trap never fired: no neighbour read was failed")
+			}
 			if status == http.StatusOK && !strings.Contains(body, ">First<") {
 				t.Fatalf("GET %s = 200 with a hole where the neighbour read failed:\n%s", url, body)
 			}

@@ -15,7 +15,6 @@ import (
 
 	"strudel/internal/dynamic"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 )
 
 func TestEdgeConditionalGets(t *testing.T) {
@@ -76,7 +75,7 @@ func TestEdgeConditionalGets(t *testing.T) {
 	// A hot reload bumps the generation: the same validator now earns a
 	// full 200 with a new generation-1 tag and the new content.
 	g1 := mutateSiteData(1)
-	f.SwapData(repo.NewIndexed(g1), nil)
+	f.SwapData(g1.Freeze(), nil)
 	ref1 := newReference(t, s, g1)
 	want1, err := ref1.RenderPage(ref1.Ev.EntryPoints()[0])
 	if err != nil {
@@ -110,7 +109,7 @@ func TestEdgeStaleWhileRevalidate(t *testing.T) {
 	if g := etagGen(t, hdr.Get("ETag")); g != 0 {
 		t.Fatalf("primed ETag generation = %d", g)
 	}
-	f.SwapData(repo.NewIndexed(mutateSiteData(2)), nil)
+	f.SwapData(mutateSiteData(2).Freeze(), nil)
 
 	// Inside the window an unconditional GET serves the stale bytes
 	// immediately (tagged with their own generation) and revalidates in
@@ -153,7 +152,7 @@ func TestEdgeStaleDisabledFetchesSynchronously(t *testing.T) {
 	defer ts.Close()
 
 	get(t, ts, "/", nil)
-	f.SwapData(repo.NewIndexed(mutateSiteData(3)), nil)
+	f.SwapData(mutateSiteData(3).Freeze(), nil)
 	_, hdr, _ := get(t, ts, "/", nil)
 	if g := etagGen(t, hdr.Get("ETag")); g != 1 {
 		t.Fatalf("with StaleFor=0 post-reload GET served generation %d, want 1", g)

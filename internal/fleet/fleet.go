@@ -206,12 +206,12 @@ type Fleet struct {
 const keptGenTimes = 16
 
 // New builds a fleet over an initial data source. A generation's data
-// is one immutable snapshot: the source's *graph.Frozen is resolved once
-// and the fleet's one evaluator reads it; a source with no snapshot (a
-// plain GraphSource) is shared as-is. That evaluator's page cache serves
-// every replica, as a (generation, page oid) pair fully determines a page,
-// and its one Skolem environment gives every display-form oid; page keys
-// (EncodeRef) do not depend on it.
+// is one immutable source, normally the *graph.Frozen the warehouse or
+// the reload built, and the fleet's one evaluator reads it. That
+// evaluator's page cache serves every replica, as a (generation, page
+// oid) pair fully determines a page, and its one Skolem environment
+// gives every display-form oid; page keys (EncodeRef) do not depend on
+// it.
 func New(cfg Config, src struql.Source) (*Fleet, error) {
 	if cfg.Schema == nil {
 		return nil, fmt.Errorf("fleet: config needs a schema")
@@ -235,9 +235,6 @@ func New(cfg Config, src struql.Source) (*Fleet, error) {
 	}
 	f.attempt = func(ctx context.Context, shard, idx int, _ string, ref dynamic.PageRef) (string, int64, error) {
 		return f.grid[shard][idx].Render(ctx, ref)
-	}
-	if fz := struql.SnapshotOf(src); fz != nil {
-		src = fz
 	}
 	ev := dynamic.NewEvaluator(cfg.Schema, src)
 	ev.Obs = cfg.ServeObs
@@ -348,18 +345,15 @@ func (f *Fleet) StartHealthChecks(ctx context.Context) {
 }
 
 // SwapData implements dynamic.Swapper: it records the next generation's
-// publish time, then hands its snapshot (resolved once, as in New) to
-// the fleet's evaluator, which keeps the cached pages the delta leaves
-// valid; kept and dropped count each page once. A request racing the
-// swap is served entirely from the generation its render began with
-// (the per-request snapshot guarantee), and the response is tagged with
-// that generation, so the edge never caches a mixed or mislabeled page.
+// publish time, then hands its source to the fleet's evaluator, which
+// keeps the cached pages the delta leaves valid; kept and dropped count
+// each page once. A request racing the swap is served entirely from the
+// generation its render began with (the per-request snapshot
+// guarantee), and the response is tagged with that generation, so the
+// edge never caches a mixed or mislabeled page.
 func (f *Fleet) SwapData(src struql.Source, d *mediator.Delta) (kept, dropped int) {
 	f.swapMu.Lock()
 	defer f.swapMu.Unlock()
-	if fz := struql.SnapshotOf(src); fz != nil {
-		src = fz
-	}
 	next := f.Generation() + 1 // only SwapData swaps the evaluator
 	now := time.Now()
 	f.genMu.Lock()

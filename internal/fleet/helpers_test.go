@@ -12,7 +12,6 @@ import (
 
 	"strudel/internal/dynamic"
 	"strudel/internal/graph"
-	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/struql"
 	"strudel/internal/template"
@@ -111,7 +110,7 @@ func buildSchema(t testing.TB) *schema.Schema {
 // URL scheme, so its bytes are directly comparable with edge responses.
 func newReference(t testing.TB, s *schema.Schema, g *graph.Graph) *dynamic.Renderer {
 	t.Helper()
-	ev := dynamic.NewEvaluator(s, repo.NewIndexed(g))
+	ev := dynamic.NewEvaluator(s, g.Freeze())
 	return dynamic.NewRenderer(ev, template.NewSet(), PageURL)
 }
 
@@ -144,7 +143,7 @@ func crawlRefs(t testing.TB, srv *dynamic.Renderer) []dynamic.PageRef {
 // its replicas share) over a data graph.
 func newTestFleet(t testing.TB, s *schema.Schema, g *graph.Graph, shards, replicas int) *Fleet {
 	t.Helper()
-	f, err := New(Config{Schema: s, Shards: shards, Replicas: replicas}, repo.NewIndexed(g))
+	f, err := New(Config{Schema: s, Shards: shards, Replicas: replicas}, g.Freeze())
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}

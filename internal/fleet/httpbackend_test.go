@@ -14,7 +14,6 @@ import (
 	"strudel/internal/faultnet"
 	"strudel/internal/htmlgen"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 )
 
 // grayFleet builds a fleet with a metrics sink and a gray config tuned
@@ -23,7 +22,7 @@ func grayFleet(t testing.TB, seed uint64, shards, replicas int, m *obs.FleetMetr
 	t.Helper()
 	s := buildSchema(t)
 	f, err := New(Config{Schema: s, Shards: shards, Replicas: replicas, Obs: m, Gray: gray},
-		repo.NewIndexed(genSiteData(seed)))
+		genSiteData(seed).Freeze())
 	if err != nil {
 		t.Fatalf("fleet.New: %v", err)
 	}

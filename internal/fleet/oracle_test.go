@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"strudel/internal/dynamic"
-	"strudel/internal/repo"
 	"strudel/internal/schema"
 )
 
@@ -153,7 +152,7 @@ func runServingOracle(t *testing.T, s *schema.Schema, seed uint64, shards int) i
 
 	// Mid-run hot reload: every replica of every shard swaps to the same
 	// new generation.
-	f.SwapData(repo.NewIndexed(g1), nil)
+	f.SwapData(g1.Freeze(), nil)
 
 	for _, ref := range refs {
 		key := EncodeRef(ref)
@@ -233,7 +232,7 @@ func TestServingOracleOverHTTP(t *testing.T) {
 		}
 		n += oracle.check("http cluster", etagGen(t, hdr.Get("ETag")), ref, body)
 	}
-	f.SwapData(repo.NewIndexed(g1), nil)
+	f.SwapData(g1.Freeze(), nil)
 	for _, ref := range refs {
 		status, hdr, body := get(t, ts, PageURL(ref), nil)
 		if status != http.StatusOK {

@@ -10,7 +10,6 @@ import (
 
 	"strudel/internal/dynamic"
 	"strudel/internal/graph"
-	"strudel/internal/repo"
 )
 
 // graphAtGen builds generation i of a reloading site: the seed site
@@ -98,7 +97,7 @@ func TestReloadUnderLoad(t *testing.T) {
 
 	for i := 1; i <= swaps; i++ {
 		time.Sleep(30 * time.Millisecond)
-		f.SwapData(repo.NewIndexed(graphAtGen(21, i)), nil)
+		f.SwapData(graphAtGen(21, i).Freeze(), nil)
 	}
 	time.Sleep(30 * time.Millisecond)
 	close(stop)

@@ -12,7 +12,6 @@ import (
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/struql"
 	"strudel/internal/template"
@@ -31,7 +30,7 @@ import (
 // every evaluation announces itself on entered and waits until the
 // channel it sent is closed.
 type gatedSource struct {
-	struql.GraphSource
+	struql.Source
 	armed   atomic.Bool
 	entered chan chan struct{}
 }
@@ -42,7 +41,7 @@ func (s *gatedSource) NumNodes() int {
 		s.entered <- release
 		<-release
 	}
-	return s.GraphSource.NumNodes()
+	return s.Source.NumNodes()
 }
 
 // embedQuery makes every Pub(x) a page that both A(x) and B(x) embed.
@@ -101,12 +100,12 @@ func TestSingleFlightAcrossShards(t *testing.T) {
 	}
 	sch := schema.Build(struql.MustParse(embedQuery))
 	ts, perFn := embedTemplates()
-	ref := dynamic.NewRenderer(dynamic.NewEvaluator(sch, repo.NewIndexed(g)), ts, PageURL)
+	ref := dynamic.NewRenderer(dynamic.NewEvaluator(sch, g.Freeze()), ts, PageURL)
 	ref.PerFn = perFn
 
 	// race runs the scenario once and returns the leader's error.
 	race := func(t *testing.T, kill bool) error {
-		src := &gatedSource{GraphSource: struql.NewGraphSource(g), entered: make(chan chan struct{})}
+		src := &gatedSource{Source: g, entered: make(chan chan struct{})}
 		m := &obs.ServeMetrics{}
 		f, err := New(Config{Schema: sch, Templates: ts, PerFn: perFn, Shards: 2, Replicas: 2, ServeObs: m}, src)
 		if err != nil {
@@ -253,7 +252,7 @@ func TestFleetComputesEachPageOnce(t *testing.T) {
 	ts, perFn := oracleTemplates()
 	for _, seed := range []uint64{3, 17} {
 		g := genSiteData(seed)
-		ref := dynamic.NewRenderer(dynamic.NewEvaluator(sch, repo.NewIndexed(g)), ts, PageURL)
+		ref := dynamic.NewRenderer(dynamic.NewEvaluator(sch, g.Freeze()), ts, PageURL)
 		ref.PerFn = perFn
 		pages := crawlRefs(t, ref)
 		want := make([]string, len(pages))
@@ -273,12 +272,12 @@ func TestFleetComputesEachPageOnce(t *testing.T) {
 		type account struct{ computed, kept, dropped int }
 		run := func(shards, replicas int) account {
 			m := &obs.ServeMetrics{}
-			f, err := New(Config{Schema: sch, Templates: ts, PerFn: perFn, Shards: shards, Replicas: replicas, ServeObs: m}, repo.NewIndexed(g))
+			f, err := New(Config{Schema: sch, Templates: ts, PerFn: perFn, Shards: shards, Replicas: replicas, ServeObs: m}, g.Freeze())
 			if err != nil {
 				t.Fatal(err)
 			}
 			crawlFleet(t, f, pages, want)
-			kept, dropped := f.SwapData(repo.NewIndexed(next), delta)
+			kept, dropped := f.SwapData(next.Freeze(), delta)
 			return account{int(m.PagesComputed.Load()), kept, dropped}
 		}
 		one, grid := run(1, 1), run(2, 2)

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"strudel/internal/graph"
-	"strudel/internal/repo"
 	"strudel/internal/struql"
 )
 
@@ -68,32 +67,27 @@ func renderEverywhere(t *testing.T, f *Fleet, g *graph.Graph) {
 }
 
 // TestGenerationIsOneSharedSnapshot pins what a generation's data is:
-// New and SwapData resolve the source's snapshot once, and every
-// replica's evaluator reads that same *graph.Frozen — no per-replica
-// copy. A source without a snapshot is shared as it is. Each generation
-// is rendered on all replicas concurrently, so the race detector sees
-// the shared reads (make loadgen-smoke runs this beside the reload
-// drill).
+// New and SwapData hand the generation's snapshot to the fleet's one
+// evaluator, and every replica reads that same *graph.Frozen — no
+// per-replica copy. A source without a snapshot is shared as it is.
+// Each generation is rendered on all replicas concurrently, so the race
+// detector sees the shared reads (make loadgen-smoke runs this beside
+// the reload drill).
 func TestGenerationIsOneSharedSnapshot(t *testing.T) {
 	s := buildSchema(t)
-	gens := []*repo.Indexed{
-		repo.NewIndexed(graphAtGen(33, 0)),
-		repo.NewIndexed(graphAtGen(33, 1)),
-		repo.NewIndexed(graphAtGen(33, 2)),
+	gens := []*graph.Frozen{
+		graphAtGen(33, 0).Freeze(),
+		graphAtGen(33, 1).Freeze(),
+		graphAtGen(33, 2).Freeze(),
 	}
 	f, err := New(Config{Schema: s, Shards: 2, Replicas: 2}, gens[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for gen, ix := range gens {
-		switch gen {
-		case 1:
-			f.SwapData(ix, nil)
-		case 2:
-			// A bare snapshot is a source too.
-			f.SwapData(ix.Frozen(), nil)
+	for gen, want := range gens {
+		if gen > 0 {
+			f.SwapData(want, nil)
 		}
-		want := ix.Frozen()
 		for i, src := range replicaSources(t, f, int64(gen)) {
 			if got, ok := src.(*graph.Frozen); !ok || got != want {
 				t.Errorf("generation %d: replica #%d reads %T %p, want the generation's snapshot %p", gen, i, src, src, want)
@@ -105,7 +99,7 @@ func TestGenerationIsOneSharedSnapshot(t *testing.T) {
 	// A snapshot-less source is handed over unchanged and serves
 	// byte-correct pages.
 	g3 := graphAtGen(33, 3)
-	plain := struql.NewGraphSource(g3)
+	plain := g3
 	f.SwapData(plain, nil)
 	for i, src := range replicaSources(t, f, 3) {
 		if src != struql.Source(plain) {

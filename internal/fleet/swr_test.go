@@ -11,7 +11,6 @@ import (
 
 	"strudel/internal/dynamic"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 )
 
 // TestStaleWhileRevalidateExactBoundary pins the edge clock and probes
@@ -42,7 +41,7 @@ func TestStaleWhileRevalidateExactBoundary(t *testing.T) {
 			t.Fatalf("prime GET %s failed", PageURL(ref))
 		}
 	}
-	f.SwapData(repo.NewIndexed(g1), nil)
+	f.SwapData(g1.Freeze(), nil)
 	swapAt := f.LastSwap()
 
 	// Exactly StaleFor after the swap: still stale-servable.
@@ -111,7 +110,7 @@ func TestSingleFlightRevalidationCollapses(t *testing.T) {
 	if got := fetches.Load(); got != 1 {
 		t.Fatalf("prime fetches = %d", got)
 	}
-	f.SwapData(repo.NewIndexed(g1), nil)
+	f.SwapData(g1.Freeze(), nil)
 
 	const concurrent = 16
 	var wg sync.WaitGroup

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -17,7 +18,8 @@ import (
 //
 // Lifecycle: mutate a Graph, call Freeze, query the snapshot. A later
 // mutation of the Graph is not seen by the snapshot; freeze again.
-// repo.Indexed holds one snapshot for the life of an immutable graph.
+// Loading, reloading and evaluation all hand a snapshot on: it is the
+// repository's one read surface (§2.1's full indexing).
 type Frozen struct {
 	// labels holds every distinct edge label, sorted, so label ids order
 	// lexicographically and per-node label runs can be binary searched.
@@ -106,10 +108,40 @@ func (f *Frozen) value(r uint32) Value {
 	return Null
 }
 
+// CapacityError is the typed error for a graph past the snapshot's id
+// capacity (2^28 distinct nodes, labels, or atoms of one kind). Such a
+// graph has no snapshot, so it is refused wherever one is needed: at
+// load, at reload and by StruQL evaluation.
+type CapacityError struct {
+	// Nodes is the graph's node count, 0 when unknown.
+	Nodes int
+}
+
+func (e *CapacityError) Error() string {
+	const msg = "graph: past the snapshot's 2^28-id capacity for nodes, labels or atoms"
+	if e.Nodes == 0 {
+		return msg
+	}
+	return fmt.Sprintf("%s (%d nodes)", msg, e.Nodes)
+}
+
+// Snapshot is Freeze for a caller that cannot go on without the
+// snapshot: a graph past the capacity is a *CapacityError.
+func (g *Graph) Snapshot() (*Frozen, error) {
+	if f := g.Freeze(); f != nil {
+		return f, nil
+	}
+	return nil, &CapacityError{Nodes: g.NumNodes()}
+}
+
+// Frozen returns f itself. For bench/probe only; delete when a
+// benchmark PR repairs the probe.
+func (f *Frozen) Frozen() *Frozen { return f }
+
 // Freeze builds the compact snapshot of the graph's current state. It
 // returns nil when the graph exceeds the packed-id capacity (2^28
 // distinct nodes, labels, or atoms per kind): such a graph has no
-// snapshot, and StruQL evaluation over it fails with a typed error.
+// snapshot (see Snapshot).
 func (g *Graph) Freeze() *Frozen {
 	f := &Frozen{}
 

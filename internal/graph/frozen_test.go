@@ -94,64 +94,62 @@ func assertFrozenMatches(t *testing.T, f *Frozen, g *Graph) {
 	if f.HasNode("missing") || len(f.Out("missing")) != 0 {
 		t.Fatal("missing node should have no edges")
 	}
-	labelCounts := map[string]int{}
-	for _, e := range g.AllEdges() {
-		labelCounts[e.Label]++
+	// The label extents, the in-adjacency and the absent answers, against
+	// references scanned from the map graph's edges.
+	edges := g.AllEdges()
+	scan := func(keep func(Edge) bool) []string {
+		var out []string
+		for _, e := range edges {
+			if keep(e) {
+				out = append(out, edgeKey(e))
+			}
+		}
+		sort.Strings(out)
+		return out
 	}
-	for _, label := range g.Labels() {
-		fe := f.EdgesLabeled(label)
-		if len(fe) != labelCounts[label] || f.LabelCount(label) != labelCounts[label] {
-			t.Fatalf("EdgesLabeled(%s) count mismatch", label)
+	labels := append(g.Labels(), "absent")
+	for _, label := range labels {
+		want := scan(func(e Edge) bool { return e.Label == label })
+		if got := edgeKeys(f.EdgesLabeled(label)); !reflect.DeepEqual(got, want) || f.LabelCount(label) != len(want) {
+			t.Fatalf("EdgesLabeled(%s) = %v (count %d), want %v", label, got, f.LabelCount(label), want)
 		}
 		count, sources, targets := f.LabelStats(label)
 		srcSet := map[OID]struct{}{}
 		tgtSet := map[string]struct{}{}
-		for _, e := range fe {
-			srcSet[e.From] = struct{}{}
-			tgtSet[e.To.Key()] = struct{}{}
-		}
-		if count != len(fe) || sources != len(srcSet) || targets != len(tgtSet) {
-			t.Fatalf("LabelStats(%s) = %d,%d,%d want %d,%d,%d",
-				label, count, sources, targets, len(fe), len(srcSet), len(tgtSet))
-		}
-	}
-	// In-adjacency: every edge must appear in its target's in-list, and
-	// the total must balance.
-	inTotal := 0
-	for _, oid := range g.Nodes() {
-		for _, e := range g.Out(oid) {
-			found := false
-			f.ForEachIn(e.To, func(from OID, label string) bool {
-				if from == e.From && label == e.Label {
-					found = true
-					return false
-				}
-				return true
-			})
-			if !found {
-				t.Fatalf("edge %v missing from in-list", e)
+		for _, e := range edges {
+			if e.Label == label {
+				srcSet[e.From] = struct{}{}
+				tgtSet[e.To.Key()] = struct{}{}
 			}
 		}
-		inTotal += len(g.Out(oid))
-	}
-	got := 0
-	seen := map[string]struct{}{}
-	for _, oid := range g.Nodes() {
-		for _, e := range g.Out(oid) {
-			seen[e.To.Key()] = struct{}{}
+		if count != len(want) || sources != len(srcSet) || targets != len(tgtSet) {
+			t.Fatalf("LabelStats(%s) = %d,%d,%d want %d,%d,%d",
+				label, count, sources, targets, len(want), len(srcSet), len(tgtSet))
+		}
+		if got := f.OutLabel("absent", label); len(got) != 0 {
+			t.Fatalf("OutLabel(absent,%s) = %v, want none", label, got)
 		}
 	}
-	for k := range seen {
-		_ = k
-	}
+	targets := []Value{NewNode("absent"), NewString("absent"), NewInt(-1)}
 	for _, oid := range g.Nodes() {
-		for _, e := range g.Out(oid) {
-			_ = e
-			got++
+		targets = append(targets, NewNode(oid))
+		if got := f.OutLabel(oid, "absent"); len(got) != 0 {
+			t.Fatalf("OutLabel(%s,absent) = %v, want none", oid, got)
 		}
 	}
-	if got != inTotal {
-		t.Fatalf("edge totals diverge: %d vs %d", got, inTotal)
+	for _, e := range edges {
+		targets = append(targets, e.To)
+	}
+	for _, v := range targets {
+		want := scan(func(e Edge) bool { return e.To == v })
+		if got := edgeKeys(f.In(v)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("In(%s) = %v, want %v", v.Key(), got, want)
+		}
+		found := 0
+		f.ForEachIn(v, func(OID, string) bool { found++; return true })
+		if found != len(want) {
+			t.Fatalf("ForEachIn(%s) visits %d edges, want %d", v.Key(), found, len(want))
+		}
 	}
 	// ForEachInLabel agrees with a filtered ForEachIn.
 	target := NewNode("n1")
@@ -191,8 +189,15 @@ func assertFrozenMatches(t *testing.T, f *Frozen, g *Graph) {
 			}
 		}
 	}
-	if f.InCollection("Evens", "n1") || f.InCollection("Nope", "n0") {
-		t.Fatal("InCollection false positives")
+	for _, name := range append(g.CollectionNames(), "Absent") {
+		for _, oid := range append(g.Nodes(), "absent") {
+			if f.InCollection(name, oid) != g.InCollection(name, oid) {
+				t.Fatalf("InCollection(%s,%s) = %v", name, oid, f.InCollection(name, oid))
+			}
+		}
+	}
+	if len(f.Collection("Absent")) != 0 || f.CollectionSize("Absent") != 0 {
+		t.Fatal("an absent collection has members")
 	}
 	if f.Stats() != g.Stats() {
 		t.Fatalf("Stats mismatch: %+v vs %+v", f.Stats(), g.Stats())
@@ -332,4 +337,16 @@ func TestAddEdgesAndCapacity(t *testing.T) {
 	if !g.HasEdge("a", "l", NewInt(1)) || !g.HasEdge("b", "m", NewNode("a")) {
 		t.Fatal("edges missing after AddEdges")
 	}
+}
+
+func edgeKey(e Edge) string { return string(e.From) + "\x00" + e.Label + "\x00" + e.To.Key() }
+
+// edgeKeys returns the edges as sorted keys, for set comparison.
+func edgeKeys(in []Edge) []string {
+	var out []string
+	for _, e := range in {
+		out = append(out, edgeKey(e))
+	}
+	sort.Strings(out)
+	return out
 }

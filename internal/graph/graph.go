@@ -346,46 +346,6 @@ func (g *Graph) AllEdges() []Edge {
 	return out
 }
 
-// EdgesLabeled returns every edge carrying the label, by a scan of all
-// edges. Frozen.EdgesLabeled answers the same from its label extent.
-func (g *Graph) EdgesLabeled(label string) []Edge {
-	var out []Edge
-	g.Edges(func(e Edge) bool {
-		if e.Label == label {
-			out = append(out, e)
-		}
-		return true
-	})
-	return out
-}
-
-// In returns every edge whose target equals v, by a scan of all edges.
-// Frozen.In answers the same from its in-adjacency.
-func (g *Graph) In(v Value) []Edge {
-	var out []Edge
-	g.Edges(func(e Edge) bool {
-		if e.To == v {
-			out = append(out, e)
-		}
-		return true
-	})
-	return out
-}
-
-// LabelStats returns one label's edge count and distinct source and
-// target counts, by a scan of its edges. Frozen.LabelStats answers the
-// same from precomputed statistics.
-func (g *Graph) LabelStats(label string) (count, sources, targets int) {
-	edges := g.EdgesLabeled(label)
-	srcs := make(map[OID]struct{}, len(edges))
-	tgts := make(map[Value]struct{}, len(edges))
-	for _, e := range edges {
-		srcs[e.From] = struct{}{}
-		tgts[e.To] = struct{}{}
-	}
-	return len(edges), len(srcs), len(tgts)
-}
-
 // Copy returns a deep copy of the graph.
 func (g *Graph) Copy() *Graph {
 	c := NewWithCapacity(len(g.nodes), g.edgeCount)

@@ -75,7 +75,7 @@ func fig2Data() *graph.Graph {
 
 func buildSiteGraph(t *testing.T) *graph.Graph {
 	t.Helper()
-	r, err := struql.Eval(struql.MustParse(fig3Query), struql.NewGraphSource(fig2Data()), nil)
+	r, err := struql.Eval(struql.MustParse(fig3Query), fig2Data(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"strudel/internal/htmlgen"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
-	"strudel/internal/struql"
 )
 
 // Every bailout reason has a triggering test here, each asserting the
@@ -20,7 +19,7 @@ import (
 
 func requireOraclePages(t *testing.T, out *htmlgen.Output, v *core.Version, data *graph.Graph, context string) {
 	t.Helper()
-	vr, err := core.BuildVersionWith(v, struql.NewGraphSource(data), nil)
+	vr, err := core.BuildVersionWith(v, data, nil)
 	if err != nil {
 		t.Fatalf("%s: oracle build: %v", context, err)
 	}
@@ -40,7 +39,7 @@ func bailoutFixture(t *testing.T, m *obs.IVMMetrics) (*Site, *core.Version, *gra
 create PaperPage(x)
 link PaperPage(x) -> "title" -> ti`)
 	cur := baseGraph()
-	s, err := NewSite(v, struql.NewGraphSource(cur), nil, m)
+	s, err := NewSite(v, cur, nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +59,7 @@ func TestBailoutComposedQueries(t *testing.T) {
 	// first, but composition alone forecloses delta propagation.
 	v.Queries = []string{v.Queries[0], `where Papers(x) collect Again(x)`}
 	cur := baseGraph()
-	s, err := NewSite(v, struql.NewGraphSource(cur), nil, m)
+	s, err := NewSite(v, cur, nil, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +69,7 @@ func TestBailoutComposedQueries(t *testing.T) {
 	prev := cur.Copy()
 	cur.AddToCollection("Papers", "pnew")
 	cur.AddEdge("pnew", "title", graph.NewString("New"))
-	if err := s.Apply(struql.NewGraphSource(cur), mediator.Diff(prev, cur)); err != nil {
+	if err := s.Apply(cur, mediator.Diff(prev, cur)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Bailouts[obs.BailoutComposedQueries].Load(); got != 1 {
@@ -88,7 +87,7 @@ func TestBailoutDeltaTooLarge(t *testing.T) {
 	s.Engine().MaxDelta = 1
 	prev := cur.Copy()
 	editTitles(cur, 3) // 3 events > bound 1
-	if err := s.Apply(struql.NewGraphSource(cur), mediator.Diff(prev, cur)); err != nil {
+	if err := s.Apply(cur, mediator.Diff(prev, cur)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Bailouts[obs.BailoutDeltaTooLarge].Load(); got != 1 {
@@ -101,7 +100,7 @@ func TestBailoutDeltaTooLarge(t *testing.T) {
 	// The rebuilt engine (default bound) takes the next delta row-level.
 	prev = cur.Copy()
 	cur.AddEdge("p0", "title", graph.NewString("one more"))
-	if err := s.Apply(struql.NewGraphSource(cur), mediator.Diff(prev, cur)); err != nil {
+	if err := s.Apply(cur, mediator.Diff(prev, cur)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.DeltasApplied.Load(); got != 1 {
@@ -116,7 +115,7 @@ func TestBailoutNilDelta(t *testing.T) {
 	m := &obs.IVMMetrics{}
 	s, v, cur := bailoutFixture(t, m)
 	cur.AddEdge("p0", "title", graph.NewString("unseen"))
-	if err := s.Apply(struql.NewGraphSource(cur), nil); err != nil {
+	if err := s.Apply(cur, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Bailouts[obs.BailoutDeltaTooLarge].Load(); got != 1 {
@@ -131,7 +130,7 @@ func TestBailoutEvalError(t *testing.T) {
 	s.Engine().evalHook = func() error { return errors.New("injected evaluation failure") }
 	prev := cur.Copy()
 	editTitles(cur, 1)
-	if err := s.Apply(struql.NewGraphSource(cur), mediator.Diff(prev, cur)); err != nil {
+	if err := s.Apply(cur, mediator.Diff(prev, cur)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Bailouts[obs.BailoutEvalError].Load(); got != 1 {
@@ -153,7 +152,7 @@ func TestBailoutSupportUnderflow(t *testing.T) {
 	}
 	prev := cur.Copy()
 	cur.RemoveEdge("p0", "title", graph.NewString("Paper 0"))
-	if err := s.Apply(struql.NewGraphSource(cur), mediator.Diff(prev, cur)); err != nil {
+	if err := s.Apply(cur, mediator.Diff(prev, cur)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Bailouts[obs.BailoutSupportUnderflow].Load(); got != 1 {
@@ -194,7 +193,7 @@ create PaperPage(x)
 link PaperPage(x) -> "title" -> ti`)
 	cur := baseGraph()
 	// Six papers fit under the guard; twenty more do not.
-	s, err := NewSite(v, struql.NewGraphSource(cur), &core.Options{MaxRows: 12}, m)
+	s, err := NewSite(v, cur, &core.Options{MaxRows: 12}, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +204,7 @@ link PaperPage(x) -> "title" -> ti`)
 		cur.AddEdge(oid, "title", graph.NewString(fmt.Sprintf("Big %d", i)))
 	}
 	// A nil delta rebuilds, and the rebuild trips the guard.
-	if err := s.Apply(struql.NewGraphSource(cur), nil); err == nil {
+	if err := s.Apply(cur, nil); err == nil {
 		t.Fatal("rebuild over the row guard succeeded")
 	}
 	if s.Engine() != nil {
@@ -213,7 +212,7 @@ link PaperPage(x) -> "title" -> ti`)
 	}
 	prev := cur
 	cur = good
-	if err := s.Apply(struql.NewGraphSource(cur), mediator.Diff(prev, cur)); err != nil {
+	if err := s.Apply(cur, mediator.Diff(prev, cur)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.RebuildRetries.Load(); got != 1 {

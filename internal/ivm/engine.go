@@ -182,10 +182,14 @@ func (e *Engine) Apply(data struql.Source, delta *mediator.Delta) ([]string, err
 			return nil, bail(ReasonEvalError, "%v", err)
 		}
 	}
-	// As in NewEngine, one set of statistics serves the whole apply: the
-	// data does not change under it.
+	// As in NewEngine, one snapshot and one set of statistics serve the
+	// whole apply: the data does not change under it.
+	snap, err := struql.Snapshot(data)
+	if err != nil {
+		return nil, bail(ReasonEvalError, "%v", err)
+	}
 	opts := e.evalOpts()
-	opts.Stats = struql.CollectStats(data)
+	opts.Stats = struql.CollectStats(snap)
 	var ch htmlgen.Changes
 	in := &splice{e: e, sign: 1, ch: &ch}
 	out := &splice{e: e, sign: -1, ch: &ch}
@@ -196,14 +200,14 @@ func (e *Engine) Apply(data struql.Source, delta *mediator.Delta) ([]string, err
 	// in, so fresh Skolem terms are issued deterministically.
 	var lost []func() error
 	for _, bs := range e.blocks {
-		if !dynamic.AffectedBy(bs.deps, delta, data) {
+		if !dynamic.AffectedBy(bs.deps, delta, snap) {
 			continue
 		}
 		if bs.sites == nil {
 			if e.Obs != nil {
 				e.Obs.BlocksReevaluated.Inc()
 			}
-			part, err := e.evalBlock(bs.blk, data, opts)
+			part, err := e.evalBlock(bs.blk, snap, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -214,7 +218,7 @@ func (e *Engine) Apply(data struql.Source, delta *mediator.Delta) ([]string, err
 			continue
 		}
 		for _, st := range bs.sites {
-			gained, dropped, err := e.rederive(st, data, delta, opts)
+			gained, dropped, err := e.rederive(st, snap, delta, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -309,7 +313,7 @@ func (e *Engine) insertRows(st *siteState, b *struql.Bindings, keys []string) ([
 // rederive pushes a delta through one construction site, updating its
 // materialized relation in place. It returns the rows the relation
 // gained and lost, each in row-key order.
-func (e *Engine) rederive(st *siteState, data struql.Source, delta *mediator.Delta, opts *struql.Options) (gained, lost [][]graph.Value, err error) {
+func (e *Engine) rederive(st *siteState, data *graph.Frozen, delta *mediator.Delta, opts *struql.Options) (gained, lost [][]graph.Value, err error) {
 	if len(st.conds) == 0 {
 		return nil, nil, nil // the unit relation never changes
 	}

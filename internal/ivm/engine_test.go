@@ -28,7 +28,7 @@ func testVersion(query string) *core.Version {
 // Skolem environment — the ground truth the engine must track.
 func oracleGraph(t *testing.T, e *Engine, data *graph.Graph) *graph.Graph {
 	t.Helper()
-	res, err := struql.Eval(e.query, struql.NewGraphSource(data), nil)
+	res, err := struql.Eval(e.query, data, nil)
 	if err != nil {
 		t.Fatalf("oracle eval: %v", err)
 	}
@@ -52,7 +52,7 @@ func applyAndCheck(t *testing.T, e *Engine, cur *graph.Graph, context string, ed
 	prev := cur.Copy()
 	edit(cur)
 	delta := mediator.Diff(prev, cur)
-	if _, err := e.Apply(struql.NewGraphSource(cur), delta); err != nil {
+	if _, err := e.Apply(cur, delta); err != nil {
 		t.Fatalf("%s: apply: %v", context, err)
 	}
 	requireSameGraph(t, oracleGraph(t, e, cur), e.Site(), context)
@@ -60,7 +60,7 @@ func applyAndCheck(t *testing.T, e *Engine, cur *graph.Graph, context string, ed
 
 func newTestEngine(t *testing.T, query string, data *graph.Graph) *Engine {
 	t.Helper()
-	e, err := NewEngine(testVersion(query), struql.NewGraphSource(data), nil)
+	e, err := NewEngine(testVersion(query), data, nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -380,7 +380,7 @@ link PaperPage(x) -> "title" -> ti,
 	v.ObjectTemplatePrefixes = map[string]string{"PaperPage(": "paper"}
 	v.Templates["root"] = `<h1><SFMT title></h1><SFMT paper UL TEXT=title>`
 	cur := baseGraph()
-	e, err := NewEngine(v, struql.NewGraphSource(cur), nil)
+	e, err := NewEngine(v, cur, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ link PaperPage(x) -> "title" -> ti,
 	prev := cur.Copy()
 	cur.RemoveEdge("p4", "title", graph.NewString("Paper 4"))
 	cur.AddEdge("p4", "title", graph.NewString("Paper 4 v2"))
-	pages, err := e.Apply(struql.NewGraphSource(cur), mediator.Diff(prev, cur))
+	pages, err := e.Apply(cur, mediator.Diff(prev, cur))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -655,7 +655,7 @@ func TestDeltaBlockMaintenance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			v, cur := tc.version(), tc.data()
 			evals := &obs.EvalMetrics{}
-			e, err := NewEngine(v, struql.NewGraphSource(cur), &core.Options{Eval: evals})
+			e, err := NewEngine(v, cur, &core.Options{Eval: evals})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -666,7 +666,7 @@ func TestDeltaBlockMaintenance(t *testing.T) {
 			// where-clause evaluation e makes beyond rest's is work spent
 			// on an untouched block.
 			restEvals := &obs.EvalMetrics{}
-			rest, err := NewEngine(v, struql.NewGraphSource(cur), &core.Options{Eval: restEvals})
+			rest, err := NewEngine(v, cur, &core.Options{Eval: restEvals})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -691,11 +691,11 @@ func TestDeltaBlockMaintenance(t *testing.T) {
 				edit(cur)
 				delta := mediator.Diff(prev, cur)
 				evalsBefore, restBefore := evals.WhereEvals.Load(), restEvals.WhereEvals.Load()
-				pages, err := e.Apply(struql.NewGraphSource(cur), delta)
+				pages, err := e.Apply(cur, delta)
 				if err != nil {
 					t.Fatalf("%s: apply: %v", context, err)
 				}
-				if _, err := rest.Apply(struql.NewGraphSource(cur), delta); err != nil {
+				if _, err := rest.Apply(cur, delta); err != nil {
 					t.Fatalf("%s: apply without the untouched blocks: %v", context, err)
 				}
 				requireSameGraph(t, oracleGraph(t, e, cur), e.Site(), context)
@@ -744,7 +744,7 @@ func TestDeltaBlockMaintenance(t *testing.T) {
 func TestEngineRendersAtBuildParallelism(t *testing.T) {
 	for _, par := range []int{1, 3} {
 		cur := pubsData()
-		e, err := NewEngine(pubsVersion(), struql.NewGraphSource(cur), &core.Options{Parallelism: par})
+		e, err := NewEngine(pubsVersion(), cur, &core.Options{Parallelism: par})
 		if err != nil {
 			t.Fatal(err)
 		}

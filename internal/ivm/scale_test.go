@@ -9,7 +9,6 @@ import (
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 	"strudel/internal/sites"
 	"strudel/internal/struql"
 )
@@ -23,7 +22,7 @@ func homepageEngine(t testing.TB, nPubs int) (*Engine, *core.Version, *graph.Gra
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(&spec.Versions[0], repo.NewIndexed(data), nil)
+	e, err := NewEngine(&spec.Versions[0], data.Freeze(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +60,7 @@ func TestRemovalRechecksOnlyItsRows(t *testing.T) {
 	}
 	cur.RemoveFromCollection("Publications", pub)
 	cur.RemoveNode(pub)
-	if _, err := e.Apply(repo.NewIndexed(cur), mediator.Diff(data, cur)); err != nil {
+	if _, err := e.Apply(cur.Freeze(), mediator.Diff(data, cur)); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.RowsRechecked.Load(); got != int64(want) {
@@ -97,7 +96,7 @@ func TestApplyAllocsIndependentOfSiteSize(t *testing.T) {
 		edited := data.Copy()
 		edited.RemoveEdge(pub, "journal", old)
 		edited.AddEdge(pub, "journal", graph.NewString("Renamed Journal"))
-		srcs := []struql.Source{repo.NewIndexed(edited), repo.NewIndexed(data)}
+		srcs := []struql.Source{edited.Freeze(), data.Freeze()}
 		deltas := []*mediator.Delta{mediator.Diff(data, edited), mediator.Diff(edited, data)}
 		// Alternate the edit and its inverse, so every run does the work.
 		i := 0
@@ -151,14 +150,14 @@ link Index() -> "Item" -> Page(x),
 		cur.AddToCollection("Items", oid)
 		cur.AddEdge(oid, "title", graph.NewString(fmt.Sprintf("Item %d", i)))
 	}
-	e, err := NewEngine(v, struql.NewGraphSource(cur), nil)
+	e, err := NewEngine(v, cur, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := cur.Copy()
 	cur.AddToCollection("Items", "new")
 	cur.AddEdge("new", "title", graph.NewString("New item"))
-	pages, err := e.Apply(struql.NewGraphSource(cur), mediator.Diff(prev, cur))
+	pages, err := e.Apply(cur, mediator.Diff(prev, cur))
 	if err != nil {
 		t.Fatal(err)
 	}

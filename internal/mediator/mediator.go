@@ -26,7 +26,6 @@ import (
 	"strudel/internal/diag"
 	"strudel/internal/graph"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 	"strudel/internal/struql"
 )
 
@@ -101,7 +100,7 @@ func (m *Mediator) contribution(s Source) (*graph.Graph, error) {
 		m.Obs.RecordLoad(int64(time.Since(start)), nil)
 		return g, nil
 	}
-	r, err := struql.Eval(s.Mapping, struql.NewGraphSource(g), nil)
+	r, err := struql.Eval(s.Mapping, g, nil)
 	m.Obs.RecordLoad(int64(time.Since(start)), err)
 	if err != nil {
 		return nil, fmt.Errorf("mediator: source %s: mapping: %w", s.Name, err)
@@ -110,10 +109,10 @@ func (m *Mediator) contribution(s Source) (*graph.Graph, error) {
 }
 
 // Warehouse loads every source and merges the contributions into one
-// data graph (the repository's "data graph"). The returned repository
-// graph builds no index here: its indexes are the frozen snapshot, built
-// by its first read.
-func (m *Mediator) Warehouse() (*repo.Indexed, error) {
+// data graph (the repository's "data graph"), returned as its snapshot:
+// the repository's indexes (§2.1). A merged graph past the snapshot's id
+// capacity fails with a *graph.CapacityError.
+func (m *Mediator) Warehouse() (*graph.Frozen, error) {
 	contribs := make([]*graph.Graph, 0, len(m.sources))
 	for _, s := range m.sources {
 		c, err := m.contribution(s)
@@ -123,7 +122,7 @@ func (m *Mediator) Warehouse() (*repo.Indexed, error) {
 		m.contributions[s.Name] = c
 		contribs = append(contribs, c)
 	}
-	return repo.NewIndexed(mergeContributions(contribs)), nil
+	return mergeContributions(contribs).Snapshot()
 }
 
 // mergeContributions merges source graphs into one graph pre-sized for
@@ -184,7 +183,7 @@ func (m *Mediator) contributionLenient(s Source) (*graph.Graph, *diag.Report, er
 		m.Obs.RecordLoad(int64(time.Since(start)), nil)
 		return g, rep, nil
 	}
-	r, err := struql.Eval(s.Mapping, struql.NewGraphSource(g), nil)
+	r, err := struql.Eval(s.Mapping, g, nil)
 	m.Obs.RecordLoad(int64(time.Since(start)), err)
 	if err != nil {
 		return nil, rep, fmt.Errorf("mediator: source %s: mapping: %w", s.Name, err)
@@ -198,7 +197,7 @@ func (m *Mediator) contributionLenient(s Source) (*graph.Graph, *diag.Report, er
 // a single run surfaces every diagnostic. The build fails (with the
 // first failure, in source order) when a source's skips exceed the
 // budget or a mapping errors; the reports accompany the error.
-func (m *Mediator) WarehouseLenient(budget diag.Budget) (*repo.Indexed, []SourceReport, error) {
+func (m *Mediator) WarehouseLenient(budget diag.Budget) (*graph.Frozen, []SourceReport, error) {
 	contribs := make([]*graph.Graph, 0, len(m.sources))
 	reports := make([]SourceReport, 0, len(m.sources))
 	var firstErr error
@@ -224,7 +223,8 @@ func (m *Mediator) WarehouseLenient(budget diag.Budget) (*repo.Indexed, []Source
 	if firstErr != nil {
 		return nil, reports, firstErr
 	}
-	return repo.NewIndexed(mergeContributions(contribs)), reports, nil
+	f, err := mergeContributions(contribs).Snapshot()
+	return f, reports, err
 }
 
 // DataGraph returns the merged graph of the current contributions

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"strudel/internal/qgen"
-	"strudel/internal/repo"
 	"strudel/internal/spine"
 )
 
@@ -22,7 +21,7 @@ import (
 // pin: for page sizes {1, 2, 7, N} (N = the full result size), the
 // paged walk equals the unpaginated result byte for byte.
 func TestCursorPageSizeReassembly(t *testing.T) {
-	single := newSingle(t, repo.NewIndexed(qgen.Graph(5)))
+	single := newSingle(t, qgen.Graph(5).Freeze())
 	_, ts := newQueryServer(t, single, generous())
 
 	queries := 30
@@ -65,7 +64,7 @@ func TestCursorPageSizeReassembly(t *testing.T) {
 // the old generation and the reassembled rows equal the pre-reload
 // result.
 func TestCursorResumeCompletesOnOldGeneration(t *testing.T) {
-	single := newSingle(t, repo.NewIndexed(qgen.Graph(5)))
+	single := newSingle(t, qgen.Graph(5).Freeze())
 	_, ts := newQueryServer(t, single, generous())
 
 	q := "where Items(x), x -> \"year\" -> y"
@@ -78,7 +77,7 @@ func TestCursorResumeCompletesOnOldGeneration(t *testing.T) {
 	if first.end.Done {
 		t.Fatalf("page_size=2 finished in one page")
 	}
-	single.SwapData(repo.NewIndexed(qgen.Graph(77)), nil)
+	single.SwapData(qgen.Graph(77).Freeze(), nil)
 	if gen := single.Generation(); gen != 1 {
 		t.Fatalf("swap produced generation %d, want 1", gen)
 	}
@@ -112,7 +111,7 @@ func TestCursorResumeCompletesOnOldGeneration(t *testing.T) {
 // must fail with a typed generation_mismatch (410) naming both
 // generations — not silently continue on new data.
 func TestCursorResumeEvictedGeneration(t *testing.T) {
-	single := newSingle(t, repo.NewIndexed(qgen.Graph(5)))
+	single := newSingle(t, qgen.Graph(5).Freeze())
 	svc, ts := newQueryServer(t, single, generous())
 
 	q := "where Items(x), x -> \"year\" -> y"
@@ -120,7 +119,7 @@ func TestCursorResumeEvictedGeneration(t *testing.T) {
 	if first.end.Done {
 		t.Fatalf("page_size=2 finished in one page")
 	}
-	single.SwapData(repo.NewIndexed(qgen.Graph(77)), nil)
+	single.SwapData(qgen.Graph(77).Freeze(), nil)
 	svc.mu.Lock()
 	svc.cache = map[string]*result{} // the reload's memory pressure, simulated
 	svc.mu.Unlock()
@@ -141,7 +140,7 @@ func TestCursorResumeEvictedGeneration(t *testing.T) {
 // TestCursorBoundToQuery: a cursor minted for one query+selector is
 // rejected with bad_cursor when replayed against any other.
 func TestCursorBoundToQuery(t *testing.T) {
-	single := newSingle(t, repo.NewIndexed(qgen.Graph(5)))
+	single := newSingle(t, qgen.Graph(5).Freeze())
 	_, ts := newQueryServer(t, single, generous())
 
 	first := queryPage(t, ts, QueryRequest{Query: "where Items(x), x -> \"year\" -> y", PageSize: 2})
@@ -192,7 +191,7 @@ func TestCursorTamperRejected(t *testing.T) {
 // columns to exactly what EvalWhere + the shared encoder produce, and
 // unknown selectors fail typed with the available variables named.
 func TestSelectorProjection(t *testing.T) {
-	ix := repo.NewIndexed(qgen.Graph(5))
+	ix := qgen.Graph(5).Freeze()
 	single := newSingle(t, ix)
 	_, ts := newQueryServer(t, single, generous())
 

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"strudel/internal/qgen"
-	"strudel/internal/repo"
 	"strudel/internal/spine"
 )
 
@@ -38,7 +37,7 @@ func FuzzQueryEndpoint(f *testing.F) {
 		cursor{gen: 0, qhash: queryHash("where Items(x)", []string{"x"}), offset: 1}.encode())
 
 	svc := &Service{
-		Backend: newSingle(f, repo.NewIndexed(qgen.Graph(42))),
+		Backend: newSingle(f, qgen.Graph(42).Freeze()),
 		Limits: Limits{
 			MaxRows:      5000,
 			MaxNFAStates: 2048,

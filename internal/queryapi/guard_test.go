@@ -12,7 +12,6 @@ import (
 	"strudel/internal/graph"
 	"strudel/internal/obs"
 	"strudel/internal/qgen"
-	"strudel/internal/repo"
 	"strudel/internal/spine"
 	"strudel/internal/struql"
 )
@@ -86,7 +85,7 @@ func TestGuardMaxRows(t *testing.T) {
 func TestGuardNFAStates(t *testing.T) {
 	lim := generous()
 	lim.MaxNFAStates = 4
-	svc, ts := newQueryServer(t, newSingle(t, repo.NewIndexed(qgen.Graph(2))), lim)
+	svc, ts := newQueryServer(t, newSingle(t, qgen.Graph(2).Freeze()), lim)
 	reg := obs.NewRegistry()
 	reg.Register("queryapi", svc.Obs)
 
@@ -109,9 +108,9 @@ func TestGuardNFAStates(t *testing.T) {
 // the other guards a deadline IS worth retrying — the payload must say
 // so with Retry-After.
 func TestGuardDeadline(t *testing.T) {
-	var ix *repo.Indexed
+	var ix *graph.Frozen
 	for seed := uint64(1); ; seed++ {
-		ix = repo.NewIndexed(qgen.Graph(seed))
+		ix = qgen.Graph(seed).Freeze()
 		if ix.CollectionSize("Items") >= 20 {
 			break
 		}
@@ -165,7 +164,7 @@ func (b *heldBody) Read(p []byte) (int, error) {
 // request and shed counters advance.
 func TestShedAtMaxInflight(t *testing.T) {
 	svc := &Service{
-		Backend:     newSingle(t, repo.NewIndexed(qgen.Graph(5))),
+		Backend:     newSingle(t, qgen.Graph(5).Freeze()),
 		Limits:      generous(),
 		MaxInflight: 1,
 	}
@@ -209,7 +208,7 @@ func TestShedAtMaxInflight(t *testing.T) {
 // malformed envelopes and negative knobs are bad_request, wrong method
 // is 405 — and every one increments its counter.
 func TestTypedBadInput(t *testing.T) {
-	svc, ts := newQueryServer(t, newSingle(t, repo.NewIndexed(qgen.Graph(5))), generous())
+	svc, ts := newQueryServer(t, newSingle(t, qgen.Graph(5).Freeze()), generous())
 
 	code, _, e := queryError(t, ts, "/query", QueryRequest{Query: "where Items(x), -> ->"})
 	if code != http.StatusBadRequest || e.Code != spine.CodeParse || e.Line <= 0 {
@@ -250,7 +249,7 @@ func (panicSource) Collection(string) []graph.OID { panic("secret internal detai
 // query with a sanitized, typed 500 and counts it — the process, and
 // the next query, survive.
 func TestQueryPanicIsTyped500(t *testing.T) {
-	svc, ts := newQueryServer(t, newSingle(t, panicSource{repo.NewIndexed(qgen.Graph(5))}), generous())
+	svc, ts := newQueryServer(t, newSingle(t, panicSource{qgen.Graph(5).Freeze()}), generous())
 	svc.chain.Logger = log.New(io.Discard, "", 0)
 	for i := 0; i < 2; i++ {
 		code, _, e := queryError(t, ts, "/query", QueryRequest{Query: "where Items(x)"})

@@ -12,7 +12,6 @@ import (
 	"strudel/internal/fleet"
 	"strudel/internal/graph"
 	"strudel/internal/qgen"
-	"strudel/internal/repo"
 	"strudel/internal/schema"
 	"strudel/internal/spine"
 	"strudel/internal/struql"
@@ -42,7 +41,7 @@ func newFleet(t testing.TB, src struql.Source, shards, replicas int) *fleet.Flee
 
 func newFleetBackend(t testing.TB, g *graph.Graph, shards, replicas int) *fleet.Fleet {
 	t.Helper()
-	return newFleet(t, repo.NewIndexed(g), shards, replicas)
+	return newFleet(t, g.Freeze(), shards, replicas)
 }
 
 // newSingle is the single-server backend: a 1×1 fleet over a source.
@@ -204,7 +203,7 @@ func inProcessRows(t testing.TB, src struql.Source, query string, sel []string) 
 
 // oracleSite is one generated graph with its service endpoints.
 type oracleSite struct {
-	ix *repo.Indexed // the in-process reference source
+	ix *graph.Frozen // the in-process reference source
 	ts *httptest.Server
 }
 
@@ -213,7 +212,7 @@ func newOracleSite(t testing.TB, seed uint64, shards, replicas int) *oracleSite 
 	g := qgen.Graph(seed)
 	fl := newFleetBackend(t, g, shards, replicas)
 	_, ts := newQueryServer(t, fl, generous())
-	return &oracleSite{ix: repo.NewIndexed(g), ts: ts}
+	return &oracleSite{ix: g.Freeze(), ts: ts}
 }
 
 func sameRows(a, b []string) bool {

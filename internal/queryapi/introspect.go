@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"strudel/internal/fleet"
+	"strudel/internal/graph"
 	"strudel/internal/repo"
 	"strudel/internal/spine"
 	"strudel/internal/struql"
@@ -22,9 +23,9 @@ import (
 // generation, and is memoized per generation — introspection is read
 // traffic too and earns the same ETag/304 treatment.
 
-// LabelInfo is one row of /schema/labels: the edge count always, the
-// distinct source/target counts when the backing source indexes its
-// attribute extents (repo.Indexed does; a plain graph reports -1).
+// LabelInfo is one row of /schema/labels: the label's edge count and
+// its distinct source and target counts, read from the generation's
+// snapshot.
 type LabelInfo struct {
 	Label   string `json:"label"`
 	Count   int    `json:"count"`
@@ -32,11 +33,11 @@ type LabelInfo struct {
 	Targets int    `json:"targets"`
 }
 
-// introspect runs a closure through the backend with per-generation
-// memoization and conditional-GET handling shared by every
-// introspection endpoint.
+// introspect runs a closure over the generation's snapshot through the
+// backend with per-generation memoization and conditional-GET handling
+// shared by every introspection endpoint.
 func (s *Service) introspect(w http.ResponseWriter, r *http.Request, kind, memoKey string,
-	fn func(src struql.Source) (any, error)) {
+	fn func(data *graph.Frozen) (any, error)) {
 
 	if r.Method != http.MethodGet {
 		s.fail(w, r, &spine.Error{Code: spine.CodeBadRequest, Status: http.StatusMethodNotAllowed,
@@ -61,7 +62,11 @@ func (s *Service) introspect(w http.ResponseWriter, r *http.Request, kind, memoK
 		var err error
 		payload, gotGen, err = s.Backend.EvalOn(r.Context(), "schema:"+kind,
 			func(ctx context.Context, src struql.Source, g int64) (string, error) {
-				body, err := fn(src)
+				data, err := struql.Snapshot(src)
+				if err != nil {
+					return "", err
+				}
+				body, err := fn(data)
 				if err != nil {
 					return "", err
 				}
@@ -93,16 +98,12 @@ func (s *Service) introspect(w http.ResponseWriter, r *http.Request, kind, memoK
 }
 
 func (s *Service) handleLabels(w http.ResponseWriter, r *http.Request) {
-	s.introspect(w, r, "labels", "labels", func(src struql.Source) (any, error) {
-		ls, hasStats := src.(struql.LabelStatser)
-		labels := src.Labels()
-		infos := make([]LabelInfo, 0, len(labels))
-		for _, l := range labels {
-			info := LabelInfo{Label: l, Count: src.LabelCount(l), Sources: -1, Targets: -1}
-			if hasStats {
-				info.Count, info.Sources, info.Targets = ls.LabelStats(l)
-			}
-			infos = append(infos, info)
+	s.introspect(w, r, "labels", "labels", func(data *graph.Frozen) (any, error) {
+		labels := data.Labels()
+		infos := make([]LabelInfo, len(labels))
+		for i, l := range labels {
+			infos[i].Label = l
+			infos[i].Count, infos[i].Sources, infos[i].Targets = data.LabelStats(l)
 		}
 		return map[string]any{"labels": infos}, nil
 	})
@@ -113,11 +114,11 @@ func (s *Service) handleCollections(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 		Size int    `json:"size"`
 	}
-	s.introspect(w, r, "collections", "collections", func(src struql.Source) (any, error) {
-		names := src.CollectionNames()
+	s.introspect(w, r, "collections", "collections", func(data *graph.Frozen) (any, error) {
+		names := data.CollectionNames()
 		infos := make([]collInfo, 0, len(names))
 		for _, n := range names {
-			infos = append(infos, collInfo{Name: n, Size: src.CollectionSize(n)})
+			infos = append(infos, collInfo{Name: n, Size: data.CollectionSize(n)})
 		}
 		return map[string]any{"collections": infos}, nil
 	})
@@ -135,8 +136,8 @@ func (s *Service) handleDataguide(w http.ResponseWriter, r *http.Request) {
 		depth = n
 	}
 	memoKey := fmt.Sprintf("dataguide-d%d", depth)
-	s.introspect(w, r, "dataguide", memoKey, func(src struql.Source) (any, error) {
-		dg := repo.BuildDataGuide(src, nil)
+	s.introspect(w, r, "dataguide", memoKey, func(data *graph.Frozen) (any, error) {
+		dg := repo.BuildDataGuide(data, nil)
 		paths := dg.Paths(depth)
 		if paths == nil {
 			paths = []string{}

@@ -7,9 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"strudel/internal/graph"
 	"strudel/internal/qgen"
-	"strudel/internal/repo"
 	"strudel/internal/spine"
+	"strudel/internal/struql"
 )
 
 // Introspection endpoints: generation-stamped JSON, ETag/304 semantics,
@@ -39,9 +40,23 @@ func getJSON(t *testing.T, url string, hdr map[string]string) (int, http.Header,
 	return resp.StatusCode, resp.Header, m
 }
 
+// TestSchemaLabels checks /schema/labels against the snapshot's label
+// statistics, for a fleet built on a snapshot and for one built on a
+// plain map graph: every source is read through its snapshot, so both
+// report real distinct source and target counts.
 func TestSchemaLabels(t *testing.T) {
-	ix := repo.NewIndexed(qgen.Graph(5))
-	_, ts := newQueryServer(t, newSingle(t, ix), generous())
+	g := qgen.Graph(5)
+	ix := g.Freeze()
+	for _, tc := range []struct {
+		name string
+		src  struql.Source
+	}{{"snapshot", ix}, {"plain-graph", g}} {
+		t.Run(tc.name, func(t *testing.T) { checkSchemaLabels(t, ix, tc.src) })
+	}
+}
+
+func checkSchemaLabels(t *testing.T, ix *graph.Frozen, src struql.Source) {
+	_, ts := newQueryServer(t, newSingle(t, src), generous())
 
 	code, hdr, m := getJSON(t, ts.URL+"/schema/labels", nil)
 	if code != http.StatusOK {
@@ -51,23 +66,16 @@ func TestSchemaLabels(t *testing.T) {
 		t.Fatalf("generation = %v, want 0", m["generation"])
 	}
 	labels := m["labels"].([]any)
-	byName := map[string]map[string]any{}
+	if len(labels) != len(ix.Labels()) {
+		t.Fatalf("/schema/labels lists %d labels, the snapshot has %d", len(labels), len(ix.Labels()))
+	}
 	for _, l := range labels {
 		info := l.(map[string]any)
-		byName[info["label"].(string)] = info
-	}
-	for _, want := range []string{"id", "year", "next"} {
-		info, ok := byName[want]
-		if !ok {
-			t.Fatalf("label %q missing from /schema/labels (got %v)", want, byName)
-		}
-		if int(info["count"].(float64)) != ix.LabelCount(want) {
-			t.Fatalf("label %q count = %v, index says %d", want, info["count"], ix.LabelCount(want))
-		}
-		// repo.Indexed carries attribute extents, so distinct source and
-		// target counts must be real, not the -1 fallback.
-		if info["sources"].(float64) < 1 || info["targets"].(float64) < 1 {
-			t.Fatalf("label %q stats = %v; indexed source should report extents", want, info)
+		label := info["label"].(string)
+		count, sources, targets := ix.LabelStats(label)
+		got := [3]int{int(info["count"].(float64)), int(info["sources"].(float64)), int(info["targets"].(float64))}
+		if want := [3]int{count, sources, targets}; got != want || count == 0 {
+			t.Fatalf("label %q (count, sources, targets) = %v, the snapshot says %v", label, got, want)
 		}
 	}
 
@@ -88,7 +96,7 @@ func TestSchemaLabels(t *testing.T) {
 }
 
 func TestSchemaCollectionsAndDataguide(t *testing.T) {
-	ix := repo.NewIndexed(qgen.Graph(5))
+	ix := qgen.Graph(5).Freeze()
 	single := newSingle(t, ix)
 	_, ts := newQueryServer(t, single, generous())
 
@@ -132,7 +140,7 @@ func TestSchemaCollectionsAndDataguide(t *testing.T) {
 	// Reload invalidates the validator: same URL, new generation, 200.
 	_, hdr, _ := getJSON(t, ts.URL+"/schema/dataguide?depth=2", nil)
 	etag := hdr.Get("ETag")
-	single.SwapData(repo.NewIndexed(qgen.Graph(77)), nil)
+	single.SwapData(qgen.Graph(77).Freeze(), nil)
 	code, hdr, m = getJSON(t, ts.URL+"/schema/dataguide?depth=2", map[string]string{"If-None-Match": etag})
 	if code != http.StatusOK {
 		t.Fatalf("post-reload conditional dataguide = %d, want 200 (validator is stale)", code)
@@ -143,7 +151,7 @@ func TestSchemaCollectionsAndDataguide(t *testing.T) {
 }
 
 func TestQueryExplain(t *testing.T) {
-	svc, ts := newQueryServer(t, newSingle(t, repo.NewIndexed(qgen.Graph(5))), generous())
+	svc, ts := newQueryServer(t, newSingle(t, qgen.Graph(5).Freeze()), generous())
 
 	// A bare where clause is wrapped and explained.
 	code, _, body := postJSON(t, ts.URL+"/query/explain",
@@ -182,7 +190,7 @@ func TestQueryExplain(t *testing.T) {
 // validator a client or proxy weakened to W/"…" still earns a 304 from
 // /query and /schema/labels, alone or inside a list.
 func TestWeakValidatorsNotModified(t *testing.T) {
-	_, ts := newQueryServer(t, newSingle(t, repo.NewIndexed(qgen.Graph(5))), generous())
+	_, ts := newQueryServer(t, newSingle(t, qgen.Graph(5).Freeze()), generous())
 	req := QueryRequest{Query: qgen.WhereClause(3), PageSize: 5}
 	code, hdr, body := postJSON(t, ts.URL+"/query", req, nil)
 	if code != http.StatusOK {

@@ -33,7 +33,7 @@ func TestSaveAtomicReplacement(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			r := NewRepository()
-			r.Put("data", graphWithEdge("first"))
+			r.Put("data", graphWithEdge("first").Freeze())
 			if err := tc.save(r, dir); err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +42,7 @@ func TestSaveAtomicReplacement(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			r.Put("data", graphWithEdge("second"))
+			r.Put("data", graphWithEdge("second").Freeze())
 			r.FS = &faultfs.FS{Inner: fsx.OS, ShortWriteN: 1}
 			if err := tc.save(r, dir); !errors.Is(err, faultfs.ErrInjected) {
 				t.Fatalf("save err = %v, want injected fault", err)
@@ -84,8 +84,8 @@ func TestSaveAtomicReplacement(t *testing.T) {
 // in sorted name order reports the failure.
 func TestSaveFailureOrderDeterministic(t *testing.T) {
 	r := NewRepository()
-	r.Put("zeta", graphWithEdge("z"))
-	r.Put("alpha", graphWithEdge("a"))
+	r.Put("zeta", graphWithEdge("z").Freeze())
+	r.Put("alpha", graphWithEdge("a").Freeze())
 	r.FS = &faultfs.FS{Inner: fsx.OS, FailWriteN: 1}
 	err := r.Save(t.TempDir())
 	if err == nil || !errors.Is(err, faultfs.ErrInjected) {

@@ -23,7 +23,7 @@ func guideGraph() *graph.Graph {
 }
 
 func TestDataGuidePaths(t *testing.T) {
-	dg := BuildDataGuide(NewIndexed(guideGraph()), nil)
+	dg := BuildDataGuide(guideGraph().Freeze(), nil)
 	paths := dg.Paths(3)
 	want := []string{"author", "author.inst", "author.name", "journal", "title"}
 	if strings.Join(paths, ",") != strings.Join(want, ",") {
@@ -40,7 +40,7 @@ func TestDataGuideEveryPathOnce(t *testing.T) {
 		g.AddToCollection("C", oid)
 		g.AddEdge(oid, "x", graph.NewInt(int64(i)))
 	}
-	dg := BuildDataGuide(NewIndexed(g), nil)
+	dg := BuildDataGuide(g.Freeze(), nil)
 	paths := dg.Paths(2)
 	if len(paths) != 1 || paths[0] != "x" {
 		t.Errorf("Paths = %v", paths)
@@ -51,7 +51,7 @@ func TestDataGuideEveryPathOnce(t *testing.T) {
 }
 
 func TestDataGuideAnnotations(t *testing.T) {
-	dg := BuildDataGuide(NewIndexed(guideGraph()), nil)
+	dg := BuildDataGuide(guideGraph().Freeze(), nil)
 	str := dg.String()
 	// Two author objects are summarized by one guide node annotated 2.
 	if !strings.Contains(str, "author (2)") {
@@ -68,7 +68,7 @@ func TestDataGuideCycles(t *testing.T) {
 	g.AddToCollection("C", "a")
 	g.AddEdge("a", "next", graph.NewNode("b"))
 	g.AddEdge("b", "next", graph.NewNode("a"))
-	dg := BuildDataGuide(NewIndexed(g), nil)
+	dg := BuildDataGuide(g.Freeze(), nil)
 	// Must terminate; paths are cut at cycles or maxDepth.
 	paths := dg.Paths(5)
 	if len(paths) == 0 {
@@ -82,7 +82,7 @@ func TestDataGuideCycles(t *testing.T) {
 }
 
 func TestDataGuideExplicitRoots(t *testing.T) {
-	dg := BuildDataGuide(NewIndexed(guideGraph()), []graph.OID{"a2"})
+	dg := BuildDataGuide(guideGraph().Freeze(), []graph.OID{"a2"})
 	paths := dg.Paths(2)
 	want := []string{"inst", "name"}
 	if strings.Join(paths, ",") != strings.Join(want, ",") {
@@ -91,8 +91,8 @@ func TestDataGuideExplicitRoots(t *testing.T) {
 }
 
 func TestDataGuideDeterministic(t *testing.T) {
-	a := BuildDataGuide(NewIndexed(guideGraph()), nil).String()
-	b := BuildDataGuide(NewIndexed(guideGraph()), nil).String()
+	a := BuildDataGuide(guideGraph().Freeze(), nil).String()
+	b := BuildDataGuide(guideGraph().Freeze(), nil).String()
 	if a != b {
 		t.Error("dataguide not deterministic")
 	}

@@ -9,43 +9,29 @@ import (
 	"strudel/internal/graph"
 	"strudel/internal/qgen"
 	"strudel/internal/repo"
-	"strudel/internal/struql"
 )
 
 // TestIndexedMatchesGraphSource checks every access path of the
-// repository — on its own snapshot, on a snapshot adopted from SGB2
-// bytes, and on the map-graph fallback — against the plain scans of
-// struql.GraphSource, answer by answer, compared as sorted sets.
+// repository's snapshot — frozen from a qgen graph, and adopted from its
+// SGB2 bytes — against references scanned from the map graph's edges,
+// answer by answer, compared as sorted sets. (The name predates the
+// scanning source the references once came from; internal/graph's
+// TestFrozenMatchesGraph makes the same checks on its own graph.)
 func TestIndexedMatchesGraphSource(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 1998} {
 		g := qgen.Graph(seed)
-		want := struql.NewGraphSource(g)
-		decoded, err := repo.DecodeBinaryFrozen(repo.EncodeBinaryFrozen(g.Freeze()))
+		frozen := g.Freeze()
+		decoded, err := repo.DecodeBinaryFrozen(repo.EncodeBinaryFrozen(frozen))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, ix := range map[string]*repo.Indexed{
-			"snapshot": repo.NewIndexed(g),
-			"adopted":  repo.NewIndexedFrozen(decoded),
-			"fallback": repo.NewIndexedUnfrozen(g),
-		} {
-			t.Run(fmt.Sprintf("seed%d/%s", seed, name), func(t *testing.T) {
-				if name == "snapshot" && ix.Frozen() == nil {
-					t.Fatal("no snapshot built")
-				}
-				if name == "adopted" && ix.Frozen() != decoded {
-					t.Fatal("adopted snapshot not returned by Frozen")
-				}
-				if name == "fallback" && ix.Frozen() != nil {
-					t.Fatal("fallback has a snapshot")
-				}
-				compareSources(t, ix, want)
-			})
+		for name, f := range map[string]*graph.Frozen{"snapshot": frozen, "adopted": decoded} {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, name), func(t *testing.T) { compareSnapshot(t, f, g) })
 		}
 	}
 }
 
-func compareSources(t *testing.T, got *repo.Indexed, want struql.GraphSource) {
+func compareSnapshot(t *testing.T, got *graph.Frozen, g *graph.Graph) {
 	t.Helper()
 	eq := func(what string, g, w any) {
 		t.Helper()
@@ -53,59 +39,59 @@ func compareSources(t *testing.T, got *repo.Indexed, want struql.GraphSource) {
 			t.Errorf("%s = %v, want %v", what, g, w)
 		}
 	}
-	eq("NumNodes", got.NumNodes(), want.NumNodes())
-	eq("NumEdges", got.NumEdges(), want.NumEdges())
-	eq("Nodes", sortedOIDs(got.Nodes()), sortedOIDs(want.Nodes()))
-	eq("Labels", sortedStrings(got.Labels()), sortedStrings(want.Labels()))
-	eq("CollectionNames", sortedStrings(got.CollectionNames()), sortedStrings(want.CollectionNames()))
+	edges := g.AllEdges()
+	scan := func(keep func(graph.Edge) bool) []graph.Edge {
+		var out []graph.Edge
+		for _, e := range edges {
+			if keep(e) {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
+	eq("NumNodes", got.NumNodes(), g.NumNodes())
+	eq("NumEdges", got.NumEdges(), g.NumEdges())
+	eq("Nodes", sortedOIDs(got.Nodes()), sortedOIDs(g.Nodes()))
+	eq("Labels", sortedStrings(got.Labels()), sortedStrings(g.Labels()))
+	eq("CollectionNames", sortedStrings(got.CollectionNames()), sortedStrings(g.CollectionNames()))
 
-	nodes := append(want.Nodes(), "absent")
-	for _, c := range append(want.CollectionNames(), "Absent") {
-		eq("Collection("+c+")", sortedOIDs(got.Collection(c)), sortedOIDs(want.Collection(c)))
-		eq("CollectionSize("+c+")", got.CollectionSize(c), want.CollectionSize(c))
+	nodes := append(g.Nodes(), "absent")
+	for _, c := range append(g.CollectionNames(), "Absent") {
+		eq("Collection("+c+")", sortedOIDs(got.Collection(c)), sortedOIDs(g.Collection(c)))
+		eq("CollectionSize("+c+")", got.CollectionSize(c), g.CollectionSize(c))
 		for _, n := range nodes {
-			eq(fmt.Sprintf("InCollection(%s,%s)", c, n), got.InCollection(c, n), want.InCollection(c, n))
+			eq(fmt.Sprintf("InCollection(%s,%s)", c, n), got.InCollection(c, n), g.InCollection(c, n))
 		}
 	}
 
-	labels := append(want.Labels(), "absent")
-	stats := struql.CollectStats(want)
+	labels := append(g.Labels(), "absent")
 	for _, l := range labels {
-		eq("EdgesLabeled("+l+")", sortedEdges(got.EdgesLabeled(l)), sortedEdges(want.EdgesLabeled(l)))
-		eq("LabelCount("+l+")", got.LabelCount(l), want.LabelCount(l))
-		count, sources, targets := got.LabelStats(l)
-		eq("LabelStats("+l+")", struql.LabelStat{Count: count, Sources: sources, Targets: targets}, stats.Label(l))
+		want := scan(func(e graph.Edge) bool { return e.Label == l })
+		eq("EdgesLabeled("+l+")", sortedEdges(got.EdgesLabeled(l)), sortedEdges(want))
+		eq("LabelCount("+l+")", got.LabelCount(l), len(want))
+		sources, targets := map[graph.OID]bool{}, map[graph.Value]bool{}
+		for _, e := range want {
+			sources[e.From], targets[e.To] = true, true
+		}
+		count, s, tg := got.LabelStats(l)
+		eq("LabelStats("+l+")", [3]int{count, s, tg}, [3]int{len(want), len(sources), len(targets)})
 	}
 	for _, n := range nodes {
-		eq("Out("+string(n)+")", sortedEdges(got.Out(n)), sortedEdges(want.Out(n)))
+		eq("Out("+string(n)+")", sortedEdges(got.Out(n)), sortedEdges(g.Out(n)))
 		for _, l := range labels {
-			eq(fmt.Sprintf("OutLabel(%s,%s)", n, l), sortedValues(got.OutLabel(n, l)), sortedValues(want.OutLabel(n, l)))
+			eq(fmt.Sprintf("OutLabel(%s,%s)", n, l), sortedValues(got.OutLabel(n, l)), sortedValues(g.OutLabel(n, l)))
 		}
 	}
 
 	targets := []graph.Value{graph.NewNode("absent"), graph.NewString("absent"), graph.NewInt(-1)}
-	for _, n := range want.Nodes() {
+	for _, n := range g.Nodes() {
 		targets = append(targets, graph.NewNode(n))
-		for _, e := range want.Out(n) {
-			targets = append(targets, e.To)
-		}
+	}
+	for _, e := range edges {
+		targets = append(targets, e.To)
 	}
 	for _, v := range targets {
-		eq("In("+v.Key()+")", sortedEdges(got.In(v)), sortedEdges(want.In(v)))
-	}
-}
-
-// TestNewIndexedBuildsNoIndex pins that construction only wraps the
-// graph: every index is the snapshot, built by the first read.
-func TestNewIndexedBuildsNoIndex(t *testing.T) {
-	g := qgen.Graph(42)
-	var sink *repo.Indexed
-	allocs := testing.AllocsPerRun(100, func() { sink = repo.NewIndexed(g) })
-	if allocs > 2 {
-		t.Errorf("NewIndexed allocates %.0f times, want <= 2", allocs)
-	}
-	if sink.NumEdges() != g.NumEdges() {
-		t.Errorf("NumEdges = %d, want %d", sink.NumEdges(), g.NumEdges())
+		eq("In("+v.Key()+")", sortedEdges(got.In(v)), sortedEdges(scan(func(e graph.Edge) bool { return e.To == v })))
 	}
 }
 

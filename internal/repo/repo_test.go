@@ -22,7 +22,7 @@ func sampleGraph() *graph.Graph {
 }
 
 func TestIndexedEdgesLabeled(t *testing.T) {
-	ix := NewIndexed(sampleGraph())
+	ix := sampleGraph().Freeze()
 	titles := ix.EdgesLabeled("title")
 	if len(titles) != 2 {
 		t.Fatalf("title edges = %d, want 2", len(titles))
@@ -40,7 +40,7 @@ func TestIndexedValueIndexIsGlobal(t *testing.T) {
 	// collection or attribute.
 	g := sampleGraph()
 	g.AddEdge("pub2", "revised", graph.NewInt(1997)) // same atom, different attribute
-	ix := NewIndexed(g)
+	ix := g.Freeze()
 	hits := ix.In(graph.NewInt(1997))
 	if len(hits) != 2 {
 		t.Fatalf("In(1997) = %d edges, want 2 (global index)", len(hits))
@@ -55,7 +55,7 @@ func TestIndexedValueIndexIsGlobal(t *testing.T) {
 }
 
 func TestIndexedInEdgesForNodes(t *testing.T) {
-	ix := NewIndexed(sampleGraph())
+	ix := sampleGraph().Freeze()
 	in := ix.In(graph.NewNode("pub2"))
 	if len(in) != 1 || in[0].From != "pub1" || in[0].Label != "related" {
 		t.Errorf("In(&pub2) = %v", in)
@@ -72,7 +72,7 @@ func TestIndexedMatchesNaiveScanProperty(t *testing.T) {
 			g.AddEdge(from, fmt.Sprintf("l%d", i%4), graph.NewInt(int64(i%5)))
 			g.AddEdge(from, "next", graph.NewNode(graph.OID(fmt.Sprintf("n%d", (i+1)%size))))
 		}
-		ix := NewIndexed(g)
+		ix := g.Freeze()
 		for lbl := 0; lbl < 4; lbl++ {
 			label := fmt.Sprintf("l%d", lbl)
 			var naive int
@@ -108,7 +108,7 @@ func TestIndexedMatchesNaiveScanProperty(t *testing.T) {
 
 func TestRepositoryPutGetDrop(t *testing.T) {
 	r := NewRepository()
-	r.Put("data", sampleGraph())
+	r.Put("data", sampleGraph().Freeze())
 	if r.Get("data") == nil {
 		t.Fatal("Get after Put returned nil")
 	}
@@ -127,10 +127,10 @@ func TestRepositoryPutGetDrop(t *testing.T) {
 func TestRepositorySaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRepository()
-	r.Put("data", sampleGraph())
+	r.Put("data", sampleGraph().Freeze())
 	g2 := graph.New()
 	g2.AddEdge("x", "a", graph.NewString("v"))
-	r.Put("site graph", g2) // name needs sanitizing
+	r.Put("site graph", g2.Freeze()) // name needs sanitizing
 	if err := r.Save(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestRepositorySaveLoadRoundTrip(t *testing.T) {
 func TestRepositoryBinarySaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	r := NewRepository()
-	r.Put("data", sampleGraph())
+	r.Put("data", sampleGraph().Freeze())
 	if err := r.SaveBinary(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestRepositoryConcurrentAccess(t *testing.T) {
 		go func(i int) {
 			defer func() { done <- struct{}{} }()
 			name := fmt.Sprintf("g%d", i%4)
-			r.Put(name, sampleGraph())
+			r.Put(name, sampleGraph().Freeze())
 			_ = r.Get(name)
 			_ = r.Names()
 		}(i)

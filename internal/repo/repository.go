@@ -17,7 +17,7 @@ import (
 // site graphs derived from it (§2.1). It is safe for concurrent use.
 type Repository struct {
 	mu     sync.RWMutex
-	graphs map[string]*Indexed
+	graphs map[string]*graph.Frozen
 	// FS is the filesystem Save and SaveBinary write through; nil uses
 	// the real one. Tests inject fault-carrying implementations here.
 	FS fsx.FS
@@ -32,27 +32,18 @@ func (r *Repository) fsys() fsx.FS {
 
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
-	return &Repository{graphs: make(map[string]*Indexed)}
+	return &Repository{graphs: make(map[string]*graph.Frozen)}
 }
 
-// Put stores (or replaces) a graph under the given name, indexing it.
-func (r *Repository) Put(name string, g *graph.Graph) *Indexed {
-	ix := NewIndexed(g)
+// Put stores (or replaces) a graph's snapshot under the given name.
+func (r *Repository) Put(name string, f *graph.Frozen) {
 	r.mu.Lock()
-	r.graphs[name] = ix
-	r.mu.Unlock()
-	return ix
-}
-
-// PutIndexed stores an already-indexed graph under the given name.
-func (r *Repository) PutIndexed(name string, ix *Indexed) {
-	r.mu.Lock()
-	r.graphs[name] = ix
+	r.graphs[name] = f
 	r.mu.Unlock()
 }
 
-// Get returns the named indexed graph, or nil if absent.
-func (r *Repository) Get(name string) *Indexed {
+// Get returns the named snapshot, or nil if absent.
+func (r *Repository) Get(name string) *graph.Frozen {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.graphs[name]
@@ -86,25 +77,17 @@ func (r *Repository) Drop(name string) bool {
 // are written in sorted name order, so partial failures are
 // deterministic.
 func (r *Repository) Save(dir string) error {
-	return r.save(dir, ".ddl", func(ix *Indexed) ([]byte, error) { return []byte(ddl.Print(ix)), nil })
+	return r.save(dir, ".ddl", func(f *graph.Frozen) []byte { return []byte(ddl.Print(f)) })
 }
 
 // SaveBinary writes every stored graph to dir as <name>.sgb in the SGB2
 // binary format (the frozen form, which loads without re-indexing),
-// with the same atomic-replacement guarantee as Save. A graph beyond
-// the snapshot's packed id capacity cannot be written and fails the
-// save.
+// with the same atomic-replacement guarantee as Save.
 func (r *Repository) SaveBinary(dir string) error {
-	return r.save(dir, ".sgb", func(ix *Indexed) ([]byte, error) {
-		f := ix.Frozen()
-		if f == nil {
-			return nil, fmt.Errorf("graph too large to freeze")
-		}
-		return EncodeBinaryFrozen(f), nil
-	})
+	return r.save(dir, ".sgb", EncodeBinaryFrozen)
 }
 
-func (r *Repository) save(dir, ext string, encode func(*Indexed) ([]byte, error)) error {
+func (r *Repository) save(dir, ext string, encode func(*graph.Frozen) []byte) error {
 	fsys := r.fsys()
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("repo: save: %w", err)
@@ -118,11 +101,7 @@ func (r *Repository) save(dir, ext string, encode func(*Indexed) ([]byte, error)
 	sort.Strings(names)
 	for _, name := range names {
 		path := filepath.Join(dir, sanitizeName(name)+ext)
-		data, err := encode(r.graphs[name])
-		if err == nil {
-			err = fsx.WriteFileAtomic(fsys, path, data, 0o644)
-		}
-		if err != nil {
+		if err := fsx.WriteFileAtomic(fsys, path, encode(r.graphs[name]), 0o644); err != nil {
 			return fmt.Errorf("repo: save %s: %w", name, err)
 		}
 	}
@@ -130,7 +109,8 @@ func (r *Repository) save(dir, ext string, encode func(*Indexed) ([]byte, error)
 }
 
 // Load reads every *.ddl file in dir into the repository, keyed by file
-// base name.
+// base name, each frozen into its snapshot: a graph past the snapshot's
+// id capacity fails the load with a *graph.CapacityError.
 func (r *Repository) Load(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -148,7 +128,11 @@ func (r *Repository) Load(dir string) error {
 		if err != nil {
 			return fmt.Errorf("repo: load %s: %w", ent.Name(), err)
 		}
-		r.Put(strings.TrimSuffix(ent.Name(), ".ddl"), doc.Graph)
+		f, err := doc.Graph.Snapshot()
+		if err != nil {
+			return fmt.Errorf("repo: load %s: %w", ent.Name(), err)
+		}
+		r.Put(strings.TrimSuffix(ent.Name(), ".ddl"), f)
 	}
 	return nil
 }
@@ -172,7 +156,7 @@ func (r *Repository) LoadBinary(dir string) error {
 		if err != nil {
 			return fmt.Errorf("repo: load %s: %w", ent.Name(), err)
 		}
-		r.PutIndexed(strings.TrimSuffix(ent.Name(), ".sgb"), NewIndexedFrozen(f))
+		r.Put(strings.TrimSuffix(ent.Name(), ".sgb"), f)
 	}
 	return nil
 }

@@ -179,7 +179,7 @@ func TestRecoverQueryIsEquivalent(t *testing.T) {
 	// we can recover the query from the site schema."
 	orig := struql.MustParse(fig3Query)
 	rec := Build(orig).RecoverQuery()
-	src := struql.NewGraphSource(fig2Graph())
+	src := fig2Graph()
 	r1, err := struql.Eval(orig, src, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestRecoverQueryIsEquivalent(t *testing.T) {
 func TestRecoverQueryWithCollect(t *testing.T) {
 	q := struql.MustParse(`where Publications(x) create P(x) collect Pages(P(x)), Raw(x)`)
 	rec := Build(q).RecoverQuery()
-	src := struql.NewGraphSource(fig2Graph())
+	src := fig2Graph()
 	r1, _ := struql.Eval(q, src, nil)
 	r2, err := struql.Eval(rec, src, nil)
 	if err != nil {
@@ -210,7 +210,7 @@ func TestRecoverQueryWithCollect(t *testing.T) {
 func TestRecoverQueryConstantTargets(t *testing.T) {
 	q := struql.MustParse(`where Publications(x) create P(x) link P(x) -> "kind" -> "paper", P(x) -> "n" -> 7`)
 	rec := Build(q).RecoverQuery()
-	src := struql.NewGraphSource(fig2Graph())
+	src := fig2Graph()
 	r1, _ := struql.Eval(q, src, nil)
 	r2, err := struql.Eval(rec, src, nil)
 	if err != nil {

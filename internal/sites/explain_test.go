@@ -12,7 +12,6 @@ import (
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 	"strudel/internal/struql"
 )
 
@@ -40,7 +39,7 @@ func explainSites() []struct {
 
 // warehouse loads a spec's sources into the data graph its queries run
 // against.
-func warehouse(t *testing.T, spec *core.Spec) *repo.Indexed {
+func warehouse(t *testing.T, spec *core.Spec) *graph.Frozen {
 	t.Helper()
 	med, err := mediator.New(spec.Sources...)
 	if err != nil {
@@ -131,24 +130,15 @@ func TestExplainDeterministic(t *testing.T) {
 	}
 }
 
-// snapshotProbe counts how often an evaluation asks its source for the
-// snapshot.
-type snapshotProbe struct {
-	*repo.Indexed
-	asked *int
-}
-
-func (p snapshotProbe) Frozen() *graph.Frozen {
-	*p.asked++
-	return p.Indexed.Frozen()
-}
-
 // TestEvalSeqFirstQueryReadsBase pins the batch-build read path: the
-// first query of a composition is evaluated against the data graph
-// itself — snapshot and statistics included — not against a union with
-// the still-empty accumulator. For every example site, EvalSeq of the
-// first query alone must consult the snapshot, take the same planner
-// decisions as Eval, and construct the same graph.
+// first query of a composition is evaluated against the data graph's
+// own snapshot — statistics included — not against a copy of it unioned
+// with the still-empty accumulator. For every example site, EvalSeq of
+// the first query alone must take the same planner decisions as Eval,
+// construct the same graph, and allocate no copy of the data graph:
+// beyond what Eval and merging its result allocate, it allocates less
+// than one object per two data nodes, where a copy allocates at least
+// one per node.
 func TestEvalSeqFirstQueryReadsBase(t *testing.T) {
 	decisions := func(m *obs.EvalMetrics) [5]int64 {
 		return [5]int64{m.IndexSeeks.Load(), m.FullScans.Load(), m.RPESeeds.Load(), m.ReorderedConds.Load(), m.StatsLabels.Load()}
@@ -166,13 +156,17 @@ func TestEvalSeqFirstQueryReadsBase(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				asked := 0
-				got, err := struql.EvalSeq([]*struql.Query{q}, snapshotProbe{data, &asked}, &struql.Options{Parallelism: 1, Metrics: seqM})
+				got, err := struql.EvalSeq([]*struql.Query{q}, data, &struql.Options{Parallelism: 1, Metrics: seqM})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if asked == 0 {
-					t.Errorf("version %s: EvalSeq never asked the data graph for its snapshot", v.Name)
+				seq := &struql.Options{Parallelism: 1}
+				evalAllocs := testing.AllocsPerRun(5, func() { struql.Eval(q, data, seq) })
+				seqAllocs := testing.AllocsPerRun(5, func() { struql.EvalSeq([]*struql.Query{q}, data, seq) })
+				mergeAllocs := testing.AllocsPerRun(5, func() { graph.New().Merge(want.Graph) })
+				if extra := seqAllocs - evalAllocs - mergeAllocs; extra >= float64(data.NumNodes())/2 {
+					t.Errorf("version %s: EvalSeq allocates %.0f more than Eval and the merge (%.0f, %.0f): a copy of the %d-node data graph?",
+						v.Name, extra, evalAllocs, mergeAllocs, data.NumNodes())
 				}
 				if got.Dump() != want.Graph.Dump() {
 					t.Errorf("version %s: EvalSeq([q]) and Eval(q) construct different graphs", v.Name)

@@ -23,7 +23,7 @@ func TestEvalWhereCtxCancelled(t *testing.T) {
 	q := MustParse(`where C(x), x -> "a" -> v create P(x)`)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := EvalWhereCtx(ctx, q.Blocks[0].Where, NewGraphSource(g), nil, nil)
+	_, err := EvalWhereCtx(ctx, q.Blocks[0].Where, g, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -32,11 +32,11 @@ func TestEvalWhereCtxCancelled(t *testing.T) {
 func TestEvalWhereCtxLiveCompletesIdentically(t *testing.T) {
 	g := cancelTestGraph(500)
 	q := MustParse(`where C(x), x -> "a" -> v create P(x)`)
-	plain, err := EvalWhere(q.Blocks[0].Where, NewGraphSource(g), nil, nil)
+	plain, err := EvalWhere(q.Blocks[0].Where, g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := EvalWhereCtx(context.Background(), q.Blocks[0].Where, NewGraphSource(g), nil, nil)
+	withCtx, err := EvalWhereCtx(context.Background(), q.Blocks[0].Where, g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestEvalWhereCtxLiveCompletesIdentically(t *testing.T) {
 	// exercising the batched rowMap path.
 	live, liveCancel := context.WithCancel(context.Background())
 	defer liveCancel()
-	batched, err := EvalWhereCtx(live, q.Blocks[0].Where, NewGraphSource(g), nil, nil)
+	batched, err := EvalWhereCtx(live, q.Blocks[0].Where, g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,9 +138,9 @@ func EvalSeq(queries []*Query, base Source, opts *Options) (*graph.Graph, error)
 		// a snapshot frozen from a copy of base and acc together.
 		src := base
 		if i > 0 {
-			u := freezeCopy(base, acc)
-			if u == nil {
-				return nil, fmt.Errorf("query %d: %w", i+1, &CapacityError{Nodes: base.NumNodes() + acc.NumNodes()})
+			u, err := freezeCopy(base, acc)
+			if err != nil {
+				return nil, fmt.Errorf("query %d: %w", i+1, err)
 			}
 			src = u
 		}
@@ -184,42 +184,6 @@ func EvalWhereCtx(reqCtx context.Context, conds []Cond, src Source, seed *Bindin
 	return ctx.evalWhere(conds, seed)
 }
 
-// SnapshotOf returns the compact immutable snapshot behind src: src
-// itself when it is a bare *graph.Frozen, whatever a Frozen() method
-// supplies (repo.Indexed, whose indexes are that snapshot, built on
-// first call), nil for sources that have none (GraphSource,
-// fault-injecting wrappers).
-func SnapshotOf(src Source) *graph.Frozen {
-	switch s := src.(type) {
-	case *graph.Frozen:
-		return s
-	case interface{ Frozen() *graph.Frozen }:
-		return s.Frozen()
-	}
-	return nil
-}
-
-// snapshot resolves the one snapshot an evaluation of src reads: src's
-// own, or for a source that has none, one frozen from a copy of its read
-// surface. Every operator, the planner and the statistics read only that
-// snapshot. A source whose own snapshot is nil is past the snapshot's id
-// capacity; so is one whose copy cannot be frozen.
-func snapshot(src Source) (*graph.Frozen, error) {
-	var f *graph.Frozen
-	switch s := src.(type) {
-	case *graph.Frozen:
-		f = s
-	case interface{ Frozen() *graph.Frozen }:
-		f = s.Frozen()
-	default:
-		f = freezeCopy(src)
-	}
-	if f == nil {
-		return nil, &CapacityError{Nodes: src.NumNodes()}
-	}
-	return f, nil
-}
-
 type evalCtx struct {
 	opts *Options
 	// env and out are construction state, set by EvalWithEnv only;
@@ -228,7 +192,7 @@ type evalCtx struct {
 	out   *graph.Graph
 	rows  int
 	plans []string
-	// frozen is the snapshot every access path reads (see snapshot).
+	// frozen is the snapshot every access path reads (see Snapshot).
 	frozen *graph.Frozen
 	// par is the resolved worker count for per-row operators.
 	par int
@@ -262,7 +226,7 @@ type evalCtx struct {
 // newEvalCtx prepares a where-evaluation context; EvalWithEnv adds the
 // construction state.
 func newEvalCtx(src Source, opts *Options) (*evalCtx, error) {
-	f, err := snapshot(src)
+	f, err := Snapshot(src)
 	if err != nil {
 		return nil, err
 	}

@@ -31,7 +31,7 @@ func fig2Graph() *graph.Graph {
 
 func evalOn(t *testing.T, q string, g *graph.Graph) *Result {
 	t.Helper()
-	r, err := Eval(MustParse(q), NewGraphSource(g), nil)
+	r, err := Eval(MustParse(q), g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestEvalKleeneStarIncludesStart(t *testing.T) {
 	g.AddToCollection("Root", "r")
 	g.AddEdge("r", "a", graph.NewNode("s"))
 	b, err := EvalWhere(MustParse(`where Root(p), p -> * -> q, isNode(q) create N(q)`).Blocks[0].Where,
-		NewGraphSource(g), nil, nil)
+		g, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestEvalRegularPathExpressions(t *testing.T) {
 	g.AddEdge("c", "x", graph.NewNode("d"))
 	g.AddEdge("a", "z", graph.NewNode("e"))
 	g.AddEdge("d", "final", graph.NewString("leaf"))
-	src := NewGraphSource(g)
+	src := g
 	cases := []struct {
 		path string
 		want []string // expected q bindings (node oids or atom texts)
@@ -261,7 +261,7 @@ func TestEvalNegationSharedVars(t *testing.T) {
 func TestEvalArcVariableBindsSchema(t *testing.T) {
 	// Arc variables range over the schema: collect attribute names.
 	b, err := EvalWhere(MustParse(`where Publications(x), x -> l -> v create N(x)`).Blocks[0].Where,
-		NewGraphSource(fig2Graph()), nil, nil)
+		fig2Graph(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestEvalSeqComposition(t *testing.T) {
 	// bar to every page (the suciu example's last step, §5.1).
 	q1 := MustParse(`where Publications(x) create Page(x) link Page(x) -> "self" -> x collect Pages(Page(x))`)
 	q2 := MustParse(`where Pages(p) create NavBar() link NavBar() -> "target" -> p`)
-	got, err := EvalSeq([]*Query{q1, q2}, NewGraphSource(fig2Graph()), nil)
+	got, err := EvalSeq([]*Query{q1, q2}, fig2Graph(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +329,7 @@ func TestEvalSeededWhere(t *testing.T) {
 	// The dynamic evaluator's entry point: bind x and evaluate the rest.
 	seed := &Bindings{Vars: []string{"x"}, Rows: [][]graph.Value{{graph.NewNode("pub1")}}}
 	b, err := EvalWhere(MustParse(`where Publications(x), x -> "author" -> a create N(a)`).Blocks[0].Where,
-		NewGraphSource(fig2Graph()), seed, nil)
+		fig2Graph(), seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,8 +347,8 @@ func TestEvalOptimizerMatchesTextualOrder(t *testing.T) {
 		`where Publications(x), not(x -> "month" -> m), x -> l -> v create P(x) link P(x) -> l -> v`,
 		`where a -> "author" -> w, b -> "author" -> w, a != b create Pair(a, b)`,
 	}
-	src := NewGraphSource(fig2Graph())
-	src2 := NewGraphSource(textOnlyGraph())
+	src := fig2Graph()
+	src2 := textOnlyGraph()
 	for _, qs := range queries {
 		q := MustParse(qs)
 		for _, s := range []Source{src, src2} {
@@ -388,7 +388,7 @@ func TestEvalRowsCounted(t *testing.T) {
 
 func TestEvalCollectAtomFails(t *testing.T) {
 	_, err := Eval(MustParse(`where Publications(x), x -> "year" -> y create N(x) collect Years(y)`),
-		NewGraphSource(fig2Graph()), nil)
+		fig2Graph(), nil)
 	if err == nil || !strings.Contains(err.Error(), "collections contain objects") {
 		t.Errorf("collect of atom: err = %v", err)
 	}

@@ -52,7 +52,7 @@ func FuzzEval(f *testing.F) {
 		g.AddEdge(oid, "year", graph.NewInt(int64(1990+i)))
 		g.AddEdge(oid, "next", graph.NewNode(graph.OID(string(rune('a'+(i+1)%6)))))
 	}
-	src := NewGraphSource(g)
+	src := g
 	f.Fuzz(func(t *testing.T, qs string) {
 		q, err := Parse(qs)
 		if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"strudel/internal/graph"
 	"strudel/internal/qgen"
-	"strudel/internal/repo"
 )
 
 // This file is the randomized differential oracle: seeded generators for
@@ -36,13 +35,14 @@ type oracleGraph struct {
 
 func buildOracleGraph(seed uint64) *oracleGraph {
 	g := genGraph(seed)
-	ix := repo.NewIndexed(g)
-	return &oracleGraph{seed: seed, plain: NewGraphSource(g), indexed: ix, warm: CollectStats(ix)}
+	ix := g.Freeze()
+	return &oracleGraph{seed: seed, plain: g, indexed: ix, warm: CollectStats(ix)}
 }
 
 // genericOnly hides whatever a source offers beyond the Source
-// interface — Frozen(), LabelStats — because embedding the interface
-// promotes only its own methods. It is the snapshot-less source: the
+// interface — the snapshot's indexes, the map graph's type — because
+// embedding the interface promotes only its own methods. It is the
+// snapshot-less source: the
 // evaluator reads it through a snapshot frozen from a copy of it, so
 // wrapping a source in it puts that copy path under the oracles.
 type genericOnly struct{ Source }
@@ -52,9 +52,9 @@ type genericOnly struct{ Source }
 const oracleConfigs = 16
 
 // oracleOptions maps a configuration index to evaluation options and a
-// source: even indexes evaluate against the repository (its own
-// snapshot), odd against the plain graph source (a frozen copy); the
-// option half cycles parallelism, planner toggles, a bare snapshot and
+// source: even indexes evaluate against the repository's snapshot, odd
+// against the plain map graph (frozen by each evaluation); the option
+// half cycles parallelism, planner toggles, a resolved snapshot and
 // the snapshot-less genericOnly wrapper, warm statistics, and generous
 // resource guards that must never trip.
 func oracleOptions(i int, og *oracleGraph) (*Options, Source) {
@@ -66,11 +66,13 @@ func oracleOptions(i int, og *oracleGraph) (*Options, Source) {
 	case 0:
 		return nil, src
 	case 1:
-		// A bare snapshot is a source too: what a serving fleet hands
-		// its replicas.
-		if fz := SnapshotOf(src); fz != nil {
-			src = fz
+		// The resolved snapshot: what a serving fleet hands its
+		// replicas.
+		fz, err := Snapshot(src)
+		if err != nil {
+			panic(err)
 		}
+		src = fz
 		return &Options{Parallelism: 1}, src
 	case 2:
 		return &Options{Parallelism: 2, NoStats: true}, src

@@ -31,16 +31,3 @@ func (e *ResourceExhausted) Error() string {
 	}
 	return fmt.Sprintf("struql: evaluation exceeded the %s limit (%d > %d)", e.Limit, e.Used, e.Max)
 }
-
-// CapacityError is the typed error an evaluation returns for a graph
-// past the snapshot's id capacity (2^28 distinct nodes, labels, or atoms
-// of one kind): every operator reads a snapshot, so such a graph is
-// refused instead of scanned.
-type CapacityError struct {
-	// Nodes is the source's node count.
-	Nodes int
-}
-
-func (e *CapacityError) Error() string {
-	return fmt.Sprintf("struql: graph of %d nodes is past the snapshot's 2^28-id capacity for nodes, labels or atoms", e.Nodes)
-}

@@ -38,7 +38,7 @@ func mustParse(t *testing.T, src string) *Query {
 // consuming n² memory.
 func TestMaxRowsTripsOnCrossProduct(t *testing.T) {
 	q := mustParse(t, `where Items(x), Items(y) create P(x, y)`)
-	src := NewGraphSource(guardGraph(40)) // 1600 rows unguarded
+	src := guardGraph(40) // 1600 rows unguarded
 	m := &obs.EvalMetrics{}
 	_, err := Eval(q, src, &Options{MaxRows: 100, Metrics: m})
 	if err == nil {
@@ -73,7 +73,7 @@ func TestMaxRowsTripsOnCrossProduct(t *testing.T) {
 // the walk into a typed failure and counts the trip.
 func TestMaxNFAStatesTripsOnClosure(t *testing.T) {
 	q := mustParse(t, `where Items(x), x -> ("next")* -> y create R(x, y)`)
-	src := NewGraphSource(guardGraph(50))
+	src := guardGraph(50)
 	m := &obs.EvalMetrics{}
 	_, err := Eval(q, src, &Options{MaxNFAStates: 10, Metrics: m})
 	if err == nil {
@@ -103,7 +103,7 @@ func TestMaxNFAStatesTripsOnClosure(t *testing.T) {
 // evaluation at the first polling point with a typed error.
 func TestDeadlineTripsAndIsTyped(t *testing.T) {
 	q := mustParse(t, `where Items(x), Items(y) create P(x, y)`)
-	src := NewGraphSource(guardGraph(30))
+	src := guardGraph(30)
 	m := &obs.EvalMetrics{}
 	_, err := Eval(q, src, &Options{Deadline: time.Now().Add(-time.Second), Metrics: m})
 	if err == nil {
@@ -133,7 +133,7 @@ func TestGuardsInsideNotSubqueries(t *testing.T) {
 	// y != z needs both vars bound, so the sub-evaluation must build the
 	// full Items×Items relation before it can filter.
 	q := mustParse(t, `where Items(x), not(Items(y), Items(z), y != z) create P(x)`)
-	src := NewGraphSource(guardGraph(40))
+	src := guardGraph(40)
 	_, err := Eval(q, src, &Options{MaxRows: 50})
 	var re *ResourceExhausted
 	if !errors.As(err, &re) || re.Limit != LimitRows {

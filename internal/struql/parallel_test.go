@@ -143,7 +143,7 @@ where Pubs(x), x -> "year" -> y, y > 1993, not(x -> "cat" -> "area0"),
 create N(x, y)
 link N(x, y) -> l -> v, N(x, y) -> "year" -> y
 `)
-	src := NewGraphSource(g)
+	src := g
 	seq, err := Eval(q, src, &Options{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 
 	"strudel/internal/graph"
 	"strudel/internal/obs"
-	"strudel/internal/repo"
 )
 
 func TestPlanStringForms(t *testing.T) {
@@ -41,7 +40,7 @@ func TestPlanStringForms(t *testing.T) {
 }
 
 func TestExplainOutput(t *testing.T) {
-	src := NewGraphSource(propertyGraph(12))
+	src := propertyGraph(12)
 	q := MustParse(`create Root()
 where Items(x), x -> "year" -> y, y > 1995
 create N(x)
@@ -81,13 +80,13 @@ func TestExplainUnschedulable(t *testing.T) {
 		Where:  []Cond{&CmpCond{Op: CmpGt, L: VarTerm("y"), R: ConstTerm(graph.NewInt(3))}},
 		Create: []SkolemTerm{{Fn: "N"}},
 	}}}
-	if _, err := Explain(q, NewGraphSource(propertyGraph(4)), nil); err == nil {
+	if _, err := Explain(q, propertyGraph(4), nil); err == nil {
 		t.Error("Explain of an unschedulable filter should fail")
 	}
 }
 
 func TestExplainRPESeeding(t *testing.T) {
-	src := repo.NewIndexed(propertyGraph(12))
+	src := propertyGraph(12).Freeze()
 	q := MustParse(`where Items(x), y -> "next"+ -> x create N(y)`)
 	text, err := Explain(q, src, nil)
 	if err != nil {
@@ -113,7 +112,7 @@ func TestExplainRPESeeding(t *testing.T) {
 // that exercises them.
 func TestPlannerMetrics(t *testing.T) {
 	m := &obs.EvalMetrics{}
-	src := repo.NewIndexed(propertyGraph(16))
+	src := propertyGraph(16).Freeze()
 	// Filter textually first: the planner must move it after its binder.
 	q := MustParse(`where y > 1995, Items(x), x -> "year" -> y create N(x)`)
 	if _, err := Eval(q, src, &Options{Metrics: m}); err != nil {
@@ -140,7 +139,7 @@ func TestPlannerMetrics(t *testing.T) {
 // Stats is consulted instead of a fresh collection, and results are
 // identical to the cold path.
 func TestWarmStatsReuse(t *testing.T) {
-	src := repo.NewIndexed(propertyGraph(16))
+	src := propertyGraph(16).Freeze()
 	warm := CollectStats(src)
 	q := MustParse(`where Items(x), x -> "year" -> y, y > 1993 create N(x) link N(x) -> "y" -> y`)
 	m := &obs.EvalMetrics{}
@@ -165,7 +164,7 @@ func TestWarmStatsReuse(t *testing.T) {
 // graph source.
 func TestStatsAccessors(t *testing.T) {
 	g := propertyGraph(12)
-	for _, src := range []Source{NewGraphSource(g), repo.NewIndexed(g)} {
+	for _, src := range []Source{g, g.Freeze()} {
 		s := CollectStats(src)
 		year := s.Label("year")
 		if year.Count != 12 || year.Sources != 12 {
@@ -191,7 +190,7 @@ func TestIndexedLabelStats(t *testing.T) {
 	g.AddEdge("a", "t", graph.NewNode("b"))
 	g.AddEdge("a", "t", graph.NewNode("c"))
 	g.AddEdge("b", "t", graph.NewNode("c"))
-	ix := repo.NewIndexed(g)
+	ix := g.Freeze()
 	count, sources, targets := ix.LabelStats("t")
 	if count != 3 || sources != 2 || targets != 2 {
 		t.Errorf("LabelStats(t) = %d,%d,%d, want 3,2,2", count, sources, targets)
@@ -239,12 +238,12 @@ func TestNaiveEvalWithEnvComposition(t *testing.T) {
 	naiveOut := graph.New()
 	optOut := graph.New()
 	for _, q := range []*Query{q1, q2} {
-		nr, err := NaiveEvalWithEnv(q, NewGraphSource(g), naiveEnv)
+		nr, err := NaiveEvalWithEnv(q, g, naiveEnv)
 		if err != nil {
 			t.Fatal(err)
 		}
 		naiveOut.Merge(nr.Graph)
-		or, err := EvalWithEnv(q, NewGraphSource(g), optEnv, nil)
+		or, err := EvalWithEnv(q, g, optEnv, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +266,7 @@ func TestNaiveEvalErrors(t *testing.T) {
 		},
 		Collect: []CollectExpr{{Coll: "R", Target: LinkTerm{Term: termPtr(VarTerm("y"))}}},
 	}}}
-	if _, err := NaiveEval(q, NewGraphSource(g)); err == nil ||
+	if _, err := NaiveEval(q, g); err == nil ||
 		!strings.Contains(err.Error(), "collections contain objects") {
 		t.Errorf("collect atom: err = %v", err)
 	}
@@ -276,7 +275,7 @@ func TestNaiveEvalErrors(t *testing.T) {
 		Where:  []Cond{&CmpCond{Op: CmpGt, L: VarTerm("w"), R: ConstTerm(graph.NewInt(0))}},
 		Create: []SkolemTerm{{Fn: "N"}},
 	}}}
-	if _, err := NaiveEval(q2, NewGraphSource(g)); err == nil ||
+	if _, err := NaiveEval(q2, g); err == nil ||
 		!strings.Contains(err.Error(), "cannot schedule conditions") {
 		t.Errorf("unschedulable: err = %v", err)
 	}

@@ -84,7 +84,7 @@ func TestRandomQueriesPrintParseFixedPoint(t *testing.T) {
 
 func TestRandomQueriesOptimizerEquivalence(t *testing.T) {
 	g := propertyGraph(12)
-	src := NewGraphSource(g)
+	src := g
 	f := func(seed uint32) bool {
 		q := MustParse(genQuery(seed))
 		opt, err1 := Eval(q, src, nil)
@@ -106,7 +106,7 @@ func TestRandomQueriesOptimizerEquivalence(t *testing.T) {
 
 func TestRandomQueriesDeterministic(t *testing.T) {
 	g := propertyGraph(10)
-	src := NewGraphSource(g)
+	src := g
 	f := func(seed uint32) bool {
 		q := MustParse(genQuery(seed))
 		a, err1 := Eval(q, src, nil)

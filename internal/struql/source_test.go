@@ -1,8 +1,8 @@
 package struql_test
 
 // External test file: checks that queries answer identically against a
-// plain GraphSource (evaluated through a frozen copy) and the
-// fully-indexed repository (its own snapshot), and that a composed
+// plain map graph (frozen by each evaluation) and the fully-indexed
+// repository (its own snapshot), and that a composed
 // query reads base and constructed data as one graph.
 
 import (
@@ -11,7 +11,6 @@ import (
 	"testing/quick"
 
 	"strudel/internal/graph"
-	"strudel/internal/repo"
 	"strudel/internal/struql"
 )
 
@@ -41,8 +40,8 @@ var equivalenceQueries = []string{
 
 func TestIndexedAndNaiveSourcesAgree(t *testing.T) {
 	g := syntheticGraph(40)
-	naive := struql.NewGraphSource(g)
-	indexed := repo.NewIndexed(g.Copy())
+	naive := g
+	indexed := g.Copy().Freeze()
 	for _, qs := range equivalenceQueries {
 		q := struql.MustParse(qs)
 		rn, err := struql.Eval(q, naive, nil)
@@ -63,8 +62,8 @@ func TestIndexedAndNaiveAgreeProperty(t *testing.T) {
 	f := func(seed uint8) bool {
 		g := syntheticGraph(int(seed%25) + 3)
 		q := struql.MustParse(equivalenceQueries[int(seed)%len(equivalenceQueries)])
-		rn, err1 := struql.Eval(q, struql.NewGraphSource(g), nil)
-		ri, err2 := struql.Eval(q, repo.NewIndexed(g.Copy()), nil)
+		rn, err1 := struql.Eval(q, g, nil)
+		ri, err2 := struql.Eval(q, g.Copy().Freeze(), nil)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -88,7 +87,7 @@ func TestQueryOverUnionSeesBothSides(t *testing.T) {
 	for _, src := range []struct {
 		name string
 		src  struql.Source
-	}{{"graph", struql.NewGraphSource(data)}, {"indexed", repo.NewIndexed(data.Copy())}} {
+	}{{"graph", data}, {"indexed", data.Copy().Freeze()}} {
 		site, err := struql.EvalSeq([]*struql.Query{build, join}, src.src, &struql.Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", src.name, err)

@@ -19,15 +19,6 @@ type LabelStat struct {
 	Targets int
 }
 
-// LabelStatser is implemented by sources that index their attribute
-// extents (the repository, a snapshot), so schema introspection can
-// report per-label statistics without a scan.
-type LabelStatser interface {
-	// LabelStats returns the edge count, distinct source count, and
-	// distinct target count of one label.
-	LabelStats(label string) (count, sources, targets int)
-}
-
 // Stats holds the selectivity statistics the cost-based planner
 // consults: graph totals, and per-label selectivities read from the
 // snapshot's label index when asked. A Stats is safe for concurrent
@@ -54,11 +45,11 @@ type Stats struct {
 }
 
 // CollectStats prepares statistics over the snapshot an evaluation of
-// src reads (see snapshot): for a source without a snapshot of its own,
+// src reads (see Snapshot): for a source without a snapshot of its own,
 // that means freezing a copy. A source past the snapshot's id capacity,
 // which no evaluation can read, gets the statistics of an empty graph.
 func CollectStats(src Source) *Stats {
-	f, err := snapshot(src)
+	f, err := Snapshot(src)
 	if err != nil {
 		f = graph.New().Freeze()
 	}

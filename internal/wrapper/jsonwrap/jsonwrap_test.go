@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"strudel/internal/graph"
-	"strudel/internal/repo"
 	"strudel/internal/struql"
 )
 
@@ -117,7 +116,7 @@ func TestQueryOverWrappedJSON(t *testing.T) {
 where Objects(o), o -> "name" -> n
 create Card(o)
 link Card(o) -> "name" -> n
-`), repo.NewIndexed(g), nil)
+`), g.Freeze(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

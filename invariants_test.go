@@ -1,6 +1,7 @@
 package strudel_test
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -60,5 +61,58 @@ func TestInvariantsLedger(t *testing.T) {
 	}
 	if rows < 8 {
 		t.Fatalf("docs/INVARIANTS.md: %d ledger rows parsed, want the serving slice's 8 or more", rows)
+	}
+}
+
+// shimUse matches a use of the shims that keep the benchmark probe
+// compiling: the Indexed alias and its two constructors in package repo,
+// qualified or (inside the package) not, and the Frozen method of a
+// snapshot.
+var shimUse = regexp.MustCompile(`\brepo\.(Indexed|NewIndexed|NewIndexedFrozen)\b|\.Frozen\(\)`)
+
+var shimUseInRepo = regexp.MustCompile(`\bNewIndexed(Frozen)?\(|\*Indexed\b`)
+
+// TestProbeShimsUnused keeps those shims for the probe under bench/
+// alone, so that deleting them once the probe holds a *graph.Frozen is
+// one edit: no Go file outside bench/ may use them. The only exceptions
+// are the shims' own definitions — internal/repo/indexed.go and the
+// Frozen method in internal/graph/frozen.go.
+func TestProbeShimsUnused(t *testing.T) {
+	const frozenShim = "func (f *Frozen) Frozen() *Frozen { return f }"
+	files := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || path == filepath.Join("internal", "repo", "indexed.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		files++
+		inRepo := filepath.Dir(path) == filepath.Join("internal", "repo")
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.TrimSpace(line) == frozenShim && path == filepath.Join("internal", "graph", "frozen.go") {
+				continue
+			}
+			if shimUse.MatchString(line) || inRepo && shimUseInRepo.MatchString(line) {
+				t.Errorf("%s:%d: uses a probe-only shim: %s", path, i+1, strings.TrimSpace(line))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 100 {
+		t.Fatalf("walked %d Go files, want the whole module", files)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"strudel/internal/ivm"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
-	"strudel/internal/struql"
 )
 
 func soakEdits(t *testing.T) int {
@@ -123,7 +122,7 @@ func soakEdit(r *soakRand, g *graph.Graph) {
 // from-scratch build of the same version over the same data.
 func requireSamePages(t *testing.T, s *ivm.Site, v *core.Version, data *graph.Graph, context string) {
 	t.Helper()
-	vr, err := core.BuildVersionWith(v, struql.NewGraphSource(data), nil)
+	vr, err := core.BuildVersionWith(v, data, nil)
 	if err != nil {
 		t.Fatalf("%s: oracle build: %v", context, err)
 	}
@@ -159,7 +158,7 @@ func TestSoakEditStorm(t *testing.T) {
 			}
 			cur := med.DataGraph()
 			m := &obs.IVMMetrics{}
-			site, err := ivm.NewSite(version, struql.NewGraphSource(cur), nil, m)
+			site, err := ivm.NewSite(version, cur, nil, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +169,7 @@ func TestSoakEditStorm(t *testing.T) {
 				prev := cur.Copy()
 				soakEdit(r, cur)
 				delta := mediator.Diff(prev, cur)
-				if err := site.Apply(struql.NewGraphSource(cur), delta); err != nil {
+				if err := site.Apply(cur, delta); err != nil {
 					t.Fatalf("edit %d: apply: %v", i, err)
 				}
 				requireSamePages(t, site, version, cur, fmt.Sprintf("edit %d", i))
@@ -217,7 +216,7 @@ func TestSoakPatchFaults(t *testing.T) {
 	goldenOld := filepath.Join(tmp, "golden-old")
 	goldenNew := filepath.Join(tmp, "golden-new")
 	for dir, g := range map[string]*graph.Graph{goldenOld: base, goldenNew: edited} {
-		vr, err := core.BuildVersionWith(version, struql.NewGraphSource(g), nil)
+		vr, err := core.BuildVersionWith(version, g, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +234,7 @@ func TestSoakPatchFaults(t *testing.T) {
 	for _, kind := range []string{"write", "shortwrite", "rename", "sync", "link", "mkdir"} {
 		for fault := 1; fault <= nFaults; fault++ {
 			cur := base.Copy()
-			site, err := ivm.NewSite(version, struql.NewGraphSource(cur), nil, nil)
+			site, err := ivm.NewSite(version, cur, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -250,7 +249,7 @@ func TestSoakPatchFaults(t *testing.T) {
 				t.Fatalf("%s/%d: clean initial publish: %v", kind, fault, err)
 			}
 			cur = edited.Copy()
-			if err := site.Apply(struql.NewGraphSource(cur), delta); err != nil {
+			if err := site.Apply(cur, delta); err != nil {
 				t.Fatalf("%s/%d: apply: %v", kind, fault, err)
 			}
 
@@ -314,7 +313,7 @@ func TestSoakFailedPublishAccumulatesDirty(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := med.DataGraph()
-	site, err := ivm.NewSite(version, struql.NewGraphSource(cur), nil, nil)
+	site, err := ivm.NewSite(version, cur, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +326,7 @@ func TestSoakFailedPublishAccumulatesDirty(t *testing.T) {
 	edit := func() {
 		prev := cur.Copy()
 		soakEdit(r, cur)
-		if err := site.Apply(struql.NewGraphSource(cur), mediator.Diff(prev, cur)); err != nil {
+		if err := site.Apply(cur, mediator.Diff(prev, cur)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,7 +339,7 @@ func TestSoakFailedPublishAccumulatesDirty(t *testing.T) {
 	if err := site.Publish(fsx.OS, dir, nil); err != nil {
 		t.Fatal(err)
 	}
-	vr, err := core.BuildVersionWith(version, struql.NewGraphSource(cur), nil)
+	vr, err := core.BuildVersionWith(version, cur, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
