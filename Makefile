@@ -63,11 +63,14 @@ fuzz-smoke:
 
 # chaos-smoke drives the fault-injection suite: filesystem faults at
 # every publish step across all example sites and parallelism settings,
-# plus corrupted-source lenient builds — once plain, once under the race
-# detector.
+# plus corrupted-source lenient builds, and htmlgen's own publish and
+# patch-publish fault drills over its concurrent stager — once plain,
+# once under the race detector.
 chaos-smoke:
 	$(GO) test -count=1 -run '^TestChaos' .
+	$(GO) test -count=1 -run '^TestPublish' ./internal/htmlgen
 	$(GO) test -count=1 -race -run '^TestChaos' .
+	$(GO) test -count=1 -race -run '^TestPublish' ./internal/htmlgen
 
 # chaos-serve runs the gray-failure serving drill: faultnet-proxied
 # replicas (one slow, one flapping) under oracle-verified load, once

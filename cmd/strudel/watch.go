@@ -21,8 +21,8 @@ import (
 // new data generation's delta through the incremental site, re-checks
 // the integrity constraints, and patches only the dirtied pages into the
 // published tree. Every failure is fail-soft: the published directory
-// keeps the last good generation, the site keeps its accumulated dirty
-// set, and the next generation retries.
+// keeps the last good generation, the site keeps every page dirtied
+// since its last publication, and the next generation retries.
 type swapper struct {
 	site    *ivm.Site
 	checks  []constraints.Constraint
@@ -89,14 +89,15 @@ func (s *swapper) checksPass() bool {
 	return pass
 }
 
-// SwapData publishes one data generation. A nil delta (the reload
-// loop's pending delta overflowed) makes the site rebuild whole. Watch
-// mode keeps no page cache, so nothing is kept or dropped.
+// SwapData publishes one data generation. The reload loop always hands
+// over its round's delta; a nil delta (an unknown change) would make the
+// site rebuild whole. Watch mode keeps no page cache, so nothing is kept
+// or dropped.
 //
-// Per-source deltas are sound to feed the engine even when sources
-// overlap: the row-level apply re-checks every candidate against the
-// merged data graph, so an edge one source removed but another still
-// contributes cannot kill a live row.
+// A round's concatenated per-source deltas are sound to feed the engine
+// even when sources overlap: the row-level apply re-checks every
+// candidate against the merged data graph, so an edge one source removed
+// but another still contributes cannot kill a live row.
 func (s *swapper) SwapData(data struql.Source, d *mediator.Delta) (kept, dropped int) {
 	if s.err = s.swap(data, d); s.err == nil {
 		snap := s.metrics.Snapshot()
@@ -112,7 +113,7 @@ func (s *swapper) swap(data struql.Source, d *mediator.Delta) error {
 	}
 	if err := s.site.Apply(data, d); err != nil {
 		// Even the degraded full rebuild failed; the site still holds its
-		// last good generation and the accumulated dirty set.
+		// last good generation and its dirty set.
 		s.logf("watch: apply: %v (keeping last good site)", err)
 		return err
 	}

@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"context"
+	"time"
 
 	"strudel/internal/template"
 )
@@ -24,4 +25,9 @@ var (
 // current generation reads pages through.
 func SiteView(ev *Evaluator) template.Site {
 	return dynSite{r: &dynRenderer{s: &Renderer{Ev: ev}, ctx: context.Background(), st: ev.snapshot()}}
+}
+
+// SetBackoff sets a reloader's retry backoff bounds and jitter fraction.
+func SetBackoff(r *Reloader, lo, hi time.Duration, jitter float64) {
+	r.backoffMin, r.backoffMax, r.jitter = lo, hi, jitter
 }

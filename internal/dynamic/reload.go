@@ -6,6 +6,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"strings"
 	"sync"
 	"time"
 
@@ -15,25 +16,19 @@ import (
 	"strudel/internal/struql"
 )
 
-// Reloader watches source files and hot-reloads the data graph: when a
-// file changes, the affected sources are re-wrapped through the
-// mediator, the contribution delta is computed, and a complete new graph
-// is handed with the delta to the attached Swapper — an evaluator or
-// fleet, which invalidates its caches by the delta, or the incremental
-// site of `strudel -watch`. A failed reload — parse error, missing file,
-// injected fault — degrades gracefully: the consumer keeps the last-good
-// graph, Health reports degraded, and the reloader retries with
-// exponential backoff plus jitter until the sources are loadable again.
+// Reloader watches source files and hot-reloads the data graph: when
+// files change, the affected sources are re-wrapped through the
+// mediator in one all-or-nothing Refresh, and the mediator's new
+// snapshot is handed with the delta to the attached Swapper — an
+// evaluator or fleet, which invalidates its caches by the delta, or the
+// incremental site of `strudel -watch`. A failed reload — parse error,
+// missing file, injected fault — degrades gracefully: the consumer keeps
+// the last-good graph, Health reports degraded, and the reloader retries
+// with exponential backoff plus jitter until the sources are loadable
+// again.
 type Reloader struct {
 	// Interval is the poll period; Run's ticker fires at this rate.
 	Interval time.Duration
-	// BackoffMin and BackoffMax bound the exponential retry backoff after
-	// failed reloads (doubling per consecutive failure).
-	BackoffMin time.Duration
-	BackoffMax time.Duration
-	// Jitter is the ± fraction applied to each backoff delay (0.2 = ±20%)
-	// so a fleet of servers does not retry in lockstep.
-	Jitter float64
 	// Logger receives reload/degradation logs; nil uses the default.
 	Logger *log.Logger
 	// OnApply, when set, observes every successful swap (tests hook it).
@@ -41,19 +36,18 @@ type Reloader struct {
 	// Obs, when non-nil, receives reload attempt/failure/outcome counters.
 	// Set before Run; nil disables.
 	Obs *obs.ServeMetrics
-	// IVM, when non-nil, receives delta-path counters: deltas handed to
-	// the evaluator, pending-delta compactions, and overflows degraded
-	// to a full cache invalidation. Set before Run; nil disables.
+	// IVM, when non-nil, counts the deltas handed to the Swapper. Set
+	// before Run; nil disables.
 	IVM *obs.IVMMetrics
-	// MaxPendingDelta bounds the accumulated (compacted) delta carried
-	// across failed reload rounds. Past the bound the reloader stops
-	// tracking individual changes and the next successful swap drops the
-	// whole cache (a nil delta) instead — bounded memory, never a stale
-	// page. 0 means DefaultMaxPendingDelta.
-	MaxPendingDelta int
 
 	med     *mediator.Mediator
 	sources []mediator.Source
+	// backoffMin and backoffMax bound the exponential retry backoff after
+	// failed reloads (doubling per consecutive failure); jitter is the ±
+	// fraction applied to each delay (0.2 = ±20%) so a fleet of servers
+	// does not retry in lockstep.
+	backoffMin, backoffMax time.Duration
+	jitter                 float64
 
 	mu sync.Mutex // guards everything below (tick vs. Kick vs. tests)
 	sw Swapper
@@ -61,25 +55,14 @@ type Reloader struct {
 	// stamps records the last-seen mtime+size per path.
 	stamps map[string]fileStamp
 	// pending names sources whose change was detected but not yet
-	// successfully re-wrapped.
+	// successfully re-wrapped; it is all a failed round leaves behind.
 	pending map[string]bool
-	// accum accumulates contribution deltas of successful refreshes since
-	// the last swap (a source can succeed while a sibling fails; its
-	// delta must survive until the swap happens).
-	accum *mediator.Delta
-	// overflow marks that accum outgrew MaxPendingDelta: the next swap
-	// passes a nil delta (full invalidation) and clears the flag.
-	overflow bool
 	// backoff is the current retry delay; nextTry gates attempts.
 	backoff time.Time
 	delay   time.Duration
 	kick    chan struct{}
 	rng     *rand.Rand
 }
-
-// DefaultMaxPendingDelta is the pending-delta bound when
-// Reloader.MaxPendingDelta is zero.
-const DefaultMaxPendingDelta = 1 << 20
 
 type fileStamp struct {
 	mtime time.Time
@@ -122,14 +105,13 @@ func NewReloader(sources ...mediator.Source) (*Reloader, error) {
 	}
 	return &Reloader{
 		Interval:   2 * time.Second,
-		BackoffMin: 500 * time.Millisecond,
-		BackoffMax: 30 * time.Second,
-		Jitter:     0.2,
 		med:        m,
 		sources:    sources,
+		backoffMin: 500 * time.Millisecond,
+		backoffMax: 30 * time.Second,
+		jitter:     0.2,
 		stamps:     map[string]fileStamp{},
 		pending:    map[string]bool{},
-		accum:      &mediator.Delta{},
 		kick:       make(chan struct{}, 1),
 		rng:        rand.New(rand.NewSource(time.Now().UnixNano())),
 	}, nil
@@ -266,56 +248,28 @@ func (r *Reloader) Tick(now time.Time) {
 		return
 	}
 
+	// Re-wrap every changed source in one transaction: a failure —
+	// a source that does not load, or a merged graph past the snapshot's
+	// id capacity — keeps the last good generation serving and every
+	// changed source pending for the retry.
+	names := make([]string, 0, len(r.pending))
 	for _, s := range r.sources {
-		if !r.pending[s.Name] {
-			continue
+		if r.pending[s.Name] {
+			names = append(names, s.Name)
 		}
-		if r.Obs != nil {
-			r.Obs.ReloadAttempts.Inc()
-		}
-		d, err := r.med.Refresh(s.Name)
-		if err != nil {
-			r.fail(now, s.Name, err)
-			return
-		}
-		before := r.accum.Size()
-		r.accum.Merge(d)
-		if r.accum.Size() < before+d.Size() && r.IVM != nil {
-			r.IVM.DeltaCompactions.Inc()
-		}
-		maxPending := r.MaxPendingDelta
-		if maxPending <= 0 {
-			maxPending = DefaultMaxPendingDelta
-		}
-		if r.accum.Size() > maxPending && !r.overflow {
-			r.overflow = true
-			if r.IVM != nil {
-				r.IVM.DeltaOverflows.Inc()
-			}
-		}
-		delete(r.pending, s.Name)
 	}
-
-	// Every changed source re-wrapped: publish the new graph's snapshot
-	// atomically. A merged graph past the snapshot's id capacity keeps
-	// the last good generation serving, like a source that fails.
-	data, err := r.med.DataGraph().Snapshot()
+	if r.Obs != nil {
+		r.Obs.ReloadAttempts.Inc()
+	}
+	delta, err := r.med.Refresh(names...)
 	if err != nil {
-		r.fail(now, "data graph", err)
+		r.fail(now, strings.Join(names, ", "), err)
 		return
 	}
-	delta := r.accum
-	r.accum = &mediator.Delta{}
-	if r.overflow {
-		// The pending delta overflowed its bound at some point: its
-		// record is no longer a faithful account of the change, so the
-		// swap must invalidate everything.
-		delta = nil
-		r.overflow = false
-	}
+	clear(r.pending)
 	kept, dropped := 0, 0
 	if r.sw != nil {
-		kept, dropped = r.sw.SwapData(data, delta)
+		kept, dropped = r.sw.SwapData(r.med.Data(), delta)
 	}
 	if r.IVM != nil {
 		r.IVM.DeltasApplied.Inc()
@@ -333,14 +287,10 @@ func (r *Reloader) Tick(now time.Time) {
 	if r.OnApply != nil {
 		r.OnApply(delta, kept, dropped)
 	}
-	if delta == nil {
-		r.logf("dynamic: reload applied: pending delta overflowed, full invalidation, cache kept %d / dropped %d", kept, dropped)
-	} else {
-		r.logf("dynamic: reload applied: %d changes, cache kept %d / dropped %d", delta.Size(), kept, dropped)
-	}
+	r.logf("dynamic: reload applied: %d changes, cache kept %d / dropped %d", delta.Size(), kept, dropped)
 }
 
-// fail records a failed reload: mark degraded, keep the source pending,
+// fail records a failed reload: mark degraded, keep the sources pending,
 // and push the next attempt out by an exponentially growing, jittered
 // delay.
 //
@@ -361,16 +311,16 @@ func (r *Reloader) fail(now time.Time, source string, err error) {
 		r.hl.SetDegraded(fmt.Errorf("source %s: %w", source, err))
 	}
 	if r.delay == 0 {
-		r.delay = r.BackoffMin
+		r.delay = r.backoffMin
 	} else {
 		r.delay *= 2
-		if r.delay > r.BackoffMax {
-			r.delay = r.BackoffMax
+		if r.delay > r.backoffMax {
+			r.delay = r.backoffMax
 		}
 	}
 	d := r.delay
-	if r.Jitter > 0 {
-		f := 1 + r.Jitter*(2*r.rng.Float64()-1)
+	if r.jitter > 0 {
+		f := 1 + r.jitter*(2*r.rng.Float64()-1)
 		d = time.Duration(float64(d) * f)
 	}
 	r.backoff = now.Add(d)

@@ -9,10 +9,10 @@ import (
 )
 
 // Regression tests pinning the reloader's backoff/jitter contract: the
-// nominal delay doubles from BackoffMin and clamps at BackoffMax, and
-// the *scheduled* retry instant stays within ±Jitter of the nominal
-// delay — never sooner than (1-Jitter)·delay (which would hammer a
-// down source) and never later than (1+Jitter)·delay (which would
+// nominal delay doubles from backoffMin and clamps at backoffMax, and
+// the *scheduled* retry instant stays within ±jitter of the nominal
+// delay — never sooner than (1-jitter)·delay (which would hammer a
+// down source) and never later than (1+jitter)·delay (which would
 // stretch degraded windows unboundedly).
 
 // nextGate reads the absolute retry gate the last failure scheduled.
@@ -30,7 +30,7 @@ func TestReloaderJitterWithinBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	rl.AttachSwapper(nil, NewHealth())
-	rl.Jitter = jitter
+	rl.jitter = jitter
 	rl.rng = rand.New(rand.NewSource(42)) // deterministic jitter samples
 
 	version = 1
@@ -39,7 +39,7 @@ func TestReloaderJitterWithinBounds(t *testing.T) {
 
 	now := time.Now()
 	rl.Tick(now)
-	nominal := rl.BackoffMin
+	nominal := rl.backoffMin
 	for i := 0; i < 40; i++ {
 		if got := rl.RetryDelay(); got != nominal {
 			t.Fatalf("attempt %d: nominal delay = %v, want %v", i, got, nominal)
@@ -54,8 +54,8 @@ func TestReloaderJitterWithinBounds(t *testing.T) {
 		// Step just past the gate and fail again.
 		now = nextGate(rl).Add(time.Millisecond)
 		rl.Tick(now)
-		if nominal *= 2; nominal > rl.BackoffMax {
-			nominal = rl.BackoffMax
+		if nominal *= 2; nominal > rl.backoffMax {
+			nominal = rl.backoffMax
 		}
 	}
 }
@@ -67,7 +67,7 @@ func TestReloaderZeroJitterSchedulesExactly(t *testing.T) {
 		t.Fatal(err)
 	}
 	rl.AttachSwapper(nil, NewHealth())
-	// newTestReloader sets Jitter = 0: the schedule must be exact.
+	// newTestReloader sets jitter = 0: the schedule must be exact.
 	version = 1
 	touchFile(t, path, "gen1")
 	fl.FailNext(10, errInjected)
@@ -75,10 +75,10 @@ func TestReloaderZeroJitterSchedulesExactly(t *testing.T) {
 	now := time.Now()
 	rl.Tick(now)
 	for _, want := range []time.Duration{
-		100 * time.Millisecond, // BackoffMin
+		100 * time.Millisecond, // backoffMin
 		200 * time.Millisecond, // doubled
 		400 * time.Millisecond, // doubled to the cap
-		400 * time.Millisecond, // clamped at BackoffMax
+		400 * time.Millisecond, // clamped at backoffMax
 	} {
 		if gap := nextGate(rl).Sub(now); gap != want {
 			t.Fatalf("zero-jitter gate = %v after now, want exactly %v", gap, want)

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"strudel/internal/graph"
-	"strudel/internal/mediator"
-	"strudel/internal/obs"
 )
 
 // TestReloaderDetectsSameSizeSameMtimeEdit covers the sub-second edit
@@ -67,48 +65,5 @@ func TestReloaderHashOnlyForRecentFiles(t *testing.T) {
 	st = rl.statPath(path, time.Now())
 	if !st.hashed {
 		t.Error("recently modified file was not hashed")
-	}
-}
-
-// TestReloaderPendingDeltaOverflow asserts that once the accumulated
-// delta outgrows its bound, the swap degrades to a full invalidation
-// (nil delta) and the overflow is counted.
-func TestReloaderPendingDeltaOverflow(t *testing.T) {
-	version := 0
-	rl, _, path := newTestReloader(t, func() (*graph.Graph, error) { return pubsGraph(version, 4), nil })
-	rl.MaxPendingDelta = 1
-	m := &obs.IVMMetrics{}
-	rl.IVM = m
-	if _, err := rl.Warehouse(); err != nil {
-		t.Fatal(err)
-	}
-	applied := false
-	var got *mediator.Delta
-	rl.OnApply = func(d *mediator.Delta, kept, dropped int) { applied, got = true, d }
-
-	version = 1 // every pub's year changes: 8 events, far past the bound
-	touchFile(t, path, "gen1")
-	rl.Tick(time.Now())
-	if !applied {
-		t.Fatal("reload did not apply")
-	}
-	if got != nil {
-		t.Errorf("overflowed swap passed a %d-event delta, want nil (full invalidation)", got.Size())
-	}
-	if m.DeltaOverflows.Load() != 1 {
-		t.Errorf("delta overflows = %d, want 1", m.DeltaOverflows.Load())
-	}
-	if m.DeltasApplied.Load() != 1 {
-		t.Errorf("deltas applied = %d, want 1", m.DeltasApplied.Load())
-	}
-
-	// With the bound back at its default, the next change goes back to
-	// delta-based invalidation — overflow is per swap, not sticky.
-	rl.MaxPendingDelta = 0
-	version = 2
-	touchFile(t, path, "gen2")
-	rl.Tick(time.Now())
-	if got == nil {
-		t.Error("post-overflow swap should carry a real delta again")
 	}
 }

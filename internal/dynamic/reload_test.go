@@ -54,9 +54,9 @@ func newTestReloader(t *testing.T, load func() (*graph.Graph, error)) (*Reloader
 		t.Fatal(err)
 	}
 	rl.Logger = quietLogger()
-	rl.Jitter = 0
-	rl.BackoffMin = 100 * time.Millisecond
-	rl.BackoffMax = 400 * time.Millisecond
+	rl.jitter = 0
+	rl.backoffMin = 100 * time.Millisecond
+	rl.backoffMax = 400 * time.Millisecond
 	return rl, fl, path
 }
 
@@ -116,7 +116,7 @@ func TestReloaderBackoffGrowsAndRecovers(t *testing.T) {
 		t.Fatal("failed reload must degrade health")
 	}
 	if got := rl.RetryDelay(); got != 100*time.Millisecond {
-		t.Errorf("first delay = %v, want BackoffMin", got)
+		t.Errorf("first delay = %v, want backoffMin", got)
 	}
 
 	// A tick inside the backoff window must not attempt the reload.
@@ -126,7 +126,7 @@ func TestReloaderBackoffGrowsAndRecovers(t *testing.T) {
 		t.Error("tick during backoff attempted a reload")
 	}
 
-	// Consecutive failures double the delay, clamped at BackoffMax.
+	// Consecutive failures double the delay, clamped at backoffMax.
 	rl.Tick(t0.Add(150 * time.Millisecond))
 	if got := rl.RetryDelay(); got != 200*time.Millisecond {
 		t.Errorf("second delay = %v, want 200ms", got)
@@ -137,7 +137,7 @@ func TestReloaderBackoffGrowsAndRecovers(t *testing.T) {
 	}
 	rl.Tick(t0.Add(900 * time.Millisecond))
 	if got := rl.RetryDelay(); got != 400*time.Millisecond {
-		t.Errorf("clamped delay = %v, want BackoffMax", got)
+		t.Errorf("clamped delay = %v, want backoffMax", got)
 	}
 
 	// Source recovers: the pending change applies, health clears, backoff
@@ -157,7 +157,7 @@ func TestReloaderBackoffGrowsAndRecovers(t *testing.T) {
 
 func TestReloaderJitterSpreadsRetries(t *testing.T) {
 	rl, fl, path := newTestReloader(t, func() (*graph.Graph, error) { return pubsGraph(0, 1), nil })
-	rl.Jitter = 0.2
+	rl.jitter = 0.2
 	if _, err := rl.Warehouse(); err != nil {
 		t.Fatal(err)
 	}
@@ -195,28 +195,31 @@ func TestReloaderPartialFailureAccumulatesDeltas(t *testing.T) {
 		t.Fatal(err)
 	}
 	rl.Logger = quietLogger()
-	rl.Jitter = 0
-	rl.BackoffMin = 10 * time.Millisecond
+	rl.jitter = 0
+	rl.backoffMin = 10 * time.Millisecond
+	m := &obs.IVMMetrics{}
+	rl.IVM = m
 	if _, err := rl.Warehouse(); err != nil {
 		t.Fatal(err)
 	}
 	var applied *mediator.Delta
 	rl.OnApply = func(d *mediator.Delta, kept, dropped int) { applied = d }
 
-	// Both sources change; b's wrapper fails. a's refresh succeeded and
-	// must not be lost when the swap finally happens.
+	// Both sources change; b's wrapper fails. The failed round swaps
+	// nothing, and a's change, which loaded fine, must still reach the
+	// swap that the retry makes.
 	verA, verB = 1, 1
 	touchFile(t, pathA, "gen1")
 	touchFile(t, pathB, "gen1")
 	flB.FailNext(1, errInjected)
 	t0 := time.Now()
 	rl.Tick(t0)
-	if applied != nil {
+	if applied != nil || m.DeltasApplied.Load() != 0 {
 		t.Fatal("partial failure must not publish a swap")
 	}
 	rl.Tick(t0.Add(time.Second))
-	if applied == nil {
-		t.Fatal("recovered reload did not apply")
+	if applied == nil || m.DeltasApplied.Load() != 1 {
+		t.Fatalf("recovered reload: applied %v, deltas applied %d; want one swap", applied != nil, m.DeltasApplied.Load())
 	}
 	var labels []string
 	for _, e := range append(applied.AddedEdges, applied.RemovedEdges...) {
@@ -227,7 +230,7 @@ func TestReloaderPartialFailureAccumulatesDeltas(t *testing.T) {
 		seen[l] = true
 	}
 	if !seen["va"] || !seen["vb"] {
-		t.Errorf("swap delta covers labels %v, want both va (from the earlier partial success) and vb", labels)
+		t.Errorf("swap delta covers labels %v, want both va (which loaded in the failed round too) and vb", labels)
 	}
 }
 

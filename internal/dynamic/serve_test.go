@@ -287,9 +287,7 @@ func TestStressServeUnderFaultyReloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	rl.Logger = log.New(io.Discard, "", 0)
-	rl.Jitter = 0
-	rl.BackoffMin = time.Millisecond
-	rl.BackoffMax = 4 * time.Millisecond
+	dynamic.SetBackoff(rl, time.Millisecond, 4*time.Millisecond, 0)
 	metrics := &obs.ServeMetrics{}
 	edgeMetrics := &obs.FleetMetrics{}
 	rl.Obs = metrics

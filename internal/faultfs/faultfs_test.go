@@ -104,7 +104,7 @@ func TestShortWriteTearsOnce(t *testing.T) {
 }
 
 // TestConcurrentWritersTripOneFault: many goroutines writing through
-// one FS — the shape of a parallel htmlgen.Output.WriteDirFS — see
+// one FS — the shape of htmlgen's parallel page stager — see
 // exactly one injected fault and exactly one missing file. Run under
 // -race, it also checks the counters are properly guarded.
 func TestConcurrentWritersTripOneFault(t *testing.T) {

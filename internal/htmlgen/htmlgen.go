@@ -291,26 +291,31 @@ func checkPageName(name string) error {
 // validated first: a name that is empty, absolute, or escapes dir via
 // ".." fails the whole write with a *PageNameError before anything is
 // written; names containing "/" get their subdirectories created.
-func (o *Output) WriteDir(dir string) error { return o.writeDir(fsx.OS, dir) }
+func (o *Output) WriteDir(dir string) error {
+	_, _, err := o.writeDir(fsx.OS, dir, "", nil)
+	return err
+}
 
-// WriteDirFS is WriteDir over an injectable filesystem.
-func (o *Output) WriteDirFS(fsys fsx.FS, dir string) error { return o.writeDir(fsys, dir) }
-
-func (o *Output) writeDir(fsys fsx.FS, dir string) error {
+// writeDir stages every page into dir as WriteDir describes. When from
+// is non-empty, a page not in dirty whose copy under from has the page's
+// size is hard-linked to that copy instead of written; a missing copy or
+// a failed link (cross-device, permissions, injected fault) falls back
+// to a durable write. It returns how many pages were linked and written.
+func (o *Output) writeDir(fsys fsx.FS, dir, from string, dirty map[string]bool) (linked, written int, err error) {
 	names := o.SortedPageNames()
 	// Validate every name and collect subdirectories before touching the
 	// filesystem, so a bad name cannot leave a half-written directory.
 	subdirs := map[string]bool{}
 	for _, name := range names {
 		if err := checkPageName(name); err != nil {
-			return err
+			return 0, 0, err
 		}
 		if d := filepath.Dir(filepath.FromSlash(name)); d != "." {
 			subdirs[d] = true
 		}
 	}
 	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("htmlgen: %w", err)
+		return 0, 0, fmt.Errorf("htmlgen: %w", err)
 	}
 	dirs := make([]string, 0, len(subdirs))
 	for d := range subdirs {
@@ -319,62 +324,70 @@ func (o *Output) writeDir(fsys fsx.FS, dir string) error {
 	sort.Strings(dirs)
 	for _, d := range dirs {
 		if err := fsys.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
-			return fmt.Errorf("htmlgen: %w", err)
+			return 0, 0, fmt.Errorf("htmlgen: %w", err)
 		}
 	}
-	write := func(name string) error {
-		if err := fsys.WriteFile(filepath.Join(dir, filepath.FromSlash(name)), []byte(o.Pages[name]), 0o644); err != nil {
-			return fmt.Errorf("htmlgen: write %s: %w", name, err)
-		}
-		return nil
-	}
-	par := runtime.GOMAXPROCS(0)
-	if par > len(names) {
-		par = len(names)
-	}
-	if par <= 1 {
-		for _, name := range names {
-			if err := write(name); err != nil {
-				return err
+	// stage reports whether it linked the page (false: written).
+	stage := func(name string) (bool, error) {
+		rel := filepath.FromSlash(name)
+		dst := filepath.Join(dir, rel)
+		body := []byte(o.Pages[name])
+		if from != "" && !dirty[name] {
+			src := filepath.Join(from, rel)
+			if fi, err := fsys.Stat(src); err == nil && fi.Size() == int64(len(body)) && fsys.Link(src, dst) == nil {
+				return true, nil
 			}
 		}
-		return nil
+		if err := fsys.WriteFile(dst, body, 0o644); err != nil {
+			return false, fmt.Errorf("htmlgen: write %s: %w", name, err)
+		}
+		return false, nil
 	}
 	// Contiguous chunks of the sorted names; each worker stops at its
 	// first failure and the merge keeps the failure with the smallest
 	// global index.
-	errIdx := make([]int, par)
-	errs := make([]error, par)
+	par := max(1, min(runtime.GOMAXPROCS(0), len(names)))
+	type result struct {
+		linked, written, errIdx int
+		err                     error
+	}
+	results := make([]result, par)
 	var wg sync.WaitGroup
 	chunk := (len(names) + par - 1) / par
 	for w := 0; w < par; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(names) {
-			hi = len(names)
-		}
+		hi := min(lo+chunk, len(names))
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(res *result, lo, hi int) {
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
-				if err := write(names[i]); err != nil {
-					errIdx[w], errs[w] = i, err
+				link, err := stage(names[i])
+				if err != nil {
+					res.errIdx, res.err = i, err
 					return
 				}
+				if link {
+					res.linked++
+				} else {
+					res.written++
+				}
 			}
-		}(w, lo, hi)
+		}(&results[w], lo, hi)
 	}
 	wg.Wait()
-	best := -1
-	for w := range errs {
-		if errs[w] != nil && (best == -1 || errIdx[w] < errIdx[best]) {
-			best = w
+	var first *result
+	for w := range results {
+		res := &results[w]
+		linked += res.linked
+		written += res.written
+		if res.err != nil && (first == nil || res.errIdx < first.errIdx) {
+			first = res
 		}
 	}
-	if best >= 0 {
-		return errs[best]
+	if first != nil {
+		err = first.err
 	}
-	return nil
+	return linked, written, err
 }
 
 // Publish atomically replaces dir with the generated site. The pages are
@@ -387,20 +400,43 @@ func (o *Output) writeDir(fsys fsx.FS, dir string) error {
 // readers never observe a half-written site. The parent directory is
 // synced after the swap so the publication survives a crash.
 func (o *Output) Publish(fsys fsx.FS, dir string, verify func(stage string) error) error {
+	_, _, err := o.publish(fsys, dir, "", nil, verify)
+	return err
+}
+
+// PublishPatch atomically replaces dir with the generated site like
+// Publish, but stages unchanged pages as hard links to the currently
+// published files instead of rewriting their bytes. Only the pages named
+// in dirty — plus any whose published copy is missing or the wrong size,
+// or whose link attempt fails — are durably written from memory, so a
+// localized edit republishes a thousand-page site with a handful of
+// writes. The swap itself is Publish's: readers see the old tree or the
+// complete new one, never a mix. When dir does not exist yet every page
+// is written. Returns how many staged pages were hardlinked vs written.
+func (o *Output) PublishPatch(fsys fsx.FS, dir string, dirty []string, verify func(stage string) error) (linked, written int, err error) {
+	dirtySet := make(map[string]bool, len(dirty))
+	for _, name := range dirty {
+		dirtySet[name] = true
+	}
+	return o.publish(fsys, dir, dir, dirtySet, verify)
+}
+
+// publish stages the site (linking clean pages from the tree at from,
+// when non-empty), lets verify veto it, and swaps it in for dir.
+func (o *Output) publish(fsys fsx.FS, dir, from string, dirty map[string]bool, verify func(stage string) error) (linked, written int, err error) {
 	stage := fmt.Sprintf("%s.tmp-%d", dir, os.Getpid())
-	prev := dir + ".prev"
 	_ = fsys.RemoveAll(stage)
-	if err := o.writeDir(fsys, stage); err != nil {
+	if linked, written, err = o.writeDir(fsys, stage, from, dirty); err != nil {
 		_ = fsys.RemoveAll(stage)
-		return err
+		return linked, written, err
 	}
 	if verify != nil {
 		if err := verify(stage); err != nil {
 			_ = fsys.RemoveAll(stage)
-			return fmt.Errorf("htmlgen: publish: verify: %w", err)
+			return linked, written, fmt.Errorf("htmlgen: publish: verify: %w", err)
 		}
 	}
-	return swapIn(fsys, stage, dir, prev)
+	return linked, written, swapIn(fsys, stage, dir, dir+".prev")
 }
 
 // swapIn replaces dir with the fully staged tree: the previous
@@ -433,88 +469,6 @@ func swapIn(fsys fsx.FS, stage, dir, prev string) error {
 		return fmt.Errorf("htmlgen: publish: %w", err)
 	}
 	return nil
-}
-
-// PublishPatch atomically replaces dir with the generated site like
-// Publish, but stages unchanged pages as hard links to the currently
-// published files instead of rewriting their bytes. Only the pages named
-// in dirty — plus any whose published copy is missing or the wrong size,
-// or whose link attempt fails — are durably written from memory, so a
-// localized edit republishes a thousand-page site with a handful of
-// writes. The swap itself is the same two-rename sequence: readers see
-// the old tree or the complete new one, never a mix. When dir does not
-// exist yet this is a full Publish. Returns how many staged pages were
-// hardlinked vs written.
-func (o *Output) PublishPatch(fsys fsx.FS, dir string, dirty []string, verify func(stage string) error) (linked, written int, err error) {
-	if _, serr := fsys.Stat(dir); serr != nil {
-		return 0, len(o.Pages), o.Publish(fsys, dir, verify)
-	}
-	dirtySet := make(map[string]bool, len(dirty))
-	for _, name := range dirty {
-		dirtySet[name] = true
-	}
-	stage := fmt.Sprintf("%s.tmp-%d", dir, os.Getpid())
-	prev := dir + ".prev"
-	_ = fsys.RemoveAll(stage)
-	names := o.SortedPageNames()
-	// Validate every name and collect subdirectories before touching the
-	// filesystem, mirroring writeDir's all-or-nothing staging.
-	subdirs := map[string]bool{}
-	for _, name := range names {
-		if err := checkPageName(name); err != nil {
-			return 0, 0, err
-		}
-		if d := filepath.Dir(filepath.FromSlash(name)); d != "." {
-			subdirs[d] = true
-		}
-	}
-	fail := func(err error) (int, int, error) {
-		_ = fsys.RemoveAll(stage)
-		return linked, written, fmt.Errorf("htmlgen: publish patch: %w", err)
-	}
-	if err := fsys.MkdirAll(stage, 0o755); err != nil {
-		return fail(err)
-	}
-	dirs := make([]string, 0, len(subdirs))
-	for d := range subdirs {
-		dirs = append(dirs, d)
-	}
-	sort.Strings(dirs)
-	for _, d := range dirs {
-		if err := fsys.MkdirAll(filepath.Join(stage, d), 0o755); err != nil {
-			return fail(err)
-		}
-	}
-	for _, name := range names {
-		rel := filepath.FromSlash(name)
-		dst := filepath.Join(stage, rel)
-		body := []byte(o.Pages[name])
-		if !dirtySet[name] {
-			src := filepath.Join(dir, rel)
-			if fi, serr := fsys.Stat(src); serr == nil && fi.Size() == int64(len(body)) {
-				if fsys.Link(src, dst) == nil {
-					linked++
-					continue
-				}
-				// Link failure is advisory (cross-device, permissions,
-				// injected fault): fall through to a durable write.
-			}
-		}
-		if err := fsys.WriteFile(dst, body, 0o644); err != nil {
-			return fail(fmt.Errorf("write %s: %w", name, err))
-		}
-		written++
-	}
-	if verify != nil {
-		if err := verify(stage); err != nil {
-			_ = fsys.RemoveAll(stage)
-			return linked, written, fmt.Errorf("htmlgen: publish patch: verify: %w", err)
-		}
-	}
-	if err := swapIn(fsys, stage, dir, prev); err != nil {
-		return linked, written, err
-	}
-	return linked, written, nil
 }
 
 // PageCount returns the number of generated pages.

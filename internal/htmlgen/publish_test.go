@@ -166,3 +166,78 @@ func TestPublishFaultsKeepOldGeneration(t *testing.T) {
 		}
 	}
 }
+
+// TestPublishPatchFaultsKeepOldGeneration is TestPublishFaultsKeepOldGeneration
+// for the patch stager: clean pages are hard-linked from the published
+// tree, dirty ones written, and a fault in any write, short write, link,
+// mkdir, rename or sync leaves the complete old site or the complete new
+// one. A failed link falls back to a write, and the linked/written
+// counts of a successful publication account for every page.
+func TestPublishPatchFaultsKeepOldGeneration(t *testing.T) {
+	oldPages := map[string]string{"index.html": "old", "a.html": "oa", "sub/c.html": "cc"}
+	newPages := map[string]string{"index.html": "new", "a.html": "oa", "sub/c.html": "cc", "b.html": "nb"}
+	dirty := []string{"b.html", "index.html"}
+	same := func(got, want map[string]string) bool {
+		if len(got) != len(want) {
+			return false
+		}
+		for k, v := range want {
+			if got[k] != v {
+				return false
+			}
+		}
+		return true
+	}
+	publishOld := func(t *testing.T) string {
+		dir := filepath.Join(t.TempDir(), "site")
+		if err := outputWith(oldPages).Publish(fsx.OS, dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	dir := publishOld(t)
+	linked, written, err := outputWith(newPages).PublishPatch(fsx.OS, dir, dirty, nil)
+	if err != nil || linked != 2 || written != 2 {
+		t.Fatalf("clean patch: linked %d written %d err %v, want 2/2/nil", linked, written, err)
+	}
+	if got := readDirPages(t, dir); !same(got, newPages) {
+		t.Fatalf("clean patch left %v", got)
+	}
+	fresh := filepath.Join(t.TempDir(), "fresh")
+	if linked, written, err := outputWith(newPages).PublishPatch(fsx.OS, fresh, dirty, nil); err != nil || linked != 0 || written != 4 {
+		t.Fatalf("patch into a missing dir: linked %d written %d err %v, want 0/4/nil", linked, written, err)
+	}
+
+	for fault := 1; fault <= 8; fault++ {
+		for _, kind := range []string{"write", "shortwrite", "link", "mkdir", "rename", "sync"} {
+			dir := publishOld(t)
+			ffs := &faultfs.FS{Inner: fsx.OS}
+			switch kind {
+			case "write":
+				ffs.FailWriteN = fault
+			case "shortwrite":
+				ffs.ShortWriteN = fault
+			case "link":
+				ffs.FailLinkN = fault
+			case "mkdir":
+				ffs.FailMkdirN = fault
+			case "rename":
+				ffs.FailRenameN = fault
+			case "sync":
+				ffs.FailSyncN = fault
+			}
+			linked, written, err := outputWith(newPages).PublishPatch(ffs, dir, dirty, nil)
+			got := readDirPages(t, dir)
+			if err != nil && !errors.Is(err, faultfs.ErrInjected) {
+				t.Errorf("%s/%d: unexpected error %v", kind, fault, err)
+			}
+			if err != nil && !same(got, oldPages) && kind != "sync" {
+				t.Errorf("%s/%d: failed patch left dir in state %v", kind, fault, got)
+			}
+			if err == nil && (!same(got, newPages) || linked+written != len(newPages) || written < len(dirty)) {
+				t.Errorf("%s/%d: successful patch (linked %d written %d) left dir in state %v", kind, fault, linked, written, got)
+			}
+		}
+	}
+}

@@ -37,41 +37,6 @@ func TestDeltaCompactNetRemoval(t *testing.T) {
 	}
 }
 
-// TestDeltaMergeBoundedUnderAdversarialEditLoop drives the exact
-// pathology the bound exists for: a source oscillating between two
-// states for thousands of rounds while the consumer (a reloader in a
-// long outage) can only accumulate. Unbounded concatenation would grow
-// to ~40k records; the compacting Merge must keep the delta within a
-// constant factor of the distinct-element count.
-func TestDeltaMergeBoundedUnderAdversarialEditLoop(t *testing.T) {
-	accum := &Delta{}
-	flip := func(i int) *Delta {
-		e := graph.Edge{From: graph.OID(fmt.Sprintf("n%d", i%7)), Label: "v",
-			To: graph.NewInt(int64(i % 2))}
-		m := Membership{Coll: "C", OID: e.From}
-		if i%2 == 0 {
-			return &Delta{AddedEdges: []graph.Edge{e}, AddedMembers: []Membership{m}}
-		}
-		return &Delta{RemovedEdges: []graph.Edge{e}, RemovedMembers: []Membership{m}}
-	}
-	peak := 0
-	for i := 0; i < 10000; i++ {
-		accum.Merge(flip(i))
-		if s := accum.Size(); s > peak {
-			peak = s
-		}
-	}
-	if peak > mergeCompactLimit+4 {
-		t.Errorf("pending delta peaked at %d records, bound is ~%d", peak, mergeCompactLimit)
-	}
-	accum.Compact()
-	// 7 distinct froms × 2 values interleave; after full cancellation at
-	// most one record per distinct element can survive.
-	if accum.Size() > 7*3 {
-		t.Errorf("net delta has %d records for 21 distinct elements", accum.Size())
-	}
-}
-
 // TestDeltaCompactEquivalentToDiff asserts compaction of a composed
 // event stream equals the direct diff of the endpoint graphs — the
 // soundness property the incremental consumers rely on.

@@ -11,11 +11,13 @@
 // on-demand access) matches the prototype's choice for small, slowly
 // changing source sets.
 //
-// Refresh re-runs one source's wrapper, recomputes its contribution, and
-// reports the delta. The reload loop (dynamic.Reloader) refreshes the
-// sources whose files changed and hands the delta on: to package ivm,
-// which patches a published site, or to the serving fleet, which
-// invalidates its caches.
+// Refresh re-runs the named sources' wrappers, recomputes their
+// contributions, and reports the delta, as one transaction: either every
+// named source is replaced and the merged data graph's new snapshot
+// (Data) committed, or nothing changes. The reload loop
+// (dynamic.Reloader) refreshes the sources whose files changed and hands
+// the snapshot and delta on: to package ivm, which patches a published
+// site, or to the serving fleet, which invalidates its caches.
 package mediator
 
 import (
@@ -54,8 +56,10 @@ type Source struct {
 // Mediator integrates a set of sources into one mediated data graph.
 type Mediator struct {
 	sources []Source
-	// contributions caches each source's current contribution.
+	// contributions caches each source's current contribution; data is
+	// the snapshot of their merge. Only commit replaces either.
 	contributions map[string]*graph.Graph
+	data          *graph.Frozen
 	// Obs, when non-nil, receives per-source load timings and refresh
 	// delta sizes. Set it before Warehouse/Refresh; nil disables.
 	Obs *obs.SourceMetrics
@@ -86,9 +90,7 @@ func (m *Mediator) SourceNames() []string {
 	return names
 }
 
-// contribution loads one source and applies its mapping. The recorded
-// load time covers wrapper invocation plus mapping evaluation — the full
-// cost of bringing this source's contribution up to date.
+// contribution loads one source and applies its mapping.
 func (m *Mediator) contribution(s Source) (*graph.Graph, error) {
 	start := time.Now()
 	g, err := s.Load()
@@ -96,6 +98,14 @@ func (m *Mediator) contribution(s Source) (*graph.Graph, error) {
 		m.Obs.RecordLoad(int64(time.Since(start)), err)
 		return nil, fmt.Errorf("mediator: source %s: %w", s.Name, err)
 	}
+	return m.mapped(s, g, start)
+}
+
+// mapped applies s's mapping to its loaded graph g and records the load
+// time since start, which covers wrapper invocation plus mapping
+// evaluation — the full cost of bringing the source's contribution up to
+// date.
+func (m *Mediator) mapped(s Source, g *graph.Graph, start time.Time) (*graph.Graph, error) {
 	if s.Mapping == nil {
 		m.Obs.RecordLoad(int64(time.Since(start)), nil)
 		return g, nil
@@ -111,34 +121,58 @@ func (m *Mediator) contribution(s Source) (*graph.Graph, error) {
 // Warehouse loads every source and merges the contributions into one
 // data graph (the repository's "data graph"), returned as its snapshot:
 // the repository's indexes (§2.1). A merged graph past the snapshot's id
-// capacity fails with a *graph.CapacityError.
+// capacity fails with a *graph.CapacityError. A failure changes nothing.
 func (m *Mediator) Warehouse() (*graph.Frozen, error) {
-	contribs := make([]*graph.Graph, 0, len(m.sources))
+	next := make(map[string]*graph.Graph, len(m.sources))
 	for _, s := range m.sources {
 		c, err := m.contribution(s)
 		if err != nil {
 			return nil, err
 		}
-		m.contributions[s.Name] = c
-		contribs = append(contribs, c)
+		next[s.Name] = c
 	}
-	return mergeContributions(contribs).Snapshot()
+	return m.commit(next)
 }
 
-// mergeContributions merges source graphs into one graph pre-sized for
-// their combined node and edge counts, so the merge grows each structure
-// once instead of rehashing incrementally per edge.
-func mergeContributions(contribs []*graph.Graph) *graph.Graph {
+// commit merges the current contributions, with next replacing those of
+// the sources it names, and freezes the result. Only when the snapshot
+// succeeds do next's contributions and the snapshot become current: a
+// failure changes nothing.
+func (m *Mediator) commit(next map[string]*graph.Graph) (*graph.Frozen, error) {
+	f, err := m.merged(next).Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	for name, c := range next {
+		m.contributions[name] = c
+	}
+	m.data = f
+	return f, nil
+}
+
+// merged merges, in source order, each source's contribution from next
+// or else its current one (sources with neither are left out) into one
+// graph pre-sized for their combined node and edge counts, so the merge
+// grows each structure once instead of rehashing incrementally per edge.
+func (m *Mediator) merged(next map[string]*graph.Graph) *graph.Graph {
+	contribs := make([]*graph.Graph, 0, len(m.sources))
 	nodes, edges := 0, 0
-	for _, c := range contribs {
-		nodes += c.NumNodes()
-		edges += c.NumEdges()
+	for _, s := range m.sources {
+		c, ok := next[s.Name]
+		if !ok {
+			c, ok = m.contributions[s.Name]
+		}
+		if ok {
+			contribs = append(contribs, c)
+			nodes += c.NumNodes()
+			edges += c.NumEdges()
+		}
 	}
-	merged := graph.NewWithCapacity(nodes, edges)
+	g := graph.NewWithCapacity(nodes, edges)
 	for _, c := range contribs {
-		merged.Merge(c)
+		g.Merge(c)
 	}
-	return merged
+	return g
 }
 
 // SourceReport pairs a source name with the skip report its fail-soft
@@ -155,40 +189,29 @@ type SourceReport struct {
 // the site author's bugs (a failing mapping query, bad options).
 func (m *Mediator) contributionLenient(s Source) (*graph.Graph, *diag.Report, error) {
 	start := time.Now()
-	rep := &diag.Report{}
-	var g *graph.Graph
-	if s.LoadLenient != nil {
-		var err error
-		g, rep, err = s.LoadLenient()
+	if s.LoadLenient == nil {
+		rep := &diag.Report{Records: 1}
+		g, err := s.Load()
 		if err != nil {
 			m.Obs.RecordLoad(int64(time.Since(start)), err)
-			return nil, rep, fmt.Errorf("mediator: source %s: %w", s.Name, err)
-		}
-		if rep == nil {
-			rep = &diag.Report{}
-		}
-	} else {
-		var err error
-		g, err = s.Load()
-		if err != nil {
-			m.Obs.RecordLoad(int64(time.Since(start)), err)
-			rep.Records, rep.Skipped = 1, 1
+			rep.Skipped = 1
 			rep.Add(diag.Diagnostic{Source: s.Name, Severity: diag.Error,
 				Message: "source failed to load: " + err.Error()})
 			return graph.New(), rep, nil
 		}
-		rep.Records = 1
+		g, err = m.mapped(s, g, start)
+		return g, rep, err
 	}
-	if s.Mapping == nil {
-		m.Obs.RecordLoad(int64(time.Since(start)), nil)
-		return g, rep, nil
-	}
-	r, err := struql.Eval(s.Mapping, g, nil)
-	m.Obs.RecordLoad(int64(time.Since(start)), err)
+	g, rep, err := s.LoadLenient()
 	if err != nil {
-		return nil, rep, fmt.Errorf("mediator: source %s: mapping: %w", s.Name, err)
+		m.Obs.RecordLoad(int64(time.Since(start)), err)
+		return nil, rep, fmt.Errorf("mediator: source %s: %w", s.Name, err)
 	}
-	return r.Graph, rep, nil
+	if rep == nil {
+		rep = &diag.Report{}
+	}
+	g, err = m.mapped(s, g, start)
+	return g, rep, err
 }
 
 // WarehouseLenient loads every source in fail-soft mode and merges the
@@ -196,9 +219,10 @@ func (m *Mediator) contributionLenient(s Source) (*graph.Graph, *diag.Report, er
 // fails — so the returned reports always cover the whole source set and
 // a single run surfaces every diagnostic. The build fails (with the
 // first failure, in source order) when a source's skips exceed the
-// budget or a mapping errors; the reports accompany the error.
+// budget or a mapping errors; the reports accompany the error. A failure
+// changes nothing.
 func (m *Mediator) WarehouseLenient(budget diag.Budget) (*graph.Frozen, []SourceReport, error) {
-	contribs := make([]*graph.Graph, 0, len(m.sources))
+	next := make(map[string]*graph.Graph, len(m.sources))
 	reports := make([]SourceReport, 0, len(m.sources))
 	var firstErr error
 	for _, s := range m.sources {
@@ -217,27 +241,24 @@ func (m *Mediator) WarehouseLenient(budget diag.Budget) (*graph.Frozen, []Source
 			}
 			continue
 		}
-		m.contributions[s.Name] = c
-		contribs = append(contribs, c)
+		next[s.Name] = c
 	}
 	if firstErr != nil {
 		return nil, reports, firstErr
 	}
-	f, err := mergeContributions(contribs).Snapshot()
+	f, err := m.commit(next)
 	return f, reports, err
 }
 
-// DataGraph returns the merged graph of the current contributions
-// without reloading sources; Warehouse must have run.
-func (m *Mediator) DataGraph() *graph.Graph {
-	contribs := make([]*graph.Graph, 0, len(m.sources))
-	for _, s := range m.sources {
-		if c, ok := m.contributions[s.Name]; ok {
-			contribs = append(contribs, c)
-		}
-	}
-	return mergeContributions(contribs)
-}
+// Data returns the snapshot of the current data graph: the one the last
+// successful Warehouse, WarehouseLenient or Refresh committed, nil before
+// the first. It is what a consumer reads; DataGraph is a mutable copy.
+func (m *Mediator) Data() *graph.Frozen { return m.data }
+
+// DataGraph returns a fresh mutable merge of the current contributions
+// without reloading sources, for callers that must edit the data graph;
+// Warehouse must have run.
+func (m *Mediator) DataGraph() *graph.Graph { return m.merged(nil) }
 
 // Delta describes the difference between two versions of a graph.
 type Delta struct {
@@ -266,17 +287,8 @@ func (d *Delta) Size() int {
 	return len(d.AddedEdges) + len(d.RemovedEdges) + len(d.AddedMembers) + len(d.RemovedMembers)
 }
 
-// mergeCompactLimit bounds unconstrained Merge accumulation: once a
-// delta's record count passes it, Merge compacts to net effects so a
-// long outage with an oscillating source cannot grow the pending delta
-// without bound.
-const mergeCompactLimit = 4096
-
-// Merge folds another delta into this one. Deltas of consecutive
-// refreshes compose by concatenation; when the accumulated record count
-// exceeds a fixed bound the delta is compacted to its net effect (see
-// Compact), which keeps memory proportional to the number of distinct
-// changed elements instead of the number of change events.
+// Merge folds another delta into this one by concatenation; Compact
+// reduces the result to its net effect.
 func (d *Delta) Merge(o *Delta) {
 	if o == nil {
 		return
@@ -285,9 +297,6 @@ func (d *Delta) Merge(o *Delta) {
 	d.RemovedEdges = append(d.RemovedEdges, o.RemovedEdges...)
 	d.AddedMembers = append(d.AddedMembers, o.AddedMembers...)
 	d.RemovedMembers = append(d.RemovedMembers, o.RemovedMembers...)
-	if d.Size() > mergeCompactLimit {
-		d.Compact()
-	}
 }
 
 // Compact reduces the delta to its net effect: opposing add/remove
@@ -404,25 +413,43 @@ func Diff(old, new *graph.Graph) *Delta {
 	return d
 }
 
-// Refresh reloads one source, replaces its contribution, and returns the
-// delta of that source's contribution (empty when nothing changed).
-func (m *Mediator) Refresh(name string) (*Delta, error) {
+// Refresh reloads the named sources and maps their contributions, then
+// commits them with the merged data graph's new snapshot (Data) as one
+// transaction: any failure — an unknown name, a failed load or mapping,
+// a merged graph past the snapshot's capacity — returns an error and
+// changes nothing. The delta is the named sources' contribution diffs
+// concatenated in source order (empty when nothing changed).
+func (m *Mediator) Refresh(names ...string) (*Delta, error) {
+	want := make(map[string]bool, len(names))
+	for _, name := range names {
+		want[name] = true
+	}
+	next := make(map[string]*graph.Graph, len(names))
+	d := &Delta{}
 	for _, s := range m.sources {
-		if s.Name != name {
+		if !want[s.Name] {
 			continue
 		}
-		old, ok := m.contributions[name]
-		if !ok {
-			old = graph.New()
-		}
+		delete(want, s.Name)
 		c, err := m.contribution(s)
 		if err != nil {
 			return nil, err
 		}
-		m.contributions[name] = c
-		d := Diff(old, c)
-		m.Obs.RecordDelta(d.Size())
-		return d, nil
+		next[s.Name] = c
+		old, ok := m.contributions[s.Name]
+		if !ok {
+			old = graph.New()
+		}
+		d.Merge(Diff(old, c))
 	}
-	return nil, fmt.Errorf("mediator: unknown source %q", name)
+	for _, name := range names {
+		if want[name] {
+			return nil, fmt.Errorf("mediator: unknown source %q", name)
+		}
+	}
+	if _, err := m.commit(next); err != nil {
+		return nil, err
+	}
+	m.Obs.RecordDelta(d.Size())
+	return d, nil
 }

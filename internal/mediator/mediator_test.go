@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -204,5 +205,70 @@ func TestOverlappingSourcesUnifyByOID(t *testing.T) {
 	}
 	if len(ix.OutLabel("People/mff", "name")) == 0 || len(ix.OutLabel("People/mff", "project")) == 0 {
 		t.Errorf("attributes not unified:\n%s", ddl.Print(ix))
+	}
+}
+
+// TestRefreshIsAllOrNothing pins the reload transaction: when one named
+// source fails, Refresh (and a re-run Warehouse) leaves every
+// contribution and the current snapshot as they were, even for the
+// sources that loaded; once the failing source loads again, one Refresh
+// of both returns the diff of the merged graphs.
+func TestRefreshIsAllOrNothing(t *testing.T) {
+	people := &mutableSource{g: peopleGraph()}
+	pubs := &mutableSource{g: pubsGraph()}
+	boom := errors.New("source offline")
+	var pubsErr error
+	m, err := New(
+		Source{Name: "people", Load: people.load},
+		Source{Name: "pubs", Load: func() (*graph.Graph, error) {
+			if pubsErr != nil {
+				return nil, pubsErr
+			}
+			return pubs.load()
+		}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := m.Warehouse()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Data() != data {
+		t.Fatal("Data is not the snapshot Warehouse returned")
+	}
+	before := m.DataGraph()
+
+	// Both sources change; the second one's load fails.
+	people.g.AddEdge("People/mff", "room", graph.NewString("2A-401"))
+	pubs.g.AddToCollection("Publications", "pub2")
+	pubs.g.AddEdge("pub2", "title", graph.NewString("Boat"))
+	pubsErr = boom
+	if _, err := m.Refresh("people", "pubs"); !errors.Is(err, boom) {
+		t.Fatalf("Refresh err = %v, want the pubs load failure", err)
+	}
+	if _, err := m.Warehouse(); !errors.Is(err, boom) {
+		t.Fatalf("Warehouse err = %v, want the pubs load failure", err)
+	}
+	if m.Data() != data {
+		t.Error("a failed round replaced the snapshot")
+	}
+	if d := Diff(before, m.DataGraph()); !d.Empty() {
+		t.Errorf("a failed round changed the data graph: %+v", d)
+	}
+
+	pubsErr = nil
+	d, err := m.Refresh("people", "pubs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Data() == data || m.Data().NumEdges() != before.NumEdges()+2 {
+		t.Errorf("the successful round did not commit its snapshot")
+	}
+	want := Diff(before, m.DataGraph())
+	d.Compact()
+	want.Compact()
+	if fmt.Sprint(d) != fmt.Sprint(want) {
+		t.Errorf("refresh delta:\n%v\ndiff of the merged graphs:\n%v", d, want)
 	}
 }

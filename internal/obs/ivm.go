@@ -61,11 +61,6 @@ type IVMMetrics struct {
 	// publication: hardlinked unchanged pages vs freshly written ones.
 	PagesLinked  Counter
 	PagesWritten Counter
-	// DeltaCompactions counts pending-delta compactions (opposing
-	// add/remove pairs cancelled); DeltaOverflows counts pending deltas
-	// that exceeded the bound and were degraded to a full invalidation.
-	DeltaCompactions Counter
-	DeltaOverflows   Counter
 	// ApplyNanos is the latency distribution of incremental applies
 	// (delta propagation + page regeneration, excluding publication).
 	ApplyNanos Histogram
@@ -103,8 +98,6 @@ func (m *IVMMetrics) Snapshot() map[string]any {
 		"blocks_reevaluated": m.BlocksReevaluated.Load(),
 		"pages_linked":       m.PagesLinked.Load(),
 		"pages_written":      m.PagesWritten.Load(),
-		"delta_compactions":  m.DeltaCompactions.Load(),
-		"delta_overflows":    m.DeltaOverflows.Load(),
 		"apply_nanos":        histSnap(&m.ApplyNanos),
 	}
 	for k, name := range bailoutNames {

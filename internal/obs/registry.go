@@ -416,10 +416,11 @@ type ServeMetrics struct {
 	Shed     Counter
 	Timeouts Counter
 	Panics   Counter
-	// ReloadAttempts counts source refresh attempts; ReloadFailures
-	// failed attempts (every backoff retry counts); ReloadRoundsFailed
-	// failed rounds — counted exactly once per degraded window, no
-	// matter how many backoff retries it takes to recover.
+	// ReloadAttempts counts reload attempts, each one Refresh of every
+	// changed source; ReloadFailures failed attempts (every backoff retry
+	// counts); ReloadRoundsFailed failed rounds — counted exactly once
+	// per degraded window, no matter how many backoff retries it takes
+	// to recover.
 	ReloadAttempts     Counter
 	ReloadFailures     Counter
 	ReloadRoundsFailed Counter
