@@ -76,16 +76,24 @@ func TestAffectedByMembershipRefinement(t *testing.T) {
 }
 
 func TestInvalidateUsesMembershipRefinement(t *testing.T) {
-	// The evaluator's page cache survives changes to objects outside the
-	// collections its queries read.
-	ev, _ := newEvaluator(t, testData())
+	// The evaluator's page cache survives a swap whose delta changes only
+	// objects outside the collections its queries read.
+	data := testData()
+	ev, _ := newEvaluator(t, data)
 	if _, err := ev.Page(PageRef{Fn: "RootPage"}); err != nil {
 		t.Fatal(err)
+	}
+	swap := func(d *mediator.Delta) int {
+		kept, dropped := ev.SwapData(data.Freeze(), d)
+		if kept+dropped != 1 {
+			t.Fatalf("swap counted %d kept + %d dropped pages, the cache held 1", kept, dropped)
+		}
+		return dropped
 	}
 	patDelta := &mediator.Delta{AddedEdges: []graph.Edge{
 		{From: "unrelatedObject", Label: "title", To: graph.NewString("x")},
 	}}
-	if dropped := ev.Invalidate(patDelta); dropped != 0 {
+	if dropped := swap(patDelta); dropped != 0 {
 		t.Errorf("dropped %d pages for an edge outside Publications", dropped)
 	}
 	// A new "note" edge is invisible to the root page's queries (they
@@ -93,14 +101,14 @@ func TestInvalidateUsesMembershipRefinement(t *testing.T) {
 	noteDelta := &mediator.Delta{AddedEdges: []graph.Edge{
 		{From: "pub1", Label: "note", To: graph.NewString("x")},
 	}}
-	if dropped := ev.Invalidate(noteDelta); dropped != 0 {
+	if dropped := swap(noteDelta); dropped != 0 {
 		t.Errorf("dropped %d pages for a note edge the root never reads", dropped)
 	}
 	// A year edge is load-bearing for the root's YearPage links.
 	yearDelta := &mediator.Delta{AddedEdges: []graph.Edge{
 		{From: "pub1", Label: "year", To: graph.NewInt(1901)},
 	}}
-	if dropped := ev.Invalidate(yearDelta); dropped == 0 {
+	if dropped := swap(yearDelta); dropped == 0 {
 		t.Error("a year edge should invalidate the root page")
 	}
 }

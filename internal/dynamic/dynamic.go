@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
@@ -96,6 +97,11 @@ func (pd *PageData) Out() []graph.Edge {
 // parallel. The data source can be swapped atomically at runtime
 // (SwapData), which is how the hot-reload loop publishes a freshly
 // re-wrapped graph without ever exposing a partially built one.
+//
+// Everything the evaluator derives from the data — pages and the page
+// identities that name them — belongs to one generation and goes with
+// it; apart from the settings below, its only mutable field is the
+// current generation.
 type Evaluator struct {
 	Schema *schema.Schema
 	// Lookahead precomputes linked pages after each page computation.
@@ -107,7 +113,6 @@ type Evaluator struct {
 	// instrumentation.
 	Obs *obs.ServeMetrics
 
-	env *struql.SkolemEnv
 	// edges maps each Skolem function to its out-edges in the schema,
 	// resolved once here rather than per computed page.
 	edges map[string][]pageEdge
@@ -116,18 +121,15 @@ type Evaluator struct {
 	// (an arc variable ranges over the whole schema).
 	deps map[string]map[string]bool
 
-	// mu guards state, refs, and env (SkolemEnv memoizes and is not
-	// itself concurrency-safe).
-	mu    sync.Mutex
-	state *evalState
-	refs  map[graph.OID]PageRef
+	state atomic.Pointer[evalState]
 }
 
-// evalState is one generation of the evaluator: a data source and the
-// page cache computed against it. A request snapshots the state once and
-// serves entirely from it, so no request ever observes a torn graph —
-// SwapData publishes a complete replacement state, and requests that
-// started earlier finish against the generation they began with.
+// evalState is one generation of the evaluator: a data source, the page
+// cache computed against it, and the page identities its pages use. A
+// request snapshots the state once and serves entirely from it, so no
+// request ever observes a torn graph — SwapData publishes a complete
+// replacement state, and requests that started earlier finish against
+// the generation they began with.
 type evalState struct {
 	src struql.Source
 	// gen is the data generation this state serves: it increases by one
@@ -145,9 +147,14 @@ type evalState struct {
 	frozen *graph.Frozen
 	opts   *struql.Options
 
+	// mu guards cache, flight and the page identities: env names each
+	// page ref (Skolem naming, as static evaluation does) and refs
+	// resolves a page oid back to the first ref registered for it.
 	mu     sync.Mutex
 	cache  map[graph.OID]*PageData
 	flight map[graph.OID]*flightCall
+	env    *struql.SkolemEnv
+	refs   map[graph.OID]PageRef
 }
 
 func (st *evalState) resolve() {
@@ -195,19 +202,38 @@ func newEvalState(src struql.Source) *evalState {
 		src:    src,
 		cache:  map[graph.OID]*PageData{},
 		flight: map[graph.OID]*flightCall{},
+		env:    struql.NewSkolemEnv(),
+		refs:   map[graph.OID]PageRef{},
 	}
+}
+
+// oidFor returns the page oid of a ref in this generation.
+func (st *evalState) oidFor(ref PageRef) graph.OID {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	oid := st.env.OID(ref.Fn, ref.Args)
+	if _, ok := st.refs[oid]; !ok {
+		st.refs[oid] = ref
+	}
+	return oid
+}
+
+// refFor resolves a page oid issued in this generation back to its ref.
+func (st *evalState) refFor(oid graph.OID) (PageRef, bool) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	r, ok := st.refs[oid]
+	return r, ok
 }
 
 // NewEvaluator returns an evaluator over a site schema and data source.
 func NewEvaluator(s *schema.Schema, data struql.Source) *Evaluator {
 	ev := &Evaluator{
 		Schema: s,
-		env:    struql.NewSkolemEnv(),
-		state:  newEvalState(data),
-		refs:   map[graph.OID]PageRef{},
 		edges:  map[string][]pageEdge{},
 		deps:   map[string]map[string]bool{},
 	}
+	ev.state.Store(newEvalState(data))
 	for _, e := range s.Edges {
 		pe := pageEdge{Edge: e}
 		if e.To == schema.NS {
@@ -230,15 +256,7 @@ func NewEvaluator(s *schema.Schema, data struql.Source) *Evaluator {
 
 // snapshot returns the current state; callers that must be self-consistent
 // across several reads (one HTTP request) capture it once.
-func (ev *Evaluator) snapshot() *evalState {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	return ev.state
-}
-
-// Source returns the current data source. Within one request, prefer
-// capturing it once (the server does, via its render snapshot).
-func (ev *Evaluator) Source() struql.Source { return ev.snapshot().src }
+func (ev *Evaluator) snapshot() *evalState { return ev.state.Load() }
 
 // Generation returns the current data generation: 0 at construction,
 // increasing with every swap. A page response tagged with a generation
@@ -255,12 +273,17 @@ func (ev *Evaluator) SourceGen() (struql.Source, int64) {
 	return st.src, st.gen
 }
 
-// SwapData atomically replaces the data source. Cached pages whose edge
-// queries are unaffected by the delta carry over (the same soundness
-// argument as Invalidate); affected ones are dropped. A nil delta means
-// "unknown change" and drops the whole cache. Requests already in flight
-// finish against the previous generation — they serve a consistent,
-// slightly stale page rather than a torn one.
+// SwapData atomically replaces the data source. A cached page carries
+// over when the delta cannot change it: its Skolem function's edge
+// queries depend on no changed label or collection, nor (for arc
+// variables) on edges of changed objects. Affected pages are dropped; a
+// nil delta means "unknown change" and drops the whole cache. The next
+// generation starts with only the identities its kept pages use — each
+// page's own and those of the pages it links to, under the same oids —
+// so a kept page still resolves and everything else the old generation
+// named goes with it. Requests already in flight finish against the
+// previous generation — they serve a consistent, slightly stale page
+// rather than a torn one.
 func (ev *Evaluator) SwapData(src struql.Source, d *mediator.Delta) (kept, dropped int) {
 	next := newEvalState(src)
 	old := ev.snapshot()
@@ -275,9 +298,27 @@ func (ev *Evaluator) SwapData(src struql.Source, d *mediator.Delta) (kept, dropp
 		kept++
 	}
 	old.mu.Unlock()
-	ev.mu.Lock()
-	ev.state = next
-	ev.mu.Unlock()
+	// The old generation keeps serving while the kept pages' identities
+	// are adopted: each is read under its lock on its own, so no request
+	// waits for the whole adoption.
+	adopt := func(oid graph.OID, ref PageRef) {
+		if _, ok := next.refs[oid]; !ok {
+			next.env.Adopt(ref.Fn, ref.Args, oid)
+			next.refs[oid] = ref
+		}
+	}
+	for oid, pd := range next.cache {
+		adopt(oid, pd.Ref)
+		for _, v := range pd.targets {
+			if !v.IsNode() {
+				continue
+			}
+			if ref, ok := old.refFor(v.OID()); ok {
+				adopt(v.OID(), ref)
+			}
+		}
+	}
+	ev.state.Store(next)
 	return kept, dropped
 }
 
@@ -297,26 +338,15 @@ func (ev *Evaluator) EntryPoints() []PageRef {
 	return out
 }
 
-// OIDFor returns the page oid of a ref, consistent with static
-// evaluation's Skolem naming. The first ref registered for an oid is
-// the one RefFor returns; later equal refs are not kept.
-func (ev *Evaluator) OIDFor(ref PageRef) graph.OID {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	oid := ev.env.OID(ref.Fn, ref.Args)
-	if _, ok := ev.refs[oid]; !ok {
-		ev.refs[oid] = ref
-	}
-	return oid
-}
+// OIDFor returns the page oid of a ref in the current generation,
+// consistent with static evaluation's Skolem naming. The first ref
+// registered for an oid is the one RefFor returns; later equal refs are
+// not kept.
+func (ev *Evaluator) OIDFor(ref PageRef) graph.OID { return ev.snapshot().oidFor(ref) }
 
-// RefFor resolves a previously issued page oid back to its ref.
-func (ev *Evaluator) RefFor(oid graph.OID) (PageRef, bool) {
-	ev.mu.Lock()
-	defer ev.mu.Unlock()
-	r, ok := ev.refs[oid]
-	return r, ok
-}
+// RefFor resolves a page oid issued in the current generation (or kept
+// into it by SwapData) back to its ref.
+func (ev *Evaluator) RefFor(oid graph.OID) (PageRef, bool) { return ev.snapshot().refFor(oid) }
 
 // Page computes (or returns from cache) the contents of one page.
 func (ev *Evaluator) Page(ref PageRef) (*PageData, error) {
@@ -328,7 +358,8 @@ func (ev *Evaluator) Page(ref PageRef) (*PageData, error) {
 // another request's in-flight computation of the same page stops waiting
 // when its own context ends.
 func (ev *Evaluator) PageCtx(ctx context.Context, ref PageRef) (*PageData, error) {
-	return ev.pageIn(ctx, ev.snapshot(), ev.OIDFor(ref), ref, ev.Lookahead)
+	st := ev.snapshot()
+	return ev.pageIn(ctx, st, st.oidFor(ref), ref, ev.Lookahead)
 }
 
 // pageIn computes (or returns from cache) one page against a specific
@@ -395,15 +426,12 @@ func (ev *Evaluator) pageIn(ctx context.Context, st *evalState, oid graph.OID, r
 					continue
 				}
 				loid := v.OID()
-				l, ok := ev.RefFor(loid)
-				if !ok {
-					continue // a data-graph object, not a page
-				}
 				st.mu.Lock()
+				l, isPage := st.refs[loid]
 				_, cached := st.cache[loid]
 				st.mu.Unlock()
-				if cached {
-					continue
+				if !isPage || cached {
+					continue // a data-graph object, or already computed
 				}
 				if _, err := ev.pageIn(ctx, st, loid, l, false); err != nil {
 					return nil, err
@@ -455,7 +483,7 @@ func (ev *Evaluator) compute(ctx context.Context, st *evalState, ref PageRef, oi
 					return nil, fmt.Errorf("dynamic: page %s: target argument %s unbound", oid, a)
 				}
 			}
-			toid := ev.OIDFor(PageRef{Fn: e.To, Args: args})
+			toid := st.oidFor(PageRef{Fn: e.To, Args: args})
 			edges = append(edges, labeledTarget{label, graph.NewNode(toid)})
 		}
 	}
@@ -534,26 +562,6 @@ func sortDedup(edges []labeledTarget) []labeledTarget {
 	return out
 }
 
-// Invalidate drops cached pages affected by a data delta: pages of
-// Skolem functions whose edge queries depend on a changed label,
-// collection, or (for arc variables) on edges of changed objects. Use it
-// when the data source object was mutated in place; when a whole new
-// graph replaces the old one, SwapData applies the same dependency test
-// while switching sources atomically.
-func (ev *Evaluator) Invalidate(d *mediator.Delta) int {
-	st := ev.snapshot()
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	dropped := 0
-	for oid, pd := range st.cache {
-		if AffectedBy(ev.deps[pd.Ref.Fn], d, st.data()) {
-			delete(st.cache, oid)
-			dropped++
-		}
-	}
-	return dropped
-}
-
 // CacheSize returns the number of cached pages.
 func (ev *Evaluator) CacheSize() int {
 	st := ev.snapshot()
@@ -563,8 +571,11 @@ func (ev *Evaluator) CacheSize() int {
 }
 
 // Links returns the pages pd links to: its node targets that resolve to
-// a page ref, each once, in the page's (label, key) order.
-func (ev *Evaluator) Links(pd *PageData) []PageRef {
+// a page ref in the current generation, each once, in the page's
+// (label, key) order.
+func (ev *Evaluator) Links(pd *PageData) []PageRef { return ev.snapshot().links(pd) }
+
+func (st *evalState) links(pd *PageData) []PageRef {
 	var out []PageRef
 	seen := map[graph.OID]bool{}
 	for _, v := range pd.targets {
@@ -572,17 +583,19 @@ func (ev *Evaluator) Links(pd *PageData) []PageRef {
 			continue
 		}
 		seen[v.OID()] = true
-		if ref, ok := ev.RefFor(v.OID()); ok {
+		if ref, ok := st.refFor(v.OID()); ok {
 			out = append(out, ref)
 		}
 	}
 	return out
 }
 
-// MaterializeAll walks the whole reachable page space from the entry
-// points and returns the site graph it induces — useful to verify that
-// dynamic evaluation agrees with static evaluation.
+// MaterializeAll walks the whole reachable page space of the current
+// generation from the entry points and returns the site graph it
+// induces — useful to verify that dynamic evaluation agrees with static
+// evaluation.
 func (ev *Evaluator) MaterializeAll() (*graph.Graph, error) {
+	st := ev.snapshot()
 	g := graph.New()
 	var queue []PageRef
 	queue = append(queue, ev.EntryPoints()...)
@@ -590,12 +603,12 @@ func (ev *Evaluator) MaterializeAll() (*graph.Graph, error) {
 	for len(queue) > 0 {
 		ref := queue[0]
 		queue = queue[1:]
-		oid := ev.OIDFor(ref)
+		oid := st.oidFor(ref)
 		if seen[oid] {
 			continue
 		}
 		seen[oid] = true
-		pd, err := ev.Page(ref)
+		pd, err := ev.pageIn(context.Background(), st, oid, ref, ev.Lookahead)
 		if err != nil {
 			return nil, err
 		}
@@ -603,7 +616,7 @@ func (ev *Evaluator) MaterializeAll() (*graph.Graph, error) {
 		for _, e := range pd.Out() {
 			g.AddEdge(e.From, e.Label, e.To)
 		}
-		queue = append(queue, ev.Links(pd)...)
+		queue = append(queue, st.links(pd)...)
 	}
 	return g, nil
 }

@@ -165,8 +165,11 @@ func TestLookaheadPrecomputes(t *testing.T) {
 	}
 }
 
+// TestInvalidate checks the swap's dependency test: a delta the cached
+// page's queries cannot see keeps it, one they read drops it.
 func TestInvalidate(t *testing.T) {
-	ev, _ := newEvaluator(t, testData())
+	data := testData()
+	ev, _ := newEvaluator(t, data)
 	if _, err := ev.Page(PageRef{Fn: "RootPage"}); err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +178,14 @@ func TestInvalidate(t *testing.T) {
 	}
 	// A change to an unrelated label leaves the cache alone.
 	d := &mediator.Delta{AddedEdges: []graph.Edge{{From: "x", Label: "unrelated", To: graph.NewInt(1)}}}
-	if dropped := ev.Invalidate(d); dropped != 0 {
-		t.Errorf("dropped %d on unrelated change", dropped)
+	if kept, dropped := ev.SwapData(data.Freeze(), d); kept != 1 || dropped != 0 {
+		t.Errorf("kept %d, dropped %d on unrelated change; want 1, 0", kept, dropped)
 	}
 	// RootPage depends on the year label (via the nested block's
 	// conjunction) and the Publications collection.
 	d = &mediator.Delta{AddedMembers: []mediator.Membership{{Coll: "Publications", OID: "pubN"}}}
-	if dropped := ev.Invalidate(d); dropped != 1 {
-		t.Errorf("dropped %d on Publications change, want 1", dropped)
+	if kept, dropped := ev.SwapData(data.Freeze(), d); kept != 0 || dropped != 1 {
+		t.Errorf("kept %d, dropped %d on Publications change; want 0, 1", kept, dropped)
 	}
 	if ev.CacheSize() != 0 {
 		t.Error("cache should be empty")

@@ -51,7 +51,7 @@ func (s *Renderer) RenderPage(ref PageRef) (string, error) {
 // bytes.
 func (s *Renderer) RenderPageGen(ctx context.Context, ref PageRef) (string, int64, error) {
 	st := s.Ev.snapshot()
-	pd, err := s.Ev.pageIn(ctx, st, s.Ev.OIDFor(ref), ref, s.Ev.Lookahead)
+	pd, err := s.Ev.pageIn(ctx, st, st.oidFor(ref), ref, s.Ev.Lookahead)
 	if err != nil {
 		return "", st.gen, err
 	}
@@ -95,7 +95,7 @@ type dynSite struct {
 // copy), per the template.Site read-only contract. A page that fails to
 // evaluate answers nil and records the error, which fails the render.
 func (d dynSite) OutLabel(oid graph.OID, label string) []graph.Value {
-	if ref, ok := d.r.s.Ev.RefFor(oid); ok {
+	if ref, ok := d.r.st.refFor(oid); ok {
 		pd, err := d.r.s.Ev.pageIn(d.r.ctx, d.r.st, oid, ref, false)
 		if err != nil {
 			if d.r.err == nil {
@@ -132,7 +132,7 @@ func (r *dynRenderer) LookupTemplate(name string) *template.Template {
 // RenderRef links a page by its click-time URL. An object that is not a
 // page has no URL to link to, so it renders as its anchor text alone.
 func (r *dynRenderer) RenderRef(oid graph.OID, anchorText string) (string, error) {
-	ref, ok := r.s.Ev.RefFor(oid)
+	ref, ok := r.st.refFor(oid)
 	if !ok {
 		return html.EscapeString(anchorText), nil
 	}
@@ -144,7 +144,7 @@ func (r *dynRenderer) RenderRef(oid graph.OID, anchorText string) (string, error
 const maxEmbedDepth = 32
 
 func (r *dynRenderer) RenderEmbed(oid graph.OID) (string, error) {
-	if ref, ok := r.s.Ev.RefFor(oid); ok {
+	if ref, ok := r.st.refFor(oid); ok {
 		// A true embed cycle — the page is already on the render stack —
 		// degrades to a reference at the exact point the cycle closes.
 		for _, on := range r.stack {
@@ -190,7 +190,7 @@ func (r *dynRenderer) defaultRender(pd *PageData) (string, error) {
 	for _, e := range pd.Out() {
 		var cell string
 		if e.To.IsNode() {
-			if _, ok := r.s.Ev.RefFor(e.To.OID()); ok {
+			if _, ok := r.st.refFor(e.To.OID()); ok {
 				ref, _ := r.RenderRef(e.To.OID(), string(e.To.OID()))
 				cell = ref
 			} else {

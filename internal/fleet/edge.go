@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"log"
@@ -44,7 +43,7 @@ type Edge struct {
 	// shed with 503 + Retry-After. 0 means unlimited.
 	MaxInflight int
 	// MaxEntries bounds the page cache; past it the least recently used
-	// entry is evicted. 0 means DefaultMaxEntries.
+	// entry is evicted. 0 means DefaultMaxEntries. Set it before Handler.
 	MaxEntries int
 	// Health is reported by /healthz (shared with the reloader).
 	Health *dynamic.Health
@@ -60,11 +59,9 @@ type Edge struct {
 	// tests pin the clock instead of racing it.
 	Now func() time.Time
 
-	mu     sync.Mutex
-	cache  map[string]*list.Element // page key → element of lru holding its *edgeEntry
-	lru    list.List                // most recently used at the front
-	reval  map[string]bool          // page keys with a background revalidation in flight
-	inited bool
+	mu    sync.Mutex
+	cache *spine.LRU[string, *edgeEntry] // page key → cached page
+	reval map[string]bool                // page keys with a background revalidation in flight
 }
 
 // DefaultMaxEntries is the page-cache bound when MaxEntries is 0.
@@ -77,7 +74,6 @@ type edgeEntry struct {
 	gen     int64
 	etag    string
 	lastMod time.Time
-	key     string
 }
 
 // NewEdge returns an edge over a fleet.
@@ -108,10 +104,13 @@ func (e *Edge) logf(format string, args ...any) {
 func (e *Edge) init() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.inited {
-		e.cache = map[string]*list.Element{}
+	if e.cache == nil {
+		maxN := e.MaxEntries
+		if maxN <= 0 {
+			maxN = DefaultMaxEntries
+		}
+		e.cache = spine.NewLRU[string, *edgeEntry](maxN)
 		e.reval = map[string]bool{}
-		e.inited = true
 	}
 }
 
@@ -186,11 +185,8 @@ func (e *Edge) serveHealth(w http.ResponseWriter, r *http.Request) {
 	if h == nil {
 		h = dynamic.NewHealth()
 	}
-	e.mu.Lock()
-	n := len(e.cache)
-	e.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(h.StatusJSON(n))
+	w.Write(h.StatusJSON(e.CacheSize()))
 }
 
 // lookup returns the cached entry for a key, marking it most recently
@@ -198,12 +194,8 @@ func (e *Edge) serveHealth(w http.ResponseWriter, r *http.Request) {
 func (e *Edge) lookup(key string) *edgeEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	el := e.cache[key]
-	if el == nil {
-		return nil
-	}
-	e.lru.MoveToFront(el)
-	return el.Value.(*edgeEntry)
+	ent, _ := e.cache.Get(key)
+	return ent
 }
 
 // store caches a fetched page, evicting the least recently used entry
@@ -212,25 +204,10 @@ func (e *Edge) lookup(key string) *edgeEntry {
 func (e *Edge) store(key string, ent *edgeEntry) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ent.key = key
-	if el := e.cache[key]; el != nil {
-		if el.Value.(*edgeEntry).gen > ent.gen {
-			return
-		}
-		el.Value = ent
-		e.lru.MoveToFront(el)
+	if old, ok := e.cache.Peek(key); ok && old.gen > ent.gen {
 		return
 	}
-	maxN := e.MaxEntries
-	if maxN <= 0 {
-		maxN = DefaultMaxEntries
-	}
-	if len(e.cache) >= maxN {
-		victim := e.lru.Back()
-		e.lru.Remove(victim)
-		delete(e.cache, victim.Value.(*edgeEntry).key)
-	}
-	e.cache[key] = e.lru.PushFront(ent)
+	e.cache.Put(key, ent)
 }
 
 // fetch renders a page through the fleet and wraps it as a cache
@@ -377,5 +354,5 @@ func ETagMatch(header, etag string) bool {
 func (e *Edge) CacheSize() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.cache)
+	return e.cache.Len()
 }

@@ -269,44 +269,11 @@ func TestEdgeEvictsLeastRecentlyUsed(t *testing.T) {
 			t.Fatalf("step %d: cache holds %d entries, model %d", step, e.CacheSize(), len(model))
 		}
 		for _, m := range model {
-			if e.cache[m] == nil {
+			if _, ok := e.cache.Peek(m); !ok {
 				t.Fatalf("step %d: %s evicted, but the least recently used was %s", step, m, model[0])
 			}
 		}
 	}
-}
-
-// BenchmarkEdgeStore times one page-cache insert of a new key below the
-// bound and past it, where every insert evicts.
-func BenchmarkEdgeStore(b *testing.B) {
-	keys := make([]string, 2*DefaultMaxEntries)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("Pub;s%06d", i)
-	}
-	b.Run("below", func(b *testing.B) {
-		var e *Edge
-		for i := 0; i < b.N; i++ {
-			k := i % DefaultMaxEntries
-			if k == 0 {
-				b.StopTimer()
-				e = &Edge{}
-				e.init()
-				b.StartTimer()
-			}
-			e.store(keys[k], &edgeEntry{})
-		}
-	})
-	b.Run("above", func(b *testing.B) {
-		e := &Edge{}
-		e.init()
-		for _, k := range keys[:DefaultMaxEntries] {
-			e.store(k, &edgeEntry{})
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			e.store(keys[(DefaultMaxEntries+i)%len(keys)], &edgeEntry{})
-		}
-	})
 }
 
 func TestFailRequestSanitizesErrors(t *testing.T) {

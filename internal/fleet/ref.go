@@ -26,7 +26,7 @@ import (
 // function name and each argument's canonical value key, joined with
 // ';' (escaped inside components). Unlike display-form oids — whose "#n"
 // disambiguation suffixes depend on the order pages were first computed
-// by a particular evaluator (one per fleet process) — page keys are
+// in one generation of the fleet's evaluator — page keys are
 // derived only from the ref itself, so every replica, the edge, and the
 // router agree on them without shared state, and any replica, in any
 // process, can decode one it has never seen.

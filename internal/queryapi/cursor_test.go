@@ -106,13 +106,16 @@ func TestCursorResumeCompletesOnOldGeneration(t *testing.T) {
 	}
 }
 
-// TestCursorResumeEvictedGeneration: same reload, but the old
-// generation's cached result is evicted before the resume. The walk
-// must fail with a typed generation_mismatch (410) naming both
-// generations — not silently continue on new data.
+// TestCursorResumeEvictedGeneration: same reload, but queries on the
+// new generation push the old generation's result out of the bounded
+// cache before the resume. The walk must fail with a typed
+// generation_mismatch (410) naming both generations — not silently
+// continue on new data.
 func TestCursorResumeEvictedGeneration(t *testing.T) {
 	single := newSingle(t, qgen.Graph(5).Freeze())
-	svc, ts := newQueryServer(t, single, generous())
+	lim := generous()
+	lim.MaxCached = 2
+	svc, ts := newQueryServer(t, single, lim)
 
 	q := "where Items(x), x -> \"year\" -> y"
 	first := queryPage(t, ts, QueryRequest{Query: q, PageSize: 2})
@@ -120,9 +123,11 @@ func TestCursorResumeEvictedGeneration(t *testing.T) {
 		t.Fatalf("page_size=2 finished in one page")
 	}
 	single.SwapData(qgen.Graph(77).Freeze(), nil)
-	svc.mu.Lock()
-	svc.cache = map[string]*result{} // the reload's memory pressure, simulated
-	svc.mu.Unlock()
+	for _, filler := range []string{"where Items(x)", "where Items(x), x -> \"id\" -> i"} {
+		if p := queryPage(t, ts, QueryRequest{Query: filler}); p.header.Generation != 1 {
+			t.Fatalf("filler query ran on generation %d, want 1", p.header.Generation)
+		}
+	}
 
 	code, _, e := queryError(t, ts, "/query", QueryRequest{Query: q, PageSize: 2, Cursor: first.end.NextCursor})
 	if code != http.StatusGone || e.Code != spine.CodeGenerationMismatch {

@@ -20,8 +20,9 @@ import (
 // that exists in the reachable graph, to a bounded depth), and
 // /query/explain surfaces the cost-based planner's EXPLAIN text.
 // Everything routes through the fleet like queries do, is keyed to a
-// generation, and is memoized per generation — introspection is read
-// traffic too and earns the same ETag/304 treatment.
+// generation, and is memoized per generation in a bounded LRU —
+// introspection is read traffic too and earns the same ETag/304
+// treatment.
 
 // LabelInfo is one row of /schema/labels: the label's edge count and
 // its distinct source and target counts, read from the generation's
@@ -55,7 +56,7 @@ func (s *Service) introspect(w http.ResponseWriter, r *http.Request, kind, memoK
 	}
 	key := fmt.Sprintf("g%d-%s", gen, memoKey)
 	s.mu.Lock()
-	payload, ok := s.memo[key]
+	payload, ok := s.memo.Get(key)
 	s.mu.Unlock()
 	if !ok {
 		var gotGen int64
@@ -86,10 +87,7 @@ func (s *Service) introspect(w http.ResponseWriter, r *http.Request, kind, memoK
 			key = fmt.Sprintf("g%d-%s", gen, memoKey)
 		}
 		s.mu.Lock()
-		if len(s.memo) > 64 {
-			s.memo = map[string]string{}
-		}
-		s.memo[key] = payload
+		s.memo.Put(key, payload)
 		s.mu.Unlock()
 	}
 	w.Header().Set("Content-Type", "application/json")

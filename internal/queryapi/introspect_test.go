@@ -2,13 +2,18 @@ package queryapi
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
+	"strudel/internal/fleet"
 	"strudel/internal/graph"
+	"strudel/internal/obs"
 	"strudel/internal/qgen"
+	"strudel/internal/schema"
 	"strudel/internal/spine"
 	"strudel/internal/struql"
 )
@@ -213,5 +218,50 @@ func TestWeakValidatorsNotModified(t *testing.T) {
 		if code, _, _ := getJSON(t, ts.URL+"/schema/labels", map[string]string{"If-None-Match": inm(labelsTag)}); code != http.StatusNotModified {
 			t.Errorf("/schema/labels with If-None-Match %s = %d, want 304", inm(labelsTag), code)
 		}
+	}
+}
+
+// TestIntrospectionMemoKeepsMostRecentlyUsed fills the introspection
+// memo past its 64 entries (ten endpoints a generation, over seven
+// generations) while re-reading one payload after every insert. That
+// payload is always the most recently used, so it must be served from
+// the memo every time — no fleet evaluation — and unchanged.
+func TestIntrospectionMemoKeepsMostRecentlyUsed(t *testing.T) {
+	m := &obs.FleetMetrics{}
+	f, err := fleet.New(fleet.Config{Schema: schema.Build(struql.MustParse(querySchema)),
+		Shards: 1, Replicas: 1, Obs: m}, qgen.Graph(5).Freeze())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newQueryServer(t, f, generous())
+	others := []string{"/schema/collections"}
+	for d := 1; d <= 8; d++ {
+		others = append(others, fmt.Sprintf("/schema/dataguide?depth=%d", d))
+	}
+	entries := 0
+	for gen := 0; gen < 7; gen++ {
+		if gen > 0 {
+			f.SwapData(qgen.Graph(uint64(gen)).Freeze(), nil)
+		}
+		_, _, labels := getJSON(t, ts.URL+"/schema/labels", nil)
+		entries++
+		for _, p := range others {
+			if code, _, _ := getJSON(t, ts.URL+p, nil); code != http.StatusOK {
+				t.Fatalf("%s = %d", p, code)
+			}
+			entries++
+			before := m.ShardFetches.Load()
+			_, _, again := getJSON(t, ts.URL+"/schema/labels", nil)
+			if n := m.ShardFetches.Load() - before; n != 0 {
+				t.Fatalf("generation %d, %d memo entries: the most recently used payload was recomputed (%d fleet evaluations)",
+					gen, entries, n)
+			}
+			if !reflect.DeepEqual(again, labels) {
+				t.Fatalf("generation %d: memoized labels payload changed", gen)
+			}
+		}
+	}
+	if entries <= 64 {
+		t.Fatalf("only %d memo entries; the test must pass the bound", entries)
 	}
 }

@@ -97,14 +97,13 @@ type result struct {
 	gen  int64
 	vars []string
 	rows []string // pre-marshaled row lines, streamed verbatim
-	used int64    // LRU tick
 }
 
 // Service is the query API: handlers, limits, and a small
-// per-generation result cache. The cache is what lets a cursor walk
-// complete on its original generation across a hot reload — and why
-// eviction degrades to a typed generation_mismatch, never a torn mix of
-// generations.
+// per-generation result cache that evicts the least recently used
+// result first. The cache is what lets a cursor walk complete on its
+// original generation across a hot reload — and why eviction degrades
+// to a typed generation_mismatch, never a torn mix of generations.
 type Service struct {
 	// Backend is the fleet queries evaluate on (a 1×1 fleet for a single
 	// server). Each evaluation closure receives a generation-pinned
@@ -122,10 +121,12 @@ type Service struct {
 	lim   Limits
 	chain *spine.Chain
 	mu    sync.Mutex
-	cache map[string]*result
-	memo  map[string]string // introspection payloads, keyed per generation
-	tick  int64
+	cache *spine.LRU[string, *result]
+	memo  *spine.LRU[string, string] // introspection payloads, keyed per generation
 }
+
+// memoEntries bounds the introspection memo.
+const memoEntries = 64
 
 // Handler returns the query API's HTTP handler, every route behind the
 // serving spine's chain. Mount it at the server root; it owns /query,
@@ -136,8 +137,8 @@ func (s *Service) Handler() http.Handler {
 		s.Obs = &obs.QueryMetrics{}
 	}
 	if s.cache == nil {
-		s.cache = map[string]*result{}
-		s.memo = map[string]string{}
+		s.cache = spine.NewLRU[string, *result](s.lim.MaxCached)
+		s.memo = spine.NewLRU[string, string](memoEntries)
 	}
 	n := s.MaxInflight
 	if n == 0 {
@@ -359,14 +360,12 @@ func (s *Service) resultFor(r *http.Request, conds []struql.Cond, sel []string,
 	}
 	key := fmt.Sprintf("g%d.h%016x.m%d", lookupGen, qh, maxRows)
 	s.mu.Lock()
-	if res, ok := s.cache[key]; ok {
-		s.tick++
-		res.used = s.tick
-		s.mu.Unlock()
+	res, ok := s.cache.Get(key)
+	s.mu.Unlock()
+	if ok {
 		s.Obs.ResultCacheHits.Inc()
 		return res, nil
 	}
-	s.mu.Unlock()
 	s.Obs.ResultCacheMisses.Inc()
 	s.Obs.Evals.Inc()
 
@@ -393,42 +392,18 @@ func (s *Service) resultFor(r *http.Request, conds []struql.Cond, sel []string,
 	if err != nil {
 		return nil, err
 	}
-	res, err := parseResult(payload, gen)
+	res, err = parseResult(payload, gen)
 	if err != nil {
 		return nil, err
 	}
-	s.store(fmt.Sprintf("g%d.h%016x.m%d", gen, qh, maxRows), res)
-	return res, nil
-}
-
-// store inserts into the result cache, evicting least-recently-used
-// entries beyond the bound.
-func (s *Service) store(key string, res *result) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tick++
-	res.used = s.tick
-	s.cache[key] = res
-	for len(s.cache) > s.lim.MaxCached {
-		oldestK, oldest := "", int64(1<<62)
-		for k, r := range s.cache {
-			if r.used < oldest {
-				oldestK, oldest = k, r.used
-			}
-		}
-		delete(s.cache, oldestK)
-	}
+	s.cache.Put(fmt.Sprintf("g%d.h%016x.m%d", gen, qh, maxRows), res)
+	s.mu.Unlock()
+	return res, nil
 }
 
 // pageETag is the validator for one exact response: generation-scoped
 // like the page edge's ETags, plus the query/page coordinates.
 func pageETag(gen int64, qh uint64, offset, pageSize int) string {
 	return fmt.Sprintf("\"qg%d-%016x-%d-%d\"", gen, qh, offset, pageSize)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

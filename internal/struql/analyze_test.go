@@ -103,6 +103,28 @@ func TestSkolemCollisionSuffix(t *testing.T) {
 	}
 }
 
+// TestSkolemAdoptKeepsIssuedOID carries a suffixed oid into a fresh
+// environment: the adopted application answers with it, its display
+// form stays taken, and a recorded application keeps its own oid.
+func TestSkolemAdoptKeepsIssuedOID(t *testing.T) {
+	env := NewSkolemEnv()
+	xy := []graph.Value{graph.NewString("x,y")}
+	env.Adopt("P", xy, "P(x_y)#2")
+	if got := env.OID("P", xy); got != "P(x_y)#2" {
+		t.Errorf("adopted OID = %q, want P(x_y)#2", got)
+	}
+	if got := env.OID("P", []graph.Value{graph.NewString("x(y")}); got != "P(x_y)" {
+		t.Errorf("first new OID = %q, want P(x_y)", got)
+	}
+	if got := env.OID("P", []graph.Value{graph.NewString("x y")}); got != "P(x_y)#3" {
+		t.Errorf("OID colliding with the adopted one = %q, want P(x_y)#3", got)
+	}
+	env.Adopt("P", xy, "other")
+	if got := env.OID("P", xy); got != "P(x_y)#2" || env.Size() != 3 {
+		t.Errorf("re-adopting replaced the oid: %q, Size %d", got, env.Size())
+	}
+}
+
 // TestSkolemArgSanitization covers the long-argument truncation marker
 // and the reserved-character mapping (including '#', which would forge
 // collision suffixes).

@@ -51,6 +51,28 @@ func NewSkolemEnv() *SkolemEnv {
 // sanitize to the same display form, later ones get a "#n" suffix so OIDs
 // remain injective in the inputs.
 func (s *SkolemEnv) OID(fn string, args []graph.Value) graph.OID {
+	h, i := s.find(fn, args)
+	if i != 0 {
+		return s.oids[i-1]
+	}
+	oid := s.render(fn, args)
+	s.insert(h, oid)
+	return oid
+}
+
+// Adopt records oid as the identifier of fn(args...) and marks it used,
+// so an environment can carry over an application another environment
+// already issued under the same oid. An application already recorded
+// keeps its oid.
+func (s *SkolemEnv) Adopt(fn string, args []graph.Value, oid graph.OID) {
+	if h, i := s.find(fn, args); i == 0 {
+		s.insert(h, oid)
+	}
+}
+
+// find builds fn(args...)'s memo key in keyBuf and returns its hash and
+// its 1-based entry, 0 when it is not recorded.
+func (s *SkolemEnv) find(fn string, args []graph.Value) (uint64, int32) {
 	buf := append(s.keyBuf[:0], fn...)
 	for _, a := range args {
 		buf = append(buf, 0)
@@ -60,17 +82,20 @@ func (s *SkolemEnv) OID(fn string, args []graph.Value) graph.OID {
 	h := maphash.Bytes(s.seed, buf)
 	for i := s.index[h]; i != 0; i = s.next[i-1] {
 		if bytes.Equal(s.keys[s.offs[i-1]:s.offs[i]], buf) {
-			return s.oids[i-1]
+			return h, i
 		}
 	}
-	oid := s.render(fn, args)
-	s.keys = append(s.keys, buf...)
+	return h, 0
+}
+
+// insert records the key find left in keyBuf, with hash h, as oid.
+func (s *SkolemEnv) insert(h uint64, oid graph.OID) {
+	s.keys = append(s.keys, s.keyBuf...)
 	s.offs = append(s.offs, int32(len(s.keys)))
 	s.oids = append(s.oids, oid)
 	s.next = append(s.next, s.index[h])
 	s.index[h] = int32(len(s.oids))
 	s.used[string(oid)] = true
-	return oid
 }
 
 // render produces the display-form oid for fn(args...), disambiguated

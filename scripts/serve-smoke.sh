@@ -113,6 +113,41 @@ if [ "$code" != "304" ]; then
     exit 1
 fi
 
+# Retitle an existing entry in place: its page must come back with the
+# new title from a new generation. The root page, which lists entries
+# but reads no title, is kept across that reload. Find the entry's page
+# through the root page's links.
+page=""
+for href in $(curl -fsS "http://$addr/" | grep -o 'href="/page/[^"]*"' | sed 's/^href="//; s/"$//'); do
+    if curl -fsS "http://$addr$href" | grep -q "Catching the Boat"; then
+        page=$href
+        break
+    fi
+done
+if [ -z "$page" ]; then
+    echo "serve-smoke: no page linked from / shows the entry to retitle" >&2
+    exit 1
+fi
+curl -fsS -D "$workdir/h3.txt" -o /dev/null "http://$addr$page"
+gen3=$(tr -d '\r' < "$workdir/h3.txt" | awk 'tolower($1)=="etag:"{print $2}' | cut -d- -f1)
+sed 's/"Catching the Boat"/"Catching the Boat Again"/' "$workdir/site.ddl" > "$workdir/site.new"
+mv "$workdir/site.new" "$workdir/site.ddl"
+retitled=""
+for _ in $(seq 1 50); do
+    curl -s -D "$workdir/h4.txt" -o "$workdir/retitled.html" "http://$addr$page"
+    gen4=$(tr -d '\r' < "$workdir/h4.txt" | awk 'tolower($1)=="etag:"{print $2}' | cut -d- -f1)
+    if [ -n "$gen4" ] && [ "$gen4" != "$gen3" ] && grep -q "Catching the Boat Again" "$workdir/retitled.html"; then
+        retitled=1
+        break
+    fi
+    sleep 0.2
+done
+if [ -z "$retitled" ]; then
+    echo "serve-smoke: $page never served the new title under a new ETag generation (was $gen3)" >&2
+    cat "$workdir/serve.log" >&2
+    exit 1
+fi
+
 # Debug endpoints live on the debug listener ONLY: the production
 # listener must 404 them, the -debug-addr listener must serve them.
 for path in /debug/vars /debug/pprof/; do
