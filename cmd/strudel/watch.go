@@ -93,11 +93,6 @@ func (s *swapper) checksPass() bool {
 // over its round's delta; a nil delta (an unknown change) would make the
 // site rebuild whole. Watch mode keeps no page cache, so nothing is kept
 // or dropped.
-//
-// A round's concatenated per-source deltas are sound to feed the engine
-// even when sources overlap: the row-level apply re-checks every
-// candidate against the merged data graph, so an edge one source removed
-// but another still contributes cannot kill a live row.
 func (s *swapper) SwapData(data struql.Source, d *mediator.Delta) (kept, dropped int) {
 	if s.err = s.swap(data, d); s.err == nil {
 		snap := s.metrics.Snapshot()
@@ -108,9 +103,6 @@ func (s *swapper) SwapData(data struql.Source, d *mediator.Delta) (kept, dropped
 }
 
 func (s *swapper) swap(data struql.Source, d *mediator.Delta) error {
-	if d != nil {
-		d.Compact()
-	}
 	if err := s.site.Apply(data, d); err != nil {
 		// Even the degraded full rebuild failed; the site still holds its
 		// last good generation and its dirty set.

@@ -148,13 +148,14 @@ type evalState struct {
 	opts   *struql.Options
 
 	// mu guards cache, flight and the page identities: env names each
-	// page ref (Skolem naming, as static evaluation does) and refs
-	// resolves a page oid back to the first ref registered for it.
+	// page ref (Skolem naming, as static evaluation does) and refs holds
+	// the ref of each of env's entries, which resolves a page oid back
+	// to its ref.
 	mu     sync.Mutex
 	cache  map[graph.OID]*PageData
 	flight map[graph.OID]*flightCall
 	env    *struql.SkolemEnv
-	refs   map[graph.OID]PageRef
+	refs   []PageRef
 }
 
 func (st *evalState) resolve() {
@@ -197,13 +198,12 @@ type flightCall struct {
 	err  error
 }
 
-func newEvalState(src struql.Source) *evalState {
+func newEvalState(src struql.Source, env *struql.SkolemEnv) *evalState {
 	return &evalState{
 		src:    src,
 		cache:  map[graph.OID]*PageData{},
 		flight: map[graph.OID]*flightCall{},
-		env:    struql.NewSkolemEnv(),
-		refs:   map[graph.OID]PageRef{},
+		env:    env,
 	}
 }
 
@@ -212,8 +212,8 @@ func (st *evalState) oidFor(ref PageRef) graph.OID {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	oid := st.env.OID(ref.Fn, ref.Args)
-	if _, ok := st.refs[oid]; !ok {
-		st.refs[oid] = ref
+	if st.env.Size() > len(st.refs) {
+		st.refs = append(st.refs, ref)
 	}
 	return oid
 }
@@ -222,8 +222,15 @@ func (st *evalState) oidFor(ref PageRef) graph.OID {
 func (st *evalState) refFor(oid graph.OID) (PageRef, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	r, ok := st.refs[oid]
-	return r, ok
+	return st.refLocked(oid)
+}
+
+// refLocked is refFor with st.mu held.
+func (st *evalState) refLocked(oid graph.OID) (PageRef, bool) {
+	if i, ok := st.env.Entry(oid); ok {
+		return st.refs[i], true
+	}
+	return PageRef{}, false
 }
 
 // NewEvaluator returns an evaluator over a site schema and data source.
@@ -233,7 +240,7 @@ func NewEvaluator(s *schema.Schema, data struql.Source) *Evaluator {
 		edges:  map[string][]pageEdge{},
 		deps:   map[string]map[string]bool{},
 	}
-	ev.state.Store(newEvalState(data))
+	ev.state.Store(newEvalState(data, struql.NewSkolemEnv()))
 	for _, e := range s.Edges {
 		pe := pageEdge{Edge: e}
 		if e.To == schema.NS {
@@ -281,13 +288,16 @@ func (ev *Evaluator) SourceGen() (struql.Source, int64) {
 // generation starts with only the identities its kept pages use — each
 // page's own and those of the pages it links to, under the same oids —
 // so a kept page still resolves and everything else the old generation
-// named goes with it. Requests already in flight finish against the
+// named goes with it. Each identity is carried by its entry: the next
+// generation's Skolem environment shares the old one's hash seed and
+// copies the stored key. Requests already in flight finish against the
 // previous generation — they serve a consistent, slightly stale page
 // rather than a torn one.
 func (ev *Evaluator) SwapData(src struql.Source, d *mediator.Delta) (kept, dropped int) {
-	next := newEvalState(src)
 	old := ev.snapshot()
+	next := newEvalState(src, nil)
 	next.gen = old.gen + 1
+	identities := 0 // at most: the kept pages and their node targets
 	old.mu.Lock()
 	for oid, pd := range old.cache {
 		if d == nil || next.data() == nil || AffectedBy(ev.deps[pd.Ref.Fn], d, next.data()) {
@@ -296,27 +306,43 @@ func (ev *Evaluator) SwapData(src struql.Source, d *mediator.Delta) (kept, dropp
 		}
 		next.cache[oid] = pd
 		kept++
+		identities++
+		for _, v := range pd.targets {
+			if v.IsNode() {
+				identities++
+			}
+		}
 	}
 	old.mu.Unlock()
+	next.env = old.env.Successor(identities)
+	next.refs = make([]PageRef, 0, identities)
 	// The old generation keeps serving while the kept pages' identities
-	// are adopted: each is read under its lock on its own, so no request
-	// waits for the whole adoption.
-	adopt := func(oid graph.OID, ref PageRef) {
-		if _, ok := next.refs[oid]; !ok {
-			next.env.Adopt(ref.Fn, ref.Args, oid)
-			next.refs[oid] = ref
+	// are carried: they are read under its lock a batch at a time, so no
+	// request waits for the whole carry.
+	const batch = 256
+	carried := 0
+	carry := func(oid graph.OID) {
+		if carried%batch == 0 {
+			if carried > 0 {
+				old.mu.Unlock()
+			}
+			old.mu.Lock()
+		}
+		carried++
+		if i, ok := old.env.Entry(oid); ok && next.env.Carry(old.env, i) {
+			next.refs = append(next.refs, old.refs[i])
 		}
 	}
 	for oid, pd := range next.cache {
-		adopt(oid, pd.Ref)
+		carry(oid)
 		for _, v := range pd.targets {
-			if !v.IsNode() {
-				continue
-			}
-			if ref, ok := old.refFor(v.OID()); ok {
-				adopt(v.OID(), ref)
+			if v.IsNode() {
+				carry(v.OID())
 			}
 		}
+	}
+	if carried > 0 {
+		old.mu.Unlock()
 	}
 	ev.state.Store(next)
 	return kept, dropped
@@ -427,7 +453,7 @@ func (ev *Evaluator) pageIn(ctx context.Context, st *evalState, oid graph.OID, r
 				}
 				loid := v.OID()
 				st.mu.Lock()
-				l, isPage := st.refs[loid]
+				l, isPage := st.refLocked(loid)
 				_, cached := st.cache[loid]
 				st.mu.Unlock()
 				if !isPage || cached {

@@ -106,3 +106,38 @@ func TestPageIdentitiesBoundedUnderChurn(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSwapDataKeptPageLinks swaps generations under a kept home
+// page that links to 20,000 pages: every swap carries the home page's
+// identity and the 20,000 of its targets into the next generation.
+func BenchmarkSwapDataKeptPageLinks(b *testing.B) {
+	const links = 20000
+	q := `where Papers(x)
+create RootPage(), PaperPage(x)
+link RootPage() -> "Paper" -> PaperPage(x)`
+	g := graph.New()
+	for i := 0; i < links; i++ {
+		g.AddToCollection("Papers", graph.OID(fmt.Sprintf("p%d", i)))
+	}
+	data := g.Freeze()
+	ev := NewEvaluator(schema.Build(struql.MustParse(q)), data)
+	pd, err := ev.Page(PageRef{Fn: "RootPage"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := len(ev.Links(pd)); n != links {
+		b.Fatalf("home page links to %d pages, want %d", n, links)
+	}
+	// An edit no page reads: the home page is kept by every swap.
+	d := &mediator.Delta{AddedEdges: []graph.Edge{{From: "misc", Label: "note", To: graph.NewString("x")}}}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if kept, _ := ev.SwapData(data, d); kept != 1 {
+			b.Fatalf("swap kept %d pages, want the home page", kept)
+		}
+	}
+	b.StopTimer()
+	if refs, _ := identities(ev); refs != links+1 {
+		b.Fatalf("the generation holds %d identities, want %d", refs, links+1)
+	}
+}

@@ -1,10 +1,12 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // Frozen is a read-optimized, dictionary-encoded snapshot of a Graph.
@@ -17,7 +19,8 @@ import (
 // in never changes observable results — only the allocation profile.
 //
 // Lifecycle: mutate a Graph, call Freeze, query the snapshot. A later
-// mutation of the Graph is not seen by the snapshot; freeze again.
+// mutation of the Graph is not seen by the snapshot; freeze, or Apply a
+// Change to the last snapshot.
 // Loading, reloading and evaluation all hand a snapshot on: it is the
 // repository's one read surface (§2.1's full indexing).
 type Frozen struct {
@@ -193,7 +196,7 @@ func (g *Graph) Freeze() *Frozen {
 		f.nodeOf[oid] = uint32(i)
 	}
 
-	f.labels = append([]string(nil), labelDict.Strings()...)
+	f.labels = append(make([]string, 0, labelDict.Len()), labelDict.Strings()...)
 	sort.Strings(f.labels)
 	f.labelOf = make(map[string]uint32, len(f.labels))
 	for i, l := range f.labels {
@@ -201,28 +204,22 @@ func (g *Graph) Freeze() *Frozen {
 	}
 	f.strs = sortedStringSet(strSet)
 	f.urls = sortedStringSet(urlSet)
+	f.ints = make([]int64, 0, len(intSet))
 	for i := range intSet {
 		f.ints = append(f.ints, i)
 	}
-	sort.Slice(f.ints, func(i, j int) bool { return f.ints[i] < f.ints[j] })
+	slices.Sort(f.ints)
+	f.floats = make([]float64, 0, len(floatSet))
 	for fl := range floatSet {
 		f.floats = append(f.floats, fl)
 	}
-	sort.Slice(f.floats, func(i, j int) bool {
-		return math.Float64bits(f.floats[i]) < math.Float64bits(f.floats[j])
-	})
+	slices.SortFunc(f.floats, cmpFloat)
+	f.files = make([]fileRef, 0, len(fileSet))
 	for fr := range fileSet {
 		f.files = append(f.files, fr)
 	}
-	sort.Slice(f.files, func(i, j int) bool {
-		if f.files[i].ft != f.files[j].ft {
-			return f.files[i].ft < f.files[j].ft
-		}
-		return f.files[i].path < f.files[j].path
-	})
-	if len(f.labels) > int(vrefMask) || len(f.strs) > int(vrefMask) ||
-		len(f.urls) > int(vrefMask) || len(f.ints) > int(vrefMask) ||
-		len(f.floats) > int(vrefMask) || len(f.files) > int(vrefMask) {
+	slices.SortFunc(f.files, cmpFile)
+	if f.overCapacity() {
 		return nil
 	}
 
@@ -274,12 +271,7 @@ func (g *Graph) Freeze() *Frozen {
 		if ri, ok := g.nodes[oid]; ok {
 			scratch = append(scratch, g.recs[ri].out...)
 		}
-		sort.Slice(scratch, func(a, b int) bool {
-			if scratch[a].Label != scratch[b].Label {
-				return scratch[a].Label < scratch[b].Label
-			}
-			return KeyCompare(scratch[a].To, scratch[b].To) < 0
-		})
+		slices.SortFunc(scratch, cmpOutEdge)
 		for _, e := range scratch {
 			f.outLbl = append(f.outLbl, f.labelOf[e.Label])
 			f.outTo = append(f.outTo, ref(e.To))
@@ -306,7 +298,7 @@ func (g *Graph) Freeze() *Frozen {
 				ids = append(ids, nid)
 			}
 		}
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+		slices.Sort(ids)
 		f.collMembers[i] = ids
 	}
 	return f
@@ -340,17 +332,21 @@ func (f *Frozen) buildDerived() {
 		}
 	}
 
-	// In CSR over distinct targets. Filling from the label CSR in label
-	// order makes each target's in-list arrive sorted by (label, source).
-	f.inTid = make(map[Value]uint32)
-	tidOf := make(map[uint32]uint32) // vref → tid
-	counts := []uint32{}
+	// In CSR over distinct targets, numbered in order of first sight in
+	// the label CSR. Filling from the label CSR in label order makes each
+	// target's in-list arrive sorted by (label, source).
+	base, total := f.valueIDs()
+	tidOf := make([]uint32, total) // dense value id → tid+1, 0 = unseen
+	var tidRef []uint32            // tid → vref
+	var counts []uint32
 	for _, r := range f.lblTo {
-		if _, ok := tidOf[r]; !ok {
-			tidOf[r] = uint32(len(counts))
+		v := base[r>>vrefShift] + r&vrefMask
+		if tidOf[v] == 0 {
+			tidRef = append(tidRef, r)
 			counts = append(counts, 0)
+			tidOf[v] = uint32(len(counts))
 		}
-		counts[tidOf[r]]++
+		counts[tidOf[v]-1]++
 	}
 	f.inOff = make([]uint32, len(counts)+1)
 	for i, c := range counts {
@@ -358,42 +354,110 @@ func (f *Frozen) buildDerived() {
 	}
 	f.inFrom = make([]uint32, len(f.lblTo))
 	f.inLbl = make([]uint32, len(f.lblTo))
-	inCursor := append([]uint32(nil), f.inOff[:len(counts)]...)
+	inCursor := counts[:0]
+	inCursor = append(inCursor, f.inOff[:len(tidRef)]...)
 	for lid := range f.labels {
 		for p := f.lblOff[lid]; p < f.lblOff[lid+1]; p++ {
-			tid := tidOf[f.lblTo[p]]
+			r := f.lblTo[p]
+			tid := tidOf[base[r>>vrefShift]+r&vrefMask] - 1
 			c := inCursor[tid]
 			f.inFrom[c] = f.lblFrom[p]
 			f.inLbl[c] = uint32(lid)
 			inCursor[tid] = c + 1
 		}
 	}
-	for r, tid := range tidOf {
-		f.inTid[f.value(r)] = tid
+	f.inTid = make(map[Value]uint32, len(tidRef))
+	for tid, r := range tidRef {
+		f.inTid[f.value(r)] = uint32(tid)
 	}
 
 	// Per-label distinct-source/target statistics, precomputed so the
-	// planner's LabelStats is O(1) against a snapshot.
+	// planner's LabelStats is O(1) against a snapshot. A target counts
+	// once per label: seen marks it with the last label it was counted
+	// under (the tidOf array, reused).
 	f.stats = make([]frozenStat, len(f.labels))
-	var tscratch []uint32
+	seen := tidOf
+	clear(seen)
 	for lid := range f.labels {
 		lo, hi := f.lblOff[lid], f.lblOff[lid+1]
-		var sources uint32
+		var st frozenStat
 		for p := lo; p < hi; p++ {
 			if p == lo || f.lblFrom[p] != f.lblFrom[p-1] {
-				sources++
+				st.sources++
+			}
+			r := f.lblTo[p]
+			if v := base[r>>vrefShift] + r&vrefMask; seen[v] != uint32(lid)+1 {
+				seen[v] = uint32(lid) + 1
+				st.targets++
 			}
 		}
-		tscratch = append(tscratch[:0], f.lblTo[lo:hi]...)
-		sort.Slice(tscratch, func(i, j int) bool { return tscratch[i] < tscratch[j] })
-		var targets uint32
-		for i, r := range tscratch {
-			if i == 0 || r != tscratch[i-1] {
-				targets++
-			}
-		}
-		f.stats[lid] = frozenStat{sources: sources, targets: targets}
+		f.stats[lid] = st
 	}
+}
+
+// overCapacity reports whether a dictionary or arena has more entries
+// than a packed id can address.
+func (f *Frozen) overCapacity() bool {
+	for _, n := range []int{len(f.nodes), len(f.labels), len(f.strs), len(f.urls),
+		len(f.ints), len(f.floats), len(f.files)} {
+		if n > int(vrefMask) {
+			return true
+		}
+	}
+	return false
+}
+
+// valueIDs numbers every value a vref can denote densely: kind k's
+// arena entry i is value id base[k]+i, and total counts them all.
+func (f *Frozen) valueIDs() (base [KindFile + 1]uint32, total uint32) {
+	for k := KindNull; k <= KindFile; k++ {
+		base[k] = total
+		total += uint32(f.arenaLen(k))
+	}
+	return base, total
+}
+
+// arenaLen returns how many values of kind k a vref can denote.
+func (f *Frozen) arenaLen(k Kind) int {
+	switch k {
+	case KindNull:
+		return 1
+	case KindNode:
+		return len(f.nodes)
+	case KindString:
+		return len(f.strs)
+	case KindURL:
+		return len(f.urls)
+	case KindInt:
+		return len(f.ints)
+	case KindFloat:
+		return len(f.floats)
+	case KindBool:
+		return 2
+	case KindFile:
+		return len(f.files)
+	}
+	return 0
+}
+
+// cmpOutEdge orders a node's out-edges as the snapshot stores them: by
+// label, then target key.
+func cmpOutEdge(a, b Edge) int {
+	if c := strings.Compare(a.Label, b.Label); c != 0 {
+		return c
+	}
+	return KeyCompare(a.To, b.To)
+}
+
+// cmpFloat orders the float arena: by bit pattern.
+func cmpFloat(a, b float64) int { return cmp.Compare(math.Float64bits(a), math.Float64bits(b)) }
+
+// cmpFile orders the file arena: by type, then path.
+func cmpFile(a, b fileRef) int {
+	if a.ft != b.ft {
+		return cmp.Compare(a.ft, b.ft)
+	}
+	return strings.Compare(a.path, b.path)
 }
 
 func sortedStringSet(set map[string]struct{}) []string {
@@ -401,7 +465,7 @@ func sortedStringSet(set map[string]struct{}) []string {
 	for s := range set {
 		out = append(out, s)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

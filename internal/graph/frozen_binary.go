@@ -275,28 +275,6 @@ func DecodeFrozen(data []byte) (*Frozen, error) {
 		f.nodeOf[n] = uint32(i)
 	}
 
-	arenaLen := func(k Kind) int {
-		switch k {
-		case KindNull:
-			return 1
-		case KindNode:
-			return len(f.nodes)
-		case KindString:
-			return len(f.strs)
-		case KindURL:
-			return len(f.urls)
-		case KindInt:
-			return len(f.ints)
-		case KindFloat:
-			return len(f.floats)
-		case KindBool:
-			return 2
-		case KindFile:
-			return len(f.files)
-		}
-		return 0
-	}
-
 	// Out CSR.
 	f.outOff = make([]uint32, len(f.nodes)+1)
 	for nid := 0; nid < len(f.nodes); nid++ {
@@ -330,7 +308,7 @@ func DecodeFrozen(data []byte) (*Frozen, error) {
 			if k > KindFile {
 				return nil, fmt.Errorf("graph: frozen: value ref kind %d unknown", k)
 			}
-			if int(vr&vrefMask) >= arenaLen(k) {
+			if int(vr&vrefMask) >= f.arenaLen(k) {
 				return nil, fmt.Errorf("graph: frozen: %s value ref %d out of range", k, vr&vrefMask)
 			}
 			f.outLbl = append(f.outLbl, uint32(lbl))

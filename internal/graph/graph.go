@@ -227,6 +227,17 @@ func (g *Graph) Collection(coll string) []OID {
 	return out
 }
 
+// Members returns coll's members in insertion order: the graph's own
+// slice, which the caller must not modify and which the next mutation
+// may change.
+func (g *Graph) Members(coll string) []OID { return g.collections[coll] }
+
+// HasCollection reports whether coll is declared, possibly empty.
+func (g *Graph) HasCollection(coll string) bool {
+	_, ok := g.collections[coll]
+	return ok
+}
+
 // CollectionSize returns the number of members of coll.
 func (g *Graph) CollectionSize(coll string) int { return len(g.collections[coll]) }
 
@@ -267,6 +278,24 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return g.edgeCount }
+
+// OutList returns oid's out-edges in insertion order: the graph's own
+// slice, which the caller must not modify and which the next mutation
+// may change. It is nil for an absent node.
+func (g *Graph) OutList(oid OID) []Edge {
+	if rec := g.rec(oid); rec != nil {
+		return rec.out
+	}
+	return nil
+}
+
+// ForEachNode calls fn for every node with its OutList, in no particular
+// node order.
+func (g *Graph) ForEachNode(fn func(oid OID, out []Edge)) {
+	for oid, i := range g.nodes {
+		fn(oid, g.recs[i].out)
+	}
+}
 
 // Out returns the outgoing edges of oid sorted by (label, target key).
 // The returned slice is fresh and safe to retain.

@@ -10,6 +10,7 @@ import (
 	"strudel/internal/htmlgen"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
+	"strudel/internal/qgen"
 )
 
 // Every bailout reason has a triggering test here, each asserting the
@@ -38,7 +39,7 @@ func bailoutFixture(t *testing.T, m *obs.IVMMetrics) (*Site, *core.Version, *gra
 	v := testVersion(`where Papers(x), x -> "title" -> ti
 create PaperPage(x)
 link PaperPage(x) -> "title" -> ti`)
-	cur := baseGraph()
+	cur := qgen.Papers()
 	s, err := NewSite(v, cur, nil, m)
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +59,7 @@ func TestBailoutComposedQueries(t *testing.T) {
 	// Split into two composed queries: the second reads nothing from the
 	// first, but composition alone forecloses delta propagation.
 	v.Queries = []string{v.Queries[0], `where Papers(x) collect Again(x)`}
-	cur := baseGraph()
+	cur := qgen.Papers()
 	s, err := NewSite(v, cur, nil, m)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +192,7 @@ func TestFailedRebuildRetriesAreNotBailouts(t *testing.T) {
 	v := testVersion(`where Papers(x), x -> "title" -> ti
 create PaperPage(x)
 link PaperPage(x) -> "title" -> ti`)
-	cur := baseGraph()
+	cur := qgen.Papers()
 	// Six papers fit under the guard; twenty more do not.
 	s, err := NewSite(v, cur, &core.Options{MaxRows: 12}, m)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"strudel/internal/graph"
 	"strudel/internal/mediator"
 	"strudel/internal/obs"
+	"strudel/internal/qgen"
 	"strudel/internal/struql"
 )
 
@@ -68,22 +69,6 @@ func newTestEngine(t *testing.T, query string, data *graph.Graph) *Engine {
 	return e
 }
 
-func baseGraph() *graph.Graph {
-	g := graph.New()
-	for i := 0; i < 6; i++ {
-		oid := graph.OID(fmt.Sprintf("p%d", i))
-		g.AddToCollection("Papers", oid)
-		g.AddEdge(oid, "title", graph.NewString(fmt.Sprintf("Paper %d", i)))
-		g.AddEdge(oid, "year", graph.NewInt(int64(1994+i%3)))
-		if i%2 == 0 {
-			g.AddEdge(oid, "topic", graph.NewString("db"))
-		}
-	}
-	g.AddEdge("p0", "cites", graph.NewNode("p1"))
-	g.AddEdge("p1", "cites", graph.NewNode("p2"))
-	return g
-}
-
 // --- per-operator differential tests -------------------------------
 
 func TestDeltaMemberJoin(t *testing.T) {
@@ -91,7 +76,7 @@ func TestDeltaMemberJoin(t *testing.T) {
 create PaperPage(x)
 link PaperPage(x) -> "title" -> ti
 collect Pages(PaperPage(x))`
-	cur := baseGraph()
+	cur := qgen.Papers()
 	e := newTestEngine(t, q, cur)
 	if e.blocks[1].sites == nil {
 		t.Fatal("member join block should be tier A")
@@ -116,7 +101,7 @@ func TestDeltaCmpFilter(t *testing.T) {
 	q := `where Papers(x), x -> "year" -> y, y > 1994
 create Recent(x)
 link Recent(x) -> "year" -> y`
-	cur := baseGraph()
+	cur := qgen.Papers()
 	e := newTestEngine(t, q, cur)
 	applyAndCheck(t, e, cur, "add passing year", func(g *graph.Graph) {
 		g.AddToCollection("Papers", "px")
@@ -136,7 +121,7 @@ func TestDeltaEdgeVariable(t *testing.T) {
 	q := `where Papers(x), x -> l -> v
 create Attr(x)
 link Attr(x) -> l -> v`
-	cur := baseGraph()
+	cur := qgen.Papers()
 	e := newTestEngine(t, q, cur)
 	if e.blocks[1].sites == nil {
 		t.Fatal("arc-variable block should be tier A")
@@ -153,7 +138,7 @@ func TestDeltaSingleStepPath(t *testing.T) {
 	q := `where Papers(x), x -> ~"cit.*" -> y
 create Citing(x)
 link Citing(x) -> "to" -> y`
-	cur := baseGraph()
+	cur := qgen.Papers()
 	e := newTestEngine(t, q, cur)
 	if e.blocks[1].sites == nil {
 		t.Fatal("single-step regex path should be tier A")
@@ -172,7 +157,7 @@ func TestDeltaWildcardPathRemoval(t *testing.T) {
 	q := `where Papers(x), x -> _ -> y, Papers(y)
 create Linked(x)
 link Linked(x) -> "to" -> y`
-	cur := baseGraph()
+	cur := qgen.Papers()
 	cur.AddEdge("p0", "extends", graph.NewNode("p1"))
 	e := newTestEngine(t, q, cur)
 	if e.blocks[1].sites == nil {
@@ -193,7 +178,7 @@ func TestDeltaStarPathTierB(t *testing.T) {
 	q := `where Papers(x), x -> "cites"* -> y
 create Reach(x)
 link Reach(x) -> "r" -> y`
-	cur := baseGraph()
+	cur := qgen.Papers()
 	e := newTestEngine(t, q, cur)
 	if e.blocks[1].sites != nil {
 		t.Fatal("closure path must be tier B (delete-and-rederive by block re-evaluation)")
@@ -210,7 +195,7 @@ func TestDeltaNegation(t *testing.T) {
 	q := `where Papers(x), not(x -> "topic" -> z)
 create Untopical(x)
 collect Plain(Untopical(x))`
-	cur := baseGraph()
+	cur := qgen.Papers()
 	e := newTestEngine(t, q, cur)
 	if e.blocks[1].sites == nil {
 		t.Fatal("one-level negation should be tier A")
@@ -234,7 +219,7 @@ create YearPage(y)
 link YearPage(y) -> "paper" -> x
 { where x -> "title" -> ti
   link YearPage(y) -> "entry" -> ti }`
-	cur := baseGraph()
+	cur := qgen.Papers()
 	e := newTestEngine(t, q, cur)
 	applyAndCheck(t, e, cur, "new paper joins existing year group", func(g *graph.Graph) {
 		g.AddToCollection("Papers", "p7")
@@ -256,7 +241,7 @@ func TestDeltaAggregateTierB(t *testing.T) {
 aggregate count(x) as n by y
 create YearCount(y)
 link YearCount(y) -> "n" -> n`
-	cur := baseGraph()
+	cur := qgen.Papers()
 	e := newTestEngine(t, q, cur)
 	if e.blocks[1].sites != nil {
 		t.Fatal("aggregation must be tier B")
@@ -268,69 +253,6 @@ link YearCount(y) -> "n" -> n`
 }
 
 // --- randomized edit storm -----------------------------------------
-
-// editRand mirrors the struql differential oracle's self-contained LCG
-// so edit storms are reproducible from a plain integer seed.
-type editRand struct{ s uint64 }
-
-func newEditRand(seed uint64) *editRand {
-	return &editRand{s: seed*2654435761 + 0x9e3779b97f4a7c15}
-}
-
-func (r *editRand) n(k int) int {
-	r.s = r.s*6364136223846793005 + 1442695040888963407
-	return int((r.s >> 33) % uint64(k))
-}
-
-func (r *editRand) pick(ss ...string) string { return ss[r.n(len(ss))] }
-
-// randomEdit applies one random source edit: an added edge, a removed
-// edge, a value mutation, a membership change, or a whole-record
-// deletion — the edit-storm vocabulary of the soak suite.
-func randomEdit(r *editRand, g *graph.Graph) {
-	oid := func() graph.OID { return graph.OID(fmt.Sprintf("p%d", r.n(10))) }
-	label := func() string { return r.pick("title", "year", "topic", "cites") }
-	value := func() graph.Value {
-		switch r.n(3) {
-		case 0:
-			return graph.NewString(r.pick("a", "b", "db", "web"))
-		case 1:
-			return graph.NewInt(int64(1990 + r.n(10)))
-		default:
-			return graph.NewNode(oid())
-		}
-	}
-	switch r.n(5) {
-	case 0: // add edge
-		g.AddEdge(oid(), label(), value())
-	case 1: // remove an existing edge, if any
-		o := oid()
-		if es := g.Out(o); len(es) > 0 {
-			e := es[r.n(len(es))]
-			g.RemoveEdge(e.From, e.Label, e.To)
-		}
-	case 2: // mutate a value in place
-		o := oid()
-		if es := g.Out(o); len(es) > 0 {
-			e := es[r.n(len(es))]
-			g.RemoveEdge(e.From, e.Label, e.To)
-			g.AddEdge(e.From, e.Label, value())
-		}
-	case 3: // membership churn
-		if r.n(2) == 0 {
-			g.AddToCollection("Papers", oid())
-		} else {
-			g.RemoveFromCollection("Papers", oid())
-		}
-	case 4: // delete the whole record
-		o := oid()
-		for _, e := range g.Out(o) {
-			g.RemoveEdge(e.From, e.Label, e.To)
-		}
-		g.RemoveFromCollection("Papers", o)
-		g.RemoveNode(o)
-	}
-}
 
 func TestDeltaEditStormDifferential(t *testing.T) {
 	queries := map[string]string{
@@ -356,12 +278,12 @@ link Attr(x) -> l -> v`,
 	for name, q := range queries {
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
-				cur := baseGraph()
+				cur := qgen.Papers()
 				e := newTestEngine(t, q, cur)
-				r := newEditRand(seed)
+				r := qgen.NewRand(seed)
 				for i := 0; i < 40; i++ {
 					applyAndCheck(t, e, cur, fmt.Sprintf("seed %d edit %d", seed, i),
-						func(g *graph.Graph) { randomEdit(r, g) })
+						func(g *graph.Graph) { qgen.Edit(r, g) })
 				}
 			}
 		})
@@ -379,7 +301,7 @@ link PaperPage(x) -> "title" -> ti,
 	v.Templates["paper"] = `<h2><SFMT title></h2>`
 	v.ObjectTemplatePrefixes = map[string]string{"PaperPage(": "paper"}
 	v.Templates["root"] = `<h1><SFMT title></h1><SFMT paper UL TEXT=title>`
-	cur := baseGraph()
+	cur := qgen.Papers()
 	e, err := NewEngine(v, cur, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -21,8 +21,11 @@
 package mediator
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"strudel/internal/diag"
@@ -143,11 +146,17 @@ func (m *Mediator) commit(next map[string]*graph.Graph) (*graph.Frozen, error) {
 	if err != nil {
 		return nil, err
 	}
+	m.install(next, f)
+	return f, nil
+}
+
+// install makes next's contributions and the snapshot f of the new merge
+// current.
+func (m *Mediator) install(next map[string]*graph.Graph, f *graph.Frozen) {
 	for name, c := range next {
 		m.contributions[name] = c
 	}
 	m.data = f
-	return f, nil
 }
 
 // merged merges, in source order, each source's contribution from next
@@ -271,10 +280,7 @@ type Delta struct {
 }
 
 // Membership is one (collection, member) pair.
-type Membership struct {
-	Coll string
-	OID  graph.OID
-}
+type Membership = graph.Membership
 
 // Empty reports whether the delta contains no changes.
 func (d *Delta) Empty() bool {
@@ -347,85 +353,200 @@ func (d *Delta) Compact() {
 	sortMemberDelta(d.RemovedMembers)
 }
 
-func sortEdgeDelta(edges []graph.Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := edges[i], edges[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		return a.To.Key() < b.To.Key()
-	})
-}
+func sortEdgeDelta(edges []graph.Edge) { slices.SortFunc(edges, graph.CompareEdges) }
 
-func sortMemberDelta(ms []Membership) {
-	sort.Slice(ms, func(i, j int) bool {
-		if ms[i].Coll != ms[j].Coll {
-			return ms[i].Coll < ms[j].Coll
-		}
-		return ms[i].OID < ms[j].OID
-	})
-}
+func sortMemberDelta(ms []Membership) { slices.SortFunc(ms, graph.CompareMemberships) }
 
 // Diff computes new − old and old − new for edges and memberships.
-func Diff(old, new *graph.Graph) *Delta {
-	d := &Delta{}
-	oldEdges := map[graph.Edge]bool{}
-	old.Edges(func(e graph.Edge) bool { oldEdges[e] = true; return true })
-	new.Edges(func(e graph.Edge) bool {
-		if !oldEdges[e] {
-			d.AddedEdges = append(d.AddedEdges, e)
-		} else {
-			delete(oldEdges, e)
+func Diff(old, new *graph.Graph) *Delta { return deltaOf(diff(old, new)) }
+
+// deltaOf returns the edges and memberships of a change as a Delta.
+func deltaOf(c *graph.Change) *Delta {
+	return &Delta{AddedEdges: c.AddedEdges, RemovedEdges: c.RemovedEdges,
+		AddedMembers: c.AddedMembers, RemovedMembers: c.RemovedMembers}
+}
+
+// diff is Diff that also reports the nodes and declared collections that
+// entered or left, as a sorted Change. It compares each node's out-edges
+// (each collection's members) in insertion order with the same node's
+// (collection's) in the other version and set-diffs only the lists that
+// differ, so a graph rebuilt from unchanged data costs one pass over its
+// lists and no allocation.
+func diff(old, new *graph.Graph) *graph.Change {
+	c := &graph.Change{}
+	new.ForEachNode(func(oid graph.OID, out []graph.Edge) {
+		was := old.OutList(oid)
+		if was == nil && !old.HasNode(oid) {
+			c.AddedNodes = append(c.AddedNodes, oid)
 		}
-		return true
-	})
-	removed := make([]graph.Edge, 0, len(oldEdges))
-	for e := range oldEdges {
-		removed = append(removed, e)
-	}
-	sortEdgeDelta(removed)
-	d.RemovedEdges = removed
-	memberSet := func(g *graph.Graph) map[Membership]bool {
-		set := map[Membership]bool{}
-		for _, coll := range g.CollectionNames() {
-			for _, m := range g.Collection(coll) {
-				set[Membership{coll, m}] = true
+		if slices.Equal(out, was) {
+			return
+		}
+		for _, e := range out {
+			if !old.HasEdge(e.From, e.Label, e.To) {
+				c.AddedEdges = append(c.AddedEdges, e)
 			}
 		}
-		return set
-	}
-	om, nm := memberSet(old), memberSet(new)
-	for mem := range nm {
-		if !om[mem] {
-			d.AddedMembers = append(d.AddedMembers, mem)
+		for _, e := range was {
+			if !new.HasEdge(e.From, e.Label, e.To) {
+				c.RemovedEdges = append(c.RemovedEdges, e)
+			}
+		}
+	})
+	old.ForEachNode(func(oid graph.OID, out []graph.Edge) {
+		if !new.HasNode(oid) {
+			c.RemovedNodes = append(c.RemovedNodes, oid)
+			c.RemovedEdges = append(c.RemovedEdges, out...)
+		}
+	})
+	for _, coll := range new.CollectionNames() {
+		ms, was := new.Members(coll), old.Members(coll)
+		if !old.HasCollection(coll) {
+			c.AddedColls = append(c.AddedColls, coll)
+		}
+		if slices.Equal(ms, was) {
+			continue
+		}
+		for _, oid := range ms {
+			if !old.InCollection(coll, oid) {
+				c.AddedMembers = append(c.AddedMembers, Membership{Coll: coll, OID: oid})
+			}
+		}
+		for _, oid := range was {
+			if !new.InCollection(coll, oid) {
+				c.RemovedMembers = append(c.RemovedMembers, Membership{Coll: coll, OID: oid})
+			}
 		}
 	}
-	for mem := range om {
-		if !nm[mem] {
-			d.RemovedMembers = append(d.RemovedMembers, mem)
+	for _, coll := range old.CollectionNames() {
+		if !new.HasCollection(coll) {
+			c.RemovedColls = append(c.RemovedColls, coll)
+			for _, oid := range old.Members(coll) {
+				c.RemovedMembers = append(c.RemovedMembers, Membership{Coll: coll, OID: oid})
+			}
 		}
 	}
-	sortMemberDelta(d.AddedMembers)
-	sortMemberDelta(d.RemovedMembers)
-	return d
+	sortChange(c)
+	return c
+}
+
+// sortChange sorts every list of c and drops repeats.
+func sortChange(c *graph.Change) {
+	c.AddedNodes = sortedSet(c.AddedNodes, cmp.Compare[graph.OID])
+	c.RemovedNodes = sortedSet(c.RemovedNodes, cmp.Compare[graph.OID])
+	c.AddedEdges = sortedSet(c.AddedEdges, graph.CompareEdges)
+	c.RemovedEdges = sortedSet(c.RemovedEdges, graph.CompareEdges)
+	c.AddedMembers = sortedSet(c.AddedMembers, graph.CompareMemberships)
+	c.RemovedMembers = sortedSet(c.RemovedMembers, graph.CompareMemberships)
+	c.AddedColls, c.RemovedColls = sortedSet(c.AddedColls, strings.Compare), sortedSet(c.RemovedColls, strings.Compare)
+}
+
+func sortedSet[T any](s []T, cmp func(a, b T) int) []T {
+	slices.SortFunc(s, cmp)
+	return slices.CompactFunc(s, func(a, b T) bool { return cmp(a, b) == 0 })
+}
+
+// netChange turns the named sources' diffs against their next
+// contributions into the net change of the merged data graph, sorted:
+// an element one source adds is no change when another source's current
+// contribution already has it, and one a source removes stays while
+// another source's next contribution still has it. It reads only the
+// other contributions, O(delta × sources). exact is false when a diff
+// adds or removes an edge into a node its graph does not hold (a target
+// RemoveNode left behind): the merge re-creates such a node, and the
+// contributions' node sets do not show it entering or leaving.
+func (m *Mediator) netChange(next map[string]*graph.Graph) (net *graph.Change, exact bool) {
+	net, exact = &graph.Change{}, true
+	for _, s := range m.sources {
+		c, ok := next[s.Name]
+		if !ok {
+			continue
+		}
+		old, ok := m.contributions[s.Name]
+		if !ok {
+			old = graph.New()
+		}
+		d := diff(old, c)
+		exact = exact && !dangles(d, old, c)
+		var before, after []*graph.Graph // the other sources' contributions
+		for _, o := range m.sources {
+			if o.Name == s.Name {
+				continue
+			}
+			cur, hadCur := m.contributions[o.Name]
+			if hadCur {
+				before = append(before, cur)
+			}
+			if nx, ok := next[o.Name]; ok {
+				after = append(after, nx)
+			} else if hadCur {
+				after = append(after, cur)
+			}
+		}
+		hasNode := (*graph.Graph).HasNode
+		hasEdge := func(g *graph.Graph, e graph.Edge) bool { return g.HasEdge(e.From, e.Label, e.To) }
+		hasMember := func(g *graph.Graph, ms Membership) bool { return g.InCollection(ms.Coll, ms.OID) }
+		net.AddedNodes = appendUnheld(net.AddedNodes, d.AddedNodes, before, hasNode)
+		net.RemovedNodes = appendUnheld(net.RemovedNodes, d.RemovedNodes, after, hasNode)
+		net.AddedEdges = appendUnheld(net.AddedEdges, d.AddedEdges, before, hasEdge)
+		net.RemovedEdges = appendUnheld(net.RemovedEdges, d.RemovedEdges, after, hasEdge)
+		net.AddedMembers = appendUnheld(net.AddedMembers, d.AddedMembers, before, hasMember)
+		net.RemovedMembers = appendUnheld(net.RemovedMembers, d.RemovedMembers, after, hasMember)
+		net.AddedColls = appendUnheld(net.AddedColls, d.AddedColls, before, (*graph.Graph).HasCollection)
+		net.RemovedColls = appendUnheld(net.RemovedColls, d.RemovedColls, after, (*graph.Graph).HasCollection)
+	}
+	sortChange(net)
+	return net, exact
+}
+
+// dangles reports whether d adds or removes an edge into a node that is
+// not in the graph holding the edge.
+func dangles(d *graph.Change, old, new *graph.Graph) bool {
+	for _, e := range d.AddedEdges {
+		if e.To.IsNode() && !new.HasNode(e.To.OID()) {
+			return true
+		}
+	}
+	for _, e := range d.RemovedEdges {
+		if e.To.IsNode() && !old.HasNode(e.To.OID()) {
+			return true
+		}
+	}
+	return false
+}
+
+// appendUnheld appends to dst the elements of xs that no graph of others
+// holds.
+func appendUnheld[T any](dst, xs []T, others []*graph.Graph, has func(*graph.Graph, T) bool) []T {
+next:
+	for _, x := range xs {
+		for _, g := range others {
+			if has(g, x) {
+				continue next
+			}
+		}
+		dst = append(dst, x)
+	}
+	return dst
 }
 
 // Refresh reloads the named sources and maps their contributions, then
 // commits them with the merged data graph's new snapshot (Data) as one
 // transaction: any failure — an unknown name, a failed load or mapping,
 // a merged graph past the snapshot's capacity — returns an error and
-// changes nothing. The delta is the named sources' contribution diffs
-// concatenated in source order (empty when nothing changed).
+// changes nothing. The new snapshot is the last one with the net change
+// applied (graph.Frozen.Apply), so a reload costs the edit, not the
+// site. It is frozen from the merge instead before the first Warehouse,
+// and when a contribution has dangling edges (into nodes it removed):
+// the merge re-creates those nodes, so the net change cannot tell which
+// nodes enter or leave. The delta is the net change of the merged data
+// graph, sorted as Diff sorts (empty when nothing changed).
 func (m *Mediator) Refresh(names ...string) (*Delta, error) {
 	want := make(map[string]bool, len(names))
 	for _, name := range names {
 		want[name] = true
 	}
 	next := make(map[string]*graph.Graph, len(names))
-	d := &Delta{}
 	for _, s := range m.sources {
 		if !want[s.Name] {
 			continue
@@ -436,20 +557,30 @@ func (m *Mediator) Refresh(names ...string) (*Delta, error) {
 			return nil, err
 		}
 		next[s.Name] = c
-		old, ok := m.contributions[s.Name]
-		if !ok {
-			old = graph.New()
-		}
-		d.Merge(Diff(old, c))
 	}
 	for _, name := range names {
 		if want[name] {
 			return nil, fmt.Errorf("mediator: unknown source %q", name)
 		}
 	}
-	if _, err := m.commit(next); err != nil {
-		return nil, err
+	change, exact := m.netChange(next)
+	var f *graph.Frozen
+	var err error
+	if m.data != nil && exact {
+		// Apply refuses a change that does not describe the merge, which
+		// only dangling edges it did not see cause; freeze that one too.
+		var capErr *graph.CapacityError
+		if f, err = m.data.Apply(*change); errors.As(err, &capErr) {
+			return nil, err
+		}
 	}
+	if f == nil {
+		if f, err = m.merged(next).Snapshot(); err != nil {
+			return nil, err
+		}
+	}
+	m.install(next, f)
+	d := deltaOf(change)
 	m.Obs.RecordDelta(d.Size())
 	return d, nil
 }

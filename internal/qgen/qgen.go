@@ -221,3 +221,72 @@ func RichQuery(seed uint64) string {
 	}
 	return b.String()
 }
+
+// Papers builds the small publications graph the edit storms start
+// from: six papers in "Papers" with titles, years, some topics and two
+// citations.
+func Papers() *graph.Graph {
+	g := graph.New()
+	for i := 0; i < 6; i++ {
+		oid := graph.OID(fmt.Sprintf("p%d", i))
+		g.AddToCollection("Papers", oid)
+		g.AddEdge(oid, "title", graph.NewString(fmt.Sprintf("Paper %d", i)))
+		g.AddEdge(oid, "year", graph.NewInt(int64(1994+i%3)))
+		if i%2 == 0 {
+			g.AddEdge(oid, "topic", graph.NewString("db"))
+		}
+	}
+	g.AddEdge("p0", "cites", graph.NewNode("p1"))
+	g.AddEdge("p1", "cites", graph.NewNode("p2"))
+	return g
+}
+
+// Edit applies one random source edit to a Papers graph: an added edge,
+// a removed edge, a value mutation, a membership change, or a
+// whole-record deletion — the edit-storm vocabulary of the soak suite.
+// A deleted record's node goes with RemoveNode, so edges into it may be
+// left dangling.
+func Edit(r *Rand, g *graph.Graph) {
+	oid := func() graph.OID { return graph.OID(fmt.Sprintf("p%d", r.N(10))) }
+	label := func() string { return r.Pick("title", "year", "topic", "cites") }
+	value := func() graph.Value {
+		switch r.N(3) {
+		case 0:
+			return graph.NewString(r.Pick("a", "b", "db", "web"))
+		case 1:
+			return graph.NewInt(int64(1990 + r.N(10)))
+		default:
+			return graph.NewNode(oid())
+		}
+	}
+	switch r.N(5) {
+	case 0: // add edge
+		g.AddEdge(oid(), label(), value())
+	case 1: // remove an existing edge, if any
+		o := oid()
+		if es := g.Out(o); len(es) > 0 {
+			e := es[r.N(len(es))]
+			g.RemoveEdge(e.From, e.Label, e.To)
+		}
+	case 2: // mutate a value in place
+		o := oid()
+		if es := g.Out(o); len(es) > 0 {
+			e := es[r.N(len(es))]
+			g.RemoveEdge(e.From, e.Label, e.To)
+			g.AddEdge(e.From, e.Label, value())
+		}
+	case 3: // membership churn
+		if r.N(2) == 0 {
+			g.AddToCollection("Papers", oid())
+		} else {
+			g.RemoveFromCollection("Papers", oid())
+		}
+	case 4: // delete the whole record
+		o := oid()
+		for _, e := range g.Out(o) {
+			g.RemoveEdge(e.From, e.Label, e.To)
+		}
+		g.RemoveFromCollection("Papers", o)
+		g.RemoveNode(o)
+	}
+}

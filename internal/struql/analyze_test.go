@@ -103,25 +103,40 @@ func TestSkolemCollisionSuffix(t *testing.T) {
 	}
 }
 
-// TestSkolemAdoptKeepsIssuedOID carries a suffixed oid into a fresh
-// environment: the adopted application answers with it, its display
-// form stays taken, and a recorded application keeps its own oid.
+// TestSkolemAdoptKeepsIssuedOID carries a suffixed oid into a
+// successor environment: the carried application answers with it, its
+// display form stays taken, a recorded application keeps its own oid,
+// and an oid never issued has no entry.
 func TestSkolemAdoptKeepsIssuedOID(t *testing.T) {
-	env := NewSkolemEnv()
+	old := NewSkolemEnv()
 	xy := []graph.Value{graph.NewString("x,y")}
-	env.Adopt("P", xy, "P(x_y)#2")
+	old.OID("P", []graph.Value{graph.NewString("x)y")})
+	if got := old.OID("P", xy); got != "P(x_y)#2" {
+		t.Fatalf("colliding OID = %q, want P(x_y)#2", got)
+	}
+	env := old.Successor(0)
+	if i, ok := old.Entry("P(x_y)#2"); !ok || i != 1 || !env.Carry(old, i) {
+		t.Fatalf("Entry(P(x_y)#2) = %d, %v; want 1 and a carried entry", i, ok)
+	}
 	if got := env.OID("P", xy); got != "P(x_y)#2" {
-		t.Errorf("adopted OID = %q, want P(x_y)#2", got)
+		t.Errorf("carried OID = %q, want P(x_y)#2", got)
 	}
 	if got := env.OID("P", []graph.Value{graph.NewString("x(y")}); got != "P(x_y)" {
 		t.Errorf("first new OID = %q, want P(x_y)", got)
 	}
 	if got := env.OID("P", []graph.Value{graph.NewString("x y")}); got != "P(x_y)#3" {
-		t.Errorf("OID colliding with the adopted one = %q, want P(x_y)#3", got)
+		t.Errorf("OID colliding with the carried one = %q, want P(x_y)#3", got)
 	}
-	env.Adopt("P", xy, "other")
+	other := old.Successor(0)
+	other.OID("P", xy) // issued as P(x_y) there
+	if env.Carry(other, 0) {
+		t.Error("Carry recorded an application already recorded")
+	}
 	if got := env.OID("P", xy); got != "P(x_y)#2" || env.Size() != 3 {
-		t.Errorf("re-adopting replaced the oid: %q, Size %d", got, env.Size())
+		t.Errorf("re-carrying replaced the oid: %q, Size %d", got, env.Size())
+	}
+	if _, ok := env.Entry("never"); ok {
+		t.Error("Entry found an oid never issued")
 	}
 }
 

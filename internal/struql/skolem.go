@@ -22,29 +22,42 @@ import (
 type SkolemEnv struct {
 	seed maphash.Seed
 	// index maps a key hash to the head of a 1-based chain through next;
-	// entry i's key is keys[offs[i]:offs[i+1]] and its oid is oids[i].
-	index map[uint64]int32
-	next  []int32
-	keys  []byte
-	offs  []int32
-	oids  []graph.OID
-	// used holds every issued oid (keys are graph.OID strings), for the
-	// "#n" disambiguation of display-form collisions.
-	used map[string]bool
+	// entry i's key is keys[offs[i]:offs[i+1]], its hash hashes[i] and
+	// its oid oids[i].
+	index  map[uint64]int32
+	next   []int32
+	keys   []byte
+	offs   []int32
+	hashes []uint64
+	oids   []graph.OID
+	// entryOf maps every issued oid (keys are graph.OID strings) to its
+	// 1-based entry: Carry's lookup, and the "#n" disambiguation of
+	// display-form collisions.
+	entryOf map[string]int32
 	// keyBuf and oidBuf are reused across OID calls.
 	keyBuf []byte
 	oidBuf []byte
 }
 
 // NewSkolemEnv returns an empty environment.
-func NewSkolemEnv() *SkolemEnv {
+func NewSkolemEnv() *SkolemEnv { return newSkolemEnv(maphash.MakeSeed(), 0) }
+
+func newSkolemEnv(seed maphash.Seed, size int) *SkolemEnv {
 	return &SkolemEnv{
-		seed:  maphash.MakeSeed(),
-		index: make(map[uint64]int32),
-		offs:  []int32{0},
-		used:  make(map[string]bool),
+		seed:    seed,
+		index:   make(map[uint64]int32, size),
+		next:    make([]int32, 0, size),
+		offs:    append(make([]int32, 0, size+1), 0),
+		hashes:  make([]uint64, 0, size),
+		oids:    make([]graph.OID, 0, size),
+		entryOf: make(map[string]int32, size),
 	}
 }
+
+// Successor returns an empty environment with s's hash seed and room
+// for size applications, into which Carry copies s's applications
+// without re-deriving their keys.
+func (s *SkolemEnv) Successor(size int) *SkolemEnv { return newSkolemEnv(s.seed, size) }
 
 // OID returns the node identifier for fn(args...). The display form is
 // "fn(a,b)" with argument texts sanitized; if two distinct argument tuples
@@ -56,18 +69,31 @@ func (s *SkolemEnv) OID(fn string, args []graph.Value) graph.OID {
 		return s.oids[i-1]
 	}
 	oid := s.render(fn, args)
-	s.insert(h, oid)
+	s.insert(h, s.keyBuf, oid)
 	return oid
 }
 
-// Adopt records oid as the identifier of fn(args...) and marks it used,
-// so an environment can carry over an application another environment
-// already issued under the same oid. An application already recorded
-// keeps its oid.
-func (s *SkolemEnv) Adopt(fn string, args []graph.Value, oid graph.OID) {
-	if h, i := s.find(fn, args); i == 0 {
-		s.insert(h, oid)
+// Entry returns the 0-based entry of the application s issued (or
+// carried) as oid; entries number applications in the order s recorded
+// them, so a caller can keep per-application data in a parallel slice.
+func (s *SkolemEnv) Entry(oid graph.OID) (int, bool) {
+	i, ok := s.entryOf[string(oid)]
+	return int(i) - 1, ok
+}
+
+// Carry records in s from's entry i under the same oid, copying its
+// stored key and hash; s must be from's Successor (or a Successor of
+// one), so the hashes agree. It reports whether it recorded a new entry
+// (numbered Size()-1): false when s already records the application,
+// which then keeps its oid. A carried oid's display form stays taken
+// for later applications.
+func (s *SkolemEnv) Carry(from *SkolemEnv, i int) bool {
+	key, h := from.keys[from.offs[i]:from.offs[i+1]], from.hashes[i]
+	if s.lookup(h, key) != 0 {
+		return false
 	}
+	s.insert(h, key, from.oids[i])
+	return true
 }
 
 // find builds fn(args...)'s memo key in keyBuf and returns its hash and
@@ -80,22 +106,29 @@ func (s *SkolemEnv) find(fn string, args []graph.Value) (uint64, int32) {
 	}
 	s.keyBuf = buf
 	h := maphash.Bytes(s.seed, buf)
-	for i := s.index[h]; i != 0; i = s.next[i-1] {
-		if bytes.Equal(s.keys[s.offs[i-1]:s.offs[i]], buf) {
-			return h, i
-		}
-	}
-	return h, 0
+	return h, s.lookup(h, buf)
 }
 
-// insert records the key find left in keyBuf, with hash h, as oid.
-func (s *SkolemEnv) insert(h uint64, oid graph.OID) {
-	s.keys = append(s.keys, s.keyBuf...)
+// lookup returns the 1-based entry of key, whose hash is h, 0 when it is
+// not recorded.
+func (s *SkolemEnv) lookup(h uint64, key []byte) int32 {
+	for i := s.index[h]; i != 0; i = s.next[i-1] {
+		if bytes.Equal(s.keys[s.offs[i-1]:s.offs[i]], key) {
+			return i
+		}
+	}
+	return 0
+}
+
+// insert records key, with hash h, as oid.
+func (s *SkolemEnv) insert(h uint64, key []byte, oid graph.OID) {
+	s.keys = append(s.keys, key...)
 	s.offs = append(s.offs, int32(len(s.keys)))
+	s.hashes = append(s.hashes, h)
 	s.oids = append(s.oids, oid)
 	s.next = append(s.next, s.index[h])
 	s.index[h] = int32(len(s.oids))
-	s.used[string(oid)] = true
+	s.entryOf[string(oid)] = int32(len(s.oids))
 }
 
 // render produces the display-form oid for fn(args...), disambiguated
@@ -111,13 +144,13 @@ func (s *SkolemEnv) render(fn string, args []graph.Value) graph.OID {
 	}
 	b = append(b, ')')
 	s.oidBuf = b
-	if !s.used[string(b)] {
+	if _, taken := s.entryOf[string(b)]; !taken {
 		return graph.OID(b)
 	}
 	base := string(b)
 	for n := 2; ; n++ {
 		cand := base + "#" + itoa(n)
-		if !s.used[cand] {
+		if _, taken := s.entryOf[cand]; !taken {
 			return graph.OID(cand)
 		}
 	}
